@@ -10,11 +10,17 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .data import GridSpec, Sample, nearest_body_index, validate
 from .exceptions import EstimationError
-from .marginals import MarginalFit, fit_marginal
+from .marginals import (
+    MAX_ITER,
+    TOL_GRAD,
+    MarginalFit,
+    _damped_newton,
+    _normalize_weights,
+    fit_marginal,
+)
 from .normal import EPS_RHO, FixedThresholdBvn, bvn_cdf, bvn_pdf, link_rho
 
 __all__ = [
@@ -30,26 +36,9 @@ __all__ = [
 ]
 
 CELL_FLOOR = 1e-10
-TOL_GRAD = 1e-8
-POLISH_GRAD = 1e-12
-MAX_ITER = 200
 # Link index at which |tanh| reaches the correlation clamp; used when a
 # degenerate quadrant pattern pushes the dependence to the boundary.
 U_SAT = float(np.arctanh(1.0 - EPS_RHO))
-
-
-def _normalize_weights(weights, n):
-    if weights is None:
-        return np.full(n, 1.0)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise EstimationError(f"weights must have length {n}")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise EstimationError("weights must be finite and nonnegative")
-    total = w.sum()
-    if total <= 0:
-        raise EstimationError("weights must have positive total mass")
-    return w * (n / total)
 
 
 def quadrant_probs(a, b, rho):
@@ -85,29 +74,21 @@ class _CellKernel:
         self._fin = fin
         self._af = np.where(fin, a, 0.0)
         self._bf = np.where(fin, b, 0.0)
-        self.iy = None if below_y is None else np.asarray(below_y, dtype=float)
-        self.jw = None if below_w is None else np.asarray(below_w, dtype=float)
+        self.iy = np.asarray(below_y, dtype=float)
+        self.jw = np.asarray(below_w, dtype=float)
         self.w = w
 
-    def cells(self, dep):
+    def evaluate(self, dep):
+        """Log-likelihood, score and expected information at dep, all from
+        one quadrature pass."""
         u = self.x_dep @ np.asarray(dep, dtype=float)
         rho, gprime = link_rho(u)
         p11 = self.bvn.cdf(rho)
-        p10 = np.maximum(self.pa - p11, 0.0)
-        p01 = np.maximum(self.pb - p11, 0.0)
-        p00 = np.maximum(1.0 - self.pa - self.pb + p11, 0.0)
-        return rho, gprime, p11, p10, p01, p00
-
-    def density(self, rho):
-        return np.where(self._fin, bvn_pdf(self._af, self._bf, rho), 0.0)
-
-    def loglik_and_score(self, dep):
-        rho, gprime, p11, p10, p01, p00 = self.cells(dep)
-        iy, jw = self.iy, self.jw
         c11 = np.maximum(p11, CELL_FLOOR)
-        c10 = np.maximum(p10, CELL_FLOOR)
-        c01 = np.maximum(p01, CELL_FLOOR)
-        c00 = np.maximum(p00, CELL_FLOOR)
+        c10 = np.maximum(self.pa - p11, CELL_FLOOR)
+        c01 = np.maximum(self.pb - p11, CELL_FLOOR)
+        c00 = np.maximum(1.0 - self.pa - self.pb + p11, CELL_FLOOR)
+        iy, jw = self.iy, self.jw
         active = (
             iy * jw * np.log(c11)
             + iy * (1.0 - jw) * np.log(c10)
@@ -120,22 +101,13 @@ class _CellKernel:
             - (1.0 - iy) * jw / c01
             + (1.0 - iy) * (1.0 - jw) / c00
         )
-        dens = self.density(rho)
+        recip = 1.0 / c11 + 1.0 / c10 + 1.0 / c01 + 1.0 / c00
+        dens = np.where(self._fin, bvn_pdf(self._af, self._bf, rho), 0.0)
         ll = float(np.mean(self.w * active))
         grad = self.x_dep.T @ (self.w * ratio * dens * gprime) / self.n
-        return ll, grad
-
-    def fisher_info(self, dep):
-        rho, gprime, p11, p10, p01, p00 = self.cells(dep)
-        recip = (
-            1.0 / np.maximum(p11, CELL_FLOOR)
-            + 1.0 / np.maximum(p10, CELL_FLOOR)
-            + 1.0 / np.maximum(p01, CELL_FLOOR)
-            + 1.0 / np.maximum(p00, CELL_FLOOR)
-        )
-        dens = self.density(rho)
         scale = self.w * recip * dens * dens * gprime * gprime
-        return (self.x_dep * scale[:, None]).T @ self.x_dep / self.n
+        info = (self.x_dep * scale[:, None]).T @ self.x_dep / self.n
+        return ll, grad, info
 
 
 def _kernel(x_dep, a, b, below_y, below_w, weights):
@@ -145,23 +117,22 @@ def _kernel(x_dep, a, b, below_y, below_w, weights):
 
 def joint_loglik(x_dep, a, b, dep, below_y, below_w, weights=None):
     """Average four-quadrant log-likelihood at fixed marginal indices."""
-    ll, _ = _kernel(x_dep, a, b, below_y, below_w, weights).loglik_and_score(dep)
-    return ll
+    return _kernel(x_dep, a, b, below_y, below_w, weights).evaluate(dep)[0]
 
 
 def dep_score(x_dep, a, b, dep, below_y, below_w, weights=None):
     """Analytic gradient of joint_loglik in the dependence coefficients:
     the quadrant-signed reciprocal cells times the bivariate density and the
     link derivative."""
-    _, grad = _kernel(x_dep, a, b, below_y, below_w, weights).loglik_and_score(dep)
-    return grad
+    return _kernel(x_dep, a, b, below_y, below_w, weights).evaluate(dep)[1]
 
 
 def dep_fisher_info(x_dep, a, b, dep, weights=None):
     """Expected negative Hessian in the dependence coefficients (the sum of
     reciprocal cells times the squared density and squared link derivative)."""
-    w = _normalize_weights(weights, np.asarray(x_dep).shape[0])
-    return _CellKernel(x_dep, a, b, None, None, w).fisher_info(dep)
+    # The expected information does not depend on the indicators.
+    below = np.zeros(np.asarray(x_dep).shape[0])
+    return _kernel(x_dep, a, b, below, below, weights).evaluate(dep)[2]
 
 
 @dataclass
@@ -174,59 +145,17 @@ class DepResult:
     boundary: bool = False
 
 
-def _newton_polish(kernel: _CellKernel, dep, tol, max_iter):
-    """Fisher-scoring steps with halving until the gradient is negligible.
-
-    Far from the optimum, steps must improve the objective. Once the gradient
-    is small the objective is flat at float resolution, so steps are accepted
-    on gradient-norm decrease instead; this pins the optimum tightly enough
-    that refits (permuted rows, different starts) agree to ~1e-12.
-    """
-    coef = np.array(dep, dtype=float)
-    ll, grad = kernel.loglik_and_score(coef)
-    grad_norm = float(np.max(np.abs(grad)))
-    it = 0
-    while grad_norm > tol and it < max_iter:
-        it += 1
-        info = kernel.fisher_info(coef)
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            step = grad
-        if not np.all(np.isfinite(step)):
-            step = grad
-        t = 1.0
-        accepted = False
-        on_objective = grad_norm > 1e-6
-        for _ in range(40):
-            trial = coef + t * step
-            ll_trial, grad_trial = kernel.loglik_and_score(trial)
-            gn_trial = float(np.max(np.abs(grad_trial)))
-            ok = (
-                np.isfinite(ll_trial) and ll_trial > ll
-                if on_objective
-                else np.isfinite(gn_trial) and gn_trial < grad_norm
-            )
-            if ok:
-                coef, ll, grad, grad_norm = trial, ll_trial, grad_trial, gn_trial
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-    return coef, grad_norm, ll, it
-
-
 def fit_dependence(x_dep, a, b, below_y, below_w, weights=None, start=None,
-                   tol_grad=TOL_GRAD, max_iter=MAX_ITER,
-                   method="bfgs") -> DepResult:
+                   tol_grad=TOL_GRAD, max_iter=MAX_ITER) -> DepResult:
     """Maximize the quadrant likelihood in the dependence coefficients.
 
-    method "bfgs" runs a quasi-Newton pass with the analytic score, then
-    polishes with Fisher-scoring steps using the expected curvature; "newton"
-    uses Fisher scoring throughout. Perfectly concordant or discordant cell
-    patterns have no interior maximizer, so the fit is clamped at the link
-    saturation bound with a warning.
+    Fisher scoring (expected-information curvature) with step halving, by the
+    same `_damped_newton` routine as the probit fits: steps must raise the
+    likelihood while its predicted rise is measurable, then lower the score's
+    2-norm until its max-norm reaches 1e-12. The fit converges when the final
+    max-norm score is at most tol_grad. Perfectly concordant or discordant
+    cell patterns have no interior maximizer, so the fit is clamped at the
+    link saturation bound with a warning.
     """
     x_dep = np.asarray(x_dep, dtype=float)
     below_y = np.asarray(below_y, dtype=float)
@@ -258,48 +187,34 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None, start=None,
         return DepResult(coef=coef, converged=True, iterations=0,
                          grad_norm=np.nan, loglik=ll, boundary=True)
 
-    coef0 = np.zeros(d) if start is None else np.array(start, dtype=float)
     kernel = _CellKernel(x_dep, a, b, below_y, below_w, w)
-
-    if method == "bfgs":
-        def negated(c):
-            ll, grad = kernel.loglik_and_score(c)
-            return -ll, -grad
-
-        res = optimize.minimize(
-            negated, coef0, jac=True, method="BFGS",
-            options={"gtol": 1e-6, "maxiter": max_iter},
-        )
-        coef0 = res.x if np.all(np.isfinite(res.x)) else coef0
-        outer = int(res.nit)
-    elif method == "newton":
-        outer = 0
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    coef, grad_norm, ll, inner = _newton_polish(kernel, coef0, POLISH_GRAD, max_iter)
-    converged = grad_norm <= tol_grad
-    if not converged:
+    coef0 = np.zeros(d) if start is None else start
+    coef, ll, grad_norm, it = _damped_newton(kernel.evaluate, coef0, max_iter)
+    if not grad_norm <= tol_grad:
         raise EstimationError(
             "dependence fit did not converge",
             diagnostics={
                 "grad_norm": grad_norm,
-                "iterations": outer + inner,
+                "iterations": it,
                 "last_coef": coef.tolist(),
             },
         )
-    return DepResult(coef=coef, converged=True, iterations=outer + inner,
+    return DepResult(coef=coef, converged=True, iterations=it,
                      grad_norm=grad_norm, loglik=ll)
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Estimation settings shared by the fit and bootstrap entry points."""
+    """Estimation settings shared by the fit and bootstrap entry points.
+
+    Every probit and dependence fit runs the one damped-Newton solver, for at
+    most max_iter steps, and counts as converged when its final max-norm
+    gradient is at most tol_grad.
+    """
 
     dep_cols: tuple[int, ...] | None = None  # design columns used for dependence
     tol_grad: float = TOL_GRAD
     max_iter: int = MAX_ITER
-    dep_method: str = "bfgs"
     strict: bool = False  # abort on any per-grid-point failure
 
 
@@ -330,7 +245,14 @@ class BdrFit:
         """Dependence coefficients at the nearest body pair (copy rule)."""
         iy = nearest_body_index(self.grid.y_body, y)
         iw = nearest_body_index(self.grid.w_body, w)
-        return self.dep_coef[iy, iw]
+        coef = self.dep_coef[iy, iw]
+        if not np.all(np.isfinite(coef)):
+            raise EstimationError(
+                "no dependence estimate at grid pair "
+                f"({self.grid.y_body[iy]:.6g}, {self.grid.w_body[iw]:.6g}): "
+                "its fit failed"
+            )
+        return coef
 
     def local_rho(self, y: float, w: float, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -382,25 +304,25 @@ def fit_bdr(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(),
 
     # Dependence maximization holds the marginal indices fixed; replicates use
     # the original (base) marginal estimates.
-    idx_source = base if base is not None else None
+    y_idx, w_idx = (y_marg, w_marg) if base is None else (
+        base.y_marginal, base.w_marginal
+    )
     y_body, w_body = grid.y_body, grid.w_body
     dep = np.empty((y_body.size, w_body.size, len(dep_cols)))
     failures = []
     total_iter = 0
     warm = None
     for iy, yv in enumerate(y_body):
-        a = (idx_source.y_marginal if idx_source else y_marg).index(yv, x)
+        a = y_idx.index(yv, x)
         below_y = (sample.y <= yv).astype(float)
         row_start = None
         for iw, wv in enumerate(w_body):
-            b = (idx_source.w_marginal if idx_source else w_marg).index(wv, x)
+            b = w_idx.index(wv, x)
             below_w = (sample.w <= wv).astype(float)
-            start = warm if warm is not None else None
             try:
                 res = fit_dependence(
-                    x_dep, a, b, below_y, below_w, weights=weights, start=start,
+                    x_dep, a, b, below_y, below_w, weights=weights, start=warm,
                     tol_grad=config.tol_grad, max_iter=config.max_iter,
-                    method=config.dep_method,
                 )
             except EstimationError as err:
                 if config.strict:

@@ -29,6 +29,13 @@ MAX_ITER = 200
 # Polish past the contract tolerance so refits (permuted data, warm vs cold
 # starts) land on the same point to well below 1e-8.
 POLISH_GRAD = 1e-12
+# Below this predicted gain a change in the average log-likelihood is lost in
+# its rounding, so steps are judged on the gradient instead.
+GAIN_FLOOR = 1e-13
+# Share of its predicted gain a step must realise (Armijo's condition). A full
+# Fisher step that overshoots the maximum almost symmetrically still raises
+# the objective a little; accepting it on any rise makes the fit crawl.
+ARMIJO = 0.1
 PROB_FLOOR = 1e-10
 
 
@@ -84,13 +91,60 @@ class ProbitResult:
     loglik: float
 
 
+def _damped_newton(evaluate, coef, max_iter):
+    """Maximize a smooth objective by damped Newton steps from coef.
+
+    evaluate(coef) returns (loglik, grad, curvature), the curvature being a
+    positive-definite stand-in for the negative Hessian (both likelihoods use
+    the expected information). Each step is halved until it is accepted.
+    While the step's predicted gain grad'step (the squared Newton decrement)
+    exceeds GAIN_FLOOR, a step must raise the objective by ARMIJO times its
+    predicted gain; below that the objective is flat at float resolution, so
+    a step is accepted when it lowers the gradient's 2-norm instead. That
+    polish runs until the max-norm gradient reaches POLISH_GRAD, so refits
+    (permuted rows, warm or cold starts) agree to ~1e-12. Returns (coef,
+    loglik, max-norm gradient, steps attempted); callers judge convergence.
+    """
+    coef = np.array(coef, dtype=float)
+    ll, grad, info = evaluate(coef)
+    grad_norm = float(np.max(np.abs(grad)))
+    it = 0
+    while grad_norm > POLISH_GRAD and it < max_iter:
+        it += 1
+        try:
+            step = np.linalg.solve(info, grad)
+        except np.linalg.LinAlgError:
+            step = grad  # near-singular curvature: plain ascent direction
+        if not np.all(np.isfinite(step)):
+            step = grad
+        gain = float(grad @ step)
+        grad_len = float(np.linalg.norm(grad))
+        t = 1.0
+        for _ in range(40):
+            trial = coef + t * step
+            ll_trial, grad_trial, info_trial = evaluate(trial)
+            ok = (
+                ll_trial >= ll + ARMIJO * t * gain
+                if gain > GAIN_FLOOR
+                else np.linalg.norm(grad_trial) < grad_len
+            )
+            if ok:
+                coef, ll, grad, info = trial, ll_trial, grad_trial, info_trial
+                grad_norm = float(np.max(np.abs(grad)))
+                break
+            t *= 0.5
+        else:
+            break  # no progress available at floating-point resolution
+    return coef, ll, grad_norm, it
+
+
 def fit_probit_dr(x, below, weights=None, warm_start=None, offset=None,
                   tol_grad=TOL_GRAD, max_iter=MAX_ITER) -> ProbitResult:
-    """Maximize the (weighted) probit log-likelihood by damped Newton steps.
+    """Maximize the (weighted) probit log-likelihood with `_damped_newton`.
 
-    Uses the expected-Hessian (Fisher scoring) curvature with step-halving
-    line search. `offset` is added to the linear index but carries no free
-    parameter, which is how the one-parameter tail fits reuse this routine.
+    The curvature is the expected Hessian (Fisher scoring). `offset` is added
+    to the linear index but carries no free parameter, which is how the
+    one-parameter tail fits reuse this routine.
     """
     x = np.asarray(x, dtype=float)
     below = np.asarray(below, dtype=float)
@@ -105,8 +159,6 @@ def fit_probit_dr(x, below, weights=None, warm_start=None, offset=None,
             diagnostics={"mass_below": mass_below, "mass_above": mass_above},
         )
 
-    coef = np.zeros(d) if warm_start is None else np.array(warm_start, dtype=float)
-
     def evaluate(c):
         idx = x @ c
         if offset is not None:
@@ -117,48 +169,11 @@ def fit_probit_dr(x, below, weights=None, warm_start=None, offset=None,
         denom = p * (1.0 - p)
         grad = x.T @ (w * phi / denom * (below - p)) / n
         fisher = w * phi * phi / denom
-        return ll, grad, fisher
+        return ll, grad, (x * fisher[:, None]).T @ x / n
 
-    ll, grad, fisher = evaluate(coef)
-    grad_norm = float(np.max(np.abs(grad)))
-    # Steps must improve the objective while the gradient is large; once it is
-    # small the objective is flat at float resolution, so acceptance switches
-    # to gradient-norm decrease, pinning the optimum to ~1e-12.
-    for it in range(1, max_iter + 1):
-        if grad_norm <= POLISH_GRAD:
-            break
-        info = (x * fisher[:, None]).T @ x / n
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            step = grad  # near-singular curvature: plain ascent direction
-        if not np.all(np.isfinite(step)):
-            step = grad
-
-        t = 1.0
-        accepted = False
-        on_objective = grad_norm > 1e-6
-        for _ in range(40):
-            trial = coef + t * step
-            ll_trial, grad_trial, fisher_trial = evaluate(trial)
-            gn_trial = float(np.max(np.abs(grad_trial)))
-            ok = (
-                np.isfinite(ll_trial) and ll_trial > ll
-                if on_objective
-                else np.isfinite(gn_trial) and gn_trial < grad_norm
-            )
-            if ok:
-                coef, ll, grad, fisher, grad_norm = (
-                    trial, ll_trial, grad_trial, fisher_trial, gn_trial
-                )
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break  # no progress available at floating-point resolution
-
-    converged = grad_norm <= tol_grad
-    if not converged:
+    start = np.zeros(d) if warm_start is None else warm_start
+    coef, ll, grad_norm, it = _damped_newton(evaluate, start, max_iter)
+    if not grad_norm <= tol_grad:
         raise EstimationError(
             "probit fit did not converge (possible separation)",
             diagnostics={
@@ -167,7 +182,7 @@ def fit_probit_dr(x, below, weights=None, warm_start=None, offset=None,
                 "coef_norm": float(np.linalg.norm(coef)),
             },
         )
-    return ProbitResult(coef=coef, converged=converged, iterations=it,
+    return ProbitResult(coef=coef, converged=True, iterations=it,
                         grad_norm=grad_norm, loglik=float(ll))
 
 
@@ -285,7 +300,7 @@ def marginal_index(fit: MarginalFit, r: float, x: np.ndarray) -> np.ndarray:
 
 
 def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None,
-                 warm_starts=None, fixed_r0=None, tol_grad=TOL_GRAD,
+                 fixed_r0=None, tol_grad=TOL_GRAD,
                  max_iter=MAX_ITER) -> MarginalFit:
     """Run the probit fits over one outcome's body grid, then both tail fits.
 
@@ -301,10 +316,9 @@ def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None,
     iters = []
     warm = None
     for i, r in enumerate(body):
-        start = warm_starts[i] if warm_starts is not None else warm
         below = (values <= r).astype(float)
         try:
-            res = fit_probit_dr(x, below, weights=weights, warm_start=start,
+            res = fit_probit_dr(x, below, weights=weights, warm_start=warm,
                                 tol_grad=tol_grad, max_iter=max_iter)
         except EstimationError as err:
             raise EstimationError(

@@ -3,9 +3,11 @@ density, their partial derivatives, and the tanh correlation link.
 
 The bivariate CDF follows the Drezner-Wesolowsky/Genz construction: Gauss-
 Legendre quadrature along the correlation path for moderate correlation, and
-the reflection/expansion branch for |rho| > 0.925. A fixed 20-point rule is
-used throughout, which keeps the absolute error a few ulps from zero over the
-whole admissible range, well beyond what the likelihood optimizers can see.
+the reflection/expansion branch for |rho| > 0.925. The moderate-correlation
+rule has 6, 12 or 20 nodes, chosen per call by the largest |rho| in the batch
+(`_rule_for`); the high-correlation branch always uses 20. Each rule keeps the
+absolute error a few ulps from zero over the range it serves, well beyond
+what the likelihood optimizers can see.
 
 Thresholds at +/-inf are legal inputs to the bivariate functions and resolve
 to the exact marginal limits before any quadrature runs.

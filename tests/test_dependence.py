@@ -1,6 +1,13 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from bdreg.bootstrap import WeightScheme, draw_weights
 from bdreg.data import build_grid, grid_from_values
 from bdreg.dependence import (
     FitConfig,
@@ -12,6 +19,8 @@ from bdreg.dependence import (
     quadrant_probs,
 )
 from bdreg.dgp import DgpSpec, generate
+from bdreg.exceptions import EstimationError
+from bdreg.functionals import fitted_surface
 from bdreg.normal import bvn_cdf, link_rho
 
 from conftest import bench_spec
@@ -177,16 +186,40 @@ class TestFitDependence:
         rho, _ = link_rho(res.coef[0])
         assert rho >= 1.0 - 1e-6
 
-    def test_newton_and_bfgs_agree(self):
+    def test_start_independence(self):
         rng = np.random.default_rng(7)
         n = 400
         x = np.column_stack([np.ones(n), rng.random(n)])
         a, b = rng.normal(size=n), rng.normal(size=n)
         iy = (rng.random(n) < 0.5).astype(float)
         jw = (rng.random(n) < 0.5).astype(float)
-        r1 = fit_dependence(x, a, b, iy, jw, method="bfgs")
-        r2 = fit_dependence(x, a, b, iy, jw, method="newton")
-        assert np.max(np.abs(r1.coef - r2.coef)) <= 1e-8
+        r1 = fit_dependence(x, a, b, iy, jw)
+        r2 = fit_dependence(x, a, b, iy, jw, start=np.full(2, 0.3))
+        assert np.max(np.abs(r1.coef - r2.coef)) <= 1e-10
+
+    def test_warm_start_near_optimum_polishes(self):
+        # The start is where a BFGS pass once stopped, max-norm score 5.6e-7.
+        # No Fisher-scoring step lowers the max-norm there, so a polish
+        # judged on it stalled; the fit must reach the cold-start optimum.
+        s = generate(bench_spec(n=1000, seed=2058931222))
+        grid = build_grid(s, n_points=5)
+        base = fit_bdr(s, grid, FitConfig())
+        w = draw_weights(1000, WeightScheme(), 9, 0)
+        yv, wv = grid.y_body[-1], grid.w_body[0]
+        a = base.y_marginal.index(yv, s.x)
+        b = base.w_marginal.index(wv, s.x)
+        iy = (s.y <= yv).astype(float)
+        jw = (s.w <= wv).astype(float)
+        start = [0.3674908211267515, 0.18706410054358522, 0.06282829652203696]
+        warm = fit_dependence(s.x, a, b, iy, jw, weights=w, start=start)
+        cold = fit_dependence(s.x, a, b, iy, jw, weights=w)
+        np.testing.assert_allclose(cold.coef, [0.36745870, 0.18711415, 0.06283511],
+                                   atol=1e-8)
+        assert np.max(np.abs(warm.coef - cold.coef)) <= 1e-9
+        for rep in (9, 10):
+            fit = fit_bdr(s, grid, FitConfig(),
+                          weights=draw_weights(1000, WeightScheme(), rep, 0), base=base)
+            assert fit.n_failed == 0
 
 
 class TestFitBdr:
@@ -198,6 +231,13 @@ class TestFitBdr:
         np.testing.assert_array_equal(corner, fit.dep_coef[-1, -1])
         low = fit.dep_at(-np.inf, -np.inf)
         np.testing.assert_array_equal(low, fit.dep_coef[0, 0])
+
+    def test_failed_cell_raises_before_evaluation(self, small_fit, small_sample):
+        fit, grid = small_fit
+        broken = dataclasses.replace(fit, dep_coef=fit.dep_coef.copy())
+        broken.dep_coef[0, 0] = np.nan
+        with pytest.raises(EstimationError, match="grid pair"):
+            fitted_surface(broken, small_sample)
 
     def test_mixed_tail_body_query(self, small_fit):
         fit, grid = small_fit
@@ -281,3 +321,11 @@ class TestFitBdr:
         grid = build_grid(s, n_points=5)
         fit = fit_bdr(s, grid, FitConfig(max_iter=200))
         assert fit.n_failed == 0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about half again to the package's import time.
+    import bdreg
+    code = "import bdreg, sys; assert 'scipy.optimize' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(bdreg.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
