@@ -132,7 +132,8 @@ def bootstrap_fit(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(
     jobs = [(sample, grid, config, scheme, base, group, rep) for rep in range(n_draws)]
     if workers > 1 and n_draws > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replicate, jobs, chunksize=8))
+            # One even share of the draws per worker.
+            results = list(pool.map(_run_replicate, jobs, chunksize=-(-n_draws // workers)))
     else:
         results = [_run_replicate(job) for job in jobs]
     for rep, fit, w, err in results:
@@ -183,13 +184,16 @@ def robust_se(draws) -> float:
 
 
 def robust_se_map(draws_stack: np.ndarray) -> np.ndarray:
-    """Cellwise robust_se over the leading (replicate) axis."""
+    """Cellwise robust_se over the leading (replicate) axis; each cell drops
+    its non-finite draws, as robust_se does."""
     stack = np.asarray(draws_stack, dtype=float)
-    if stack.shape[0] < MIN_DRAWS_FOR_INFERENCE:
+    finite = np.isfinite(stack)
+    fewest = int(finite.sum(axis=0).min()) if stack.size else stack.shape[0]
+    if fewest < MIN_DRAWS_FOR_INFERENCE:
         raise InferenceError(
-            f"need at least {MIN_DRAWS_FOR_INFERENCE} draws, got {stack.shape[0]}"
+            f"need at least {MIN_DRAWS_FOR_INFERENCE} valid draws per cell, got {fewest}"
         )
-    q25, q75 = np.quantile(stack, [0.25, 0.75], axis=0)
+    q25, q75 = np.nanquantile(np.where(finite, stack, np.nan), [0.25, 0.75], axis=0)
     return (q75 - q25) / _NORMAL_IQR
 
 

@@ -89,11 +89,10 @@ class RunConfig:
 
 
 class OutputWriter:
-    """Tracks written files so strict-mode failures can remove partial output."""
+    """Tracks written files so a failed run can remove its partial output."""
 
-    def __init__(self, outdir: Path, strict: bool):
+    def __init__(self, outdir: Path):
         self.outdir = outdir
-        self.strict = strict
         self.written: list[Path] = []
         outdir.mkdir(parents=True, exist_ok=True)
 
@@ -118,8 +117,6 @@ class OutputWriter:
         return path
 
     def cleanup(self):
-        if not self.strict:
-            return
         for path in self.written:
             try:
                 path.unlink()
@@ -692,21 +689,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dep-coef-1", default=None)
     p.add_argument("--output-name", default="sample.csv")
     p.add_argument("--out", default="bdreg-out")
-    p.add_argument("--strict", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; on any failure remove the files this run wrote."""
     parser = build_parser()
     args = parser.parse_args(argv)
     writer = None
+    code = 1
     try:
         if args.command == "simulate":
-            writer = OutputWriter(Path(args.out), args.strict)
+            writer = OutputWriter(Path(args.out))
             manifest = cmd_simulate(args, writer)
         else:
             config = _config_from(args)
-            writer = OutputWriter(Path(config.out), config.strict)
+            writer = OutputWriter(Path(config.out))
             if args.command == "estimate":
                 manifest = cmd_estimate(config, writer)
             elif args.command == "bootstrap":
@@ -721,22 +719,20 @@ def main(argv=None) -> int:
             else:  # pragma: no cover
                 raise ConfigError(f"unknown command {args.command}")
         writer.manifest(manifest)
-        return 0
+        code = 0
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
-        if writer:
-            writer.cleanup()
-        return 2
+        code = 2
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
-        if writer:
-            writer.cleanup()
-        return 3
+        code = 3
     except (EstimationError, InferenceError, BdrError) as err:
         print(f"estimation error: {err}", file=sys.stderr)
-        if writer:
+        code = 4
+    finally:
+        if code != 0 and writer is not None:
             writer.cleanup()
-        return 4
+    return code
 
 
 if __name__ == "__main__":

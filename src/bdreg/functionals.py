@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .data import Sample
+from .data import Sample, nearest_body_index
 from .dependence import BdrFit
 from .exceptions import ConfigError, DataError
-from .normal import bvn_cdf
+from .normal import BLOCK_ROWS, bvn_cdf
 
 __all__ = [
     "CounterfactualIndex",
@@ -93,24 +94,74 @@ def _x_average(x, x_weights):
     return x, wts
 
 
+def _copy_rule_keys(values: np.ndarray, body: np.ndarray) -> np.ndarray:
+    """The threshold whose coefficients the copy rule uses at each value: the
+    nearest body point inside the body range, the value itself outside it."""
+    keys = values.copy()
+    inside = (values >= body[0]) & (values <= body[-1])
+    keys[inside] = [body[nearest_body_index(body, v)] for v in values[inside]]
+    return keys
+
+
+def _distinct(values: np.ndarray, *bodies) -> tuple[np.ndarray, np.ndarray]:
+    """One representative per distinct copy-rule key under every body, in
+    order of first appearance, and the position of each value's key."""
+    keys = np.column_stack([_copy_rule_keys(values, body) for body in bodies])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return values[first[order]], rank[inverse.ravel()]
+
+
 def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x,
              y_values, w_values, x_weights=None) -> np.ndarray:
     """Average Phi2(index_y, index_w; rho) over covariate rows on a grid.
 
-    dep_fit None means the zero-dependence counterfactual.
+    dep_fit None means the zero-dependence counterfactual, whose value is the
+    covariate average of the product of the marginal CDFs.
+
+    Thresholds that share a copy-rule key (the same nearest body point inside
+    the body of y_fit's or w_fit's marginal and of dep_fit's grid, or the same
+    value outside it) have bit-identical indices and correlations, so each
+    distinct pair of keys is evaluated once and scattered back to the grid.
+    Every pair's dependence coefficients are looked up before any evaluation,
+    so a failed cell raises its EstimationError first. The distinct pairs go
+    to bvn_cdf in blocks of about BLOCK_ROWS rows.
     """
     x, wts = _x_average(x, x_weights)
     y_values = np.asarray(y_values, dtype=float)
     w_values = np.asarray(w_values, dtype=float)
-    a_cols = [y_fit.y_marginal.index(yv, x) for yv in y_values]
-    b_cols = [w_fit.w_marginal.index(wv, x) for wv in w_values]
-    out = np.empty((y_values.size, w_values.size))
-    zero = np.zeros(x.shape[0])
-    for iy, yv in enumerate(y_values):
-        for iw, wv in enumerate(w_values):
-            rho = zero if dep_fit is None else dep_fit.local_rho(yv, wv, x)
-            out[iy, iw] = wts @ bvn_cdf(a_cols[iy], b_cols[iw], rho)
-    return out
+    if y_values.size == 0 or w_values.size == 0:
+        return np.empty((y_values.size, w_values.size))
+    y_bodies = [y_fit.y_marginal.body]
+    w_bodies = [w_fit.w_marginal.body]
+    if dep_fit is not None:
+        y_bodies.append(dep_fit.grid.y_body)
+        w_bodies.append(dep_fit.grid.w_body)
+    ys, y_pos = _distinct(y_values, *y_bodies)
+    ws, w_pos = _distinct(w_values, *w_bodies)
+    a_rows = np.array([y_fit.y_marginal.index(yv, x) for yv in ys])
+    b_rows = np.array([w_fit.w_marginal.index(wv, x) for wv in ws])
+
+    if dep_fit is None:
+        values = (special.ndtr(a_rows) * wts) @ special.ndtr(b_rows).T
+        return values[np.ix_(y_pos, w_pos)]
+
+    for yv in ys:
+        for wv in ws:
+            dep_fit.dep_at(yv, wv)
+    n_rows = x.shape[0]
+    pairs = [(iy, iw) for iy in range(ys.size) for iw in range(ws.size)]
+    step = max(1, BLOCK_ROWS // n_rows)
+    values = np.empty(len(pairs))
+    for lo in range(0, len(pairs), step):
+        block = pairs[lo:lo + step]
+        a = np.concatenate([a_rows[iy] for iy, _ in block])
+        b = np.concatenate([b_rows[iw] for _, iw in block])
+        rho = np.concatenate([dep_fit.local_rho(ys[iy], ws[iw], x) for iy, iw in block])
+        values[lo:lo + len(block)] = bvn_cdf(a, b, rho).reshape(len(block), n_rows) @ wts
+    return values.reshape(ys.size, ws.size)[np.ix_(y_pos, w_pos)]
 
 
 def counterfactual_joint_cdf(fits, samples, index: CounterfactualIndex,

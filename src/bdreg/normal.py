@@ -4,10 +4,12 @@ density, their partial derivatives, and the tanh correlation link.
 The bivariate CDF follows the Drezner-Wesolowsky/Genz construction: Gauss-
 Legendre quadrature along the correlation path for moderate correlation, and
 the reflection/expansion branch for |rho| > 0.925. The moderate-correlation
-rule has 6, 12 or 20 nodes, chosen per call by the largest |rho| in the batch
-(`_rule_for`); the high-correlation branch always uses 20. Each rule keeps the
+rule is chosen per row by that row's |rho|: 6 nodes below 0.3, 12 below 0.75,
+20 otherwise; the high-correlation branch always uses 20. Each rule keeps the
 absolute error a few ulps from zero over the range it serves, well beyond
-what the likelihood optimizers can see.
+what the likelihood optimizers can see. The quadrature runs in place, in
+blocks of at most BLOCK_ROWS rows, so its temporaries stay a fixed size
+however many rows a call brings.
 
 Thresholds at +/-inf are legal inputs to the bivariate functions and resolve
 to the exact marginal limits before any quadrature runs.
@@ -42,18 +44,16 @@ EPS_RHO = 1e-7
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Gauss-Legendre rules for the correlation-path quadrature; the node count
 # grows with |rho| (6/12/20), matching the accuracy of the fixed 20-point
-# rule at a fraction of the work for small correlations.
+# rule at a fraction of the work for small correlations. A moderate row uses
+# the 6-node rule below |rho| = _RULE_EDGES[0], the 12-node rule below
+# _RULE_EDGES[1], and the 20-node rule above; _MODERATE_RULES holds each
+# rule's nodes plus one, and its weights, in that order.
 _GL_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (6, 12, 20)}
 _GL_NODES, _GL_WEIGHTS = _GL_RULES[20]
-
-
-def _rule_for(r):
-    m = float(np.max(np.abs(r))) if np.size(r) else 0.0
-    if m < 0.3:
-        return _GL_RULES[6]
-    if m < 0.75:
-        return _GL_RULES[12]
-    return _GL_RULES[20]
+_RULE_EDGES = (0.3, 0.75)
+_MODERATE_RULES = tuple((nodes + 1.0, weights) for nodes, weights in _GL_RULES.values())
+# Rows per quadrature block: bounds the (rows, nodes) temporaries.
+BLOCK_ROWS = 4096
 
 
 def std_normal_cdf(z):
@@ -118,15 +118,38 @@ def link_eval(u):
     return LinkValue(u, float(rho), float(deriv))
 
 
+def _correction_block(hk, hs, r, nodes1, weights):
+    # The correlation-path integral over theta in [0, asin(r)] with one rule,
+    # in place in one (rows, nodes) buffer and its denominator.
+    asr = np.arcsin(r)
+    sn = np.multiply.outer(0.5 * asr, nodes1)
+    np.sin(sn, out=sn)
+    den = np.multiply(sn, sn)
+    np.subtract(1.0, den, out=den)
+    sn *= hk[:, None]
+    sn -= hs[:, None]
+    sn /= den
+    with np.errstate(over="ignore"):
+        terms = np.exp(sn, out=sn)
+    return 0.5 * asr * (terms @ weights) / (2.0 * np.pi)
+
+
 def _moderate_correction(hk, hs, r):
     # Quadrature on theta in [0, asin(r)] of the correlation-path integrand;
-    # add Phi(-h) Phi(-k) to get P(X > h, Y > k) for |r| <= 0.925.
-    nodes, weights = _rule_for(r)
-    asr = np.arcsin(r)
-    sn = np.sin(0.5 * asr[:, None] * (nodes[None, :] + 1.0))
-    with np.errstate(over="ignore"):
-        terms = np.exp((sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn))
-    return 0.5 * asr * (terms @ weights) / (2.0 * np.pi)
+    # add Phi(-h) Phi(-k) to get P(X > h, Y > k) for |r| <= 0.925. Each row
+    # gets the smallest rule for its own |r|.
+    out = np.empty(r.shape)
+    absr = np.abs(r)
+    band = (absr >= _RULE_EDGES[0]).astype(np.int8) + (absr >= _RULE_EDGES[1])
+    for k, (nodes1, weights) in enumerate(_MODERATE_RULES):
+        rows = np.flatnonzero(band == k)
+        if rows.size == r.size:  # one band: the blocks are plain slices
+            blocks = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, r.size, BLOCK_ROWS)]
+        else:
+            blocks = [rows[lo:lo + BLOCK_ROWS] for lo in range(0, rows.size, BLOCK_ROWS)]
+        for sel in blocks:
+            out[sel] = _correction_block(hk[sel], hs[sel], r[sel], nodes1, weights)
+    return out
 
 
 def _bvnu_moderate(h, k, r):

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
-from bdreg.bootstrap import bootstrap_fit
+from bdreg.bootstrap import MIN_DRAWS_FOR_INFERENCE, bootstrap_fit, robust_se, robust_se_map
 from bdreg.data import build_grid
 from bdreg.dependence import FitConfig
 from bdreg.dgp import generate
+from bdreg.exceptions import InferenceError
 
 from conftest import bench_spec
 
@@ -18,3 +20,19 @@ def test_results_do_not_depend_on_workers():
     for rep in serial.replicate_ids():
         np.testing.assert_array_equal(serial.weights[rep], pooled.weights[rep])
         np.testing.assert_array_equal(serial.draws[rep].dep_coef, pooled.draws[rep].dep_coef)
+
+
+def test_robust_se_map_drops_non_finite_draws_per_cell():
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(MIN_DRAWS_FOR_INFERENCE + 3, 2, 3))
+    stack[[0, 4], 0, 1] = np.nan
+    stack[7, 1, 2] = np.inf
+    se = robust_se_map(stack)
+    assert np.all(np.isfinite(se))
+    for i in range(2):
+        for j in range(3):
+            assert se[i, j] == robust_se(stack[:, i, j])
+
+    stack[:4, 1, 0] = np.nan  # this cell keeps fewer finite draws than needed
+    with pytest.raises(InferenceError, match="valid draws"):
+        robust_se_map(stack)

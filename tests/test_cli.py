@@ -62,3 +62,24 @@ def test_failed_dependence_cell_is_estimation_error(sample_csv, tmp_path, monkey
 
     monkeypatch.setattr(cli, "fit_bdr", fit_with_failed_cell)
     assert decompose(sample_csv, tmp_path) == 4
+
+
+def test_failed_run_leaves_no_partial_output(sample_csv, tmp_path, monkeypatch):
+    # estimate writes its coefficient tables before the surface evaluation
+    # meets the failed cell; none of them may outlive the failed run.
+    real_fit = cli.fit_bdr
+
+    def fit_with_failed_cell(*args, **kwargs):
+        fit = real_fit(*args, **kwargs)
+        fit = dataclasses.replace(fit, dep_coef=fit.dep_coef.copy())
+        fit.dep_coef[0, 0] = np.nan
+        return fit
+
+    monkeypatch.setattr(cli, "fit_bdr", fit_with_failed_cell)
+    out = tmp_path / "out"
+    code = cli.main(["estimate", "--input", str(sample_csv), "--covariates", "x1,x2",
+                     "--group-col", "group", "--grid-points", str(GRID),
+                     "--out", str(out)])
+    assert code == 4
+    assert out.is_dir()
+    assert sorted(out.iterdir()) == []

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from bdreg import functionals
 from bdreg.data import build_grid, grid_from_values
 from bdreg.dependence import FitConfig, fit_bdr
 from bdreg.dgp import DgpSpec, generate, true_joint_cdf
-from bdreg.exceptions import ConfigError, DataError
+from bdreg.exceptions import ConfigError, DataError, EstimationError
 from bdreg.functionals import (
     CounterfactualIndex,
     JointCdfSurface,
@@ -17,7 +20,7 @@ from bdreg.functionals import (
     transition_from_fits,
     transition_matrix,
 )
-from bdreg.normal import std_normal_cdf
+from bdreg.normal import bvn_cdf, std_normal_cdf
 
 from conftest import bench_spec
 
@@ -96,6 +99,57 @@ class TestCounterfactualSurface:
                 ref = surf.values
             else:
                 assert np.max(np.abs(surf.values - ref)) <= 1e-12
+
+    @staticmethod
+    def _mixed_axis(body):
+        # Off-body points on both sides, body points repeated, points between
+        # body points (which share a body key), and both infinities.
+        mid = 0.5 * (body[1] + body[2])
+        return np.array([-np.inf, body[0] - 1.3, body[0] - 0.4, body[0], body[1],
+                         mid, body[1], 0.5 * (body[1] + mid), body[-1],
+                         body[-1] + 0.7, np.inf, body[-1] + 0.7])
+
+    def test_batched_surfaces_match_point_by_point(self, small_fit, small_sample,
+                                                   two_group_setup):
+        fit, grid = small_fit
+        x = small_sample.x
+        wts = np.full(x.shape[0], 1.0 / x.shape[0])
+        ys, ws = self._mixed_axis(grid.y_body), self._mixed_axis(grid.w_body)
+
+        def reference(cell):
+            return np.array([[cell(yv, wv) for wv in ws] for yv in ys])
+
+        got = fitted_surface(fit, small_sample, ys, ws).values
+        want = reference(lambda yv, wv: wts @ fit.joint_cdf(yv, wv, x))
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+        got = independence_counterfactual(fit, small_sample, ys, ws).values
+        want = reference(
+            lambda yv, wv: wts @ fit.joint_cdf(yv, wv, x, zero_dependence=True)
+        )
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+        # Cross-group: marginals from groups 1 and 0, dependence from group 1,
+        # covariates of group 0; the grids of the two groups differ.
+        fits, samples, _ = two_group_setup
+        x0 = samples[0].x
+        w0 = np.full(x0.shape[0], 1.0 / x0.shape[0])
+        got = counterfactual_joint_cdf(fits, samples, "1010", ys, ws).values
+        want = reference(lambda yv, wv: w0 @ bvn_cdf(
+            fits[1].index_y(yv, x0), fits[0].index_w(wv, x0),
+            fits[1].local_rho(yv, wv, x0)))
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_failed_last_cell_raises_before_any_kernel_call(self, small_fit, small_sample,
+                                                            monkeypatch):
+        fit, _ = small_fit
+        broken = dataclasses.replace(fit, dep_coef=fit.dep_coef.copy())
+        broken.dep_coef[-1, -1] = np.nan
+        calls = []
+        monkeypatch.setattr(functionals, "bvn_cdf", lambda *args: calls.append(args))
+        with pytest.raises(EstimationError, match="grid pair"):
+            fitted_surface(broken, small_sample)
+        assert calls == []
 
     def test_missing_group_raises(self, small_fit, small_sample):
         fit, grid = small_fit

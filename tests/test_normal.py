@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdreg.normal import (
+    BLOCK_ROWS,
     EPS_RHO,
     FixedThresholdBvn,
     bvn_cdf,
@@ -123,6 +124,21 @@ class TestBivariateCdf:
         lower = max(0.0, std_normal_cdf(a) + std_normal_cdf(b) - 1.0)
         upper = min(std_normal_cdf(a), std_normal_cdf(b))
         assert lower - 1e-13 <= p <= upper + 1e-13
+
+    def test_per_row_rule_matches_row_by_row(self):
+        # A batch mixing |rho| from every quadrature band (and the high-
+        # correlation branch), longer than one block, gives each row the value
+        # a call on that row alone gives.
+        rng = np.random.default_rng(11)
+        n = BLOCK_ROWS + 301
+        a = rng.normal(scale=1.5, size=n)
+        b = rng.normal(scale=1.5, size=n)
+        bands = np.array([0.0, 0.29, 0.3, 0.5, 0.75, 0.9, 0.925, 0.97])
+        rho = rng.choice(bands, size=n) * rng.choice([-1.0, 1.0], size=n)
+        rho += rng.uniform(-0.02, 0.0, size=n) * np.sign(rho)
+        got = bvn_cdf(a, b, rho)
+        want = np.array([bvn_cdf(a[i], b[i], rho[i]) for i in range(n)])
+        assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_fixed_threshold_matches_general(self):
         rng = np.random.default_rng(3)
