@@ -193,8 +193,24 @@ def robust_se_map(draws_stack: np.ndarray) -> np.ndarray:
         raise InferenceError(
             f"need at least {MIN_DRAWS_FOR_INFERENCE} valid draws per cell, got {fewest}"
         )
-    q25, q75 = np.nanquantile(np.where(finite, stack, np.nan), [0.25, 0.75], axis=0)
+    # np.quantile's linear rule per cell over that cell's finite draws, which
+    # sort ahead of the NaNs that stand in for the others.
+    ordered = np.sort(np.where(finite, stack, np.nan), axis=0)
+    last = finite.sum(axis=0) - 1
+    q25, q75 = (_sorted_quantile(ordered, last, q) for q in (0.25, 0.75))
     return (q75 - q25) / _NORMAL_IQR
+
+
+def _sorted_quantile(ordered, last, q):
+    # Interpolates as np.quantile's "linear" method does, between the order
+    # statistics at floor and ceil of last * q.
+    pos = last * q
+    lo = np.floor(pos).astype(int)
+    a = np.take_along_axis(ordered, lo[None], axis=0)[0]
+    b = np.take_along_axis(ordered, np.minimum(lo + 1, last)[None], axis=0)[0]
+    t = pos - lo
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)
 
 
 def percentile_interval(draws, level: float) -> tuple[float, float]:

@@ -241,10 +241,14 @@ class BdrFit:
     def index_w(self, w: float, x: np.ndarray) -> np.ndarray:
         return self.w_marginal.index(w, x)
 
+    def dep_cell(self, y: float, w: float) -> tuple[int, int]:
+        """Body-grid cell whose dependence coefficients serve (y, w) (the copy
+        rule): the nearest body point in each coordinate."""
+        return nearest_body_index(self.grid.y_body, y), nearest_body_index(self.grid.w_body, w)
+
     def dep_at(self, y: float, w: float) -> np.ndarray:
         """Dependence coefficients at the nearest body pair (copy rule)."""
-        iy = nearest_body_index(self.grid.y_body, y)
-        iw = nearest_body_index(self.grid.w_body, w)
+        iy, iw = self.dep_cell(y, w)
         coef = self.dep_coef[iy, iw]
         if not np.all(np.isfinite(coef)):
             raise EstimationError(

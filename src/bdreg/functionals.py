@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .data import Sample, nearest_body_index
+from .data import Sample
 from .dependence import BdrFit
 from .exceptions import ConfigError, DataError
 from .normal import BLOCK_ROWS, bvn_cdf
@@ -94,26 +94,6 @@ def _x_average(x, x_weights):
     return x, wts
 
 
-def _copy_rule_keys(values: np.ndarray, body: np.ndarray) -> np.ndarray:
-    """The threshold whose coefficients the copy rule uses at each value: the
-    nearest body point inside the body range, the value itself outside it."""
-    keys = values.copy()
-    inside = (values >= body[0]) & (values <= body[-1])
-    keys[inside] = [body[nearest_body_index(body, v)] for v in values[inside]]
-    return keys
-
-
-def _distinct(values: np.ndarray, *bodies) -> tuple[np.ndarray, np.ndarray]:
-    """One representative per distinct copy-rule key under every body, in
-    order of first appearance, and the position of each value's key."""
-    keys = np.column_stack([_copy_rule_keys(values, body) for body in bodies])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return values[first[order]], rank[inverse.ravel()]
-
-
 def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x,
              y_values, w_values, x_weights=None) -> np.ndarray:
     """Average Phi2(index_y, index_w; rho) over covariate rows on a grid.
@@ -121,47 +101,44 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x,
     dep_fit None means the zero-dependence counterfactual, whose value is the
     covariate average of the product of the marginal CDFs.
 
-    Thresholds that share a copy-rule key (the same nearest body point inside
-    the body of y_fit's or w_fit's marginal and of dep_fit's grid, or the same
-    value outside it) have bit-identical indices and correlations, so each
-    distinct pair of keys is evaluated once and scattered back to the grid.
-    Every pair's dependence coefficients are looked up before any evaluation,
-    so a failed cell raises its EstimationError first. The distinct pairs go
-    to bvn_cdf in blocks of about BLOCK_ROWS rows.
+    Thresholds with equal copy-rule keys (MarginalFit.key) have identical
+    indices, and pairs in the same dependence cell (BdrFit.dep_cell) have
+    identical correlations, so each distinct (y key, w key, cell) triple is
+    evaluated once and scattered back to the grid. Every triple's dependence
+    coefficients are looked up, in grid order, before any evaluation, so the
+    first failed cell raises its EstimationError. The distinct triples go to
+    bvn_cdf in blocks of about BLOCK_ROWS rows.
     """
     x, wts = _x_average(x, x_weights)
     y_values = np.asarray(y_values, dtype=float)
     w_values = np.asarray(w_values, dtype=float)
     if y_values.size == 0 or w_values.size == 0:
         return np.empty((y_values.size, w_values.size))
-    y_bodies = [y_fit.y_marginal.body]
-    w_bodies = [w_fit.w_marginal.body]
-    if dep_fit is not None:
-        y_bodies.append(dep_fit.grid.y_body)
-        w_bodies.append(dep_fit.grid.w_body)
-    ys, y_pos = _distinct(y_values, *y_bodies)
-    ws, w_pos = _distinct(w_values, *w_bodies)
-    a_rows = np.array([y_fit.y_marginal.index(yv, x) for yv in ys])
-    b_rows = np.array([w_fit.w_marginal.index(wv, x) for wv in ws])
+    y_keys, y_pos = np.unique([y_fit.y_marginal.key(v) for v in y_values], return_inverse=True)
+    w_keys, w_pos = np.unique([w_fit.w_marginal.key(v) for v in w_values], return_inverse=True)
+    a_rows = np.array([y_fit.y_marginal.index(k, x) for k in y_keys])
+    b_rows = np.array([w_fit.w_marginal.index(k, x) for k in w_keys])
 
     if dep_fit is None:
         values = (special.ndtr(a_rows) * wts) @ special.ndtr(b_rows).T
         return values[np.ix_(y_pos, w_pos)]
 
-    for yv in ys:
-        for wv in ws:
-            dep_fit.dep_at(yv, wv)
+    cells = [(iy, iw, *dep_fit.dep_cell(y, w))
+             for y, iy in zip(y_values, y_pos) for w, iw in zip(w_values, w_pos)]
+    triples, first, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+    pairs = [(y_values[p // w_values.size], w_values[p % w_values.size]) for p in first]
+    for p in np.argsort(first):
+        dep_fit.dep_at(*pairs[p])
     n_rows = x.shape[0]
-    pairs = [(iy, iw) for iy in range(ys.size) for iw in range(ws.size)]
     step = max(1, BLOCK_ROWS // n_rows)
     values = np.empty(len(pairs))
     for lo in range(0, len(pairs), step):
-        block = pairs[lo:lo + step]
-        a = np.concatenate([a_rows[iy] for iy, _ in block])
-        b = np.concatenate([b_rows[iw] for _, iw in block])
-        rho = np.concatenate([dep_fit.local_rho(ys[iy], ws[iw], x) for iy, iw in block])
-        values[lo:lo + len(block)] = bvn_cdf(a, b, rho).reshape(len(block), n_rows) @ wts
-    return values.reshape(ys.size, ws.size)[np.ix_(y_pos, w_pos)]
+        hi = min(lo + step, len(pairs))
+        a = a_rows[triples[lo:hi, 0]].ravel()
+        b = b_rows[triples[lo:hi, 1]].ravel()
+        rho = np.concatenate([dep_fit.local_rho(y, w, x) for y, w in pairs[lo:hi]])
+        values[lo:hi] = bvn_cdf(a, b, rho).reshape(hi - lo, n_rows) @ wts
+    return values[inverse.ravel()].reshape(y_values.size, w_values.size)
 
 
 def counterfactual_joint_cdf(fits, samples, index: CounterfactualIndex,

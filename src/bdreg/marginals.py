@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .data import GridSpec, nearest_body_index
+from .data import GridSpec, nearest_body_index, nearest_body_value
 from .exceptions import EstimationError, TailError
 
 __all__ = [
@@ -276,6 +276,14 @@ class MarginalFit:
         """Coefficient vector at the nearest body threshold."""
         return self.coef[nearest_body_index(self.body, r)]
 
+    def key(self, r: float) -> float:
+        """The threshold index(r) is evaluated at (the copy rule): the nearest
+        body point inside the body range, r itself beyond it. Thresholds with
+        equal keys have identical indices."""
+        if self.anchor_lo <= r <= self.anchor_hi:
+            return nearest_body_value(self.body, r)
+        return float(r)
+
     def index(self, r: float, x: np.ndarray) -> np.ndarray:
         """Linear index x'coef at threshold r, extrapolated beyond the body.
 
@@ -284,6 +292,7 @@ class MarginalFit:
         continuous at the anchors. +/-inf thresholds give +/-inf indices.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        r = self.key(r)
         if np.isposinf(r):
             return np.full(x.shape[0], np.inf)
         if np.isneginf(r):

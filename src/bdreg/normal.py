@@ -7,9 +7,10 @@ the reflection/expansion branch for |rho| > 0.925. The moderate-correlation
 rule is chosen per row by that row's |rho|: 6 nodes below 0.3, 12 below 0.75,
 20 otherwise; the high-correlation branch always uses 20. Each rule keeps the
 absolute error a few ulps from zero over the range it serves, well beyond
-what the likelihood optimizers can see. The quadrature runs in place, in
-blocks of at most BLOCK_ROWS rows, so its temporaries stay a fixed size
-however many rows a call brings.
+what the likelihood optimizers can see. The moderate-correlation quadrature
+runs in place, in blocks of at most BLOCK_ROWS rows, so its (rows, nodes)
+temporaries stay a fixed size however many rows a call brings; the
+high-correlation branch and the per-row arrays of a call are not blocked.
 
 Thresholds at +/-inf are legal inputs to the bivariate functions and resolve
 to the exact marginal limits before any quadrature runs.
@@ -143,11 +144,8 @@ def _moderate_correction(hk, hs, r):
     band = (absr >= _RULE_EDGES[0]).astype(np.int8) + (absr >= _RULE_EDGES[1])
     for k, (nodes1, weights) in enumerate(_MODERATE_RULES):
         rows = np.flatnonzero(band == k)
-        if rows.size == r.size:  # one band: the blocks are plain slices
-            blocks = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, r.size, BLOCK_ROWS)]
-        else:
-            blocks = [rows[lo:lo + BLOCK_ROWS] for lo in range(0, rows.size, BLOCK_ROWS)]
-        for sel in blocks:
+        for lo in range(0, rows.size, BLOCK_ROWS):
+            sel = rows[lo:lo + BLOCK_ROWS]
             out[sel] = _correction_block(hk[sel], hs[sel], r[sel], nodes1, weights)
     return out
 

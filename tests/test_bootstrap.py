@@ -22,6 +22,15 @@ def test_results_do_not_depend_on_workers():
         np.testing.assert_array_equal(serial.draws[rep].dep_coef, pooled.draws[rep].dep_coef)
 
 
+def test_robust_se_map_matches_quantile_on_finite_draws():
+    # 12 draws put the lower quartile 3/4 of the way between order
+    # statistics, and heavy-tailed draws space those far apart, so the
+    # interpolation must round as np.quantile's does to match exactly.
+    stack = -np.exp(3.0 * np.random.default_rng(9).normal(size=(12, 4, 5)))
+    want = [[robust_se(stack[:, i, j]) for j in range(5)] for i in range(4)]
+    np.testing.assert_array_equal(robust_se_map(stack), want)
+
+
 def test_robust_se_map_drops_non_finite_draws_per_cell():
     rng = np.random.default_rng(5)
     stack = rng.normal(size=(MIN_DRAWS_FOR_INFERENCE + 3, 2, 3))

@@ -140,6 +140,30 @@ class TestCounterfactualSurface:
             fits[1].local_rho(yv, wv, x0)))
         assert np.max(np.abs(got - want)) <= 1e-13
 
+    def test_copy_rule_keys_give_identical_indices(self, small_fit, small_sample):
+        fit, grid = small_fit
+        x = small_sample.x
+        marginal = fit.y_marginal
+        for v in self._mixed_axis(grid.y_body):
+            key = marginal.key(v)
+            if grid.y_body[0] <= v <= grid.y_body[-1]:
+                assert key in grid.y_body
+            else:
+                assert key == v
+            np.testing.assert_array_equal(marginal.index(v, x), marginal.index(key, x))
+            iy, iw = fit.dep_cell(v, v)
+            np.testing.assert_array_equal(fit.dep_at(v, v), fit.dep_coef[iy, iw])
+
+    def test_first_failed_cell_in_grid_order_raises(self, small_fit, small_sample):
+        fit, grid = small_fit
+        broken = dataclasses.replace(fit, dep_coef=fit.dep_coef.copy())
+        broken.dep_coef[-1, 0] = np.nan
+        broken.dep_coef[0, -1] = np.nan
+        # The y axis runs downward, so grid order reaches (y_body[-1], w_body[0])
+        # first, although its keys sort after those of (y_body[0], w_body[-1]).
+        with pytest.raises(EstimationError, match=f"{grid.y_body[-1]:.6g}, {grid.w_body[0]:.6g}"):
+            fitted_surface(broken, small_sample, grid.y_body[::-1], grid.w_body)
+
     def test_failed_last_cell_raises_before_any_kernel_call(self, small_fit, small_sample,
                                                             monkeypatch):
         fit, _ = small_fit
