@@ -12,7 +12,6 @@ from .bootstrap import (
     bootstrap_fit,
     draw_weights,
     ensemble_apply,
-    percentile_interval,
     robust_se,
     robust_se_map,
 )
@@ -21,7 +20,6 @@ from .data import (
     Sample,
     build_grid,
     grid_from_values,
-    nearest_body_point,
     split_groups,
     validate,
 )
@@ -49,7 +47,6 @@ from .functionals import (
     DecompositionReport,
     JointCdfSurface,
     TransitionMatrix,
-    conditional_joint_cdf,
     counterfactual_joint_cdf,
     decompose_joint,
     decompose_transition,
@@ -63,17 +60,71 @@ from .marginals import (
     fit_marginal,
     fit_probit_dr,
     fit_tail_scale,
-    marginal_index,
 )
 from .normal import (
     EPS_RHO,
     bvn_cdf,
     bvn_pdf,
     cdf_partials,
-    link_eval,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
 )
+
+__all__ = [
+    "BdrError",
+    "BdrFit",
+    "BootstrapEnsemble",
+    "ConfigError",
+    "CounterfactualIndex",
+    "CovariateSpec",
+    "DataError",
+    "DecompositionReport",
+    "DgpSpec",
+    "EPS_RHO",
+    "EstimationError",
+    "FitConfig",
+    "GridSpec",
+    "InferenceError",
+    "JointCdfSurface",
+    "MarginalFit",
+    "Sample",
+    "TailError",
+    "TransitionMatrix",
+    "WeightScheme",
+    "bootstrap_fit",
+    "build_grid",
+    "bvn_cdf",
+    "bvn_pdf",
+    "cdf_partials",
+    "counterfactual_joint_cdf",
+    "decompose_joint",
+    "decompose_transition",
+    "dep_fisher_info",
+    "dep_score",
+    "draw_weights",
+    "ensemble_apply",
+    "fit_bdr",
+    "fit_dependence",
+    "fit_marginal",
+    "fit_probit_dr",
+    "fit_tail_scale",
+    "fitted_surface",
+    "generate",
+    "grid_from_values",
+    "independence_counterfactual",
+    "joint_loglik",
+    "quadrant_probs",
+    "robust_se",
+    "robust_se_map",
+    "split_groups",
+    "std_normal_cdf",
+    "std_normal_pdf",
+    "std_normal_quantile",
+    "transition_from_fits",
+    "transition_matrix",
+    "true_joint_cdf",
+    "validate",
+]
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Weighted-bootstrap inference: exchangeable weight draws, replicate fits of
 the full model, ensemble application to functionals, and the IQR-based robust
-standard error with percentile intervals.
+standard error, per draw vector or cellwise over a stack of draws.
 
 One weight vector drives every sub-estimation of a replicate: the marginal
 fits, the tail scales (at the base fit's auxiliary points), the dependence
@@ -26,8 +26,8 @@ __all__ = [
     "bootstrap_fit",
     "draw_weights",
     "ensemble_apply",
-    "percentile_interval",
     "robust_se",
+    "robust_se_map",
 ]
 
 DEFAULT_DRAWS = 200
@@ -44,21 +44,18 @@ class WeightScheme:
 
     "exponential" draws i.i.d. unit exponentials (no zero weights, so no
     quadrant can be emptied by the reweighting); "multinomial" draws classic
-    resampling counts. Weights are rescaled to mean one by default, which
-    leaves every weighted maximizer unchanged relative to sum-one
-    normalization while keeping the weighted objective on the unweighted
-    scale; normalize="sum-one" is available for strict reproduction.
+    resampling counts. Weights are rescaled to mean one, which keeps a
+    weighted objective on the unweighted scale; every fit and functional
+    renormalises its weights, so another scale would change estimates only
+    by rounding.
     """
 
     kind: str = "exponential"
     seed: int = 0
-    normalize: str = "mean-one"
 
     def __post_init__(self):
         if self.kind not in ("exponential", "multinomial"):
             raise InferenceError(f"unknown weight scheme {self.kind!r}")
-        if self.normalize not in ("mean-one", "sum-one", "none"):
-            raise InferenceError(f"unknown normalization {self.normalize!r}")
 
 
 def draw_weights(n: int, scheme: WeightScheme, replicate_id: int,
@@ -73,11 +70,7 @@ def draw_weights(n: int, scheme: WeightScheme, replicate_id: int,
         w = rng.standard_exponential(n)
     else:
         w = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
-    if scheme.normalize == "mean-one":
-        return w * (n / w.sum())
-    if scheme.normalize == "sum-one":
-        return w / w.sum()
-    return w
+    return w * (n / w.sum())
 
 
 @dataclass
@@ -115,13 +108,12 @@ def bootstrap_fit(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(
                   n_draws: int = DEFAULT_DRAWS,
                   scheme: WeightScheme = WeightScheme(),
                   base: BdrFit | None = None, group: int = 0,
-                  max_failure_share: float = MAX_FAILURE_SHARE,
                   workers: int = 1) -> BootstrapEnsemble:
     """Draw n_draws weighted refits of the full model.
 
     Each replicate reuses the base fit's tail auxiliary points and holds the
     base marginal indices fixed in the dependence step. Failed replicates are
-    dropped and counted; more than max_failure_share failures aborts.
+    dropped and counted; a failure share above MAX_FAILURE_SHARE aborts.
 
     Replicates are seeded by replicate id, so results do not depend on
     workers (the degree of parallelism).
@@ -142,7 +134,7 @@ def bootstrap_fit(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(
         else:
             ens.draws[rep] = fit
             ens.weights[rep] = w
-    if n_draws and len(ens.failed) > max_failure_share * n_draws:
+    if n_draws and len(ens.failed) > MAX_FAILURE_SHARE * n_draws:
         raise InferenceError(
             f"{len(ens.failed)} of {n_draws} bootstrap replicates failed"
         )
@@ -165,20 +157,15 @@ def ensemble_apply(ensembles: dict[int, BootstrapEnsemble],
     return out
 
 
-def _valid_draws(draws) -> np.ndarray:
+def robust_se(draws) -> float:
+    """Interquartile range of the finite draws divided by the interquartile
+    range of the standard normal distribution."""
     arr = np.asarray(draws, dtype=float).ravel()
     arr = arr[np.isfinite(arr)]
     if arr.size < MIN_DRAWS_FOR_INFERENCE:
         raise InferenceError(
             f"need at least {MIN_DRAWS_FOR_INFERENCE} valid draws, got {arr.size}"
         )
-    return arr
-
-
-def robust_se(draws) -> float:
-    """Interquartile range of the draws divided by the interquartile range of
-    the standard normal distribution."""
-    arr = _valid_draws(draws)
     q25, q75 = np.quantile(arr, [0.25, 0.75])
     return float((q75 - q25) / _NORMAL_IQR)
 
@@ -212,13 +199,3 @@ def _sorted_quantile(ordered, last, q):
     diff = b - a
     return np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)
 
-
-def percentile_interval(draws, level: float) -> tuple[float, float]:
-    """Equal-tailed empirical interval with linear interpolation between
-    order statistics."""
-    if not 0.0 < level < 1.0:
-        raise InferenceError("level must lie in (0, 1)")
-    arr = _valid_draws(draws)
-    tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(arr, [tail, 1.0 - tail])
-    return float(lo), float(hi)

@@ -20,12 +20,17 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bootstrap import WeightScheme, bootstrap_fit, ensemble_apply, robust_se_map
+from .bootstrap import (
+    BootstrapEnsemble,
+    WeightScheme,
+    bootstrap_fit,
+    ensemble_apply,
+    robust_se_map,
+)
 from .data import (
     DEFAULT_GRID_POINTS,
     DEFAULT_TAIL_MIN_OBS,
     DEFAULT_TRIM,
-    GridSpec,
     Sample,
     build_grid,
     empirical_quantile,
@@ -48,12 +53,15 @@ from .functionals import (
     decompose_joint,
     decompose_transition,
     fitted_surface,
-    independence_counterfactual,
+    independence_counterfactual,  # noqa: F401  (perfbench/spans.py traces it at this name)
     transition_from_fits,
 )
 
+__all__ = ["OutputWriter", "RunConfig", "build_parser", "ingest", "main"]
+
 MISSING_TOKENS = {"", "na", "nan", "null", "."}
 WORKERS_ENV = "BDREG_WORKERS"
+_COEF_FLAGS = ("--y-coef", "--w-coef", "--dep-coef", "--y-coef-1", "--w-coef-1", "--dep-coef-1")
 
 
 def _fmt(v) -> str:
@@ -82,7 +90,6 @@ class RunConfig:
     replicates: int = 0
     scheme: str = "exponential"
     seed: int = 0
-    level: float = 0.95
     out: str = "bdreg-out"
     strict: bool = False
     workers: int = 1
@@ -203,32 +210,6 @@ def _dep_cols(config: RunConfig) -> tuple[int, ...] | None:
     )
 
 
-def _fit_config(config: RunConfig) -> FitConfig:
-    return FitConfig(dep_cols=_dep_cols(config), strict=config.strict)
-
-
-def _per_group(sample: Sample):
-    if sample.d is None:
-        return {0: sample}
-    return split_groups(sample)
-
-
-def _grids(samples: dict[int, Sample], config: RunConfig,
-           extra_y=(), extra_w=()) -> dict[int, GridSpec]:
-    """Quantile grid per group; explicit extra thresholds (e.g. transition
-    cuts) are merged in so surfaces are exact there."""
-    grids = {}
-    for g, s in samples.items():
-        base = build_grid(s, config.grid_points, config.trim, config.tail_min_obs)
-        if len(extra_y) or len(extra_w):
-            y_vals = np.union1d(base.y_grid, [v for v in extra_y if np.isfinite(v)])
-            w_vals = np.union1d(base.w_grid, [v for v in extra_w if np.isfinite(v)])
-            grids[g] = grid_from_values(y_vals, w_vals, config.tail_min_obs)
-        else:
-            grids[g] = base
-    return grids
-
-
 def _manifest_base(command: str, config: RunConfig, n_dropped: int,
                    samples: dict[int, Sample]) -> dict:
     return {
@@ -246,7 +227,6 @@ def _manifest_base(command: str, config: RunConfig, n_dropped: int,
             "replicates": config.replicates,
             "scheme": config.scheme,
             "seed": config.seed,
-            "level": config.level,
             "strict": config.strict,
             "workers": config.workers,
         },
@@ -258,6 +238,75 @@ def _manifest_base(command: str, config: RunConfig, n_dropped: int,
         "rows_dropped_missing": n_dropped,
         "group_sizes": {str(g): int(s.n) for g, s in samples.items()},
     }
+
+
+@dataclass
+class _Run:
+    """What a fitting command works from: per-group samples and base fits,
+    the bootstrap ensembles (None without replicates), the manifest so far,
+    and, for transition, the cuts with +/-inf outermost."""
+
+    samples: dict[int, Sample]
+    fits: dict[int, BdrFit]
+    ensembles: dict[int, BootstrapEnsemble] | None
+    manifest: dict
+    y_cuts: np.ndarray | None = None
+    w_cuts: np.ndarray | None = None
+
+    def se(self, fn, group=None):
+        """Robust SE over the replicates of fn(fits, x_weights), both keyed
+        by group; only group's replicates when given, else those valid in
+        every group. A dict result gets one SE per key; None without
+        replicates."""
+        if self.ensembles is None:
+            return None
+        ensembles = self.ensembles if group is None else {group: self.ensembles[group]}
+        draws = list(ensemble_apply(ensembles, fn).values())
+        if isinstance(draws[0], dict):
+            return {k: robust_se_map(np.stack([d[k] for d in draws])) for k in draws[0]}
+        return robust_se_map(np.stack(draws))
+
+
+def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) -> _Run:
+    """Ingest the input, split it by group, fit each group on its quantile
+    grid and, given replicates, bootstrap each fit (estimate reports no
+    standard errors, so it never does).
+
+    With cut_args (the transition arguments) the cuts are taken from the
+    pooled outcomes, so rows and columns mean the same across groups, and
+    merged into every grid so surfaces are exact there."""
+    sample, n_dropped = ingest(config.input, config)
+    if two_groups and sample.d is None:
+        raise ConfigError("this command requires --group-col with two groups")
+    samples = {0: sample} if sample.d is None else split_groups(sample)
+    y_inner = w_inner = []
+    if cut_args is not None:
+        y_inner = _parse_cuts(cut_args.y_cuts, cut_args.y_cut_levels, sample.y, "y")
+        w_inner = _parse_cuts(cut_args.w_cuts, cut_args.w_cut_levels, sample.w, "w")
+    grids = {}
+    for g, s in samples.items():
+        grids[g] = build_grid(s, config.grid_points, config.trim, config.tail_min_obs)
+        if y_inner or w_inner:
+            grids[g] = grid_from_values(
+                np.union1d(grids[g].y_grid, [v for v in y_inner if np.isfinite(v)]),
+                np.union1d(grids[g].w_grid, [v for v in w_inner if np.isfinite(v)]),
+                config.tail_min_obs,
+            )
+    fc = FitConfig(dep_cols=_dep_cols(config), strict=config.strict)
+    fits = {g: fit_bdr(samples[g], grids[g], fc) for g in sorted(samples)}
+    ensembles = None
+    if config.replicates and command != "estimate":
+        scheme = WeightScheme(kind=config.scheme, seed=config.seed)
+        ensembles = {
+            g: bootstrap_fit(samples[g], grids[g], fc, config.replicates, scheme,
+                             base=fits[g], group=g, workers=config.workers)
+            for g in sorted(samples)
+        }
+    run = _Run(samples, fits, ensembles, _manifest_base(command, config, n_dropped, samples))
+    if cut_args is not None:
+        run.y_cuts = np.array([-np.inf] + y_inner + [np.inf])
+        run.w_cuts = np.array([-np.inf] + w_inner + [np.inf])
+    return run
 
 
 def _write_fit_tables(writer: OutputWriter, fits: dict[int, BdrFit]):
@@ -302,159 +351,89 @@ def _write_surface(writer: OutputWriter, name: str, surface, se=None):
     writer.csv(name, header, rows)
 
 
-def _scheme(config: RunConfig) -> WeightScheme:
-    return WeightScheme(kind=config.scheme, seed=config.seed)
-
-
-def _fit_all(samples, grids, config):
-    fc = _fit_config(config)
-    return {g: fit_bdr(samples[g], grids[g], fc) for g in sorted(samples)}
-
-
-def _bootstrap_all(samples, grids, config, fits):
-    fc = _fit_config(config)
-    return {
-        g: bootstrap_fit(
-            samples[g], grids[g], fc, config.replicates, _scheme(config),
-            base=fits[g], group=g, workers=config.workers,
-        )
-        for g in sorted(samples)
-    }
-
-
-def cmd_estimate(config: RunConfig, writer: OutputWriter) -> dict:
-    sample, n_dropped = ingest(config.input, config)
-    samples = _per_group(sample)
-    grids = _grids(samples, config)
-    fits = _fit_all(samples, grids, config)
-    _write_fit_tables(writer, fits)
-    for g, fit in sorted(fits.items()):
-        _write_surface(writer, f"surface_fitted_{g}.csv", fitted_surface(fit, samples[g]))
-    manifest = _manifest_base("estimate", config, n_dropped, samples)
-    manifest["dependence_failures"] = {
-        str(g): fit.n_failed for g, fit in fits.items()
-    }
-    return manifest
-
-
-def cmd_bootstrap(config: RunConfig, writer: OutputWriter) -> dict:
-    if config.replicates < 1:
-        raise ConfigError("bootstrap needs --replicates >= 1")
-    sample, n_dropped = ingest(config.input, config)
-    samples = _per_group(sample)
-    grids = _grids(samples, config)
-    fits = _fit_all(samples, grids, config)
-    ensembles = _bootstrap_all(samples, grids, config, fits)
-    _write_fit_tables(writer, fits)
-
-    se_rows_y, se_rows_w = [], []
-    for g in sorted(fits.keys()):
-        ens = ensembles[g]
-        ids = ens.replicate_ids()
-        for outcome, rows in (("y", se_rows_y), ("w", se_rows_w)):
-            marg = getattr(fits[g], f"{outcome}_marginal")
-            stack = np.stack(
-                [getattr(ens.draws[r], f"{outcome}_marginal").coef for r in ids]
-            )
-            se = robust_se_map(stack)
-            for i, thr in enumerate(marg.body):
-                rows.append([g, thr] + list(se[i]))
-    d_x = next(iter(fits.values())).y_marginal.coef.shape[1]
-    header = ["group", "threshold"] + [f"se_{j}" for j in range(d_x)]
-    writer.csv("coefficients_y_se.csv", header, se_rows_y)
-    writer.csv("coefficients_w_se.csv", header, se_rows_w)
-
-    for g, fit in sorted(fits.items()):
-        base_surface = fitted_surface(fit, samples[g])
-        draws = ensemble_apply(
-            {g: ensembles[g]},
-            lambda f, w: fitted_surface(
-                f[g], samples[g], fit.grid.y_grid, fit.grid.w_grid, x_weights=w[g]
-            ).values,
-        )
-        se = robust_se_map(np.stack(list(draws.values())))
-        _write_surface(writer, f"surface_fitted_{g}.csv", base_surface, se=se)
-
-    manifest = _manifest_base("bootstrap", config, n_dropped, samples)
-    manifest["bootstrap_failures"] = {
-        str(g): len(ens.failed) for g, ens in ensembles.items()
-    }
-    return manifest
-
-
-def _require_groups(sample: Sample):
-    if sample.d is None:
-        raise ConfigError("this command requires --group-col with two groups")
-
-
-def cmd_counterfactual(config: RunConfig, writer: OutputWriter, indices) -> dict:
-    sample, n_dropped = ingest(config.input, config)
-    _require_groups(sample)
-    samples = _per_group(sample)
-    grids = _grids(samples, config)
-    fits = _fit_all(samples, grids, config)
-    # common evaluation thresholds: group-1 estimation grid
-    y_vals, w_vals = grids[1].y_grid, grids[1].w_grid
-    ensembles = None
-    if config.replicates:
-        ensembles = _bootstrap_all(samples, grids, config, fits)
-    for code in indices:
-        index = CounterfactualIndex.parse(code)
-        surf = counterfactual_joint_cdf(fits, samples, index, y_vals, w_vals)
-        se = None
-        if ensembles is not None:
-            draws = ensemble_apply(
-                ensembles,
-                lambda f, w: counterfactual_joint_cdf(
-                    f, samples, index, y_vals, w_vals, x_weights=w
-                ).values,
-            )
-            se = robust_se_map(np.stack(list(draws.values())))
-        _write_surface(writer, f"surface_counterfactual_{code}.csv", surf, se=se)
-    manifest = _manifest_base("counterfactual", config, n_dropped, samples)
-    manifest["indices"] = list(indices)
-    return manifest
-
-
-def cmd_decompose(config: RunConfig, writer: OutputWriter) -> dict:
-    sample, n_dropped = ingest(config.input, config)
-    _require_groups(sample)
-    samples = _per_group(sample)
-    grids = _grids(samples, config)
-    fits = _fit_all(samples, grids, config)
-    y_vals, w_vals = grids[1].y_grid, grids[1].w_grid
-    report = decompose_joint(fits, samples, y_vals, w_vals)
-
-    se_by_comp = None
-    if config.replicates:
-        ensembles = _bootstrap_all(samples, grids, config, fits)
-        draws = ensemble_apply(
-            ensembles,
-            lambda f, w: decompose_joint(
-                f, samples, y_vals, w_vals, x_weights=w
-            ).components(),
-        )
-        se_by_comp = {
-            name: robust_se_map(np.stack([d[name] for d in draws.values()]))
-            for name in report.components()
-        }
-
+def _write_decomposition(writer: OutputWriter, name: str, report, rows_axis, cols_axis,
+                         se=None):
+    """One row per component and cell: its value, its share of the total (1
+    for the total itself) and, given per-component SEs, its se. Each axis is
+    a (column name, labels) pair."""
+    (row_name, row_labels), (col_name, col_labels) = rows_axis, cols_axis
     shares = report.shares()
     rows = []
-    for name, comp in report.components().items():
-        for iy, yv in enumerate(y_vals):
-            for iw, wv in enumerate(w_vals):
-                row = [name, yv, wv, comp[iy, iw]]
-                row.append(shares[name][iy, iw] if name in shares else 1.0)
-                if se_by_comp is not None:
-                    row.append(se_by_comp[name][iy, iw])
+    for comp_name, comp in report.components().items():
+        for i, row_label in enumerate(row_labels):
+            for j, col_label in enumerate(col_labels):
+                row = [comp_name, row_label, col_label, comp[i, j],
+                       shares[comp_name][i, j] if comp_name in shares else 1.0]
+                if se is not None:
+                    row.append(se[comp_name][i, j])
                 rows.append(row)
-    header = ["component", "y", "w", "value", "share_of_total"]
-    if se_by_comp is not None:
-        header.append("se")
-    writer.csv("decomposition.csv", header, rows)
-    manifest = _manifest_base("decompose", config, n_dropped, samples)
-    return manifest
+    header = ["component", row_name, col_name, "value", "share_of_total"]
+    writer.csv(name, header + (["se"] if se is not None else []), rows)
+
+
+def _cmd_estimate(args, config: RunConfig, writer: OutputWriter) -> dict:
+    run = _prologue("estimate", config)
+    _write_fit_tables(writer, run.fits)
+    for g, fit in sorted(run.fits.items()):
+        _write_surface(writer, f"surface_fitted_{g}.csv", fitted_surface(fit, run.samples[g]))
+    run.manifest["dependence_failures"] = {
+        str(g): fit.n_failed for g, fit in run.fits.items()
+    }
+    return run.manifest
+
+
+def _cmd_bootstrap(args, config: RunConfig, writer: OutputWriter) -> dict:
+    if config.replicates < 1:
+        raise ConfigError("bootstrap needs --replicates >= 1")
+    run = _prologue("bootstrap", config)
+    _write_fit_tables(writer, run.fits)
+    se_rows = {"y": [], "w": []}
+    for g, fit in sorted(run.fits.items()):
+        se = run.se(lambda f, w: {
+            "y": f[g].y_marginal.coef,
+            "w": f[g].w_marginal.coef,
+            "surface": fitted_surface(f[g], run.samples[g], x_weights=w[g]).values,
+        }, group=g)
+        for outcome, rows in se_rows.items():
+            body = getattr(fit, f"{outcome}_marginal").body
+            rows.extend([g, thr] + list(row) for thr, row in zip(body, se[outcome]))
+        surface = fitted_surface(fit, run.samples[g])
+        _write_surface(writer, f"surface_fitted_{g}.csv", surface, se=se["surface"])
+    d_x = next(iter(run.fits.values())).y_marginal.coef.shape[1]
+    header = ["group", "threshold"] + [f"se_{j}" for j in range(d_x)]
+    for outcome, rows in se_rows.items():
+        writer.csv(f"coefficients_{outcome}_se.csv", header, rows)
+    run.manifest["bootstrap_failures"] = {
+        str(g): len(ens.failed) for g, ens in run.ensembles.items()
+    }
+    return run.manifest
+
+
+def _cmd_counterfactual(args, config: RunConfig, writer: OutputWriter) -> dict:
+    run = _prologue("counterfactual", config, two_groups=True)
+    # common evaluation thresholds: group-1 estimation grid
+    y_vals, w_vals = run.fits[1].grid.y_grid, run.fits[1].grid.w_grid
+    indices = args.index or ["1110"]
+    for code in indices:
+        index = CounterfactualIndex.parse(code)
+        surf = counterfactual_joint_cdf(run.fits, run.samples, index, y_vals, w_vals)
+        se = run.se(lambda f, w: counterfactual_joint_cdf(
+            f, run.samples, index, y_vals, w_vals, x_weights=w
+        ).values)
+        _write_surface(writer, f"surface_counterfactual_{code}.csv", surf, se=se)
+    run.manifest["indices"] = list(indices)
+    return run.manifest
+
+
+def _cmd_decompose(args, config: RunConfig, writer: OutputWriter) -> dict:
+    run = _prologue("decompose", config, two_groups=True)
+    y_vals, w_vals = run.fits[1].grid.y_grid, run.fits[1].grid.w_grid
+    report = decompose_joint(run.fits, run.samples, y_vals, w_vals)
+    se = run.se(lambda f, w: decompose_joint(
+        f, run.samples, y_vals, w_vals, x_weights=w
+    ).components())
+    _write_decomposition(writer, "decomposition.csv", report, ("y", y_vals), ("w", w_vals), se)
+    return run.manifest
 
 
 def _parse_cuts(arg: str | None, levels_arg: str | None, values, name: str):
@@ -474,78 +453,36 @@ def _parse_cuts(arg: str | None, levels_arg: str | None, values, name: str):
     return sorted(vals)
 
 
-def cmd_transition(config: RunConfig, writer: OutputWriter, args) -> dict:
-    sample, n_dropped = ingest(config.input, config)
-    samples = _per_group(sample)
-    # cuts from pooled outcomes so rows/columns mean the same across groups
-    y_inner = _parse_cuts(args.y_cuts, args.y_cut_levels, sample.y, "y")
-    w_inner = _parse_cuts(args.w_cuts, args.w_cut_levels, sample.w, "w")
-    y_cuts = np.array([-np.inf] + y_inner + [np.inf])
-    w_cuts = np.array([-np.inf] + w_inner + [np.inf])
-
-    grids = _grids(samples, config, extra_y=y_inner, extra_w=w_inner)
-    fits = _fit_all(samples, grids, config)
-    ensembles = _bootstrap_all(samples, grids, config, fits) if config.replicates else None
-
+def _cmd_transition(args, config: RunConfig, writer: OutputWriter) -> dict:
+    run = _prologue("transition", config, two_groups=args.decompose, cut_args=args)
+    y_cuts, w_cuts = run.y_cuts, run.w_cuts
     rows = []
-    for g in sorted(fits.keys()):
+    for g in sorted(run.fits):
         own = f"{g}{g}{g}{g}"
-        tm = transition_from_fits(fits, samples, own, y_cuts, w_cuts)
-        se = None
-        if ensembles is not None:
-            draws = ensemble_apply(
-                {g: ensembles[g]},
-                lambda f, w, g=g, own=own: transition_from_fits(
-                    {g: f[g]}, {g: samples[g]}, own, y_cuts, w_cuts, x_weights=w
-                ).cells,
-            )
-            se = robust_se_map(np.stack(list(draws.values())))
-        for j in range(tm.cells.shape[0]):
-            for k in range(tm.cells.shape[1]):
-                row = [g, j + 1, k + 1, y_cuts[j], y_cuts[j + 1], w_cuts[k],
-                       w_cuts[k + 1], tm.cells[j, k]]
-                if se is not None:
-                    row.append(se[j, k])
-                rows.append(row)
+        tm = transition_from_fits(run.fits, run.samples, own, y_cuts, w_cuts)
+        se = run.se(lambda f, w: transition_from_fits(
+            {g: f[g]}, {g: run.samples[g]}, own, y_cuts, w_cuts, x_weights=w
+        ).cells, group=g)
+        for j, k in np.ndindex(tm.cells.shape):
+            row = [g, j + 1, k + 1, y_cuts[j], y_cuts[j + 1], w_cuts[k],
+                   w_cuts[k + 1], tm.cells[j, k]]
+            if se is not None:
+                row.append(se[j, k])
+            rows.append(row)
     header = ["group", "row", "col", "y_lo", "y_hi", "w_lo", "w_hi", "value"]
-    if ensembles is not None:
-        header.append("se")
-    writer.csv("transition.csv", header, rows)
+    writer.csv("transition.csv", header + (["se"] if run.ensembles is not None else []), rows)
 
     if args.decompose:
-        _require_groups(sample)
-        report = decompose_transition(fits, samples, y_cuts, w_cuts)
-        se_by_comp = None
-        if ensembles is not None:
-            draws = ensemble_apply(
-                ensembles,
-                lambda f, w: decompose_transition(
-                    f, samples, y_cuts, w_cuts, x_weights=w
-                ).components(),
-            )
-            se_by_comp = {
-                name: robust_se_map(np.stack([d[name] for d in draws.values()]))
-                for name in report.components()
-            }
-        shares = report.shares()
-        rows = []
-        for name, comp in report.components().items():
-            for j in range(comp.shape[0]):
-                for k in range(comp.shape[1]):
-                    row = [name, j + 1, k + 1, comp[j, k]]
-                    row.append(shares[name][j, k] if name in shares else 1.0)
-                    if se_by_comp is not None:
-                        row.append(se_by_comp[name][j, k])
-                    rows.append(row)
-        header = ["component", "row", "col", "value", "share_of_total"]
-        if se_by_comp is not None:
-            header.append("se")
-        writer.csv("transition_decomposition.csv", header, rows)
+        report = decompose_transition(run.fits, run.samples, y_cuts, w_cuts)
+        se = run.se(lambda f, w: decompose_transition(
+            f, run.samples, y_cuts, w_cuts, x_weights=w
+        ).components())
+        cells = [("row", range(1, len(y_cuts))), ("col", range(1, len(w_cuts)))]
+        _write_decomposition(writer, "transition_decomposition.csv", report, *cells, se)
 
-    manifest = _manifest_base("transition", config, n_dropped, samples)
-    manifest["y_cuts"] = [_fmt(v) for v in y_cuts]
-    manifest["w_cuts"] = [_fmt(v) for v in w_cuts]
-    return manifest
+    run.manifest["y_cuts"] = [_fmt(v) for v in y_cuts]
+    run.manifest["w_cuts"] = [_fmt(v) for v in w_cuts]
+    return run.manifest
 
 
 def _parse_coef(arg: str, name: str) -> np.ndarray:
@@ -555,7 +492,7 @@ def _parse_coef(arg: str, name: str) -> np.ndarray:
         raise ConfigError(f"--{name} must be a comma-separated number list") from None
 
 
-def cmd_simulate(args, writer: OutputWriter) -> dict:
+def _cmd_simulate(args, config: None, writer: OutputWriter) -> dict:
     y_coef = _parse_coef(args.y_coef, "y-coef")
     w_coef = _parse_coef(args.w_coef, "w-coef")
     dep_coef = _parse_coef(args.dep_coef, "dep-coef")
@@ -616,7 +553,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--scheme", choices=["exponential", "multinomial"],
                    default="exponential")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--out", default="bdreg-out")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--workers", type=int,
@@ -644,7 +580,6 @@ def _config_from(args) -> RunConfig:
         replicates=args.replicates,
         scheme=args.scheme,
         seed=args.seed,
-        level=args.level,
         out=args.out,
         strict=args.strict,
         workers=max(1, args.workers),
@@ -692,33 +627,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "estimate": _cmd_estimate,
+    "bootstrap": _cmd_bootstrap,
+    "counterfactual": _cmd_counterfactual,
+    "decompose": _cmd_decompose,
+    "transition": _cmd_transition,
+    "simulate": _cmd_simulate,
+}
+
+
+def _attach_coef_values(argv: list[str]) -> list[str]:
+    """Join each simulate coefficient flag to its value as one --flag=value
+    token, so argparse does not take a list that starts with a minus sign
+    (--w-coef -0.1,0.8,0.2) for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _COEF_FLAGS:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     """Run one subcommand; on any failure remove the files this run wrote."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(_attach_coef_values(sys.argv[1:] if argv is None else argv))
     writer = None
     code = 1
     try:
-        if args.command == "simulate":
-            writer = OutputWriter(Path(args.out))
-            manifest = cmd_simulate(args, writer)
-        else:
-            config = _config_from(args)
-            writer = OutputWriter(Path(config.out))
-            if args.command == "estimate":
-                manifest = cmd_estimate(config, writer)
-            elif args.command == "bootstrap":
-                manifest = cmd_bootstrap(config, writer)
-            elif args.command == "counterfactual":
-                indices = args.index or ["1110"]
-                manifest = cmd_counterfactual(config, writer, indices)
-            elif args.command == "decompose":
-                manifest = cmd_decompose(config, writer)
-            elif args.command == "transition":
-                manifest = cmd_transition(config, writer, args)
-            else:  # pragma: no cover
-                raise ConfigError(f"unknown command {args.command}")
-        writer.manifest(manifest)
+        config = None if args.command == "simulate" else _config_from(args)
+        writer = OutputWriter(Path(args.out))
+        writer.manifest(_COMMANDS[args.command](args, config, writer))
         code = 0
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

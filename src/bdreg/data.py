@@ -17,7 +17,6 @@ __all__ = [
     "empirical_quantile",
     "grid_from_values",
     "nearest_body_index",
-    "nearest_body_point",
     "nearest_body_value",
     "split_groups",
     "validate",
@@ -196,19 +195,14 @@ def grid_from_values(y_values, w_values, tail_min_obs: int = DEFAULT_TAIL_MIN_OB
     )
 
 
-def nearest_body_value(body: np.ndarray, r: float) -> float:
-    """Body point closest to r; ties break toward the smaller grid value.
-
-    +/-inf clamp to the corresponding body endpoint.
-    """
-    if np.isposinf(r):
-        return float(body[-1])
-    if np.isneginf(r):
-        return float(body[0])
-    return float(body[np.argmin(np.abs(body - r))])
-
-
 def nearest_body_index(body: np.ndarray, r: float) -> int:
+    """Position of the body point closest to r (the copy rule); ties break
+    toward the smaller grid value.
+
+    +/-inf clamp to the corresponding body endpoint; NaN raises DataError.
+    """
+    if np.isnan(r):
+        raise DataError("threshold is NaN: no nearest body point")
     if np.isposinf(r):
         return body.size - 1
     if np.isneginf(r):
@@ -216,6 +210,6 @@ def nearest_body_index(body: np.ndarray, r: float) -> int:
     return int(np.argmin(np.abs(body - r)))
 
 
-def nearest_body_point(grid: GridSpec, y: float, w: float) -> tuple[float, float]:
-    """Nearest body point in each coordinate separately."""
-    return nearest_body_value(grid.y_body, y), nearest_body_value(grid.w_body, w)
+def nearest_body_value(body: np.ndarray, r: float) -> float:
+    """Body point closest to r, by nearest_body_index."""
+    return float(body[nearest_body_index(body, r)])

@@ -13,14 +13,7 @@ import numpy as np
 
 from .data import GridSpec, Sample, nearest_body_index, validate
 from .exceptions import EstimationError
-from .marginals import (
-    MAX_ITER,
-    TOL_GRAD,
-    MarginalFit,
-    _damped_newton,
-    _normalize_weights,
-    fit_marginal,
-)
+from .marginals import TOL_GRAD, MarginalFit, _damped_newton, _normalize_weights, fit_marginal
 from .normal import EPS_RHO, FixedThresholdBvn, bvn_cdf, bvn_pdf, link_rho
 
 __all__ = [
@@ -138,22 +131,21 @@ def dep_fisher_info(x_dep, a, b, dep, weights=None):
 @dataclass
 class DepResult:
     coef: np.ndarray
-    converged: bool
     iterations: int
     grad_norm: float
     loglik: float
     boundary: bool = False
 
 
-def fit_dependence(x_dep, a, b, below_y, below_w, weights=None, start=None,
-                   tol_grad=TOL_GRAD, max_iter=MAX_ITER) -> DepResult:
+def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
+                   start=None) -> DepResult:
     """Maximize the quadrant likelihood in the dependence coefficients.
 
     Fisher scoring (expected-information curvature) with step halving, by the
     same `_damped_newton` routine as the probit fits: steps must raise the
     likelihood while its predicted rise is measurable, then lower the score's
     2-norm until its max-norm reaches 1e-12. The fit converges when the final
-    max-norm score is at most tol_grad. Perfectly concordant or discordant
+    max-norm score is at most TOL_GRAD. Perfectly concordant or discordant
     cell patterns have no interior maximizer, so the fit is clamped at the
     link saturation bound with a warning.
     """
@@ -184,13 +176,13 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None, start=None,
         coef = np.zeros(d)
         coef[0] = U_SAT if concordant else -U_SAT
         ll = joint_loglik(x_dep, a, b, coef, below_y, below_w, w)
-        return DepResult(coef=coef, converged=True, iterations=0,
-                         grad_norm=np.nan, loglik=ll, boundary=True)
+        return DepResult(coef=coef, iterations=0, grad_norm=np.nan, loglik=ll,
+                         boundary=True)
 
     kernel = _CellKernel(x_dep, a, b, below_y, below_w, w)
     coef0 = np.zeros(d) if start is None else start
-    coef, ll, grad_norm, it = _damped_newton(kernel.evaluate, coef0, max_iter)
-    if not grad_norm <= tol_grad:
+    coef, ll, grad_norm, it = _damped_newton(kernel.evaluate, coef0)
+    if not grad_norm <= TOL_GRAD:
         raise EstimationError(
             "dependence fit did not converge",
             diagnostics={
@@ -199,22 +191,19 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None, start=None,
                 "last_coef": coef.tolist(),
             },
         )
-    return DepResult(coef=coef, converged=True, iterations=it,
-                     grad_norm=grad_norm, loglik=ll)
+    return DepResult(coef=coef, iterations=it, grad_norm=grad_norm, loglik=ll)
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Estimation settings shared by the fit and bootstrap entry points.
 
-    Every probit and dependence fit runs the one damped-Newton solver, for at
-    most max_iter steps, and counts as converged when its final max-norm
-    gradient is at most tol_grad.
+    The solver's settings are constants: every probit and dependence fit runs
+    the one damped-Newton solver for at most MAX_ITER steps and counts as
+    converged when its final max-norm gradient is at most TOL_GRAD.
     """
 
     dep_cols: tuple[int, ...] | None = None  # design columns used for dependence
-    tol_grad: float = TOL_GRAD
-    max_iter: int = MAX_ITER
     strict: bool = False  # abort on any per-grid-point failure
 
 
@@ -234,12 +223,6 @@ class BdrFit:
     @property
     def n_failed(self) -> int:
         return len(self.failures)
-
-    def index_y(self, y: float, x: np.ndarray) -> np.ndarray:
-        return self.y_marginal.index(y, x)
-
-    def index_w(self, w: float, x: np.ndarray) -> np.ndarray:
-        return self.w_marginal.index(w, x)
 
     def dep_cell(self, y: float, w: float) -> tuple[int, int]:
         """Body-grid cell whose dependence coefficients serve (y, w) (the copy
@@ -267,8 +250,8 @@ class BdrFit:
                   zero_dependence: bool = False) -> np.ndarray:
         """Conditional joint CDF at (y, w) for each covariate row."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        a = self.index_y(y, x)
-        b = self.index_w(w, x)
+        a = self.y_marginal.index(y, x)
+        b = self.w_marginal.index(w, x)
         if zero_dependence:
             rho = np.zeros(x.shape[0])
         else:
@@ -277,7 +260,7 @@ class BdrFit:
 
 
 def fit_bdr(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(),
-            weights=None, fixed_r0=None, base: "BdrFit | None" = None) -> BdrFit:
+            weights=None, base: "BdrFit | None" = None) -> BdrFit:
     """Run the full two-step estimator over the grid.
 
     When `base` is given (bootstrap replicates) the dependence step holds the
@@ -294,17 +277,12 @@ def fit_bdr(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(),
     x = np.asarray(sample.x, dtype=float)
     x_dep = x[:, dep_cols]
 
-    if fixed_r0 is None and base is not None:
-        fixed_r0 = (
-            (base.y_marginal.r0_lo, base.y_marginal.r0_hi),
-            (base.w_marginal.r0_lo, base.w_marginal.r0_hi),
-        )
     y_marg = fit_marginal(sample.y, x, grid, "y", weights=weights,
-                          fixed_r0=None if fixed_r0 is None else fixed_r0[0],
-                          tol_grad=config.tol_grad, max_iter=config.max_iter)
+                          fixed_r0=None if base is None else (
+                              base.y_marginal.r0_lo, base.y_marginal.r0_hi))
     w_marg = fit_marginal(sample.w, x, grid, "w", weights=weights,
-                          fixed_r0=None if fixed_r0 is None else fixed_r0[1],
-                          tol_grad=config.tol_grad, max_iter=config.max_iter)
+                          fixed_r0=None if base is None else (
+                              base.w_marginal.r0_lo, base.w_marginal.r0_hi))
 
     # Dependence maximization holds the marginal indices fixed; replicates use
     # the original (base) marginal estimates.
@@ -325,8 +303,7 @@ def fit_bdr(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(),
             below_w = (sample.w <= wv).astype(float)
             try:
                 res = fit_dependence(
-                    x_dep, a, b, below_y, below_w, weights=weights, start=warm,
-                    tol_grad=config.tol_grad, max_iter=config.max_iter,
+                    x_dep, a, b, below_y, below_w, weights=weights, start=warm
                 )
             except EstimationError as err:
                 if config.strict:

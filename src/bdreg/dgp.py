@@ -15,7 +15,7 @@ import numpy as np
 from .data import Sample
 from .normal import bvn_cdf, link_rho, std_normal_cdf
 
-__all__ = ["CovariateSpec", "DgpSpec", "generate", "true_joint_cdf"]
+__all__ = ["CovariateSpec", "DgpSpec", "generate", "true_joint_cdf", "true_marginal_cdf"]
 
 
 @dataclass(frozen=True)

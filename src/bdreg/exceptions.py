@@ -4,6 +4,15 @@ The CLI maps these onto exit codes, so estimation-time failures must stay
 distinguishable from bad input data and bad configuration.
 """
 
+__all__ = [
+    "BdrError",
+    "ConfigError",
+    "DataError",
+    "EstimationError",
+    "InferenceError",
+    "TailError",
+]
+
 
 class BdrError(Exception):
     """Base class for all package-specific errors."""

@@ -24,10 +24,10 @@ __all__ = [
     "DecompositionReport",
     "JointCdfSurface",
     "TransitionMatrix",
-    "conditional_joint_cdf",
     "counterfactual_joint_cdf",
     "decompose_joint",
     "decompose_transition",
+    "fitted_surface",
     "independence_counterfactual",
     "transition_from_fits",
     "transition_matrix",
@@ -69,14 +69,6 @@ class JointCdfSurface:
     values: np.ndarray  # (n_y, n_w)
     y_values: np.ndarray
     w_values: np.ndarray
-    index: CounterfactualIndex | None = None
-    provenance: str = ""
-
-
-def conditional_joint_cdf(fit: BdrFit, y: float, w: float, x,
-                          zero_dependence: bool = False) -> np.ndarray:
-    """Conditional joint CDF at one threshold pair, per covariate row."""
-    return fit.joint_cdf(y, w, x, zero_dependence=zero_dependence)
 
 
 def _x_average(x, x_weights):
@@ -95,11 +87,12 @@ def _x_average(x, x_weights):
 
 
 def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x,
-             y_values, w_values, x_weights=None) -> np.ndarray:
+             x_weights=None, y_values=None, w_values=None) -> JointCdfSurface:
     """Average Phi2(index_y, index_w; rho) over covariate rows on a grid.
 
-    dep_fit None means the zero-dependence counterfactual, whose value is the
-    covariate average of the product of the marginal CDFs.
+    The grid defaults to y_fit's y grid and w_fit's w grid. dep_fit None
+    means the zero-dependence counterfactual, whose value is the covariate
+    average of the product of the marginal CDFs.
 
     Thresholds with equal copy-rule keys (MarginalFit.key) have identical
     indices, and pairs in the same dependence cell (BdrFit.dep_cell) have
@@ -110,10 +103,10 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x,
     bvn_cdf in blocks of about BLOCK_ROWS rows.
     """
     x, wts = _x_average(x, x_weights)
-    y_values = np.asarray(y_values, dtype=float)
-    w_values = np.asarray(w_values, dtype=float)
+    y_values = np.asarray(y_fit.grid.y_grid if y_values is None else y_values, dtype=float)
+    w_values = np.asarray(w_fit.grid.w_grid if w_values is None else w_values, dtype=float)
     if y_values.size == 0 or w_values.size == 0:
-        return np.empty((y_values.size, w_values.size))
+        return JointCdfSurface(np.empty((y_values.size, w_values.size)), y_values, w_values)
     y_keys, y_pos = np.unique([y_fit.y_marginal.key(v) for v in y_values], return_inverse=True)
     w_keys, w_pos = np.unique([w_fit.w_marginal.key(v) for v in w_values], return_inverse=True)
     a_rows = np.array([y_fit.y_marginal.index(k, x) for k in y_keys])
@@ -121,7 +114,7 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x,
 
     if dep_fit is None:
         values = (special.ndtr(a_rows) * wts) @ special.ndtr(b_rows).T
-        return values[np.ix_(y_pos, w_pos)]
+        return JointCdfSurface(values[np.ix_(y_pos, w_pos)], y_values, w_values)
 
     cells = [(iy, iw, *dep_fit.dep_cell(y, w))
              for y, iy in zip(y_values, y_pos) for w, iw in zip(w_values, w_pos)]
@@ -138,7 +131,21 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x,
         b = b_rows[triples[lo:hi, 1]].ravel()
         rho = np.concatenate([dep_fit.local_rho(y, w, x) for y, w in pairs[lo:hi]])
         values[lo:hi] = bvn_cdf(a, b, rho).reshape(hi - lo, n_rows) @ wts
-    return values[inverse.ravel()].reshape(y_values.size, w_values.size)
+    values = values[inverse.ravel()].reshape(y_values.size, w_values.size)
+    return JointCdfSurface(values, y_values, w_values)
+
+
+def _ingredients(fits, samples, index, x_weights):
+    """The _surface arguments a four-slot index selects: the fits supplying
+    each coefficient path, then the covariate group's rows and weights."""
+    if isinstance(index, str):
+        index = CounterfactualIndex.parse(index)
+    try:
+        fit_group = (fits[index.y_group], fits[index.w_group], fits[index.dep_group])
+        x = samples[index.x_group].x
+    except KeyError as missing:
+        raise ConfigError(f"no fit/sample for group {missing}") from None
+    return (*fit_group, x, None if x_weights is None else x_weights.get(index.x_group))
 
 
 def counterfactual_joint_cdf(fits, samples, index: CounterfactualIndex,
@@ -152,63 +159,20 @@ def counterfactual_joint_cdf(fits, samples, index: CounterfactualIndex,
     averaging weights (bootstrap draws weight the rows of the covariate
     group).
     """
-    if isinstance(index, str):
-        index = CounterfactualIndex.parse(index)
-    try:
-        y_fit = fits[index.y_group]
-        w_fit = fits[index.w_group]
-        dep_fit = fits[index.dep_group]
-        sample = samples[index.x_group]
-    except KeyError as missing:
-        raise ConfigError(f"no fit/sample for group {missing}") from None
-    if y_values is None:
-        y_values = y_fit.grid.y_grid
-    if w_values is None:
-        w_values = w_fit.grid.w_grid
-    wts = None if x_weights is None else x_weights.get(index.x_group)
-    values = _surface(y_fit, w_fit, dep_fit, sample.x, y_values, w_values, wts)
-    return JointCdfSurface(
-        values=values,
-        y_values=np.asarray(y_values, dtype=float),
-        w_values=np.asarray(w_values, dtype=float),
-        index=index,
-        provenance=f"groups={sorted(fits)} index={index}",
-    )
+    return _surface(*_ingredients(fits, samples, index, x_weights), y_values, w_values)
 
 
 def independence_counterfactual(fit: BdrFit, sample: Sample, y_values=None,
                                 w_values=None, x_weights=None) -> JointCdfSurface:
     """Surface with the local correlation forced to zero for every row and
     threshold pair: the covariate-averaged product of the marginal CDFs."""
-    if y_values is None:
-        y_values = fit.grid.y_grid
-    if w_values is None:
-        w_values = fit.grid.w_grid
-    values = _surface(fit, fit, None, sample.x, y_values, w_values, x_weights)
-    return JointCdfSurface(
-        values=values,
-        y_values=np.asarray(y_values, dtype=float),
-        w_values=np.asarray(w_values, dtype=float),
-        index=None,
-        provenance="zero-dependence counterfactual",
-    )
+    return _surface(fit, fit, None, sample.x, x_weights, y_values, w_values)
 
 
 def fitted_surface(fit: BdrFit, sample: Sample, y_values=None, w_values=None,
                    x_weights=None) -> JointCdfSurface:
     """Covariate-averaged fitted joint CDF for a single group."""
-    if y_values is None:
-        y_values = fit.grid.y_grid
-    if w_values is None:
-        w_values = fit.grid.w_grid
-    values = _surface(fit, fit, fit, sample.x, y_values, w_values, x_weights)
-    return JointCdfSurface(
-        values=values,
-        y_values=np.asarray(y_values, dtype=float),
-        w_values=np.asarray(w_values, dtype=float),
-        index=None,
-        provenance="fitted surface",
-    )
+    return _surface(fit, fit, fit, sample.x, x_weights, y_values, w_values)
 
 
 @dataclass
@@ -281,9 +245,7 @@ def decompose_joint(fits, samples, y_values=None, w_values=None, direction=(1, 0
     if w_values is None:
         w_values = fits[1].grid.w_grid
     values = {
-        code: counterfactual_joint_cdf(
-            fits, samples, code, y_values, w_values, x_weights
-        ).values
+        code: _surface(*_ingredients(fits, samples, code, x_weights), y_values, w_values).values
         for code in _PATH
     }
     return _decomposition_from_values(values, y_values, w_values, direction, "cdf")
@@ -357,8 +319,9 @@ def transition_from_fits(fits, samples, index, y_cuts, w_cuts,
     """Counterfactual transition matrix, evaluating the surface at the cuts."""
     y_cuts = _validate_cuts(y_cuts)
     w_cuts = _validate_cuts(w_cuts)
-    surf = counterfactual_joint_cdf(fits, samples, index, y_cuts, w_cuts, x_weights)
-    return transition_matrix(surf)
+    return transition_matrix(
+        _surface(*_ingredients(fits, samples, index, x_weights), y_cuts, w_cuts)
+    )
 
 
 def decompose_transition(fits, samples, y_cuts, w_cuts, direction=(1, 0),
@@ -366,10 +329,12 @@ def decompose_transition(fits, samples, y_cuts, w_cuts, direction=(1, 0),
     """Five-way decomposition of the group difference in transition matrices."""
     y_cuts = _validate_cuts(y_cuts)
     w_cuts = _validate_cuts(w_cuts)
-    values = {}
-    for code in _PATH:
-        surf = counterfactual_joint_cdf(fits, samples, code, y_cuts, w_cuts, x_weights)
-        values[code] = _second_difference(surf.values)
+    values = {
+        code: _second_difference(
+            _surface(*_ingredients(fits, samples, code, x_weights), y_cuts, w_cuts).values
+        )
+        for code in _PATH
+    }
     return _decomposition_from_values(
         values, y_cuts, w_cuts, direction, "transition"
     )

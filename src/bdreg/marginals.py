@@ -16,10 +16,10 @@ from .exceptions import EstimationError, TailError
 __all__ = [
     "MarginalFit",
     "ProbitResult",
+    "TailFit",
     "fit_marginal",
     "fit_probit_dr",
     "fit_tail_scale",
-    "marginal_index",
     "probit_loglik",
     "probit_score",
 ]
@@ -85,14 +85,14 @@ def probit_score(x, below, coef, weights=None, offset=None):
 @dataclass
 class ProbitResult:
     coef: np.ndarray
-    converged: bool
     iterations: int
     grad_norm: float
     loglik: float
 
 
-def _damped_newton(evaluate, coef, max_iter):
-    """Maximize a smooth objective by damped Newton steps from coef.
+def _damped_newton(evaluate, coef):
+    """Maximize a smooth objective by at most MAX_ITER damped Newton steps
+    from coef.
 
     evaluate(coef) returns (loglik, grad, curvature), the curvature being a
     positive-definite stand-in for the negative Hessian (both likelihoods use
@@ -109,7 +109,7 @@ def _damped_newton(evaluate, coef, max_iter):
     ll, grad, info = evaluate(coef)
     grad_norm = float(np.max(np.abs(grad)))
     it = 0
-    while grad_norm > POLISH_GRAD and it < max_iter:
+    while grad_norm > POLISH_GRAD and it < MAX_ITER:
         it += 1
         try:
             step = np.linalg.solve(info, grad)
@@ -138,11 +138,12 @@ def _damped_newton(evaluate, coef, max_iter):
     return coef, ll, grad_norm, it
 
 
-def fit_probit_dr(x, below, weights=None, warm_start=None, offset=None,
-                  tol_grad=TOL_GRAD, max_iter=MAX_ITER) -> ProbitResult:
+def fit_probit_dr(x, below, weights=None, warm_start=None,
+                  offset=None) -> ProbitResult:
     """Maximize the (weighted) probit log-likelihood with `_damped_newton`.
 
-    The curvature is the expected Hessian (Fisher scoring). `offset` is added
+    The curvature is the expected Hessian (Fisher scoring); the fit converges
+    when its final max-norm score is at most TOL_GRAD. `offset` is added
     to the linear index but carries no free parameter, which is how the
     one-parameter tail fits reuse this routine.
     """
@@ -172,8 +173,8 @@ def fit_probit_dr(x, below, weights=None, warm_start=None, offset=None,
         return ll, grad, (x * fisher[:, None]).T @ x / n
 
     start = np.zeros(d) if warm_start is None else warm_start
-    coef, ll, grad_norm, it = _damped_newton(evaluate, start, max_iter)
-    if not grad_norm <= tol_grad:
+    coef, ll, grad_norm, it = _damped_newton(evaluate, start)
+    if not grad_norm <= TOL_GRAD:
         raise EstimationError(
             "probit fit did not converge (possible separation)",
             diagnostics={
@@ -182,8 +183,8 @@ def fit_probit_dr(x, below, weights=None, warm_start=None, offset=None,
                 "coef_norm": float(np.linalg.norm(coef)),
             },
         )
-    return ProbitResult(coef=coef, converged=True, iterations=it,
-                        grad_norm=grad_norm, loglik=float(ll))
+    return ProbitResult(coef=coef, iterations=it, grad_norm=grad_norm,
+                        loglik=float(ll))
 
 
 def _admissible_tail_points(values, anchor, direction, min_obs):
@@ -304,13 +305,8 @@ class MarginalFit:
         return x @ self.coef_at(r)
 
 
-def marginal_index(fit: MarginalFit, r: float, x: np.ndarray) -> np.ndarray:
-    return fit.index(r, x)
-
-
 def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None,
-                 fixed_r0=None, tol_grad=TOL_GRAD,
-                 max_iter=MAX_ITER) -> MarginalFit:
+                 fixed_r0=None) -> MarginalFit:
     """Run the probit fits over one outcome's body grid, then both tail fits.
 
     outcome selects "y" or "w" in the grid. Fits sweep the body in ascending
@@ -327,8 +323,7 @@ def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None,
     for i, r in enumerate(body):
         below = (values <= r).astype(float)
         try:
-            res = fit_probit_dr(x, below, weights=weights, warm_start=warm,
-                                tol_grad=tol_grad, max_iter=max_iter)
+            res = fit_probit_dr(x, below, weights=weights, warm_start=warm)
         except EstimationError as err:
             raise EstimationError(
                 f"marginal {outcome} fit failed at grid point {r:.6g}: {err}",

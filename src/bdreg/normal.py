@@ -18,20 +18,16 @@ to the exact marginal limits before any quadrature runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
 __all__ = [
     "EPS_RHO",
     "FixedThresholdBvn",
-    "LinkValue",
     "bvn_cdf",
     "bvn_pdf",
     "cdf_partials",
     "clamp_rho",
-    "link_eval",
     "link_rho",
     "std_normal_cdf",
     "std_normal_pdf",
@@ -94,29 +90,11 @@ def clamp_rho(rho):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class LinkValue:
-    """tanh link evaluated at an index: the correlation and its derivative."""
-
-    u: float
-    rho: float
-    deriv: float
-
-
 def link_rho(u):
     """Vectorized tanh link: returns (clamped rho, d rho / d u)."""
     u = np.asarray(u, dtype=float)
     rho = np.clip(np.tanh(u), -1.0 + EPS_RHO, 1.0 - EPS_RHO)
     return rho, 1.0 - rho * rho
-
-
-def link_eval(u):
-    """Scalar tanh link with clamping, as a LinkValue."""
-    u = float(u)
-    if not np.isfinite(u):
-        raise ValueError("link index must be finite")
-    rho, deriv = link_rho(u)
-    return LinkValue(u, float(rho), float(deriv))
 
 
 def _correction_block(hk, hs, r, nodes1, weights):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,56 @@ import pytest
 from bdreg import cli
 
 GRID = 4
+BODY = GRID - 2  # body grid points per outcome
+CELLS = 2 * 2  # transition cells from the median cuts in EXTRA
+CONFIG_KEYS = {
+    "covariates", "dep_covariates", "grid_points", "group_col", "input", "replicates",
+    "scheme", "seed", "strict", "tail_min_obs", "trim", "w_col", "workers", "y_col",
+}
+COEF = ["group", "threshold", "coef_0", "coef_1", "coef_2"]
+SURFACE = ["y", "w", "value"]
+FIT_TABLES = {
+    "coefficients_y.csv": (COEF, 2 * BODY),
+    "coefficients_w.csv": (COEF, 2 * BODY),
+    "dependence.csv": (["group", "y", "w", "coef_0", "coef_1", "coef_2"], 2 * BODY * BODY),
+    "tails.csv": (["group", "outcome", "side", "alpha", "anchor", "r0"], 2 * 2 * 2),
+}
+SE = ["group", "threshold", "se_0", "se_1", "se_2"]
+# Files, headers and row counts each two-group command writes with --replicates 10.
+ROUND_TRIPS = {
+    "estimate": {
+        **FIT_TABLES,
+        "surface_fitted_0.csv": (SURFACE, GRID * GRID),
+        "surface_fitted_1.csv": (SURFACE, GRID * GRID),
+    },
+    "bootstrap": {
+        **FIT_TABLES,
+        "coefficients_y_se.csv": (SE, 2 * BODY),
+        "coefficients_w_se.csv": (SE, 2 * BODY),
+        "surface_fitted_0.csv": (SURFACE + ["se"], GRID * GRID),
+        "surface_fitted_1.csv": (SURFACE + ["se"], GRID * GRID),
+    },
+    "counterfactual": {
+        "surface_counterfactual_1110.csv": (SURFACE + ["se"], GRID * GRID),
+    },
+    "decompose": {
+        "decomposition.csv": (
+            ["component", "y", "w", "value", "share_of_total", "se"], 5 * GRID * GRID),
+    },
+    "transition": {
+        "transition.csv": (
+            ["group", "row", "col", "y_lo", "y_hi", "w_lo", "w_hi", "value", "se"], 2 * CELLS),
+        "transition_decomposition.csv": (
+            ["component", "row", "col", "value", "share_of_total", "se"], 5 * CELLS),
+    },
+}
+# Median cuts: quintile cuts would make a 6 x 6 body grid on these 600 rows
+# per group, whose corner cells fail in 2 of group 0's 10 replicates, and a
+# replicate with a failed cell is dropped whole, which aborts the run (exit 4).
+EXTRA = {
+    "counterfactual": ["--index", "1110"],
+    "transition": ["--decompose", "--y-cut-levels", "0.5", "--w-cut-levels", "0.5"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -17,22 +68,54 @@ def sample_csv(tmp_path_factory):
     return out / "sample.csv"
 
 
-def decompose(input_path, out, *extra):
+def run(command, input_path, out, *extra):
     return cli.main([
-        "decompose", "--input", str(input_path), "--covariates", "x1,x2",
+        command, "--input", str(input_path), "--covariates", "x1,x2",
         "--group-col", "group", "--grid-points", str(GRID), "--workers", "1",
         "--out", str(out), *extra,
     ])
 
 
+def decompose(input_path, out, *extra):
+    return run("decompose", input_path, out, *extra)
+
+
+def check_round_trip(command, out):
+    """The command wrote exactly its tables and a manifest, each table with its
+    header and row count, every se finite, and the manifest the golden config
+    keys."""
+    tables = ROUND_TRIPS[command]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*tables, "manifest.json"])
+    for name, (header, n_rows) in tables.items():
+        with open(out / name, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == header, name
+        assert len(rows) == n_rows, name
+        if "se" in header or "se_0" in header:
+            se = [float(v) for r in rows for k, v in r.items() if k.startswith("se")]
+            assert np.all(np.isfinite(se)), name
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert set(manifest["config"]) == CONFIG_KEYS
+
+
 def test_decompose_round_trip(sample_csv, tmp_path):
     assert decompose(sample_csv, tmp_path, "--replicates", "10") == 0
-    with open(tmp_path / "decomposition.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 5 * GRID * GRID
-    se = np.array([float(r["se"]) for r in rows])
-    assert np.all(np.isfinite(se))
-    assert (tmp_path / "manifest.json").is_file()
+    check_round_trip("decompose", tmp_path)
+
+
+@pytest.mark.parametrize("command", ["estimate", "bootstrap", "counterfactual", "transition"])
+def test_round_trip(command, sample_csv, tmp_path):
+    assert run(command, sample_csv, tmp_path, "--replicates", "10", *EXTRA.get(command, [])) == 0
+    check_round_trip(command, tmp_path)
+
+
+@pytest.mark.parametrize("coef", [["--w-coef", "-0.1,0.8,0.2"], ["--w-coef=-0.1,0.8,0.2"]])
+def test_simulate_takes_negative_coefficient_lists(coef, tmp_path):
+    assert cli.main(["simulate", "--n", "50", *coef, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sample.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 50
 
 
 def test_unknown_covariate_is_config_error(sample_csv, tmp_path):

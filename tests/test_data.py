@@ -8,11 +8,12 @@ from bdreg.data import (
     Sample,
     build_grid,
     grid_from_values,
-    nearest_body_point,
+    nearest_body_index,
     nearest_body_value,
     split_groups,
     validate,
 )
+from bdreg.dependence import BdrFit
 from bdreg.exceptions import DataError
 
 
@@ -149,8 +150,17 @@ class TestNearestBody:
         assert nearest_body_value(self.body, 3.0) == 2.0
 
     def test_pairwise(self):
+        # The dependence cell is the nearest body point in each coordinate.
         grid = grid_from_values([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
-        assert nearest_body_point(grid, -10.0, 10.0) == (1.0, 2.0)
+        fit = BdrFit(grid=grid, y_marginal=None, w_marginal=None,
+                     dep_coef=np.zeros((2, 2, 1)), dep_cols=(0,))
+        iy, iw = fit.dep_cell(-10.0, 10.0)
+        assert (grid.y_body[iy], grid.w_body[iw]) == (1.0, 2.0)
+
+    def test_nan_raises(self):
+        for lookup in (nearest_body_index, nearest_body_value):
+            with pytest.raises(DataError, match="NaN"):
+                lookup(self.body, np.nan)
 
     @given(st.floats(-20, 20, allow_nan=False))
     def test_idempotent_and_monotone(self, r):

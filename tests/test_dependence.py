@@ -319,7 +319,7 @@ class TestFitBdr:
     def test_strict_mode_and_failure_recording(self):
         s = generate(bench_spec(1500, 74))
         grid = build_grid(s, n_points=5)
-        fit = fit_bdr(s, grid, FitConfig(max_iter=200))
+        fit = fit_bdr(s, grid, FitConfig())
         assert fit.n_failed == 0
 
 

@@ -11,7 +11,6 @@ from bdreg.exceptions import ConfigError, DataError, EstimationError
 from bdreg.functionals import (
     CounterfactualIndex,
     JointCdfSurface,
-    conditional_joint_cdf,
     counterfactual_joint_cdf,
     decompose_joint,
     decompose_transition,
@@ -53,15 +52,16 @@ class TestConditionalJointCdf:
     def test_sentinel_limits(self, small_fit, small_sample):
         fit, _ = small_fit
         x = small_sample.x[:4]
-        np.testing.assert_allclose(conditional_joint_cdf(fit, np.inf, np.inf, x), 1.0)
-        np.testing.assert_allclose(conditional_joint_cdf(fit, -np.inf, 0.3, x), 0.0)
+        np.testing.assert_allclose(fit.joint_cdf(np.inf, np.inf, x), 1.0)
+        np.testing.assert_allclose(fit.joint_cdf(-np.inf, 0.3, x), 0.0)
 
     def test_zero_dependence_factorizes(self, small_fit, small_sample):
         fit, grid = small_fit
         x = small_sample.x[:10]
         y, w = grid.y_body[1], grid.w_body[2]
-        got = conditional_joint_cdf(fit, y, w, x, zero_dependence=True)
-        want = std_normal_cdf(fit.index_y(y, x)) * std_normal_cdf(fit.index_w(w, x))
+        got = fit.joint_cdf(y, w, x, zero_dependence=True)
+        want = std_normal_cdf(fit.y_marginal.index(y, x)) * std_normal_cdf(
+            fit.w_marginal.index(w, x))
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_tracks_dgp_truth(self):
@@ -71,7 +71,7 @@ class TestConditionalJointCdf:
         fit = fit_bdr(s, grid, FitConfig())
         x = s.x[:50]
         y, w = grid.y_body[2], grid.w_body[2]
-        est = conditional_joint_cdf(fit, y, w, x)
+        est = fit.joint_cdf(y, w, x)
         tru = true_joint_cdf(spec, y, w, x)
         assert np.mean(np.abs(est - tru)) <= 0.03
 
@@ -136,9 +136,18 @@ class TestCounterfactualSurface:
         w0 = np.full(x0.shape[0], 1.0 / x0.shape[0])
         got = counterfactual_joint_cdf(fits, samples, "1010", ys, ws).values
         want = reference(lambda yv, wv: w0 @ bvn_cdf(
-            fits[1].index_y(yv, x0), fits[0].index_w(wv, x0),
+            fits[1].y_marginal.index(yv, x0), fits[0].w_marginal.index(wv, x0),
             fits[1].local_rho(yv, wv, x0)))
         assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_nan_threshold_raises(self, small_fit, small_sample):
+        # A NaN threshold used to be served by the first body point.
+        fit, grid = small_fit
+        for build in (fitted_surface, independence_counterfactual):
+            with pytest.raises(DataError, match="NaN"):
+                build(fit, small_sample, [np.nan, grid.y_body[0]], [0.0])
+            with pytest.raises(DataError, match="NaN"):
+                build(fit, small_sample, [0.0], [grid.w_body[0], np.nan])
 
     def test_copy_rule_keys_give_identical_indices(self, small_fit, small_sample):
         fit, grid = small_fit
@@ -377,8 +386,8 @@ class TestIndependenceCounterfactual:
         )
         surf = independence_counterfactual(fit, one)
         y, w = grid.y_grid[2], grid.w_grid[3]
-        want = std_normal_cdf(fit.index_y(y, one.x))[0] * std_normal_cdf(
-            fit.index_w(w, one.x)
+        want = std_normal_cdf(fit.y_marginal.index(y, one.x))[0] * std_normal_cdf(
+            fit.w_marginal.index(w, one.x)
         )[0]
         iy = list(grid.y_grid).index(y)
         iw = list(grid.w_grid).index(w)

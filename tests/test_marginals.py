@@ -8,7 +8,6 @@ from bdreg.marginals import (
     fit_marginal,
     fit_probit_dr,
     fit_tail_scale,
-    marginal_index,
     probit_loglik,
     probit_score,
 )
@@ -183,13 +182,13 @@ class TestMarginalIndex:
         fit, x = fitted
         r = fit.anchor_hi
         np.testing.assert_allclose(
-            marginal_index(fit, r, x[:5]), x[:5] @ fit.coef[-1], rtol=0, atol=0
+            fit.index(r, x[:5]), x[:5] @ fit.coef[-1], rtol=0, atol=0
         )
 
     def test_affine_extrapolation(self, fitted):
         fit, x = fitted
         h = 0.37
-        got = marginal_index(fit, fit.anchor_hi + h, x[:5])
+        got = fit.index(fit.anchor_hi + h, x[:5])
         want = x[:5] @ fit.coef[-1] + h * fit.alpha_hi
         np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -198,16 +197,16 @@ class TestMarginalIndex:
         rng = np.random.default_rng(0)
         rows = x[rng.integers(0, x.shape[0], size=100)]
         for anchor in (fit.anchor_lo, fit.anchor_hi):
-            at = marginal_index(fit, anchor, rows)
-            above = marginal_index(fit, anchor + 1e-13, rows)
-            below = marginal_index(fit, anchor - 1e-13, rows)
+            at = fit.index(anchor, rows)
+            above = fit.index(anchor + 1e-13, rows)
+            below = fit.index(anchor - 1e-13, rows)
             assert np.max(np.abs(at - above)) <= 1e-12
             assert np.max(np.abs(at - below)) <= 1e-12
 
     def test_infinite_sentinels(self, fitted):
         fit, x = fitted
-        assert np.all(np.isneginf(marginal_index(fit, -np.inf, x[:3])))
-        assert np.all(np.isposinf(marginal_index(fit, np.inf, x[:3])))
+        assert np.all(np.isneginf(fit.index(-np.inf, x[:3])))
+        assert np.all(np.isposinf(fit.index(np.inf, x[:3])))
 
     def test_warm_cold_equivalence(self):
         spec = bench_spec(2000, 55)

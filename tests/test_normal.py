@@ -15,7 +15,7 @@ from bdreg.normal import (
     bvn_pdf,
     cdf_partials,
     clamp_rho,
-    link_eval,
+    link_rho,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -215,27 +215,28 @@ class TestDensityAndPartials:
 
 class TestLink:
     def test_at_zero(self):
-        lv = link_eval(0.0)
-        assert lv.rho == 0.0 and lv.deriv == 1.0
+        rho, deriv = link_rho(0.0)
+        assert rho == 0.0 and deriv == 1.0
 
     def test_inverse_transform(self):
-        assert abs(link_eval(np.arctanh(0.5)).rho - 0.5) <= 1e-15
+        assert abs(link_rho(np.arctanh(0.5))[0] - 0.5) <= 1e-15
 
     def test_derivative_identity(self):
-        lv = link_eval(1.0)
-        assert abs(lv.deriv - (1.0 - np.tanh(1.0) ** 2)) <= 1e-15
+        _, deriv = link_rho(1.0)
+        assert abs(deriv - (1.0 - np.tanh(1.0) ** 2)) <= 1e-15
 
     def test_saturation_clamp(self):
-        assert link_eval(30.0).rho == 1.0 - EPS_RHO
-        assert link_eval(-30.0).rho == -(1.0 - EPS_RHO)
+        rho, _ = link_rho([30.0, -30.0])
+        assert rho[0] == 1.0 - EPS_RHO
+        assert rho[1] == -(1.0 - EPS_RHO)
 
     @given(st.floats(-20, 20, allow_nan=False))
     def test_strictly_increasing_and_bounded(self, u):
-        lv = link_eval(u)
-        assert abs(lv.rho) <= 1.0 - EPS_RHO
+        rho, _ = link_rho(u)
+        assert abs(rho) <= 1.0 - EPS_RHO
         eps = 1e-4
         if abs(u) < 8.0:
-            assert link_eval(u + eps).rho > lv.rho
+            assert link_rho(u + eps)[0] > rho
 
     def test_clamp_rho_rejects(self):
         with pytest.raises(ValueError):
