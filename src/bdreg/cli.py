@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +62,7 @@ __all__ = ["OutputWriter", "RunConfig", "build_parser", "ingest", "main"]
 MISSING_TOKENS = {"", "na", "nan", "null", "."}
 WORKERS_ENV = "BDREG_WORKERS"
 _COEF_FLAGS = ("--y-coef", "--w-coef", "--dep-coef", "--y-coef-1", "--w-coef-1", "--dep-coef-1")
+_VERSIONS = {"bdreg": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def _fmt(v) -> str:
@@ -78,6 +79,9 @@ def _fmt(v) -> str:
 
 @dataclass
 class RunConfig:
+    """The settings of a fitting command, one field per option of the same
+    name; the manifest records them as they are."""
+
     input: str = ""
     y_col: str = "y"
     w_col: str = "w"
@@ -90,7 +94,6 @@ class RunConfig:
     replicates: int = 0
     scheme: str = "exponential"
     seed: int = 0
-    out: str = "bdreg-out"
     strict: bool = False
     workers: int = 1
 
@@ -214,27 +217,8 @@ def _manifest_base(command: str, config: RunConfig, n_dropped: int,
                    samples: dict[int, Sample]) -> dict:
     return {
         "command": command,
-        "config": {
-            "input": config.input,
-            "y_col": config.y_col,
-            "w_col": config.w_col,
-            "group_col": config.group_col,
-            "covariates": config.covariates,
-            "grid_points": config.grid_points,
-            "trim": list(config.trim),
-            "tail_min_obs": config.tail_min_obs,
-            "dep_covariates": config.dep_covariates,
-            "replicates": config.replicates,
-            "scheme": config.scheme,
-            "seed": config.seed,
-            "strict": config.strict,
-            "workers": config.workers,
-        },
-        "versions": {
-            "bdreg": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "config": asdict(config),
+        "versions": _VERSIONS,
         "rows_dropped_missing": n_dropped,
         "group_sizes": {str(g): int(s.n) for g, s in samples.items()},
     }
@@ -441,9 +425,9 @@ def _parse_cuts(arg: str | None, levels_arg: str | None, values, name: str):
     if arg and levels_arg:
         raise ConfigError(f"give either --{name}-cuts or --{name}-cut-levels, not both")
     if arg:
-        vals = [float(tok) for tok in arg.split(",") if tok.strip()]
+        vals = _numbers(arg, f"{name}-cuts")
     elif levels_arg:
-        levels = [float(tok) for tok in levels_arg.split(",") if tok.strip()]
+        levels = _numbers(levels_arg, f"{name}-cut-levels")
         if any(not 0.0 < lv < 1.0 for lv in levels):
             raise ConfigError("cut levels must lie in (0, 1)")
         vals = list(empirical_quantile(values, levels))
@@ -485,36 +469,33 @@ def _cmd_transition(args, config: RunConfig, writer: OutputWriter) -> dict:
     return run.manifest
 
 
-def _parse_coef(arg: str, name: str) -> np.ndarray:
+def _numbers(arg: str, flag: str) -> list[float]:
+    """The numbers of a comma-separated list option; empty entries are
+    skipped, anything else that is not a number is a ConfigError."""
     try:
-        return np.array([float(tok) for tok in arg.split(",")])
+        return [float(tok) for tok in arg.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"--{name} must be a comma-separated number list") from None
+        raise ConfigError(f"--{flag} must be a comma-separated number list") from None
 
 
 def _cmd_simulate(args, config: None, writer: OutputWriter) -> dict:
-    y_coef = _parse_coef(args.y_coef, "y-coef")
-    w_coef = _parse_coef(args.w_coef, "w-coef")
-    dep_coef = _parse_coef(args.dep_coef, "dep-coef")
+    y_coef = np.array(_numbers(args.y_coef, "y-coef"))
+    w_coef = np.array(_numbers(args.w_coef, "w-coef"))
+    dep_coef = np.array(_numbers(args.dep_coef, "dep-coef"))
     covs = (CovariateSpec("uniform", 0.0, 1.0), CovariateSpec("binary", 0.5))
     d_x = 1 + len(covs)
     for name, coef in (("y-coef", y_coef), ("w-coef", w_coef), ("dep-coef", dep_coef)):
         if coef.size != d_x:
             raise ConfigError(f"--{name} must have {d_x} entries (intercept + 2 covariates)")
 
-    specs = [DgpSpec(y_coef=y_coef, w_coef=w_coef, dep_coef=dep_coef,
-                     n=args.n, seed=args.seed, covariates=covs)]
-    groups = [None]
+    spec = DgpSpec(y_coef=y_coef, w_coef=w_coef, dep_coef=dep_coef,
+                   n=args.n, seed=args.seed, covariates=covs)
+    specs, groups = [spec], [None]
     if args.two_groups:
-        y1 = _parse_coef(args.y_coef_1, "y-coef-1") if args.y_coef_1 else y_coef
-        w1 = _parse_coef(args.w_coef_1, "w-coef-1") if args.w_coef_1 else w_coef
-        d1 = _parse_coef(args.dep_coef_1, "dep-coef-1") if args.dep_coef_1 else dep_coef
-        specs = [
-            DgpSpec(y_coef=y_coef, w_coef=w_coef, dep_coef=dep_coef,
-                    n=args.n, seed=args.seed, covariates=covs),
-            DgpSpec(y_coef=y1, w_coef=w1, dep_coef=d1,
-                    n=args.n, seed=args.seed + 1, covariates=covs),
-        ]
+        y1 = np.array(_numbers(args.y_coef_1, "y-coef-1")) if args.y_coef_1 else y_coef
+        w1 = np.array(_numbers(args.w_coef_1, "w-coef-1")) if args.w_coef_1 else w_coef
+        d1 = np.array(_numbers(args.dep_coef_1, "dep-coef-1")) if args.dep_coef_1 else dep_coef
+        specs.append(replace(spec, y_coef=y1, w_coef=w1, dep_coef=d1, seed=args.seed + 1))
         groups = [0, 1]
 
     rows = []
@@ -529,7 +510,7 @@ def _cmd_simulate(args, config: None, writer: OutputWriter) -> dict:
     writer.csv(args.output_name, header, rows)
     return {
         "command": "simulate",
-        "versions": {"bdreg": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": _VERSIONS,
         "n": args.n,
         "seed": args.seed,
         "two_groups": bool(args.two_groups),
@@ -560,30 +541,22 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _config_from(args) -> RunConfig:
-    trim = tuple(float(t) for t in args.trim.split(","))
+    """Each RunConfig field from the parsed option of its name; the options
+    given as text lists (and the worker count, at least 1) are parsed here."""
+    trim = tuple(_numbers(args.trim, "trim"))
     if len(trim) != 2:
         raise ConfigError("--trim must be lower,upper")
-    covs = [c for c in args.covariates.split(",") if c.strip()]
-    dep = None
-    if args.dep_covariates is not None:
-        dep = [c for c in args.dep_covariates.split(",") if c.strip()]
-    return RunConfig(
-        input=args.input,
-        y_col=args.y_col,
-        w_col=args.w_col,
-        group_col=args.group_col,
-        covariates=covs,
-        grid_points=args.grid_points,
-        trim=trim,  # type: ignore[arg-type]
-        tail_min_obs=args.tail_min_obs,
-        dep_covariates=dep,
-        replicates=args.replicates,
-        scheme=args.scheme,
-        seed=args.seed,
-        out=args.out,
-        strict=args.strict,
-        workers=max(1, args.workers),
-    )
+    dep = args.dep_covariates
+    parsed = {
+        "covariates": [c for c in args.covariates.split(",") if c.strip()],
+        "trim": trim,
+        "dep_covariates": None if dep is None else [c for c in dep.split(",") if c.strip()],
+        "workers": max(1, args.workers),
+    }
+    return RunConfig(**{
+        f.name: parsed[f.name] if f.name in parsed else getattr(args, f.name)
+        for f in fields(RunConfig)
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ import numpy as np
 from .data import GridSpec, Sample, nearest_body_index, validate
 from .exceptions import EstimationError
 from .marginals import TOL_GRAD, MarginalFit, _damped_newton, _normalize_weights, fit_marginal
-from .normal import EPS_RHO, FixedThresholdBvn, bvn_cdf, bvn_pdf, link_rho
+from .normal import EPS_RHO, FixedThresholdBvn, bvn_cdf, link_rho
 
 __all__ = [
     "BdrFit",
@@ -63,10 +63,6 @@ class _CellKernel:
         self.bvn = FixedThresholdBvn(a, b)
         self.pa = self.bvn.pa
         self.pb = self.bvn.pb
-        fin = np.isfinite(a) & np.isfinite(b)
-        self._fin = fin
-        self._af = np.where(fin, a, 0.0)
-        self._bf = np.where(fin, b, 0.0)
         self.iy = np.asarray(below_y, dtype=float)
         self.jw = np.asarray(below_w, dtype=float)
         self.w = w
@@ -95,7 +91,7 @@ class _CellKernel:
             + (1.0 - iy) * (1.0 - jw) / c00
         )
         recip = 1.0 / c11 + 1.0 / c10 + 1.0 / c01 + 1.0 / c00
-        dens = np.where(self._fin, bvn_pdf(self._af, self._bf, rho), 0.0)
+        dens = self.bvn.pdf(rho)
         ll = float(np.mean(self.w * active))
         grad = self.x_dep.T @ (self.w * ratio * dens * gprime) / self.n
         scale = self.w * recip * dens * dens * gprime * gprime

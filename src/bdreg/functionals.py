@@ -17,6 +17,7 @@ from scipy import special
 from .data import Sample
 from .dependence import BdrFit
 from .exceptions import ConfigError, DataError
+from .marginals import _normalize_weights
 from .normal import BLOCK_ROWS, bvn_cdf
 
 __all__ = [
@@ -72,18 +73,9 @@ class JointCdfSurface:
 
 
 def _x_average(x, x_weights):
+    """The covariate rows and their averaging weights, which sum to one."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x_weights is None:
-        wts = np.full(x.shape[0], 1.0 / x.shape[0])
-    else:
-        wts = np.asarray(x_weights, dtype=float)
-        if wts.shape != (x.shape[0],):
-            raise DataError("x_weights must match the covariate row count")
-        total = wts.sum()
-        if total <= 0:
-            raise DataError("x_weights must have positive total mass")
-        wts = wts / total
-    return x, wts
+    return x, _normalize_weights(x_weights, x.shape[0]) / x.shape[0]
 
 
 def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x,
@@ -198,11 +190,11 @@ class DecompositionReport:
             "marginal_y": self.marginal_y,
         }
 
-    def shares(self, floor: float = SHARE_FLOOR) -> dict[str, np.ndarray]:
-        """Components as fractions of the total, NaN where |total| < floor
-        (the total can sit arbitrarily close to zero)."""
+    def shares(self) -> dict[str, np.ndarray]:
+        """Components as fractions of the total, NaN where |total| <
+        SHARE_FLOOR (the total can sit arbitrarily close to zero)."""
         out = {}
-        guard = np.abs(self.total) >= floor
+        guard = np.abs(self.total) >= SHARE_FLOOR
         with np.errstate(divide="ignore", invalid="ignore"):
             for name in _COMPONENTS:
                 comp = getattr(self, name)
@@ -211,34 +203,27 @@ class DecompositionReport:
 
 
 def _decomposition_from_values(values: dict[str, np.ndarray], y_values, w_values,
-                               direction, kind: str) -> DecompositionReport:
-    sign = 1.0
-    if tuple(direction) == (0, 1):
-        sign = -1.0
-    elif tuple(direction) != (1, 0):
-        raise ConfigError("direction must be (1, 0) or (0, 1)")
+                               kind: str) -> DecompositionReport:
     steps = [values[c] - values[n] for c, n in zip(_PATH, _PATH[1:])]
     return DecompositionReport(
-        total=sign * (values["1111"] - values["0000"]),
-        composition=sign * steps[0],
-        sorting=sign * steps[1],
-        marginal_w=sign * steps[2],
-        marginal_y=sign * steps[3],
+        total=values["1111"] - values["0000"],
+        composition=steps[0],
+        sorting=steps[1],
+        marginal_w=steps[2],
+        marginal_y=steps[3],
         y_values=np.asarray(y_values, dtype=float),
         w_values=np.asarray(w_values, dtype=float),
         kind=kind,
     )
 
 
-def decompose_joint(fits, samples, y_values=None, w_values=None, direction=(1, 0),
+def decompose_joint(fits, samples, y_values=None, w_values=None,
                     x_weights=None) -> DecompositionReport:
-    """Split the group difference in covariate-averaged joint CDFs into
-    composition, sorting, and the two marginal effects.
+    """Split the group difference in covariate-averaged joint CDFs, group 1
+    minus group 0, into composition, sorting, and the two marginal effects.
 
     Surfaces for every path index are evaluated at common thresholds
-    (defaulting to group 1's estimation grid). The telescoping path is
-    anchored at the group labels; direction=(0, 1) reports the reverse
-    comparison, which negates every component.
+    (defaulting to group 1's estimation grid).
     """
     if y_values is None:
         y_values = fits[1].grid.y_grid
@@ -248,7 +233,7 @@ def decompose_joint(fits, samples, y_values=None, w_values=None, direction=(1, 0
         code: _surface(*_ingredients(fits, samples, code, x_weights), y_values, w_values).values
         for code in _PATH
     }
-    return _decomposition_from_values(values, y_values, w_values, direction, "cdf")
+    return _decomposition_from_values(values, y_values, w_values, "cdf")
 
 
 @dataclass
@@ -324,7 +309,7 @@ def transition_from_fits(fits, samples, index, y_cuts, w_cuts,
     )
 
 
-def decompose_transition(fits, samples, y_cuts, w_cuts, direction=(1, 0),
+def decompose_transition(fits, samples, y_cuts, w_cuts,
                          x_weights=None) -> DecompositionReport:
     """Five-way decomposition of the group difference in transition matrices."""
     y_cuts = _validate_cuts(y_cuts)
@@ -335,6 +320,4 @@ def decompose_transition(fits, samples, y_cuts, w_cuts, direction=(1, 0),
         )
         for code in _PATH
     }
-    return _decomposition_from_values(
-        values, y_cuts, w_cuts, direction, "transition"
-    )
+    return _decomposition_from_values(values, y_cuts, w_cuts, "transition")

@@ -6,12 +6,13 @@ affinely beyond the body.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import special
 
 from .data import GridSpec, nearest_body_index, nearest_body_value
-from .exceptions import EstimationError, TailError
+from .exceptions import DataError, EstimationError, TailError
 
 __all__ = [
     "MarginalFit",
@@ -40,16 +41,18 @@ PROB_FLOOR = 1e-10
 
 
 def _normalize_weights(weights, n):
+    """Mean-one observation weights; None means equal weights. Bad weights are
+    bad input, so they raise DataError."""
     if weights is None:
         return np.full(n, 1.0)
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
-        raise EstimationError(f"weights must have length {n}")
+        raise DataError(f"weights must have length {n}")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise EstimationError("weights must be finite and nonnegative")
+        raise DataError("weights must be finite and nonnegative")
     total = w.sum()
     if total <= 0:
-        raise EstimationError("weights must have positive total mass")
+        raise DataError("weights must have positive total mass")
     # Mean-one scaling: leaves every maximizer unchanged and keeps weighted
     # and unweighted objectives on the same scale.
     return w * (n / total)
@@ -59,27 +62,33 @@ def _clip_prob(p):
     return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
-def probit_loglik(x, below, coef, weights=None, offset=None):
-    """Average probit log-likelihood of the indicator `below` on design x."""
+def _probit_evaluate(x, below, w, offset, coef):
+    """Average probit log-likelihood, its score and the expected information
+    at coef, with mean-one weights w and an optional fixed offset added to
+    the index."""
     n = x.shape[0]
-    w = _normalize_weights(weights, n)
     idx = x @ coef
     if offset is not None:
         idx = idx + offset
     p = _clip_prob(special.ndtr(idx))
-    return float(np.mean(w * (below * np.log(p) + (1.0 - below) * np.log1p(-p))))
+    ll = float(np.mean(w * (below * np.log(p) + (1.0 - below) * np.log1p(-p))))
+    phi = np.exp(-0.5 * idx * idx) / np.sqrt(2.0 * np.pi)
+    denom = p * (1.0 - p)
+    grad = x.T @ (w * phi / denom * (below - p)) / n
+    fisher = w * phi * phi / denom
+    return ll, grad, (x * fisher[:, None]).T @ x / n
+
+
+def probit_loglik(x, below, coef, weights=None, offset=None):
+    """Average probit log-likelihood of the indicator `below` on design x."""
+    w = _normalize_weights(weights, x.shape[0])
+    return _probit_evaluate(x, below, w, offset, coef)[0]
 
 
 def probit_score(x, below, coef, weights=None, offset=None):
     """Analytic gradient of probit_loglik with respect to coef."""
-    n = x.shape[0]
-    w = _normalize_weights(weights, n)
-    idx = x @ coef
-    if offset is not None:
-        idx = idx + offset
-    p = _clip_prob(special.ndtr(idx))
-    lam = np.exp(-0.5 * idx * idx) / np.sqrt(2.0 * np.pi) / (p * (1.0 - p))
-    return x.T @ (w * lam * (below - p)) / n
+    w = _normalize_weights(weights, x.shape[0])
+    return _probit_evaluate(x, below, w, offset, coef)[1]
 
 
 @dataclass
@@ -160,20 +169,10 @@ def fit_probit_dr(x, below, weights=None, warm_start=None,
             diagnostics={"mass_below": mass_below, "mass_above": mass_above},
         )
 
-    def evaluate(c):
-        idx = x @ c
-        if offset is not None:
-            idx = idx + offset
-        p = _clip_prob(special.ndtr(idx))
-        ll = np.mean(w * (below * np.log(p) + (1.0 - below) * np.log1p(-p)))
-        phi = np.exp(-0.5 * idx * idx) / np.sqrt(2.0 * np.pi)
-        denom = p * (1.0 - p)
-        grad = x.T @ (w * phi / denom * (below - p)) / n
-        fisher = w * phi * phi / denom
-        return ll, grad, (x * fisher[:, None]).T @ x / n
-
     start = np.zeros(d) if warm_start is None else warm_start
-    coef, ll, grad_norm, it = _damped_newton(evaluate, start)
+    coef, ll, grad_norm, it = _damped_newton(
+        partial(_probit_evaluate, x, below, w, offset), start
+    )
     if not grad_norm <= TOL_GRAD:
         raise EstimationError(
             "probit fit did not converge (possible separation)",
@@ -183,8 +182,7 @@ def fit_probit_dr(x, below, weights=None, warm_start=None,
                 "coef_norm": float(np.linalg.norm(coef)),
             },
         )
-    return ProbitResult(coef=coef, iterations=it, grad_norm=grad_norm,
-                        loglik=float(ll))
+    return ProbitResult(coef=coef, iterations=it, grad_norm=grad_norm, loglik=ll)
 
 
 def _admissible_tail_points(values, anchor, direction, min_obs):

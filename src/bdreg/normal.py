@@ -1,6 +1,11 @@
 """Standard normal primitives: univariate CDF/quantile, the bivariate CDF and
 density, their partial derivatives, and the tanh correlation link.
 
+FixedThresholdBvn is the one evaluator of the bivariate CDF and density: it
+holds a set of threshold pairs and evaluates at any correlation. The
+dependence fits keep one per grid pair; bvn_cdf and bvn_pdf build one for a
+single call.
+
 The bivariate CDF follows the Drezner-Wesolowsky/Genz construction: Gauss-
 Legendre quadrature along the correlation path for moderate correlation, and
 the reflection/expansion branch for |rho| > 0.925. The moderate-correlation
@@ -128,13 +133,6 @@ def _moderate_correction(hk, hs, r):
     return out
 
 
-def _bvnu_moderate(h, k, r):
-    # P(X > h, Y > k) for |r| <= 0.925.
-    hk = h * k
-    hs = 0.5 * (h * h + k * k)
-    return _moderate_correction(hk, hs, r) + special.ndtr(-h) * special.ndtr(-k)
-
-
 def _bvnu_high(h, k, r):
     # P(X > h, Y > k) for 0.925 < |r| < 1: expansion around |r| = 1 plus a
     # quadrature correction (the reflection branch of the Genz scheme).
@@ -183,77 +181,15 @@ def _bvnu_high(h, k, r):
     return np.where(neg, neg_part, pos_part)
 
 
-def _bvnu(h, k, r):
-    # Dispatch on |r|; inputs are flat float arrays of equal length.
-    out = np.empty_like(h)
-    moderate = np.abs(r) <= 0.925
-    if np.any(moderate):
-        out[moderate] = _bvnu_moderate(h[moderate], k[moderate], r[moderate])
-    high = ~moderate
-    if np.any(high):
-        out[high] = _bvnu_high(h[high], k[high], r[high])
-    return out
-
-
-def bvn_cdf(a, b, rho):
-    """Standard bivariate normal CDF P(X <= a, Y <= b) with correlation rho.
-
-    a and b may be +/-inf; those resolve exactly to the marginal limits.
-    rho is clamped via :func:`clamp_rho`.
-    """
-    a, b, rho = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(rho, dtype=float)
-    )
-    if np.any(np.isnan(a)) or np.any(np.isnan(b)):
-        raise ValueError("bvn_cdf thresholds must not be NaN")
-    rho = np.asarray(clamp_rho(rho))
-
-    shape = a.shape
-    a = a.ravel()
-    b = b.ravel()
-    r = np.broadcast_to(rho, shape).ravel()
-
-    out = np.empty(a.shape, dtype=float)
-    neg_inf = np.isneginf(a) | np.isneginf(b)
-    out[neg_inf] = 0.0
-    a_inf = np.isposinf(a) & ~neg_inf
-    out[a_inf] = special.ndtr(b[a_inf])
-    b_inf = np.isposinf(b) & ~neg_inf & ~a_inf
-    out[b_inf] = special.ndtr(a[b_inf])
-
-    finite = ~(neg_inf | a_inf | b_inf)
-    if np.any(finite):
-        vals = _bvnu(-a[finite], -b[finite], r[finite])
-        out[finite] = np.clip(vals, 0.0, 1.0)
-
-    out = out.reshape(shape)
-    return float(out) if out.ndim == 0 else out
-
-
-def bvn_pdf(a, b, rho):
-    """Standard bivariate normal density; zero at infinite arguments."""
-    a, b, rho = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(rho, dtype=float)
-    )
-    if np.any(np.isnan(a)) or np.any(np.isnan(b)):
-        raise ValueError("bvn_pdf thresholds must not be NaN")
-    r = np.asarray(clamp_rho(rho))
-    det = 1.0 - r * r
-    fin = np.isfinite(a) & np.isfinite(b)
-    af = np.where(fin, a, 0.0)
-    bf = np.where(fin, b, 0.0)
-    q = (af * af - 2.0 * r * af * bf + bf * bf) / det
-    out = np.where(fin, np.exp(-0.5 * q) / (2.0 * np.pi * np.sqrt(det)), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 class FixedThresholdBvn:
-    """Repeated bivariate-CDF evaluation at fixed threshold pairs.
+    """The bivariate normal CDF and density at fixed threshold pairs.
 
-    A dependence fit evaluates Phi2(a_i, b_i; rho_i) many times with the same
-    thresholds and a new correlation each iteration, so everything that does
-    not depend on rho is precomputed here. Rows with an infinite threshold are
-    constant in rho and resolved once.
+    This is the package's one evaluator of Phi2 and phi2. A dependence fit
+    evaluates Phi2(a_i, b_i; rho_i) many times with the same thresholds and a
+    new correlation each iteration, so everything that does not depend on rho
+    is computed once here; bvn_cdf and bvn_pdf are one-shot uses. Thresholds
+    may be +/-inf: such rows are constant in rho, resolve exactly to the
+    marginal limits (density zero), and are set aside once.
     """
 
     def __init__(self, a, b):
@@ -266,36 +202,81 @@ class FixedThresholdBvn:
         self.n = a.size
         self.pa = special.ndtr(a)
         self.pb = special.ndtr(b)
-        self._finite = np.isfinite(a) & np.isfinite(b)
-        af, bf = a[self._finite], b[self._finite]
-        self._h = -af
-        self._k = -bf
-        self._hk = af * bf
-        self._hs = 0.5 * (af * af + bf * bf)
-        self._prod = self.pa[self._finite] * self.pb[self._finite]
-        neg = np.isneginf(a) | np.isneginf(b)
-        self._const = np.where(
-            neg, 0.0, np.where(np.isposinf(a), self.pb, self.pa)
-        )
+        finite = np.isfinite(a) & np.isfinite(b)
+        # _finite and _const are None when every row is finite, the common
+        # case, which then needs no masked copies.
+        self._finite = self._const = None
+        pa, pb = self.pa, self.pb
+        if not np.all(finite):
+            self._finite = finite
+            neg = np.isneginf(a) | np.isneginf(b)
+            self._const = np.where(neg, 0.0, np.where(np.isposinf(a), pb, pa))
+            a, b, pa, pb = a[finite], b[finite], pa[finite], pb[finite]
+        self._a, self._b = a, b
+        self._hk = a * b
+        self._hs = 0.5 * (a * a + b * b)
+        self._prod = pa * pb
 
-    def cdf(self, rho):
+    def _rows(self, rho):
+        # The clamped correlation of every finite row.
+        r = np.broadcast_to(np.asarray(clamp_rho(rho), dtype=float), (self.n,))
+        return r if self._finite is None else r[self._finite]
+
+    def _scatter(self, vals, const):
+        # Finite-row values into a full-length array holding const elsewhere.
+        if self._finite is None:
+            return vals
+        out = np.where(self._finite, 0.0, const)
+        out[self._finite] = vals
+        return out
+
+    def _cdf(self, rho):
         """Phi2 at the stored thresholds; rho scalar or per-row array."""
-        rho = np.asarray(clamp_rho(rho), dtype=float)
-        out = self._const.copy()
-        if not np.any(self._finite):
-            return out
-        r = np.broadcast_to(rho, (self.n,))[self._finite]
-        vals = np.empty(r.shape)
+        r = self._rows(rho)
         moderate = np.abs(r) <= 0.925
-        if np.any(moderate):
+        if np.all(moderate):
+            vals = self._prod + _moderate_correction(self._hk, self._hs, r)
+        else:
+            vals = np.empty(r.shape)
             vals[moderate] = self._prod[moderate] + _moderate_correction(
                 self._hk[moderate], self._hs[moderate], r[moderate]
             )
-        high = ~moderate
-        if np.any(high):
-            vals[high] = _bvnu_high(self._h[high], self._k[high], r[high])
-        out[self._finite] = np.clip(vals, 0.0, 1.0)
-        return out
+            high = ~moderate
+            vals[high] = _bvnu_high(-self._a[high], -self._b[high], r[high])
+        return self._scatter(np.clip(vals, 0.0, 1.0), self._const)
+
+    # bvn_cdf calls _cdf, so that a wrapper put on cdf (perfbench's spans)
+    # sees only the repeated evaluations of the dependence fits.
+    cdf = _cdf
+
+    def pdf(self, rho):
+        """phi2 at the stored thresholds, zero where one is infinite."""
+        r = self._rows(rho)
+        a, b = self._a, self._b
+        det = 1.0 - r * r
+        q = (a * a - 2.0 * r * a * b + b * b) / det
+        return self._scatter(np.exp(-0.5 * q) / (2.0 * np.pi * np.sqrt(det)), 0.0)
+
+
+def _one_shot(method, a, b, rho):
+    # One FixedThresholdBvn method on the broadcast arguments, in their shape.
+    a, b, rho = np.broadcast_arrays(a, b, rho)
+    out = method(FixedThresholdBvn(a, b), rho.ravel()).reshape(a.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def bvn_cdf(a, b, rho):
+    """Standard bivariate normal CDF P(X <= a, Y <= b) with correlation rho.
+
+    a and b may be +/-inf; those resolve exactly to the marginal limits.
+    rho is clamped via :func:`clamp_rho`.
+    """
+    return _one_shot(FixedThresholdBvn._cdf, a, b, rho)
+
+
+def bvn_pdf(a, b, rho):
+    """Standard bivariate normal density; zero at infinite arguments."""
+    return _one_shot(FixedThresholdBvn.pdf, a, b, rho)
 
 
 def cdf_partials(a, b, rho):

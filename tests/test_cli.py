@@ -118,6 +118,25 @@ def test_simulate_takes_negative_coefficient_lists(coef, tmp_path):
         assert len(list(csv.DictReader(fh))) == 50
 
 
+@pytest.mark.parametrize("command,bad", [
+    ("estimate", ["--trim", "a,b"]),
+    ("transition", ["--y-cuts", "abc"]),
+    ("transition", ["--w-cuts", "0,x"]),
+    ("transition", ["--y-cut-levels", "x"]),
+    ("transition", ["--w-cut-levels", "0.5,?"]),
+    ("simulate", ["--y-coef", "0,a,1"]),
+    ("simulate", ["--dep-coef-1", "x"]),
+])
+def test_non_numeric_list_is_config_error(command, bad, sample_csv, tmp_path):
+    out = tmp_path / "out"
+    if command == "simulate":
+        code = cli.main(["simulate", "--n", "50", "--two-groups", *bad, "--out", str(out)])
+    else:
+        code = run(command, sample_csv, out, *bad)
+    assert code == 2
+    assert list(out.glob("*")) == []
+
+
 def test_unknown_covariate_is_config_error(sample_csv, tmp_path):
     code = cli.main(["decompose", "--input", str(sample_csv), "--covariates", "x1,nope",
                      "--group-col", "group", "--out", str(tmp_path)])

@@ -149,6 +149,21 @@ class TestCounterfactualSurface:
             with pytest.raises(DataError, match="NaN"):
                 build(fit, small_sample, [0.0], [grid.w_body[0], np.nan])
 
+    @pytest.mark.parametrize("bad", ["nan", "negative", "zero_total", "short"])
+    def test_bad_x_weights_raise(self, small_fit, small_sample, bad):
+        # NaN weights used to give an all-NaN surface without an error, and a
+        # negative weight was accepted.
+        fit, _ = small_fit
+        n = small_sample.n
+        weights = {
+            "nan": np.full(n, np.nan),
+            "negative": np.r_[-0.5, np.ones(n - 1)],
+            "zero_total": np.zeros(n),
+            "short": np.ones(n - 1),
+        }[bad]
+        with pytest.raises(DataError, match="weights"):
+            fitted_surface(fit, small_sample, x_weights=weights)
+
     def test_copy_rule_keys_give_identical_indices(self, small_fit, small_sample):
         fit, grid = small_fit
         x = small_sample.x
@@ -249,16 +264,6 @@ class TestDecomposition:
         )
         assert np.max(np.abs(resid)) <= 1e-12
 
-    def test_direction_swap_negates(self, two_group_setup):
-        fits, samples, grids = two_group_setup
-        fwd = decompose_joint(fits, samples, grids[1].y_grid, grids[1].w_grid)
-        rev = decompose_joint(fits, samples, grids[1].y_grid, grids[1].w_grid,
-                              direction=(0, 1))
-        for name in fwd.components():
-            np.testing.assert_array_equal(
-                getattr(fwd, name), -getattr(rev, name)
-            )
-
     def test_sorting_dominates_when_only_dependence_differs(self, two_group_setup):
         fits, samples, grids = two_group_setup
         report = decompose_joint(fits, samples, grids[1].y_grid, grids[1].w_grid)
@@ -269,7 +274,7 @@ class TestDecomposition:
     def test_share_floor_guard(self, two_group_setup):
         fits, samples, grids = two_group_setup
         report = decompose_joint(fits, samples, grids[1].y_grid, grids[1].w_grid)
-        shares = report.shares(floor=1e-3)
+        shares = report.shares()
         tiny = np.abs(report.total) < 1e-3
         assert np.all(np.isnan(shares["sorting"][tiny]))
 

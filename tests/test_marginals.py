@@ -3,7 +3,7 @@ import pytest
 
 from bdreg.data import Sample, build_grid, grid_from_values
 from bdreg.dgp import DgpSpec, generate
-from bdreg.exceptions import EstimationError, TailError
+from bdreg.exceptions import DataError, EstimationError, TailError
 from bdreg.marginals import (
     fit_marginal,
     fit_probit_dr,
@@ -64,6 +64,18 @@ class TestProbitFit:
         a = fit_probit_dr(x, below, weights=np.full(800, 1.0 / 800))
         b = fit_probit_dr(x, below, weights=np.full(800, 1.0))
         assert np.max(np.abs(a.coef - b.coef)) <= 1e-10
+
+    @pytest.mark.parametrize("bad", ["nan", "negative", "zero_total", "short"])
+    def test_bad_weights_raise(self, bad):
+        x, below = two_covariate_probit(200, 6)
+        weights = {
+            "nan": np.r_[np.nan, np.ones(199)],
+            "negative": np.r_[-0.5, np.ones(199)],
+            "zero_total": np.zeros(200),
+            "short": np.ones(199),
+        }[bad]
+        with pytest.raises(DataError, match="weights"):
+            fit_probit_dr(x, below, weights=weights)
 
     def test_score_matches_finite_differences(self):
         rng = np.random.default_rng(11)

@@ -2,6 +2,9 @@
 identities, Frechet bounds, and finite-difference agreement of the partials.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +152,19 @@ class TestBivariateCdf:
             got = ev.cdf(np.full(a.size, rho))
             want = bvn_cdf(a, b, rho)
             assert np.max(np.abs(got - want)) <= 5e-15
+
+    def test_pinned_values(self):
+        # bvn_cdf and bvn_pdf on the threshold pairs above (with +/-inf rows
+        # and |rho| > 0.925), frozen from the two separate evaluators that
+        # FixedThresholdBvn replaced.
+        pinned = json.loads((Path(__file__).parent / "data" / "bvn_pinned.json").read_text())
+        a, b = np.array(pinned["a"]), np.array(pinned["b"])
+        assert a.size == 53 and np.isinf(a).sum() == 2 and np.isinf(b).sum() == 1
+        for rho, cdf, pdf in zip(pinned["rho"], pinned["cdf"], pinned["pdf"]):
+            assert np.max(np.abs(bvn_cdf(a, b, rho) - np.array(cdf))) <= 1e-15
+            assert np.max(np.abs(bvn_pdf(a, b, rho) - np.array(pdf))) <= 1e-15
+            ev = FixedThresholdBvn(a, b)
+            assert np.max(np.abs(ev.pdf(rho) - np.array(pdf))) <= 1e-15
 
 
 class TestDensityAndPartials:
