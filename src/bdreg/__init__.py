@@ -26,7 +26,6 @@ from .data import (
 from .dependence import (
     BdrFit,
     FitConfig,
-    dep_fisher_info,
     dep_score,
     fit_bdr,
     fit_dependence,
@@ -100,7 +99,6 @@ __all__ = [
     "counterfactual_joint_cdf",
     "decompose_joint",
     "decompose_transition",
-    "dep_fisher_info",
     "dep_score",
     "draw_weights",
     "ensemble_apply",

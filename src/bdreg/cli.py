@@ -518,26 +518,25 @@ def _cmd_simulate(args, config: None, writer: OutputWriter) -> dict:
 
 
 def _add_common(p: argparse.ArgumentParser):
+    d = RunConfig()
     p.add_argument("--input", required=True, help="delimited input file with header row")
-    p.add_argument("--y-col", default="y")
-    p.add_argument("--w-col", default="w")
-    p.add_argument("--group-col", default=None)
-    p.add_argument("--covariates", default="",
+    p.add_argument("--y-col", default=d.y_col)
+    p.add_argument("--w-col", default=d.w_col)
+    p.add_argument("--group-col", default=d.group_col)
+    p.add_argument("--covariates", default=",".join(d.covariates),
                    help="comma-separated covariate columns (intercept added automatically)")
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--trim", default=f"{DEFAULT_TRIM[0]},{DEFAULT_TRIM[1]}",
+    p.add_argument("--grid-points", type=int, default=d.grid_points)
+    p.add_argument("--trim", default=",".join(map(str, d.trim)),
                    help="lower,upper percentile trim for the grid")
-    p.add_argument("--tail-min-obs", type=int, default=DEFAULT_TAIL_MIN_OBS)
-    p.add_argument("--dep-covariates", default=None,
+    p.add_argument("--tail-min-obs", type=int, default=d.tail_min_obs)
+    p.add_argument("--dep-covariates", default=d.dep_covariates,
                    help="subset of covariates driving the dependence (default: all)")
-    p.add_argument("--replicates", type=int, default=0)
-    p.add_argument("--scheme", choices=["exponential", "multinomial"],
-                   default="exponential")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--replicates", type=int, default=d.replicates)
+    p.add_argument("--scheme", choices=["exponential", "multinomial"], default=d.scheme)
+    p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--out", default="bdreg-out")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get(WORKERS_ENV, "1")))
+    p.add_argument("--workers", type=int, default=int(os.environ.get(WORKERS_ENV, d.workers)))
 
 
 def _config_from(args) -> RunConfig:

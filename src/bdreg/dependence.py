@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import GridSpec, Sample, nearest_body_index, validate
-from .exceptions import EstimationError
+from .exceptions import DataError, EstimationError
 from .marginals import TOL_GRAD, MarginalFit, _damped_newton, _normalize_weights, fit_marginal
 from .normal import EPS_RHO, FixedThresholdBvn, bvn_cdf, link_rho
 
@@ -20,7 +20,6 @@ __all__ = [
     "BdrFit",
     "DepResult",
     "FitConfig",
-    "dep_fisher_info",
     "dep_score",
     "fit_bdr",
     "fit_dependence",
@@ -49,10 +48,18 @@ def quadrant_probs(a, b, rho):
 class _CellKernel:
     """Precomputed state for repeated likelihood evaluations at one grid pair.
 
-    Thresholds, indicator masks, weights, and the marginal CDF values are
-    fixed within a dependence fit; only the correlation changes, so each
-    iterate costs one quadrature pass. The lower three cells follow from the
-    joint cell and the marginals (they sum to one by construction).
+    Thresholds, indicators, weights, and the marginal CDF values are fixed
+    within a dependence fit; only the correlation changes, so each iterate
+    costs one quadrature pass. Each observation's own cell follows from the
+    joint cell P and the marginals as offset + sign * P (the four cells sum
+    to one by construction), so the indicators must be 0 or 1.
+
+    Cells are floored at CELL_FLOOR inside the log. Where an observation's
+    own cell sits at the floor, its log-likelihood term is constant in the
+    coefficients, so that row adds nothing to the score or to the observed
+    information: evaluate returns the exact derivatives of the floored
+    likelihood it reports. The Fisher fallback is the expected information,
+    in which every floored cell counts at its floor value.
     """
 
     def __init__(self, x_dep, a, b, below_y, below_w, w):
@@ -63,40 +70,56 @@ class _CellKernel:
         self.bvn = FixedThresholdBvn(a, b)
         self.pa = self.bvn.pa
         self.pb = self.bvn.pb
-        self.iy = np.asarray(below_y, dtype=float)
-        self.jw = np.asarray(below_w, dtype=float)
+        iy = np.asarray(below_y, dtype=float)
+        jw = np.asarray(below_w, dtype=float)
+        if not np.all(((iy == 0.0) | (iy == 1.0)) & ((jw == 0.0) | (jw == 1.0))):
+            raise DataError("dependence indicators must be 0 or 1")
+        # Own cell: P (11), pa - P (10), pb - P (01) or 1 - pa - pb + P (00).
+        self.sign = np.where(iy == jw, 1.0, -1.0)
+        self.offset = np.where(
+            iy == 1.0,
+            np.where(jw == 1.0, 0.0, self.pa),
+            np.where(jw == 1.0, self.pb, 1.0 - self.pa - self.pb),
+        )
         self.w = w
 
     def evaluate(self, dep):
-        """Log-likelihood, score and expected information at dep, all from
-        one quadrature pass."""
+        """Log-likelihood, score and observed information (the negative
+        Hessian) at dep, all from one quadrature pass. Where the observed
+        information is not positive definite, the expected information
+        (Fisher's) stands in for it."""
         u = self.x_dep @ np.asarray(dep, dtype=float)
         rho, gprime = link_rho(u)
         p11 = self.bvn.cdf(rho)
-        c11 = np.maximum(p11, CELL_FLOOR)
-        c10 = np.maximum(self.pa - p11, CELL_FLOOR)
-        c01 = np.maximum(self.pb - p11, CELL_FLOOR)
-        c00 = np.maximum(1.0 - self.pa - self.pb + p11, CELL_FLOOR)
-        iy, jw = self.iy, self.jw
-        active = (
-            iy * jw * np.log(c11)
-            + iy * (1.0 - jw) * np.log(c10)
-            + (1.0 - iy) * jw * np.log(c01)
-            + (1.0 - iy) * (1.0 - jw) * np.log(c00)
-        )
-        ratio = (
-            iy * jw / c11
-            - iy * (1.0 - jw) / c10
-            - (1.0 - iy) * jw / c01
-            + (1.0 - iy) * (1.0 - jw) / c00
-        )
-        recip = 1.0 / c11 + 1.0 / c10 + 1.0 / c01 + 1.0 / c00
-        dens = self.bvn.pdf(rho)
-        ll = float(np.mean(self.w * active))
+        cell = self.offset + self.sign * p11
+        free = cell > CELL_FLOOR
+        cell = np.maximum(cell, CELL_FLOOR)
+        ll = float(np.mean(self.w * np.log(cell)))
+        # d log(cell) / dP, zero where the cell is floored.
+        inv = np.where(free, 1.0 / cell, 0.0)
+        ratio = self.sign * inv
+        dens, ddens = self.bvn.pdf_drho(rho)
         grad = self.x_dep.T @ (self.w * ratio * dens * gprime) / self.n
-        scale = self.w * recip * dens * dens * gprime * gprime
-        info = (self.x_dep * scale[:, None]).T @ self.x_dep / self.n
+        # -d2/du2 of log(cell) with dP/du = dens g' and, as g'' = -2 rho g',
+        # d2P/du2 = ddens g'^2 - 2 rho g' dens.
+        dp = dens * gprime
+        d2p = gprime * (ddens * gprime - 2.0 * rho * dens)
+        info = self._information(inv * inv * dp * dp - ratio * d2p)
+        try:
+            np.linalg.cholesky(info)
+        except np.linalg.LinAlgError:
+            info = self._fisher(p11, dp)
         return ll, grad, info
+
+    def _information(self, curvature):
+        # Weighted average of x x' times each row's curvature.
+        return (self.x_dep * (self.w * curvature)[:, None]).T @ self.x_dep / self.n
+
+    def _fisher(self, p11, dp):
+        # Expected information: the sum of reciprocal cells times dP/du squared.
+        cells = (p11, self.pa - p11, self.pb - p11, 1.0 - self.pa - self.pb + p11)
+        recip = sum(1.0 / np.maximum(c, CELL_FLOOR) for c in cells)
+        return self._information(recip * dp * dp)
 
 
 def _kernel(x_dep, a, b, below_y, below_w, weights):
@@ -116,14 +139,6 @@ def dep_score(x_dep, a, b, dep, below_y, below_w, weights=None):
     return _kernel(x_dep, a, b, below_y, below_w, weights).evaluate(dep)[1]
 
 
-def dep_fisher_info(x_dep, a, b, dep, weights=None):
-    """Expected negative Hessian in the dependence coefficients (the sum of
-    reciprocal cells times the squared density and squared link derivative)."""
-    # The expected information does not depend on the indicators.
-    below = np.zeros(np.asarray(x_dep).shape[0])
-    return _kernel(x_dep, a, b, below, below, weights).evaluate(dep)[2]
-
-
 @dataclass
 class DepResult:
     coef: np.ndarray
@@ -137,10 +152,11 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
                    start=None) -> DepResult:
     """Maximize the quadrant likelihood in the dependence coefficients.
 
-    Fisher scoring (expected-information curvature) with step halving, by the
-    same `_damped_newton` routine as the probit fits: steps must raise the
-    likelihood while its predicted rise is measurable, then lower the score's
-    2-norm until its max-norm reaches 1e-12. The fit converges when the final
+    Newton steps on the observed information (the exact negative Hessian; the
+    expected information where that is not positive definite), with step
+    halving, by the same `_damped_newton` routine as the probit fits: steps
+    must raise the likelihood while its predicted rise is measurable, then
+    lower the score's 2-norm until its max-norm reaches 1e-12. The fit converges when the final
     max-norm score is at most TOL_GRAD. Perfectly concordant or discordant
     cell patterns have no interior maximizer, so the fit is clamped at the
     link saturation bound with a warning.

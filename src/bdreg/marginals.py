@@ -13,6 +13,7 @@ from scipy import special
 
 from .data import GridSpec, nearest_body_index, nearest_body_value
 from .exceptions import DataError, EstimationError, TailError
+from .normal import std_normal_pdf
 
 __all__ = [
     "MarginalFit",
@@ -72,7 +73,7 @@ def _probit_evaluate(x, below, w, offset, coef):
         idx = idx + offset
     p = _clip_prob(special.ndtr(idx))
     ll = float(np.mean(w * (below * np.log(p) + (1.0 - below) * np.log1p(-p))))
-    phi = np.exp(-0.5 * idx * idx) / np.sqrt(2.0 * np.pi)
+    phi = std_normal_pdf(idx)
     denom = p * (1.0 - p)
     grad = x.T @ (w * phi / denom * (below - p)) / n
     fisher = w * phi * phi / denom
@@ -103,9 +104,11 @@ def _damped_newton(evaluate, coef):
     """Maximize a smooth objective by at most MAX_ITER damped Newton steps
     from coef.
 
-    evaluate(coef) returns (loglik, grad, curvature), the curvature being a
-    positive-definite stand-in for the negative Hessian (both likelihoods use
-    the expected information). Each step is halved until it is accepted.
+    evaluate(coef) returns (loglik, grad, curvature), the curvature being the
+    negative Hessian or a positive-definite stand-in for it: the probit fits
+    use the expected information (Fisher scoring), the dependence cells the
+    observed information where it is positive definite. Each step is halved
+    until it is accepted.
     While the step's predicted gain grad'step (the squared Newton decrement)
     exceeds GAIN_FLOOR, a step must raise the objective by ARMIJO times its
     predicted gain; below that the objective is flat at float resolution, so

@@ -249,13 +249,28 @@ class FixedThresholdBvn:
     # sees only the repeated evaluations of the dependence fits.
     cdf = _cdf
 
-    def pdf(self, rho):
-        """phi2 at the stored thresholds, zero where one is infinite."""
-        r = self._rows(rho)
+    def _density(self, r):
+        # phi2 and 1 - r^2 on the finite rows at their clamped correlations r.
         a, b = self._a, self._b
         det = 1.0 - r * r
         q = (a * a - 2.0 * r * a * b + b * b) / det
-        return self._scatter(np.exp(-0.5 * q) / (2.0 * np.pi * np.sqrt(det)), 0.0)
+        return np.exp(-0.5 * q) / (2.0 * np.pi * np.sqrt(det)), det
+
+    def pdf(self, rho):
+        """phi2 at the stored thresholds, zero where one is infinite."""
+        return self._scatter(self._density(self._rows(rho))[0], 0.0)
+
+    def pdf_drho(self, rho):
+        """phi2 and its derivative in rho at the stored thresholds, both zero
+        where a threshold is infinite:
+
+            d phi2 / d rho = phi2 * [rho / (1 - rho^2)
+                                     + (ab (1 + rho^2) - rho (a^2 + b^2)) / (1 - rho^2)^2]
+        """
+        r = self._rows(rho)
+        dens, det = self._density(r)
+        slope = r / det + (self._hk * (1.0 + r * r) - 2.0 * r * self._hs) / (det * det)
+        return self._scatter(dens, 0.0), self._scatter(dens * slope, 0.0)
 
 
 def _one_shot(method, a, b, rho):

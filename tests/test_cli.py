@@ -51,9 +51,8 @@ ROUND_TRIPS = {
             ["component", "row", "col", "value", "share_of_total", "se"], 5 * CELLS),
     },
 }
-# Median cuts: quintile cuts would make a 6 x 6 body grid on these 600 rows
-# per group, whose corner cells fail in 2 of group 0's 10 replicates, and a
-# replicate with a failed cell is dropped whole, which aborts the run (exit 4).
+# Median cuts keep the transition tables 2 x 2; the default quintile cuts are
+# run by test_transition_decompose_at_quintile_cuts.
 EXTRA = {
     "counterfactual": ["--index", "1110"],
     "transition": ["--decompose", "--y-cut-levels", "0.5", "--w-cut-levels", "0.5"],
@@ -109,6 +108,17 @@ def test_decompose_round_trip(sample_csv, tmp_path):
 def test_round_trip(command, sample_csv, tmp_path):
     assert run(command, sample_csv, tmp_path, "--replicates", "10", *EXTRA.get(command, [])) == 0
     check_round_trip(command, tmp_path)
+
+
+def test_transition_decompose_at_quintile_cuts(sample_csv, tmp_path):
+    # The quintile cuts make a 6 x 6 body grid on these 600 rows per group.
+    # Each replicate's sparse corner cells must converge: a replicate with a
+    # failed cell is dropped whole, and two dropped of ten abort the run.
+    assert run("transition", sample_csv, tmp_path, "--decompose", "--replicates", "10") == 0
+    with open(tmp_path / "transition_decomposition.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5 * 5 * 5
+    assert np.all(np.isfinite([float(r["se"]) for r in rows]))
 
 
 @pytest.mark.parametrize("coef", [["--w-coef", "-0.1,0.8,0.2"], ["--w-coef=-0.1,0.8,0.2"]])

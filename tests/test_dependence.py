@@ -10,8 +10,9 @@ import pytest
 from bdreg.bootstrap import WeightScheme, draw_weights
 from bdreg.data import build_grid, grid_from_values
 from bdreg.dependence import (
+    CELL_FLOOR,
     FitConfig,
-    dep_fisher_info,
+    _CellKernel,
     dep_score,
     fit_bdr,
     fit_dependence,
@@ -19,9 +20,9 @@ from bdreg.dependence import (
     quadrant_probs,
 )
 from bdreg.dgp import DgpSpec, generate
-from bdreg.exceptions import EstimationError
+from bdreg.exceptions import DataError, EstimationError
 from bdreg.functionals import fitted_surface
-from bdreg.normal import bvn_cdf, link_rho
+from bdreg.normal import bvn_cdf, bvn_pdf, link_rho
 
 from conftest import bench_spec
 
@@ -138,13 +139,85 @@ class TestDepScore:
         g = dep_score(x, a, b, res.coef, iy, jw)
         assert np.max(np.abs(g)) <= 1e-8
 
-    def test_fisher_info_positive_definite(self):
-        rng = np.random.default_rng(5)
-        n = 200
+
+def coherent_cell(seed, n=300):
+    """A cell whose indicators are drawn from the model at its own dependence
+    coefficients, so the likelihood is smooth and concave near them."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.random(n), rng.random(n)])
+    a, b = rng.uniform(-2.0, 2.0, size=n), rng.uniform(-2.0, 2.0, size=n)
+    dep = np.array([0.4, 0.3, -0.2])
+    rho = np.tanh(x @ dep)
+    z1 = rng.standard_normal(n)
+    z2 = rho * z1 + np.sqrt(1 - rho * rho) * rng.standard_normal(n)
+    return x, a, b, dep, (z1 <= a).astype(float), (z2 <= b).astype(float)
+
+
+class TestCellKernel:
+    def test_information_is_negative_score_jacobian(self):
+        x, a, b, dep, iy, jw = coherent_cell(8)
+        kernel = _CellKernel(x, a, b, iy, jw, np.ones(x.shape[0]))
+        info = kernel.evaluate(dep)[2]
+        np.linalg.cholesky(info)  # positive definite: no Fisher fallback here
+        h = 1e-5
+        jac = np.column_stack([
+            (kernel.evaluate(dep + h * e)[1] - kernel.evaluate(dep - h * e)[1]) / (2 * h)
+            for e in np.eye(3)
+        ])
+        np.testing.assert_allclose(info, -jac, rtol=1e-6, atol=1e-9)
+
+    def test_fisher_fallback_where_observed_is_indefinite(self):
+        # Indicators drawn without regard to the model, evaluated at a strong
+        # correlation: the observed information has a negative eigenvalue
+        # there, so the expected information stands in for it.
+        rng = np.random.default_rng(173)
+        n = 12
         x = np.column_stack([np.ones(n), rng.random(n)])
         a, b = rng.normal(size=n), rng.normal(size=n)
-        info = dep_fisher_info(x, a, b, np.array([0.1, 0.2]))
+        iy = (rng.random(n) < 0.5).astype(float)
+        jw = (rng.random(n) < 0.5).astype(float)
+        dep = np.array([1.45, -0.24])
+        h = 1e-6
+        jac = np.column_stack([
+            (dep_score(x, a, b, dep + h * e, iy, jw) - dep_score(x, a, b, dep - h * e, iy, jw))
+            / (2 * h)
+            for e in np.eye(2)
+        ])
+        assert np.linalg.eigvalsh(-(jac + jac.T) / 2)[0] < -0.05
+        info = _CellKernel(x, a, b, iy, jw, np.ones(n)).evaluate(dep)[2]
+        rho, gprime = link_rho(x @ dep)
+        recip = sum(1.0 / np.maximum(c, CELL_FLOOR) for c in quadrant_probs(a, b, rho))
+        dp = bvn_pdf(a, b, rho) * gprime
+        fisher = (x * (recip * dp * dp)[:, None]).T @ x / n
+        np.testing.assert_allclose(info, fisher, rtol=1e-10)
         assert np.all(np.linalg.eigvalsh(info) > 0)
+
+    def test_floored_row_adds_nothing(self):
+        # One observation whose own cell lies below CELL_FLOOR at every
+        # correlation (P <= Phi(-6.4) < 1e-10), though its density is not
+        # negligible against the floor: its log-likelihood term is constant,
+        # so the fit, its score and its curvature are those of the other rows.
+        x, a, b, _, iy, jw = coherent_cell(9)
+        xc = np.vstack([x, [1.0, 0.5, 1.0]])
+        ac, bc = np.r_[a, -6.4], np.r_[b, 0.0]
+        iyc, jwc = np.r_[iy, 1.0], np.r_[jw, 1.0]
+        res = fit_dependence(xc, ac, bc, iyc, jwc)
+        assert res.grad_norm <= 1e-8
+        ref = fit_dependence(x, a, b, iy, jw)
+        assert np.max(np.abs(res.coef - ref.coef)) <= 1e-10
+        kernel = _CellKernel(xc, ac, bc, iyc, jwc, np.ones(xc.shape[0]))
+        assert kernel.bvn.cdf(link_rho(xc[-1] @ res.coef)[0])[-1] < CELL_FLOOR
+        info = kernel.evaluate(res.coef)[2]
+        assert np.all(np.linalg.eigvalsh(info) > 0)
+        n = x.shape[0]
+        own = _CellKernel(x, a, b, iy, jw, np.ones(n)).evaluate(res.coef)[2]
+        np.testing.assert_allclose(info * (n + 1), own * n, rtol=1e-12)
+
+    def test_indicators_must_be_binary(self):
+        x, a, b, iy, jw = balanced_quadrants(3, 3, 3, 3)
+        iy[0] = 0.5
+        with pytest.raises(DataError, match="0 or 1"):
+            joint_loglik(x, a, b, np.zeros(1), iy, jw)
 
 
 class TestFitDependence:
@@ -280,6 +353,13 @@ class TestFitBdr:
         fit = fit_bdr(s, grid, FitConfig(dep_cols=(0, 1)))
         assert fit.dep_coef.shape[2] == 2
         assert fit.dep_cols == (0, 1)
+
+    def test_dependence_steps_stay_few(self, small_fit):
+        # Newton steps on the observed information converge quadratically:
+        # 51 steps over the 16 cells, where Fisher scoring took 127.
+        fit, _ = small_fit
+        assert fit.n_failed == 0
+        assert fit.dep_iterations <= 64
 
     def test_two_step_matches_profile_grid_search(self):
         # 200-observation intercept-only instance: brute-force profile search

@@ -185,6 +185,24 @@ class TestDensityAndPartials:
         fd = (bvn_cdf(a, b, rho + h) - bvn_cdf(a, b, rho - h)) / (2.0 * h)
         assert abs(bvn_pdf(a, b, rho) - fd) / abs(fd) <= 1e-6
 
+    def test_density_rho_derivative_matches_difference(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(-3.0, 3.0, size=200), rng.uniform(-3.0, 3.0, size=200)
+        rho = rng.uniform(-0.95, 0.95, size=200)
+        ev = FixedThresholdBvn(a, b)
+        dens, slope = ev.pdf_drho(rho)
+        assert np.array_equal(dens, ev.pdf(rho))
+        h = 1e-6
+        fd = (ev.pdf(rho + h) - ev.pdf(rho - h)) / (2.0 * h)
+        big = np.abs(fd) >= 1e-4
+        assert np.max(np.abs(slope[big] - fd[big]) / np.abs(fd[big])) <= 1e-6
+        assert np.max(np.abs(slope[~big] - fd[~big])) <= 1e-9
+
+    def test_density_rho_derivative_zero_at_infinite_thresholds(self):
+        ev = FixedThresholdBvn([np.inf, -np.inf, 0.4, 0.4], [0.3, 0.3, np.inf, -np.inf])
+        dens, slope = ev.pdf_drho(0.6)
+        assert np.array_equal(dens, np.zeros(4)) and np.array_equal(slope, np.zeros(4))
+
     def test_partials_closed_form_origin(self):
         d_a, d_b, d_rho = cdf_partials(0.0, 0.0, 0.0)
         assert abs(d_a - 0.5 * std_normal_pdf(0.0)) <= 1e-15

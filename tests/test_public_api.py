@@ -17,7 +17,7 @@ PUBLIC = {
     # data
     "GridSpec", "Sample", "build_grid", "grid_from_values", "split_groups", "validate",
     # dependence
-    "BdrFit", "FitConfig", "dep_fisher_info", "dep_score", "fit_bdr", "fit_dependence",
+    "BdrFit", "FitConfig", "dep_score", "fit_bdr", "fit_dependence",
     "joint_loglik", "quadrant_probs",
     # dgp
     "CovariateSpec", "DgpSpec", "generate", "true_joint_cdf",
@@ -37,7 +37,7 @@ MODULES = [m.name for m in pkgutil.iter_modules(bdreg.__path__)]
 
 
 def test_package_all_is_the_agreed_set():
-    assert len(bdreg.__all__) == len(set(bdreg.__all__)) == len(PUBLIC) == 53
+    assert len(bdreg.__all__) == len(set(bdreg.__all__)) == len(PUBLIC) == 52
     assert set(bdreg.__all__) == PUBLIC
     for name in bdreg.__all__:
         assert hasattr(bdreg, name), name
