@@ -26,11 +26,8 @@ from .data import (
 from .dependence import (
     BdrFit,
     FitConfig,
-    dep_score,
     fit_bdr,
     fit_dependence,
-    joint_loglik,
-    quadrant_probs,
 )
 from .dgp import CovariateSpec, DgpSpec, generate, true_joint_cdf
 from .exceptions import (
@@ -64,7 +61,6 @@ from .normal import (
     EPS_RHO,
     bvn_cdf,
     bvn_pdf,
-    cdf_partials,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -95,11 +91,9 @@ __all__ = [
     "build_grid",
     "bvn_cdf",
     "bvn_pdf",
-    "cdf_partials",
     "counterfactual_joint_cdf",
     "decompose_joint",
     "decompose_transition",
-    "dep_score",
     "draw_weights",
     "ensemble_apply",
     "fit_bdr",
@@ -111,8 +105,6 @@ __all__ = [
     "generate",
     "grid_from_values",
     "independence_counterfactual",
-    "joint_loglik",
-    "quadrant_probs",
     "robust_se",
     "robust_se_map",
     "split_groups",

@@ -84,13 +84,6 @@ class BootstrapEnsemble:
     weights: dict[int, np.ndarray] = field(default_factory=dict)
     failed: dict[int, str] = field(default_factory=dict)
 
-    @property
-    def n_valid(self) -> int:
-        return len(self.draws)
-
-    def replicate_ids(self) -> list[int]:
-        return sorted(self.draws)
-
 
 def _run_replicate(args):
     sample, grid, config, scheme, base, group, rep = args
@@ -118,6 +111,8 @@ def bootstrap_fit(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(
     Replicates are seeded by replicate id, so results do not depend on
     workers (the degree of parallelism).
     """
+    if n_draws < 1:
+        raise InferenceError("n_draws must be at least 1")
     if base is None:
         base = fit_bdr(sample, grid, config)
     ens = BootstrapEnsemble(scheme=scheme, n_requested=n_draws)
@@ -134,7 +129,7 @@ def bootstrap_fit(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(
         else:
             ens.draws[rep] = fit
             ens.weights[rep] = w
-    if n_draws and len(ens.failed) > MAX_FAILURE_SHARE * n_draws:
+    if len(ens.failed) > MAX_FAILURE_SHARE * n_draws:
         raise InferenceError(
             f"{len(ens.failed)} of {n_draws} bootstrap replicates failed"
         )

@@ -21,6 +21,7 @@ import scipy
 
 from . import __version__
 from .bootstrap import (
+    MIN_DRAWS_FOR_INFERENCE,
     BootstrapEnsemble,
     WeightScheme,
     bootstrap_fit,
@@ -40,13 +41,7 @@ from .data import (
 )
 from .dependence import BdrFit, FitConfig, fit_bdr
 from .dgp import CovariateSpec, DgpSpec, generate
-from .exceptions import (
-    BdrError,
-    ConfigError,
-    DataError,
-    EstimationError,
-    InferenceError,
-)
+from .exceptions import BdrError, ConfigError, DataError
 from .functionals import (
     CounterfactualIndex,
     counterfactual_joint_cdf,
@@ -254,11 +249,18 @@ class _Run:
 def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) -> _Run:
     """Ingest the input, split it by group, fit each group on its quantile
     grid and, given replicates, bootstrap each fit (estimate reports no
-    standard errors, so it never does).
+    standard errors, so it never does). A replicate count too small for
+    standard errors is rejected before any fit; bootstrap also rejects 0.
 
     With cut_args (the transition arguments) the cuts are taken from the
     pooled outcomes, so rows and columns mean the same across groups, and
     merged into every grid so surfaces are exact there."""
+    bootstraps = command != "estimate" and (config.replicates or command == "bootstrap")
+    if bootstraps and config.replicates < MIN_DRAWS_FOR_INFERENCE:
+        raise ConfigError(
+            f"{command} needs --replicates >= {MIN_DRAWS_FOR_INFERENCE}"
+            + ("" if command == "bootstrap" else " (or 0 for no standard errors)")
+        )
     sample, n_dropped = ingest(config.input, config)
     if two_groups and sample.d is None:
         raise ConfigError("this command requires --group-col with two groups")
@@ -279,7 +281,7 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
     fc = FitConfig(dep_cols=_dep_cols(config), strict=config.strict)
     fits = {g: fit_bdr(samples[g], grids[g], fc) for g in sorted(samples)}
     ensembles = None
-    if config.replicates and command != "estimate":
+    if bootstraps:
         scheme = WeightScheme(kind=config.scheme, seed=config.seed)
         ensembles = {
             g: bootstrap_fit(samples[g], grids[g], fc, config.replicates, scheme,
@@ -367,8 +369,6 @@ def _cmd_estimate(args, config: RunConfig, writer: OutputWriter) -> dict:
 
 
 def _cmd_bootstrap(args, config: RunConfig, writer: OutputWriter) -> dict:
-    if config.replicates < 1:
-        raise ConfigError("bootstrap needs --replicates >= 1")
     run = _prologue("bootstrap", config)
     _write_fit_tables(writer, run.fits)
     se_rows = {"y": [], "w": []}
@@ -638,7 +638,7 @@ def main(argv=None) -> int:
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         code = 3
-    except (EstimationError, InferenceError, BdrError) as err:
+    except BdrError as err:
         print(f"estimation error: {err}", file=sys.stderr)
         code = 4
     finally:

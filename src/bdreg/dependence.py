@@ -20,29 +20,14 @@ __all__ = [
     "BdrFit",
     "DepResult",
     "FitConfig",
-    "dep_score",
     "fit_bdr",
     "fit_dependence",
-    "joint_loglik",
-    "quadrant_probs",
 ]
 
 CELL_FLOOR = 1e-10
 # Link index at which |tanh| reaches the correlation clamp; used when a
 # degenerate quadrant pattern pushes the dependence to the boundary.
 U_SAT = float(np.arctanh(1.0 - EPS_RHO))
-
-
-def quadrant_probs(a, b, rho):
-    """The four joint-indicator probabilities per observation.
-
-    p11 + p10 + p01 + p00 = 1 up to a few ulps for every row.
-    """
-    p11 = bvn_cdf(a, b, rho)
-    p10 = bvn_cdf(a, -b, -rho)
-    p01 = bvn_cdf(-a, b, -rho)
-    p00 = bvn_cdf(-a, -b, rho)
-    return p11, p10, p01, p00
 
 
 class _CellKernel:
@@ -52,7 +37,9 @@ class _CellKernel:
     within a dependence fit; only the correlation changes, so each iterate
     costs one quadrature pass. Each observation's own cell follows from the
     joint cell P and the marginals as offset + sign * P (the four cells sum
-    to one by construction), so the indicators must be 0 or 1.
+    to one by construction), so the indicators must be 0 or 1. The kernel owns
+    weight normalisation: it takes the raw weights (None for equal weights)
+    and scales them to mean one once.
 
     Cells are floored at CELL_FLOOR inside the log. Where an observation's
     own cell sits at the floor, its log-likelihood term is constant in the
@@ -62,7 +49,7 @@ class _CellKernel:
     in which every floored cell counts at its floor value.
     """
 
-    def __init__(self, x_dep, a, b, below_y, below_w, w):
+    def __init__(self, x_dep, a, b, below_y, below_w, weights=None):
         self.x_dep = np.asarray(x_dep, dtype=float)
         self.n = self.x_dep.shape[0]
         a = np.broadcast_to(np.asarray(a, dtype=float), (self.n,))
@@ -81,7 +68,7 @@ class _CellKernel:
             np.where(jw == 1.0, 0.0, self.pa),
             np.where(jw == 1.0, self.pb, 1.0 - self.pa - self.pb),
         )
-        self.w = w
+        self.w = _normalize_weights(weights, self.n)
 
     def evaluate(self, dep):
         """Log-likelihood, score and observed information (the negative
@@ -122,23 +109,6 @@ class _CellKernel:
         return self._information(recip * dp * dp)
 
 
-def _kernel(x_dep, a, b, below_y, below_w, weights):
-    w = _normalize_weights(weights, np.asarray(x_dep).shape[0])
-    return _CellKernel(x_dep, a, b, below_y, below_w, w)
-
-
-def joint_loglik(x_dep, a, b, dep, below_y, below_w, weights=None):
-    """Average four-quadrant log-likelihood at fixed marginal indices."""
-    return _kernel(x_dep, a, b, below_y, below_w, weights).evaluate(dep)[0]
-
-
-def dep_score(x_dep, a, b, dep, below_y, below_w, weights=None):
-    """Analytic gradient of joint_loglik in the dependence coefficients:
-    the quadrant-signed reciprocal cells times the bivariate density and the
-    link derivative."""
-    return _kernel(x_dep, a, b, below_y, below_w, weights).evaluate(dep)[1]
-
-
 @dataclass
 class DepResult:
     coef: np.ndarray
@@ -161,12 +131,10 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
     cell patterns have no interior maximizer, so the fit is clamped at the
     link saturation bound with a warning.
     """
-    x_dep = np.asarray(x_dep, dtype=float)
+    kernel = _CellKernel(x_dep, a, b, below_y, below_w, weights)
     below_y = np.asarray(below_y, dtype=float)
     below_w = np.asarray(below_w, dtype=float)
-    n, d = x_dep.shape
-    w = _normalize_weights(weights, n)
-
+    w = kernel.w
     mass = np.array(
         [
             np.sum(w * below_y * below_w),
@@ -185,14 +153,12 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
             RuntimeWarning,
             stacklevel=2,
         )
-        coef = np.zeros(d)
+        coef = np.zeros(kernel.x_dep.shape[1])
         coef[0] = U_SAT if concordant else -U_SAT
-        ll = joint_loglik(x_dep, a, b, coef, below_y, below_w, w)
-        return DepResult(coef=coef, iterations=0, grad_norm=np.nan, loglik=ll,
-                         boundary=True)
+        return DepResult(coef=coef, iterations=0, grad_norm=np.nan,
+                         loglik=kernel.evaluate(coef)[0], boundary=True)
 
-    kernel = _CellKernel(x_dep, a, b, below_y, below_w, w)
-    coef0 = np.zeros(d) if start is None else start
+    coef0 = np.zeros(kernel.x_dep.shape[1]) if start is None else start
     coef, ll, grad_norm, it = _damped_newton(kernel.evaluate, coef0)
     if not grad_norm <= TOL_GRAD:
         raise EstimationError(

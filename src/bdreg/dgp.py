@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Sample
-from .normal import bvn_cdf, link_rho, std_normal_cdf
+from .normal import bvn_cdf, link_rho
 
-__all__ = ["CovariateSpec", "DgpSpec", "generate", "true_joint_cdf", "true_marginal_cdf"]
+__all__ = ["CovariateSpec", "DgpSpec", "generate", "true_joint_cdf"]
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,3 @@ def true_joint_cdf(spec: DgpSpec, y, w, x) -> np.ndarray:
     a = y - x @ np.asarray(spec.y_coef, dtype=float)
     b = w - x @ np.asarray(spec.w_coef, dtype=float)
     return bvn_cdf(a, b, rho)
-
-
-def true_marginal_cdf(spec: DgpSpec, r, x, outcome: str) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    coef = spec.y_coef if outcome == "y" else spec.w_coef
-    return std_normal_cdf(r - x @ np.asarray(coef, dtype=float))

@@ -244,14 +244,6 @@ class TransitionMatrix:
     y_cuts: np.ndarray  # length J + 1
     w_cuts: np.ndarray  # length K + 1
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.cells.sum())
-
-    @property
-    def min_cell(self) -> float:
-        return float(self.cells.min())
-
 
 def _validate_cuts(cuts) -> np.ndarray:
     cuts = np.asarray(cuts, dtype=float)

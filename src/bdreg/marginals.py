@@ -22,8 +22,6 @@ __all__ = [
     "fit_marginal",
     "fit_probit_dr",
     "fit_tail_scale",
-    "probit_loglik",
-    "probit_score",
 ]
 
 TOL_GRAD = 1e-8
@@ -78,18 +76,6 @@ def _probit_evaluate(x, below, w, offset, coef):
     grad = x.T @ (w * phi / denom * (below - p)) / n
     fisher = w * phi * phi / denom
     return ll, grad, (x * fisher[:, None]).T @ x / n
-
-
-def probit_loglik(x, below, coef, weights=None, offset=None):
-    """Average probit log-likelihood of the indicator `below` on design x."""
-    w = _normalize_weights(weights, x.shape[0])
-    return _probit_evaluate(x, below, w, offset, coef)[0]
-
-
-def probit_score(x, below, coef, weights=None, offset=None):
-    """Analytic gradient of probit_loglik with respect to coef."""
-    w = _normalize_weights(weights, x.shape[0])
-    return _probit_evaluate(x, below, w, offset, coef)[1]
 
 
 @dataclass
@@ -274,10 +260,6 @@ class MarginalFit:
     def anchor_hi(self) -> float:
         return float(self.body[-1])
 
-    def coef_at(self, r: float) -> np.ndarray:
-        """Coefficient vector at the nearest body threshold."""
-        return self.coef[nearest_body_index(self.body, r)]
-
     def key(self, r: float) -> float:
         """The threshold index(r) is evaluated at (the copy rule): the nearest
         body point inside the body range, r itself beyond it. Thresholds with
@@ -303,7 +285,7 @@ class MarginalFit:
             return x @ self.coef[-1] + (r - self.anchor_hi) * self.alpha_hi
         if r < self.anchor_lo:
             return x @ self.coef[0] + (r - self.anchor_lo) * self.alpha_lo
-        return x @ self.coef_at(r)
+        return x @ self.coef[nearest_body_index(self.body, r)]
 
 
 def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None,

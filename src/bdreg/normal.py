@@ -1,5 +1,5 @@
 """Standard normal primitives: univariate CDF/quantile, the bivariate CDF and
-density, their partial derivatives, and the tanh correlation link.
+density, and the tanh correlation link.
 
 FixedThresholdBvn is the one evaluator of the bivariate CDF and density: it
 holds a set of threshold pairs and evaluates at any correlation. The
@@ -31,7 +31,6 @@ __all__ = [
     "FixedThresholdBvn",
     "bvn_cdf",
     "bvn_pdf",
-    "cdf_partials",
     "clamp_rho",
     "link_rho",
     "std_normal_cdf",
@@ -292,35 +291,3 @@ def bvn_cdf(a, b, rho):
 def bvn_pdf(a, b, rho):
     """Standard bivariate normal density; zero at infinite arguments."""
     return _one_shot(FixedThresholdBvn.pdf, a, b, rho)
-
-
-def cdf_partials(a, b, rho):
-    """Partial derivatives of bvn_cdf with respect to a, b and rho.
-
-    d/da = phi(a) * Phi((b - rho a) / sqrt(1 - rho^2)), symmetrically in b,
-    and d/drho equals the bivariate density.
-    """
-    a, b, rho = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(rho, dtype=float)
-    )
-    if np.any(np.isnan(a)) or np.any(np.isnan(b)):
-        raise ValueError("cdf_partials thresholds must not be NaN")
-    r = np.asarray(clamp_rho(rho))
-    sig = np.sqrt(1.0 - r * r)
-
-    def _one_sided(u, v):
-        # phi(u) * Phi((v - rho u)/sig); zero whenever u is infinite, and the
-        # conditional CDF limit when only v is infinite.
-        u_fin = np.isfinite(u)
-        us = np.where(u_fin, u, 0.0)
-        with np.errstate(invalid="ignore"):
-            z = (v - r * us) / sig
-        z = np.where(np.isposinf(v), np.inf, np.where(np.isneginf(v), -np.inf, z))
-        return np.where(u_fin, std_normal_pdf(us) * special.ndtr(z), 0.0)
-
-    d_a = _one_sided(a, b)
-    d_b = _one_sided(b, a)
-    d_rho = bvn_pdf(a, b, r)
-    if np.ndim(d_rho) == 0:
-        return float(d_a), float(d_b), float(d_rho)
-    return d_a, d_b, d_rho

@@ -15,11 +15,18 @@ def test_results_do_not_depend_on_workers():
     grid = build_grid(s, n_points=4)
     serial = bootstrap_fit(s, grid, FitConfig(), n_draws=3, workers=1)
     pooled = bootstrap_fit(s, grid, FitConfig(), n_draws=3, workers=2)
-    assert serial.replicate_ids() == pooled.replicate_ids() == [0, 1, 2]
+    assert sorted(serial.draws) == sorted(pooled.draws) == [0, 1, 2]
     assert serial.failed == pooled.failed == {}
-    for rep in serial.replicate_ids():
+    for rep in serial.draws:
         np.testing.assert_array_equal(serial.weights[rep], pooled.weights[rep])
         np.testing.assert_array_equal(serial.draws[rep].dep_coef, pooled.draws[rep].dep_coef)
+
+
+@pytest.mark.parametrize("n_draws", [0, -3])
+def test_bootstrap_fit_rejects_fewer_than_one_draw(n_draws):
+    s = generate(bench_spec(400, 31))
+    with pytest.raises(InferenceError, match="n_draws must be at least 1"):
+        bootstrap_fit(s, build_grid(s, n_points=4), n_draws=n_draws)
 
 
 def test_robust_se_map_matches_quantile_on_finite_draws():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bdreg import cli
+from bdreg.bootstrap import MIN_DRAWS_FOR_INFERENCE
 
 GRID = 4
 BODY = GRID - 2  # body grid points per outcome
@@ -145,6 +146,27 @@ def test_non_numeric_list_is_config_error(command, bad, sample_csv, tmp_path):
         code = run(command, sample_csv, out, *bad)
     assert code == 2
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command,replicates", [
+    ("bootstrap", "0"),
+    ("bootstrap", "5"),
+    ("bootstrap", "9"),
+    ("counterfactual", "1"),
+    ("transition", "4"),
+    ("decompose", "-3"),
+])
+def test_too_few_replicates_is_config_error_before_any_fit(command, replicates, sample_csv,
+                                                           tmp_path, monkeypatch, capsys):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_bdr must not run")
+
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    out = tmp_path / "out"
+    assert run(command, sample_csv, out, "--replicates", replicates,
+               *EXTRA.get(command, [])) == 2
+    assert list(out.glob("*")) == []
+    assert f">= {MIN_DRAWS_FOR_INFERENCE}" in capsys.readouterr().err
 
 
 def test_unknown_covariate_is_config_error(sample_csv, tmp_path):

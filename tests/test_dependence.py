@@ -13,11 +13,8 @@ from bdreg.dependence import (
     CELL_FLOOR,
     FitConfig,
     _CellKernel,
-    dep_score,
     fit_bdr,
     fit_dependence,
-    joint_loglik,
-    quadrant_probs,
 )
 from bdreg.dgp import DgpSpec, generate
 from bdreg.exceptions import DataError, EstimationError
@@ -55,23 +52,37 @@ def naive_loglik(x_dep, a, b, dep, iy, jw):
 
 
 class TestQuadrantCells:
+    """bvn_cdf's reflections give the four quadrant cells; the kernel's own
+    cell, offset + sign * P, must match each of them."""
+
+    @staticmethod
+    def reflections(a, b, rho):
+        # (11, 10, 01, 00): P(X <= a, Y <= b), P(X <= a, Y > b), ...
+        return (bvn_cdf(a, b, rho), bvn_cdf(a, -b, -rho),
+                bvn_cdf(-a, b, -rho), bvn_cdf(-a, -b, rho))
+
     def test_sum_to_one(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=200), rng.normal(size=200)
         rho = np.clip(rng.normal(scale=0.5, size=200), -0.99, 0.99)
-        cells = quadrant_probs(a, b, rho)
+        cells = self.reflections(a, b, rho)
         assert np.all(np.asarray(cells) >= 0)
         assert np.max(np.abs(sum(cells) - 1.0)) <= 1e-12
+        x = np.ones((200, 1))
+        for (iy, jw), cell in zip([(1, 1), (1, 0), (0, 1), (0, 0)], cells):
+            kernel = _CellKernel(x, a, b, np.full(200, iy), np.full(200, jw))
+            own = kernel.offset + kernel.sign * kernel.bvn.cdf(rho)
+            assert np.max(np.abs(own - cell)) <= 1e-15
 
     def test_independence_quarters(self):
-        cells = quadrant_probs(0.0, 0.0, 0.0)
+        cells = self.reflections(0.0, 0.0, 0.0)
         np.testing.assert_allclose(cells, 0.25, atol=1e-15)
 
 
 class TestJointLoglik:
     def test_independence_at_zero_indices(self):
         x, a, b, iy, jw = balanced_quadrants(3, 3, 3, 3)
-        ll = joint_loglik(x, a, b, np.zeros(1), iy, jw)
+        ll = _CellKernel(x, a, b, iy, jw).evaluate(np.zeros(1))[0]
         assert abs(ll - np.log(0.25)) <= 1e-12
 
     def test_degenerate_weighting(self):
@@ -82,11 +93,11 @@ class TestJointLoglik:
         iy = (rng.random(n) < 0.5).astype(float)
         jw = (rng.random(n) < 0.5).astype(float)
         w = np.zeros(n)
-        w[17] = 1.0
-        ll = joint_loglik(x, a, b, np.array([0.2]), iy, jw, weights=w)
-        single = joint_loglik(
-            x[[17]], a[[17]], b[[17]], np.array([0.2]), iy[[17]], jw[[17]]
-        )
+        w[17] = 1.0  # raw weights: the kernel scales them to mean one
+        ll = _CellKernel(x, a, b, iy, jw, w).evaluate(np.array([0.2]))[0]
+        single = _CellKernel(
+            x[[17]], a[[17]], b[[17]], iy[[17]], jw[[17]]
+        ).evaluate(np.array([0.2]))[0]
         assert abs(ll - single) <= 1e-12
 
     def test_matches_naive_reimplementation(self):
@@ -97,7 +108,7 @@ class TestJointLoglik:
         iy = (rng.random(n) < 0.5).astype(float)
         jw = (rng.random(n) < 0.5).astype(float)
         dep = np.array([0.3, -0.4])
-        got = joint_loglik(x, a, b, dep, iy, jw)
+        got = _CellKernel(x, a, b, iy, jw).evaluate(dep)[0]
         want = naive_loglik(x, a, b, dep, iy, jw)
         assert abs(got - want) <= 1e-12
 
@@ -105,7 +116,7 @@ class TestJointLoglik:
 class TestDepScore:
     def test_zero_gradient_by_symmetry(self):
         x, a, b, iy, jw = balanced_quadrants(3, 3, 3, 3)
-        g = dep_score(x, a, b, np.zeros(1), iy, jw)
+        g = _CellKernel(x, a, b, iy, jw).evaluate(np.zeros(1))[1]
         assert np.max(np.abs(g)) <= 1e-14
 
     def test_finite_difference_agreement(self):
@@ -124,10 +135,11 @@ class TestDepScore:
             iy = (z1 <= a).astype(float)
             jw = (z2 <= b).astype(float)
             h = 1e-6 * (1.0 + np.abs(dep))
-            g = dep_score(x, a, b, dep, iy, jw)
+            kernel = _CellKernel(x, a, b, iy, jw)
+            g = kernel.evaluate(dep)[1]
             fd = np.array([
-                (joint_loglik(x, a, b, dep + h[j] * e, iy, jw)
-                 - joint_loglik(x, a, b, dep - h[j] * e, iy, jw)) / (2 * h[j])
+                (kernel.evaluate(dep + h[j] * e)[0]
+                 - kernel.evaluate(dep - h[j] * e)[0]) / (2 * h[j])
                 for j, e in enumerate(np.eye(3))
             ])
             denom = np.maximum(np.abs(fd), 1e-8)
@@ -136,7 +148,7 @@ class TestDepScore:
     def test_zero_at_fitted_optimum(self):
         x, a, b, iy, jw = balanced_quadrants(4, 2, 2, 4)
         res = fit_dependence(x, a, b, iy, jw)
-        g = dep_score(x, a, b, res.coef, iy, jw)
+        g = _CellKernel(x, a, b, iy, jw).evaluate(res.coef)[1]
         assert np.max(np.abs(g)) <= 1e-8
 
 
@@ -156,7 +168,7 @@ def coherent_cell(seed, n=300):
 class TestCellKernel:
     def test_information_is_negative_score_jacobian(self):
         x, a, b, dep, iy, jw = coherent_cell(8)
-        kernel = _CellKernel(x, a, b, iy, jw, np.ones(x.shape[0]))
+        kernel = _CellKernel(x, a, b, iy, jw)
         info = kernel.evaluate(dep)[2]
         np.linalg.cholesky(info)  # positive definite: no Fisher fallback here
         h = 1e-5
@@ -177,16 +189,18 @@ class TestCellKernel:
         iy = (rng.random(n) < 0.5).astype(float)
         jw = (rng.random(n) < 0.5).astype(float)
         dep = np.array([1.45, -0.24])
+        kernel = _CellKernel(x, a, b, iy, jw)
         h = 1e-6
         jac = np.column_stack([
-            (dep_score(x, a, b, dep + h * e, iy, jw) - dep_score(x, a, b, dep - h * e, iy, jw))
-            / (2 * h)
+            (kernel.evaluate(dep + h * e)[1] - kernel.evaluate(dep - h * e)[1]) / (2 * h)
             for e in np.eye(2)
         ])
         assert np.linalg.eigvalsh(-(jac + jac.T) / 2)[0] < -0.05
-        info = _CellKernel(x, a, b, iy, jw, np.ones(n)).evaluate(dep)[2]
+        info = kernel.evaluate(dep)[2]
         rho, gprime = link_rho(x @ dep)
-        recip = sum(1.0 / np.maximum(c, CELL_FLOOR) for c in quadrant_probs(a, b, rho))
+        cells = (bvn_cdf(a, b, rho), bvn_cdf(a, -b, -rho),
+                 bvn_cdf(-a, b, -rho), bvn_cdf(-a, -b, rho))
+        recip = sum(1.0 / np.maximum(c, CELL_FLOOR) for c in cells)
         dp = bvn_pdf(a, b, rho) * gprime
         fisher = (x * (recip * dp * dp)[:, None]).T @ x / n
         np.testing.assert_allclose(info, fisher, rtol=1e-10)
@@ -205,19 +219,19 @@ class TestCellKernel:
         assert res.grad_norm <= 1e-8
         ref = fit_dependence(x, a, b, iy, jw)
         assert np.max(np.abs(res.coef - ref.coef)) <= 1e-10
-        kernel = _CellKernel(xc, ac, bc, iyc, jwc, np.ones(xc.shape[0]))
+        kernel = _CellKernel(xc, ac, bc, iyc, jwc)
         assert kernel.bvn.cdf(link_rho(xc[-1] @ res.coef)[0])[-1] < CELL_FLOOR
         info = kernel.evaluate(res.coef)[2]
         assert np.all(np.linalg.eigvalsh(info) > 0)
         n = x.shape[0]
-        own = _CellKernel(x, a, b, iy, jw, np.ones(n)).evaluate(res.coef)[2]
+        own = _CellKernel(x, a, b, iy, jw).evaluate(res.coef)[2]
         np.testing.assert_allclose(info * (n + 1), own * n, rtol=1e-12)
 
     def test_indicators_must_be_binary(self):
         x, a, b, iy, jw = balanced_quadrants(3, 3, 3, 3)
         iy[0] = 0.5
         with pytest.raises(DataError, match="0 or 1"):
-            joint_loglik(x, a, b, np.zeros(1), iy, jw)
+            _CellKernel(x, a, b, iy, jw)
 
 
 class TestFitDependence:

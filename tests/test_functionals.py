@@ -287,7 +287,7 @@ class TestTransitionMatrix:
         surf = JointCdfSurface(values=F, y_values=u, w_values=u)
         tm = transition_matrix(surf)
         np.testing.assert_allclose(tm.cells, 0.04, atol=1e-15)
-        assert abs(tm.total_mass - 1.0) <= 1e-12
+        assert abs(tm.cells.sum() - 1.0) <= 1e-12
 
     def test_single_cell_total_mass(self, small_fit, small_sample):
         fit, grid = small_fit
@@ -312,8 +312,8 @@ class TestTransitionMatrix:
         y_cuts = np.r_[-np.inf, grid.y_body[1:-1], np.inf]
         w_cuts = np.r_[-np.inf, grid.w_body[1:-1], np.inf]
         tm = transition_from_fits({0: fit}, {0: small_sample}, "0000", y_cuts, w_cuts)
-        assert abs(tm.total_mass - 1.0) <= 1e-8
-        assert tm.min_cell >= -1e-8
+        assert abs(tm.cells.sum() - 1.0) <= 1e-8
+        assert tm.cells.min() >= -1e-8
 
     def test_unsorted_cuts_rejected(self, small_fit, small_sample):
         fit, _ = small_fit

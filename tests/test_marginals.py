@@ -1,16 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from bdreg.data import Sample, build_grid, grid_from_values
 from bdreg.dgp import DgpSpec, generate
 from bdreg.exceptions import DataError, EstimationError, TailError
-from bdreg.marginals import (
-    fit_marginal,
-    fit_probit_dr,
-    fit_tail_scale,
-    probit_loglik,
-    probit_score,
-)
+from bdreg.marginals import _probit_evaluate, fit_marginal, fit_probit_dr, fit_tail_scale
 from bdreg.normal import std_normal_cdf, std_normal_quantile
 
 from conftest import bench_spec
@@ -80,12 +76,13 @@ class TestProbitFit:
     def test_score_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         x, below = two_covariate_probit(500, 5)
+        evaluate = partial(_probit_evaluate, x, below, np.ones(500), None)
         h = 1e-6
         for _ in range(20):
             coef = rng.normal(scale=0.7, size=3)
-            g = probit_score(x, below, coef)
+            g = evaluate(coef)[1]
             fd = np.array([
-                (probit_loglik(x, below, coef + h * e) - probit_loglik(x, below, coef - h * e)) / (2 * h)
+                (evaluate(coef + h * e)[0] - evaluate(coef - h * e)[0]) / (2 * h)
                 for e in np.eye(3)
             ])
             denom = np.maximum(np.abs(fd), 1e-8)

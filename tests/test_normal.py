@@ -1,5 +1,6 @@
 """Gaussian primitive checks: frozen high-precision oracle values, closed-form
-identities, Frechet bounds, and finite-difference agreement of the partials.
+identities, Frechet bounds, and finite-difference agreement of the CDF's
+partials.
 """
 
 import json
@@ -16,7 +17,6 @@ from bdreg.normal import (
     FixedThresholdBvn,
     bvn_cdf,
     bvn_pdf,
-    cdf_partials,
     clamp_rho,
     link_rho,
     std_normal_cdf,
@@ -185,6 +185,35 @@ class TestDensityAndPartials:
         fd = (bvn_cdf(a, b, rho + h) - bvn_cdf(a, b, rho - h)) / (2.0 * h)
         assert abs(bvn_pdf(a, b, rho) - fd) / abs(fd) <= 1e-6
 
+    def test_partials_finite_difference_sweep(self):
+        # All three partials of the CDF against central differences over a
+        # random sweep: d/da = phi(a) Phi((b - rho a) / sqrt(1 - rho^2)), d/db
+        # by symmetry, and d/drho = bvn_pdf. Relative agreement wherever the
+        # derivative is large enough for the finite difference itself to
+        # carry 6 digits; tiny derivatives are checked absolutely (the
+        # difference quotient noise floor is ~1e-11).
+        rng = np.random.default_rng(7)
+        h = 1e-5
+        for _ in range(150):
+            a, b = rng.uniform(-3.5, 3.5, 2)
+            rho = rng.uniform(-0.99, 0.99)
+            s = np.sqrt(1.0 - rho * rho)
+            parts = (
+                std_normal_pdf(a) * std_normal_cdf((b - rho * a) / s),
+                std_normal_pdf(b) * std_normal_cdf((a - rho * b) / s),
+                bvn_pdf(a, b, rho),
+            )
+            fds = (
+                (bvn_cdf(a + h, b, rho) - bvn_cdf(a - h, b, rho)) / (2 * h),
+                (bvn_cdf(a, b + h, rho) - bvn_cdf(a, b - h, rho)) / (2 * h),
+                (bvn_cdf(a, b, rho + h) - bvn_cdf(a, b, rho - h)) / (2 * h),
+            )
+            for got, fd in zip(parts, fds):
+                if abs(fd) >= 1e-4:
+                    assert abs(got - fd) / abs(fd) <= 1e-6
+                else:
+                    assert abs(got - fd) <= 1e-9
+
     def test_density_rho_derivative_matches_difference(self):
         rng = np.random.default_rng(11)
         a, b = rng.uniform(-3.0, 3.0, size=200), rng.uniform(-3.0, 3.0, size=200)
@@ -202,49 +231,6 @@ class TestDensityAndPartials:
         ev = FixedThresholdBvn([np.inf, -np.inf, 0.4, 0.4], [0.3, 0.3, np.inf, -np.inf])
         dens, slope = ev.pdf_drho(0.6)
         assert np.array_equal(dens, np.zeros(4)) and np.array_equal(slope, np.zeros(4))
-
-    def test_partials_closed_form_origin(self):
-        d_a, d_b, d_rho = cdf_partials(0.0, 0.0, 0.0)
-        assert abs(d_a - 0.5 * std_normal_pdf(0.0)) <= 1e-15
-        assert abs(d_b - 0.5 * std_normal_pdf(0.0)) <= 1e-15
-        assert abs(d_rho - 1.0 / (2.0 * np.pi)) <= 1e-15
-
-    def test_partials_marginal_limit(self):
-        d_a, _, d_rho = cdf_partials(0.8, np.inf, 0.4)
-        assert abs(d_a - std_normal_pdf(0.8)) <= 1e-15
-        assert d_rho == 0.0
-
-    def test_partials_finite_difference_case(self):
-        a, b, rho = 0.3, 0.8, -0.4
-        h = 1e-5
-        d_a, d_b, d_rho = cdf_partials(a, b, rho)
-        for got, fd in (
-            (d_a, (bvn_cdf(a + h, b, rho) - bvn_cdf(a - h, b, rho)) / (2 * h)),
-            (d_b, (bvn_cdf(a, b + h, rho) - bvn_cdf(a, b - h, rho)) / (2 * h)),
-            (d_rho, (bvn_cdf(a, b, rho + h) - bvn_cdf(a, b, rho - h)) / (2 * h)),
-        ):
-            assert abs(got - fd) / abs(fd) <= 1e-6
-
-    def test_partials_finite_difference_sweep(self):
-        # Relative agreement wherever the derivative is large enough for the
-        # finite difference itself to carry 6 digits; tiny derivatives are
-        # checked absolutely (the difference quotient noise floor is ~1e-11).
-        rng = np.random.default_rng(7)
-        h = 1e-5
-        for _ in range(150):
-            a, b = rng.uniform(-3.5, 3.5, 2)
-            rho = rng.uniform(-0.99, 0.99)
-            parts = cdf_partials(a, b, rho)
-            fds = (
-                (bvn_cdf(a + h, b, rho) - bvn_cdf(a - h, b, rho)) / (2 * h),
-                (bvn_cdf(a, b + h, rho) - bvn_cdf(a, b - h, rho)) / (2 * h),
-                (bvn_cdf(a, b, rho + h) - bvn_cdf(a, b, rho - h)) / (2 * h),
-            )
-            for got, fd in zip(parts, fds):
-                if abs(fd) >= 1e-4:
-                    assert abs(got - fd) / abs(fd) <= 1e-6
-                else:
-                    assert abs(got - fd) <= 1e-9
 
 
 class TestLink:
