@@ -25,7 +25,6 @@ from .data import (
 )
 from .dependence import (
     BdrFit,
-    FitConfig,
     fit_bdr,
     fit_dependence,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "DgpSpec",
     "EPS_RHO",
     "EstimationError",
-    "FitConfig",
     "GridSpec",
     "InferenceError",
     "JointCdfSurface",

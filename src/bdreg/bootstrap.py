@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import GridSpec, Sample
-from .dependence import BdrFit, FitConfig, fit_bdr
+from .data import Sample
+from .dependence import BdrFit, fit_bdr
 from .exceptions import EstimationError, InferenceError
 from .normal import std_normal_quantile
 
@@ -86,37 +86,40 @@ class BootstrapEnsemble:
 
 
 def _run_replicate(args):
-    sample, grid, config, scheme, base, group, rep = args
+    sample, scheme, base, group, rep = args
     w = draw_weights(sample.n, scheme, rep, group)
     try:
-        fit = fit_bdr(sample, grid, config, weights=w, base=base)
+        fit = fit_bdr(sample, base.grid, base.dep_cols, weights=w, base=base)
     except EstimationError as err:
         return rep, None, None, str(err)
     if fit.n_failed:
-        return rep, None, None, f"{fit.n_failed} grid cells failed"
+        y, w_val, why = fit.failures[0]
+        return rep, None, None, (
+            f"{fit.n_failed} grid cell(s) failed, first at ({y:.6g}, {w_val:.6g}): {why}"
+        )
     return rep, fit, w, None
 
 
-def bootstrap_fit(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(),
-                  n_draws: int = DEFAULT_DRAWS,
-                  scheme: WeightScheme = WeightScheme(),
-                  base: BdrFit | None = None, group: int = 0,
+def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
+                  scheme: WeightScheme = WeightScheme(), group: int = 0,
                   workers: int = 1) -> BootstrapEnsemble:
-    """Draw n_draws weighted refits of the full model.
+    """Draw n_draws weighted refits of the base fit's model.
 
-    Each replicate reuses the base fit's tail auxiliary points and holds the
-    base marginal indices fixed in the dependence step. Failed replicates are
-    dropped and counted; a failure share above MAX_FAILURE_SHARE aborts.
+    Each replicate is fitted on base.grid with base.dep_cols, reuses the base
+    fit's tail auxiliary points and holds the base marginal indices fixed in
+    the dependence step. A replicate with any failed grid pair is dropped,
+    with its reason kept in `failed`. The run fails when more than
+    MAX_FAILURE_SHARE of the draws fail, or when fewer than
+    min(n_draws, MIN_DRAWS_FOR_INFERENCE) survive; its InferenceError names
+    each failed replicate and why it failed.
 
     Replicates are seeded by replicate id, so results do not depend on
     workers (the degree of parallelism).
     """
     if n_draws < 1:
         raise InferenceError("n_draws must be at least 1")
-    if base is None:
-        base = fit_bdr(sample, grid, config)
     ens = BootstrapEnsemble(scheme=scheme, n_requested=n_draws)
-    jobs = [(sample, grid, config, scheme, base, group, rep) for rep in range(n_draws)]
+    jobs = [(sample, scheme, base, group, rep) for rep in range(n_draws)]
     if workers > 1 and n_draws > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # One even share of the draws per worker.
@@ -129,9 +132,12 @@ def bootstrap_fit(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(
         else:
             ens.draws[rep] = fit
             ens.weights[rep] = w
-    if len(ens.failed) > MAX_FAILURE_SHARE * n_draws:
+    if (len(ens.failed) > MAX_FAILURE_SHARE * n_draws
+            or len(ens.draws) < min(n_draws, MIN_DRAWS_FOR_INFERENCE)):
+        reasons = "; ".join(f"replicate {rep}: {why}" for rep, why in sorted(ens.failed.items()))
         raise InferenceError(
-            f"{len(ens.failed)} of {n_draws} bootstrap replicates failed"
+            f"{len(ens.failed)} of {n_draws} bootstrap replicates failed, leaving "
+            f"{len(ens.draws)} ({reasons})"
         )
     return ens
 

@@ -39,7 +39,7 @@ from .data import (
     split_groups,
     validate,
 )
-from .dependence import BdrFit, FitConfig, fit_bdr
+from .dependence import BdrFit, fit_bdr
 from .dgp import CovariateSpec, DgpSpec, generate
 from .exceptions import BdrError, ConfigError, DataError
 from .functionals import (
@@ -89,7 +89,6 @@ class RunConfig:
     replicates: int = 0
     scheme: str = "exponential"
     seed: int = 0
-    strict: bool = False
     workers: int = 1
 
 
@@ -278,14 +277,14 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
                 np.union1d(grids[g].w_grid, [v for v in w_inner if np.isfinite(v)]),
                 config.tail_min_obs,
             )
-    fc = FitConfig(dep_cols=_dep_cols(config), strict=config.strict)
-    fits = {g: fit_bdr(samples[g], grids[g], fc) for g in sorted(samples)}
+    dep_cols = _dep_cols(config)
+    fits = {g: fit_bdr(samples[g], grids[g], dep_cols) for g in sorted(samples)}
     ensembles = None
     if bootstraps:
         scheme = WeightScheme(kind=config.scheme, seed=config.seed)
         ensembles = {
-            g: bootstrap_fit(samples[g], grids[g], fc, config.replicates, scheme,
-                             base=fits[g], group=g, workers=config.workers)
+            g: bootstrap_fit(samples[g], fits[g], config.replicates, scheme,
+                             group=g, workers=config.workers)
             for g in sorted(samples)
         }
     run = _Run(samples, fits, ensembles, _manifest_base(command, config, n_dropped, samples))
@@ -535,7 +534,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--scheme", choices=["exponential", "multinomial"], default=d.scheme)
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--out", default="bdreg-out")
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--workers", type=int, default=int(os.environ.get(WORKERS_ENV, d.workers)))
 
 

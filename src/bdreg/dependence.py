@@ -13,13 +13,11 @@ import numpy as np
 
 from .data import GridSpec, Sample, nearest_body_index, validate
 from .exceptions import DataError, EstimationError
-from .marginals import TOL_GRAD, MarginalFit, _damped_newton, _normalize_weights, fit_marginal
+from .marginals import MarginalFit, NewtonResult, _damped_newton, _normalize_weights, fit_marginal
 from .normal import EPS_RHO, FixedThresholdBvn, bvn_cdf, link_rho
 
 __all__ = [
     "BdrFit",
-    "DepResult",
-    "FitConfig",
     "fit_bdr",
     "fit_dependence",
 ]
@@ -109,27 +107,18 @@ class _CellKernel:
         return self._information(recip * dp * dp)
 
 
-@dataclass
-class DepResult:
-    coef: np.ndarray
-    iterations: int
-    grad_norm: float
-    loglik: float
-    boundary: bool = False
-
-
 def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
-                   start=None) -> DepResult:
+                   start=None) -> NewtonResult:
     """Maximize the quadrant likelihood in the dependence coefficients.
 
     Newton steps on the observed information (the exact negative Hessian; the
     expected information where that is not positive definite), with step
     halving, by the same `_damped_newton` routine as the probit fits: steps
     must raise the likelihood while its predicted rise is measurable, then
-    lower the score's 2-norm until its max-norm reaches 1e-12. The fit converges when the final
-    max-norm score is at most TOL_GRAD. Perfectly concordant or discordant
-    cell patterns have no interior maximizer, so the fit is clamped at the
-    link saturation bound with a warning.
+    lower the score's 2-norm until its max-norm reaches 1e-12; that routine
+    judges convergence. Perfectly concordant or discordant cell patterns have
+    no interior maximizer, so the fit is clamped at the link saturation bound
+    with a warning.
     """
     kernel = _CellKernel(x_dep, a, b, below_y, below_w, weights)
     below_y = np.asarray(below_y, dtype=float)
@@ -155,34 +144,11 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
         )
         coef = np.zeros(kernel.x_dep.shape[1])
         coef[0] = U_SAT if concordant else -U_SAT
-        return DepResult(coef=coef, iterations=0, grad_norm=np.nan,
-                         loglik=kernel.evaluate(coef)[0], boundary=True)
+        return NewtonResult(coef=coef, iterations=0, grad_norm=np.nan,
+                            loglik=kernel.evaluate(coef)[0], boundary=True)
 
     coef0 = np.zeros(kernel.x_dep.shape[1]) if start is None else start
-    coef, ll, grad_norm, it = _damped_newton(kernel.evaluate, coef0)
-    if not grad_norm <= TOL_GRAD:
-        raise EstimationError(
-            "dependence fit did not converge",
-            diagnostics={
-                "grad_norm": grad_norm,
-                "iterations": it,
-                "last_coef": coef.tolist(),
-            },
-        )
-    return DepResult(coef=coef, iterations=it, grad_norm=grad_norm, loglik=ll)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Estimation settings shared by the fit and bootstrap entry points.
-
-    The solver's settings are constants: every probit and dependence fit runs
-    the one damped-Newton solver for at most MAX_ITER steps and counts as
-    converged when its final max-norm gradient is at most TOL_GRAD.
-    """
-
-    dep_cols: tuple[int, ...] | None = None  # design columns used for dependence
-    strict: bool = False  # abort on any per-grid-point failure
+    return _damped_newton(kernel.evaluate, coef0, "dependence fit")
 
 
 @dataclass
@@ -237,21 +203,21 @@ class BdrFit:
         return bvn_cdf(a, b, rho)
 
 
-def fit_bdr(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(),
-            weights=None, base: "BdrFit | None" = None) -> BdrFit:
+def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
+            base: "BdrFit | None" = None) -> BdrFit:
     """Run the full two-step estimator over the grid.
 
-    When `base` is given (bootstrap replicates) the dependence step holds the
-    base fit's marginal indices fixed and the tail fits reuse its auxiliary
-    points; otherwise the replicate's own marginals are used.
+    dep_cols are the design columns that drive the dependence (None for all
+    of them). When `base` is given (bootstrap replicates) the dependence step
+    holds the base fit's marginal indices fixed and the tail fits reuse its
+    auxiliary points; otherwise the replicate's own marginals are used.
 
-    Per-pair dependence failures are recorded on the fit and the affected
-    cells carry NaN coefficients, unless config.strict is set.
+    A dependence fit that fails at a grid pair does not stop the others: the
+    pair is recorded in `failures` with its reason and its cell carries NaN
+    coefficients.
     """
     validate(sample)
-    dep_cols = config.dep_cols if config.dep_cols is not None else tuple(
-        range(sample.d_x)
-    )
+    dep_cols = tuple(range(sample.d_x)) if dep_cols is None else dep_cols
     x = np.asarray(sample.x, dtype=float)
     x_dep = x[:, dep_cols]
 
@@ -284,11 +250,6 @@ def fit_bdr(sample: Sample, grid: GridSpec, config: FitConfig = FitConfig(),
                     x_dep, a, b, below_y, below_w, weights=weights, start=warm
                 )
             except EstimationError as err:
-                if config.strict:
-                    raise EstimationError(
-                        f"dependence fit failed at grid pair ({yv:.6g}, {wv:.6g}): {err}",
-                        diagnostics=getattr(err, "diagnostics", {}),
-                    ) from err
                 failures.append((float(yv), float(wv), str(err)))
                 dep[iy, iw] = np.nan
                 warm = None

@@ -170,16 +170,13 @@ def fitted_surface(fit: BdrFit, sample: Sample, y_values=None, w_values=None,
 @dataclass
 class DecompositionReport:
     """Five-way split of a group difference; components telescope to the
-    total entrywise. kind is "cdf" or "transition"."""
+    total entrywise."""
 
     total: np.ndarray
     composition: np.ndarray
     sorting: np.ndarray
     marginal_w: np.ndarray
     marginal_y: np.ndarray
-    y_values: np.ndarray
-    w_values: np.ndarray
-    kind: str = "cdf"
 
     def components(self) -> dict[str, np.ndarray]:
         return {
@@ -202,8 +199,7 @@ class DecompositionReport:
         return out
 
 
-def _decomposition_from_values(values: dict[str, np.ndarray], y_values, w_values,
-                               kind: str) -> DecompositionReport:
+def _decomposition_from_values(values: dict[str, np.ndarray]) -> DecompositionReport:
     steps = [values[c] - values[n] for c, n in zip(_PATH, _PATH[1:])]
     return DecompositionReport(
         total=values["1111"] - values["0000"],
@@ -211,9 +207,6 @@ def _decomposition_from_values(values: dict[str, np.ndarray], y_values, w_values
         sorting=steps[1],
         marginal_w=steps[2],
         marginal_y=steps[3],
-        y_values=np.asarray(y_values, dtype=float),
-        w_values=np.asarray(w_values, dtype=float),
-        kind=kind,
     )
 
 
@@ -233,7 +226,7 @@ def decompose_joint(fits, samples, y_values=None, w_values=None,
         code: _surface(*_ingredients(fits, samples, code, x_weights), y_values, w_values).values
         for code in _PATH
     }
-    return _decomposition_from_values(values, y_values, w_values, "cdf")
+    return _decomposition_from_values(values)
 
 
 @dataclass
@@ -312,4 +305,4 @@ def decompose_transition(fits, samples, y_cuts, w_cuts,
         )
         for code in _PATH
     }
-    return _decomposition_from_values(values, y_cuts, w_cuts, "transition")
+    return _decomposition_from_values(values)

@@ -17,7 +17,7 @@ from .normal import std_normal_pdf
 
 __all__ = [
     "MarginalFit",
-    "ProbitResult",
+    "NewtonResult",
     "TailFit",
     "fit_marginal",
     "fit_probit_dr",
@@ -79,14 +79,19 @@ def _probit_evaluate(x, below, w, offset, coef):
 
 
 @dataclass
-class ProbitResult:
+class NewtonResult:
+    """A converged fit: its coefficients, the Newton steps taken, the final
+    max-norm gradient and the average log-likelihood. boundary marks a
+    dependence fit clamped at the link saturation bound."""
+
     coef: np.ndarray
     iterations: int
     grad_norm: float
     loglik: float
+    boundary: bool = False
 
 
-def _damped_newton(evaluate, coef):
+def _damped_newton(evaluate, coef, name) -> NewtonResult:
     """Maximize a smooth objective by at most MAX_ITER damped Newton steps
     from coef.
 
@@ -100,8 +105,13 @@ def _damped_newton(evaluate, coef):
     predicted gain; below that the objective is flat at float resolution, so
     a step is accepted when it lowers the gradient's 2-norm instead. That
     polish runs until the max-norm gradient reaches POLISH_GRAD, so refits
-    (permuted rows, warm or cold starts) agree to ~1e-12. Returns (coef,
-    loglik, max-norm gradient, steps attempted); callers judge convergence.
+    (permuted rows, warm or cold starts) agree to ~1e-12.
+
+    This is the one convergence check of every probit and dependence fit,
+    and its settings are constants: a fit converges when its final max-norm
+    gradient is at most TOL_GRAD. Otherwise it raises an EstimationError
+    naming the fit (name), with the final grad_norm, the iterations taken and
+    the last_coef reached as diagnostics.
     """
     coef = np.array(coef, dtype=float)
     ll, grad, info = evaluate(coef)
@@ -133,15 +143,23 @@ def _damped_newton(evaluate, coef):
             t *= 0.5
         else:
             break  # no progress available at floating-point resolution
-    return coef, ll, grad_norm, it
+    if not grad_norm <= TOL_GRAD:
+        raise EstimationError(
+            f"{name} did not converge",
+            diagnostics={
+                "grad_norm": grad_norm,
+                "iterations": it,
+                "last_coef": coef.tolist(),
+            },
+        )
+    return NewtonResult(coef=coef, iterations=it, grad_norm=grad_norm, loglik=ll)
 
 
 def fit_probit_dr(x, below, weights=None, warm_start=None,
-                  offset=None) -> ProbitResult:
+                  offset=None) -> NewtonResult:
     """Maximize the (weighted) probit log-likelihood with `_damped_newton`.
 
-    The curvature is the expected Hessian (Fisher scoring); the fit converges
-    when its final max-norm score is at most TOL_GRAD. `offset` is added
+    The curvature is the expected Hessian (Fisher scoring). `offset` is added
     to the linear index but carries no free parameter, which is how the
     one-parameter tail fits reuse this routine.
     """
@@ -159,19 +177,7 @@ def fit_probit_dr(x, below, weights=None, warm_start=None,
         )
 
     start = np.zeros(d) if warm_start is None else warm_start
-    coef, ll, grad_norm, it = _damped_newton(
-        partial(_probit_evaluate, x, below, w, offset), start
-    )
-    if not grad_norm <= TOL_GRAD:
-        raise EstimationError(
-            "probit fit did not converge (possible separation)",
-            diagnostics={
-                "iterations": it,
-                "grad_norm": grad_norm,
-                "coef_norm": float(np.linalg.norm(coef)),
-            },
-        )
-    return ProbitResult(coef=coef, iterations=it, grad_norm=grad_norm, loglik=ll)
+    return _damped_newton(partial(_probit_evaluate, x, below, w, offset), start, "probit fit")
 
 
 def _admissible_tail_points(values, anchor, direction, min_obs):
@@ -197,7 +203,6 @@ def _admissible_tail_points(values, anchor, direction, min_obs):
 class TailFit:
     alpha: float
     r0: float
-    iterations: int
 
 
 def fit_tail_scale(values, x, coef_anchor, anchor, direction, min_obs,
@@ -230,9 +235,9 @@ def fit_tail_scale(values, x, coef_anchor, anchor, direction, min_obs,
         res = fit_probit_dr(design, below, weights=weights, offset=offset,
                             warm_start=np.array([1.0]))
         alpha = float(res.coef[0])
-        last = (alpha, cand, res.iterations)
+        last = (alpha, cand)
         if alpha > 0:
-            return TailFit(alpha=alpha, r0=cand, iterations=res.iterations)
+            return TailFit(alpha=alpha, r0=cand)
     raise TailError(
         f"tail scale non-positive at every admissible {direction}-tail point "
         f"(last alpha={last[0]:.3g} at r0={last[1]:.6g})"
@@ -310,7 +315,7 @@ def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None,
         except EstimationError as err:
             raise EstimationError(
                 f"marginal {outcome} fit failed at grid point {r:.6g}: {err}",
-                diagnostics=getattr(err, "diagnostics", {}),
+                diagnostics=err.diagnostics,
             ) from err
         coefs[i] = res.coef
         iters.append(res.iterations)

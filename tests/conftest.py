@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bdreg.data import build_grid
-from bdreg.dependence import FitConfig, fit_bdr
+from bdreg.dependence import fit_bdr
 from bdreg.dgp import DgpSpec, generate
 
 # Canonical covariate-dependent specification used across the estimator tests:
@@ -31,4 +31,4 @@ def small_sample():
 @pytest.fixture(scope="session")
 def small_fit(small_sample):
     grid = build_grid(small_sample, n_points=6)
-    return fit_bdr(small_sample, grid, FitConfig()), grid
+    return fit_bdr(small_sample, grid), grid

@@ -18,7 +18,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from bdreg.data import build_grid, grid_from_values
-from bdreg.dependence import FitConfig, fit_bdr
+from bdreg.dependence import fit_bdr
 from bdreg.dgp import generate
 from bdreg.marginals import fit_probit_dr, fit_tail_scale
 from bdreg.normal import link_rho, std_normal_cdf
@@ -60,7 +60,7 @@ def dep_cells():
     for r in range(N_REPS):
         s = generate(bench_spec(SMALL_N, 4000 + r))
         grid = build_grid(s, n_points=10)
-        fit = fit_bdr(s, grid, FitConfig())
+        fit = fit_bdr(s, grid)
         draws.append(fit.dep_coef)
     return np.std(np.asarray(draws), axis=0, ddof=1).tolist()
 
@@ -70,7 +70,7 @@ def independence_mean_abs_rho():
     for r in range(N_REPS):
         s = generate(bench_spec(SMALL_N, 5000 + r, dep_coef=[0.0, 0.0, 0.0]))
         grid = build_grid(s, n_points=6)
-        fit = fit_bdr(s, grid, FitConfig())
+        fit = fit_bdr(s, grid)
         vals = []
         for iy in range(grid.y_body.size):
             for iw in range(grid.w_body.size):
@@ -95,7 +95,7 @@ def independence_quintile_cells():
         grid = grid_from_values(
             np.union1d(base.y_grid, y_inner), np.union1d(base.w_grid, w_inner)
         )
-        fit = fit_bdr(s, grid, FitConfig())
+        fit = fit_bdr(s, grid)
         y_cuts = np.r_[-np.inf, y_inner, np.inf]
         w_cuts = np.r_[-np.inf, w_inner, np.inf]
         tm = transition_from_fits({0: fit}, {0: s}, "0000", y_cuts, w_cuts)

@@ -1,9 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bdreg.bootstrap import MIN_DRAWS_FOR_INFERENCE, bootstrap_fit, robust_se, robust_se_map
+from bdreg import bootstrap
+from bdreg.bootstrap import (
+    MIN_DRAWS_FOR_INFERENCE,
+    WeightScheme,
+    bootstrap_fit,
+    draw_weights,
+    robust_se,
+    robust_se_map,
+)
 from bdreg.data import build_grid
-from bdreg.dependence import FitConfig
+from bdreg.dependence import fit_bdr
 from bdreg.dgp import generate
 from bdreg.exceptions import InferenceError
 
@@ -12,9 +22,9 @@ from conftest import bench_spec
 
 def test_results_do_not_depend_on_workers():
     s = generate(bench_spec(400, 31))
-    grid = build_grid(s, n_points=4)
-    serial = bootstrap_fit(s, grid, FitConfig(), n_draws=3, workers=1)
-    pooled = bootstrap_fit(s, grid, FitConfig(), n_draws=3, workers=2)
+    base = fit_bdr(s, build_grid(s, n_points=4))
+    serial = bootstrap_fit(s, base, n_draws=3, workers=1)
+    pooled = bootstrap_fit(s, base, n_draws=3, workers=2)
     assert sorted(serial.draws) == sorted(pooled.draws) == [0, 1, 2]
     assert serial.failed == pooled.failed == {}
     for rep in serial.draws:
@@ -23,10 +33,35 @@ def test_results_do_not_depend_on_workers():
 
 
 @pytest.mark.parametrize("n_draws", [0, -3])
-def test_bootstrap_fit_rejects_fewer_than_one_draw(n_draws):
-    s = generate(bench_spec(400, 31))
+def test_bootstrap_fit_rejects_fewer_than_one_draw(n_draws, small_sample, small_fit):
     with pytest.raises(InferenceError, match="n_draws must be at least 1"):
-        bootstrap_fit(s, build_grid(s, n_points=4), n_draws=n_draws)
+        bootstrap_fit(small_sample, small_fit[0], n_draws=n_draws)
+
+
+def test_one_failed_replicate_of_ten_is_named_with_its_cause(small_sample, small_fit,
+                                                             monkeypatch):
+    # Nine survivors are too few for robust_se_map, so the run fails here,
+    # naming the replicate, its first failed grid pair and why it failed.
+    base = small_fit[0]
+    failing = draw_weights(small_sample.n, WeightScheme(), 9)
+
+    def fit_failing_replicate_9(sample, grid, dep_cols, weights, base):
+        if np.array_equal(weights, failing):
+            return dataclasses.replace(base, failures=[
+                (1.5, 0.25, "dependence fit did not converge"),
+                (2.5, 0.25, "dependence fit did not converge"),
+            ])
+        return base
+
+    monkeypatch.setattr(bootstrap, "fit_bdr", fit_failing_replicate_9)
+    reason = "2 grid cell(s) failed, first at (1.5, 0.25): dependence fit did not converge"
+    with pytest.raises(InferenceError) as info:
+        bootstrap_fit(small_sample, base, n_draws=10)
+    assert str(info.value) == f"1 of 10 bootstrap replicates failed, leaving 9 (replicate 9: {reason})"
+    # With twelve draws eleven survive, which is enough.
+    ens = bootstrap_fit(small_sample, base, n_draws=12)
+    assert ens.failed == {9: reason}
+    assert sorted(ens.draws) == [r for r in range(12) if r != 9]
 
 
 def test_robust_se_map_matches_quantile_on_finite_draws():

@@ -13,7 +13,7 @@ BODY = GRID - 2  # body grid points per outcome
 CELLS = 2 * 2  # transition cells from the median cuts in EXTRA
 CONFIG_KEYS = {
     "covariates", "dep_covariates", "grid_points", "group_col", "input", "replicates",
-    "scheme", "seed", "strict", "tail_min_obs", "trim", "w_col", "workers", "y_col",
+    "scheme", "seed", "tail_min_obs", "trim", "w_col", "workers", "y_col",
 }
 COEF = ["group", "threshold", "coef_0", "coef_1", "coef_2"]
 SURFACE = ["y", "w", "value"]
@@ -114,7 +114,7 @@ def test_round_trip(command, sample_csv, tmp_path):
 def test_transition_decompose_at_quintile_cuts(sample_csv, tmp_path):
     # The quintile cuts make a 6 x 6 body grid on these 600 rows per group.
     # Each replicate's sparse corner cells must converge: a replicate with a
-    # failed cell is dropped whole, and two dropped of ten abort the run.
+    # failed cell is dropped whole, and one dropped of ten aborts the run.
     assert run("transition", sample_csv, tmp_path, "--decompose", "--replicates", "10") == 0
     with open(tmp_path / "transition_decomposition.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdreg.bootstrap import WeightScheme, draw_weights
+from bdreg import dependence
+from bdreg.bootstrap import WeightScheme, _run_replicate, draw_weights
 from bdreg.data import build_grid, grid_from_values
 from bdreg.dependence import (
     CELL_FLOOR,
-    FitConfig,
     _CellKernel,
     fit_bdr,
     fit_dependence,
@@ -290,7 +290,7 @@ class TestFitDependence:
         # judged on it stalled; the fit must reach the cold-start optimum.
         s = generate(bench_spec(n=1000, seed=2058931222))
         grid = build_grid(s, n_points=5)
-        base = fit_bdr(s, grid, FitConfig())
+        base = fit_bdr(s, grid)
         w = draw_weights(1000, WeightScheme(), 9, 0)
         yv, wv = grid.y_body[-1], grid.w_body[0]
         a = base.y_marginal.index(yv, s.x)
@@ -304,7 +304,7 @@ class TestFitDependence:
                                    atol=1e-8)
         assert np.max(np.abs(warm.coef - cold.coef)) <= 1e-9
         for rep in (9, 10):
-            fit = fit_bdr(s, grid, FitConfig(),
+            fit = fit_bdr(s, grid,
                           weights=draw_weights(1000, WeightScheme(), rep, 0), base=base)
             assert fit.n_failed == 0
 
@@ -336,7 +336,7 @@ class TestFitBdr:
         from _mc_oracles import ORACLES
         s = generate(bench_spec(2000, 5042, dep_coef=[0.0, 0.0, 0.0]))
         grid = build_grid(s, n_points=6)
-        fit = fit_bdr(s, grid, FitConfig())
+        fit = fit_bdr(s, grid)
         vals = []
         for iy in range(grid.y_body.size):
             for iw in range(grid.w_body.size):
@@ -356,7 +356,7 @@ class TestFitBdr:
         )
         s = generate(spec)
         grid = build_grid(s, n_points=7)
-        fit = fit_bdr(s, grid, FitConfig())
+        fit = fit_bdr(s, grid)
         interior = fit.dep_coef[1:-1, 1:-1, 0]
         rhos = np.tanh(interior)
         assert np.max(np.abs(rhos - rho)) <= 0.08
@@ -364,7 +364,7 @@ class TestFitBdr:
     def test_dep_cols_subset(self):
         s = generate(bench_spec(1500, 72))
         grid = build_grid(s, n_points=5)
-        fit = fit_bdr(s, grid, FitConfig(dep_cols=(0, 1)))
+        fit = fit_bdr(s, grid, dep_cols=(0, 1))
         assert fit.dep_coef.shape[2] == 2
         assert fit.dep_cols == (0, 1)
 
@@ -410,11 +410,32 @@ class TestFitBdr:
         brute = deltas[np.argmax(ll)]
         assert abs(res.coef[0] - brute) <= 1e-3
 
-    def test_strict_mode_and_failure_recording(self):
+    def test_failed_cell_is_recorded_and_drops_its_replicate(self, monkeypatch):
         s = generate(bench_spec(1500, 74))
         grid = build_grid(s, n_points=5)
-        fit = fit_bdr(s, grid, FitConfig())
-        assert fit.n_failed == 0
+        clean = fit_bdr(s, grid)
+        assert clean.n_failed == 0
+        yv, wv = grid.y_body[1], grid.w_body[1]
+        real_fit_dependence = dependence.fit_dependence
+
+        def fail_at_pair(x_dep, a, b, below_y, below_w, **kwargs):
+            if np.array_equal(below_y, s.y <= yv) and np.array_equal(below_w, s.w <= wv):
+                raise EstimationError("dependence fit did not converge")
+            return real_fit_dependence(x_dep, a, b, below_y, below_w, **kwargs)
+
+        monkeypatch.setattr(dependence, "fit_dependence", fail_at_pair)
+        fit = fit_bdr(s, grid)
+        assert fit.failures == [(yv, wv, "dependence fit did not converge")]
+        assert fit.n_failed == 1
+        assert np.all(np.isnan(fit.dep_coef[1, 1]))
+        others = np.ones(fit.dep_coef.shape[:2], dtype=bool)
+        others[1, 1] = False
+        np.testing.assert_allclose(fit.dep_coef[others], clean.dep_coef[others],
+                                   rtol=0, atol=1e-9)
+
+        rep, rep_fit, _, reason = _run_replicate((s, WeightScheme(), clean, 0, 3))
+        assert (rep, rep_fit) == (3, None)
+        assert f"({yv:.6g}, {wv:.6g}): dependence fit did not converge" in reason
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -5,7 +5,7 @@ import pytest
 
 from bdreg import functionals
 from bdreg.data import build_grid, grid_from_values
-from bdreg.dependence import FitConfig, fit_bdr
+from bdreg.dependence import fit_bdr
 from bdreg.dgp import DgpSpec, generate, true_joint_cdf
 from bdreg.exceptions import ConfigError, DataError, EstimationError
 from bdreg.functionals import (
@@ -31,7 +31,7 @@ def two_group_setup():
     spec1 = bench_spec(1500, 202, dep_coef=[0.6, 0.0, 0.0])
     samples = {0: generate(spec0), 1: generate(spec1)}
     grids = {g: build_grid(s, n_points=6) for g, s in samples.items()}
-    fits = {g: fit_bdr(samples[g], grids[g], FitConfig()) for g in samples}
+    fits = {g: fit_bdr(samples[g], grids[g]) for g in samples}
     return fits, samples, grids
 
 
@@ -68,7 +68,7 @@ class TestConditionalJointCdf:
         spec = bench_spec(4000, 203)
         s = generate(spec)
         grid = build_grid(s, n_points=6)
-        fit = fit_bdr(s, grid, FitConfig())
+        fit = fit_bdr(s, grid)
         x = s.x[:50]
         y, w = grid.y_body[2], grid.w_body[2]
         est = fit.joint_cdf(y, w, x)
@@ -88,7 +88,7 @@ class TestCounterfactualSurface:
         spec = bench_spec(1200, 204)
         s = generate(spec)
         grid = build_grid(s, n_points=5)
-        fit = fit_bdr(s, grid, FitConfig())
+        fit = fit_bdr(s, grid)
         fits = {0: fit, 1: fit}
         samples = {0: s, 1: s}
         ref = None
@@ -222,7 +222,7 @@ class TestCounterfactualSurface:
         pooled_y = np.quantile(np.r_[samples[0].y, samples[1].y], [0.3, 0.5, 0.7])
         pooled_w = np.quantile(np.r_[samples[0].w, samples[1].w], [0.3, 0.5, 0.7])
         grids = {g: build_grid(s, n_points=7) for g, s in samples.items()}
-        fits = {g: fit_bdr(samples[g], grids[g], FitConfig()) for g in samples}
+        fits = {g: fit_bdr(samples[g], grids[g]) for g in samples}
 
         est_1111 = counterfactual_joint_cdf(fits, samples, "1111", pooled_y, pooled_w)
         est_1110 = counterfactual_joint_cdf(fits, samples, "1110", pooled_y, pooled_w)
@@ -249,7 +249,7 @@ class TestDecomposition:
         spec = bench_spec(1200, 207)
         s = generate(spec)
         grid = build_grid(s, n_points=5)
-        fit = fit_bdr(s, grid, FitConfig())
+        fit = fit_bdr(s, grid)
         report = decompose_joint({0: fit, 1: fit}, {0: s, 1: s},
                                  grid.y_grid, grid.w_grid)
         for name, comp in report.components().items():
@@ -341,7 +341,7 @@ class TestTransitionDecomposition:
         spec = bench_spec(1200, 208)
         s = generate(spec)
         grid = build_grid(s, n_points=5)
-        fit = fit_bdr(s, grid, FitConfig())
+        fit = fit_bdr(s, grid)
         cuts_y = np.r_[-np.inf, grid.y_body[1:-1], np.inf]
         cuts_w = np.r_[-np.inf, grid.w_body[1:-1], np.inf]
         report = decompose_transition({0: fit, 1: fit}, {0: s, 1: s}, cuts_y, cuts_w)
@@ -371,7 +371,7 @@ class TestTransitionDecomposition:
         )
         samples = {0: generate(spec0), 1: generate(spec1)}
         grids = {g: build_grid(s, n_points=6) for g, s in samples.items()}
-        fits = {g: fit_bdr(samples[g], grids[g], FitConfig()) for g in samples}
+        fits = {g: fit_bdr(samples[g], grids[g]) for g in samples}
         pooled_w = np.quantile(np.r_[samples[0].w, samples[1].w], [0.25, 0.5, 0.75])
         pooled_y = np.quantile(np.r_[samples[0].y, samples[1].y], [0.25, 0.5, 0.75])
         report = decompose_transition(
@@ -401,7 +401,7 @@ class TestIndependenceCounterfactual:
     def test_independence_dgp_difference_near_zero(self):
         s = generate(bench_spec(3000, 211, dep_coef=[0.0, 0.0, 0.0]))
         grid = build_grid(s, n_points=6)
-        fit = fit_bdr(s, grid, FitConfig())
+        fit = fit_bdr(s, grid)
         fitted = fitted_surface(fit, s)
         indep = independence_counterfactual(fit, s)
         assert np.max(np.abs(fitted.values - indep.values)) <= 0.03
@@ -409,7 +409,7 @@ class TestIndependenceCounterfactual:
     def test_positive_dependence_raises_lower_quadrant(self):
         s = generate(bench_spec(3000, 212, dep_coef=[0.5, 0.0, 0.0]))
         grid = build_grid(s, n_points=6)
-        fit = fit_bdr(s, grid, FitConfig())
+        fit = fit_bdr(s, grid)
         fitted = fitted_surface(fit, s)
         indep = independence_counterfactual(fit, s)
         diff = fitted.values - indep.values

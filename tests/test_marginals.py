@@ -6,7 +6,13 @@ import pytest
 from bdreg.data import Sample, build_grid, grid_from_values
 from bdreg.dgp import DgpSpec, generate
 from bdreg.exceptions import DataError, EstimationError, TailError
-from bdreg.marginals import _probit_evaluate, fit_marginal, fit_probit_dr, fit_tail_scale
+from bdreg.marginals import (
+    _damped_newton,
+    _probit_evaluate,
+    fit_marginal,
+    fit_probit_dr,
+    fit_tail_scale,
+)
 from bdreg.normal import std_normal_cdf, std_normal_quantile
 
 from conftest import bench_spec
@@ -87,6 +93,21 @@ class TestProbitFit:
             ])
             denom = np.maximum(np.abs(fd), 1e-8)
             assert np.max(np.abs(g - fd) / denom) <= 1e-6
+
+
+    def test_newton_raises_when_no_step_raises_the_objective(self):
+        # The score points downhill, so every halved step lowers the
+        # objective and none is accepted: the gradient stays above TOL_GRAD.
+        start = np.array([0.5, -0.25])
+
+        def evaluate(coef):
+            return -float(np.sum(coef)), np.ones(2), np.eye(2)
+
+        with pytest.raises(EstimationError, match="stub fit did not converge") as info:
+            _damped_newton(evaluate, start, "stub fit")
+        assert info.value.diagnostics == {
+            "grad_norm": 1.0, "iterations": 1, "last_coef": [0.5, -0.25],
+        }
 
 
 class TestTailScale:
