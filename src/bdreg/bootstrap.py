@@ -4,8 +4,9 @@ standard error, per draw vector or cellwise over a stack of draws.
 
 One weight vector drives every sub-estimation of a replicate: the marginal
 fits, the tail scales (at the base fit's auxiliary points), the dependence
-fits (which hold the base marginal indices fixed), and the covariate
-averaging of any functional computed from that replicate.
+fits (which hold the base marginal indices fixed and start each cell from
+the base estimate of the same cell), and the covariate averaging of any
+functional computed from that replicate.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class BootstrapEnsemble:
     """Replicate fits keyed by replicate id, with the weight vector each one
     used (needed again when averaging functionals over covariates)."""
 
-    scheme: WeightScheme
     n_requested: int
     draws: dict[int, BdrFit] = field(default_factory=dict)
     weights: dict[int, np.ndarray] = field(default_factory=dict)
@@ -106,8 +106,9 @@ def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
     """Draw n_draws weighted refits of the base fit's model.
 
     Each replicate is fitted on base.grid with base.dep_cols, reuses the base
-    fit's tail auxiliary points and holds the base marginal indices fixed in
-    the dependence step. A replicate with any failed grid pair is dropped,
+    fit's tail auxiliary points, holds the base marginal indices fixed in the
+    dependence step and starts each dependence cell from the base estimate of
+    the same cell. A replicate with any failed grid pair is dropped,
     with its reason kept in `failed`. The run fails when more than
     MAX_FAILURE_SHARE of the draws fail, or when fewer than
     min(n_draws, MIN_DRAWS_FOR_INFERENCE) survive; its InferenceError names
@@ -118,7 +119,7 @@ def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
     """
     if n_draws < 1:
         raise InferenceError("n_draws must be at least 1")
-    ens = BootstrapEnsemble(scheme=scheme, n_requested=n_draws)
+    ens = BootstrapEnsemble(n_requested=n_draws)
     jobs = [(sample, scheme, base, group, rep) for rep in range(n_draws)]
     if workers > 1 and n_draws > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -145,13 +146,25 @@ def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
 def ensemble_apply(ensembles: dict[int, BootstrapEnsemble],
                    fn) -> dict[int, object]:
     """Apply fn(replicate_fits_by_group, replicate_weights_by_group) across
-    the replicates valid in every group's ensemble."""
-    ids = None
-    for ens in ensembles.values():
-        cur = set(ens.draws)
-        ids = cur if ids is None else ids & cur
+    the replicates valid in every group's ensemble.
+
+    Groups can each keep enough replicates but lose different ones: with
+    fewer than MIN_DRAWS_FOR_INFERENCE valid in every group, the
+    InferenceError names each group's failed replicates and their reasons.
+    """
+    ids = sorted(set.intersection(*(set(ens.draws) for ens in ensembles.values())))
+    if len(ids) < MIN_DRAWS_FOR_INFERENCE:
+        lost = "; ".join(
+            f"group {g}, replicate {rep}: {why}"
+            for g, ens in sorted(ensembles.items())
+            for rep, why in sorted(ens.failed.items())
+        )
+        raise InferenceError(
+            f"{len(ids)} bootstrap replicates are valid in every group, need at "
+            f"least {MIN_DRAWS_FOR_INFERENCE} ({lost})"
+        )
     out = {}
-    for rep in sorted(ids or ()):
+    for rep in ids:
         fits = {g: ens.draws[rep] for g, ens in ensembles.items()}
         wts = {g: ens.weights[rep] for g, ens in ensembles.items()}
         out[rep] = fn(fits, wts)

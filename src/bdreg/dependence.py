@@ -162,7 +162,6 @@ class BdrFit:
     dep_coef: np.ndarray  # (n_body_y, n_body_w, d_dep)
     dep_cols: tuple[int, ...]
     failures: list[tuple[float, float, str]] = field(default_factory=list)
-    dep_iterations: int = 0
 
     @property
     def n_failed(self) -> int:
@@ -212,6 +211,10 @@ def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
     holds the base fit's marginal indices fixed and the tail fits reuse its
     auxiliary points; otherwise the replicate's own marginals are used.
 
+    Each grid pair is fitted alone, so no cell depends on another or on loop
+    order. A base fit starts every cell from zero; a replicate starts each
+    from the base estimate of the same cell, or from zero if that one failed.
+
     A dependence fit that fails at a grid pair does not stop the others: the
     pair is recorded in `failures` with its reason and its cell carries NaN
     coefficients.
@@ -234,39 +237,20 @@ def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
         base.y_marginal, base.w_marginal
     )
     y_body, w_body = grid.y_body, grid.w_body
-    dep = np.empty((y_body.size, w_body.size, len(dep_cols)))
+    dep = np.full((y_body.size, w_body.size, len(dep_cols)), np.nan)
+    starts = np.zeros_like(dep) if base is None else np.nan_to_num(base.dep_coef, nan=0.0)
     failures = []
-    total_iter = 0
-    warm = None
     for iy, yv in enumerate(y_body):
         a = y_idx.index(yv, x)
         below_y = (sample.y <= yv).astype(float)
-        row_start = None
         for iw, wv in enumerate(w_body):
             b = w_idx.index(wv, x)
             below_w = (sample.w <= wv).astype(float)
             try:
-                res = fit_dependence(
-                    x_dep, a, b, below_y, below_w, weights=weights, start=warm
-                )
+                dep[iy, iw] = fit_dependence(x_dep, a, b, below_y, below_w,
+                                             weights=weights, start=starts[iy, iw]).coef
             except EstimationError as err:
                 failures.append((float(yv), float(wv), str(err)))
-                dep[iy, iw] = np.nan
-                warm = None
-                continue
-            dep[iy, iw] = res.coef
-            total_iter += res.iterations
-            warm = res.coef
-            if iw == 0:
-                row_start = res.coef
-        warm = row_start  # next row warm-starts from the start of this row
 
-    return BdrFit(
-        grid=grid,
-        y_marginal=y_marg,
-        w_marginal=w_marg,
-        dep_coef=dep,
-        dep_cols=tuple(dep_cols),
-        failures=failures,
-        dep_iterations=total_iter,
-    )
+    return BdrFit(grid=grid, y_marginal=y_marg, w_marginal=w_marg, dep_coef=dep,
+                  dep_cols=tuple(dep_cols), failures=failures)

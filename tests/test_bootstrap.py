@@ -6,15 +6,18 @@ import pytest
 from bdreg import bootstrap
 from bdreg.bootstrap import (
     MIN_DRAWS_FOR_INFERENCE,
+    BootstrapEnsemble,
     WeightScheme,
+    _run_replicate,
     bootstrap_fit,
     draw_weights,
+    ensemble_apply,
     robust_se,
     robust_se_map,
 )
-from bdreg.data import build_grid
+from bdreg.data import build_grid, empirical_quantile, grid_from_values
 from bdreg.dependence import fit_bdr
-from bdreg.dgp import generate
+from bdreg.dgp import DgpSpec, generate
 from bdreg.exceptions import InferenceError
 
 from conftest import bench_spec
@@ -62,6 +65,51 @@ def test_one_failed_replicate_of_ten_is_named_with_its_cause(small_sample, small
     ens = bootstrap_fit(small_sample, base, n_draws=12)
     assert ens.failed == {9: reason}
     assert sorted(ens.draws) == [r for r in range(12) if r != 9]
+
+
+def test_replicate_cell_converges_from_its_base_estimate():
+    # The data and grid of `bdreg simulate --n 1200 --seed 7 --two-groups`,
+    # then `bdreg transition --covariates x1,x2 --group-col group
+    # --replicates 10 --decompose`, group 0. Started from the previous
+    # cell's estimate, replicate 9 failed at (1.37125, 1.06914), a cell with
+    # no empty quadrant; started from the base estimate of the same cell,
+    # every cell converges.
+    def spec(seed):  # the simulate defaults
+        return DgpSpec(y_coef=np.array([0.0, 0.5, -0.3]), w_coef=np.array([0.0, 0.8, 0.2]),
+                       dep_coef=np.array([0.3, 0.4, -0.2]), n=1200, seed=seed)
+
+    s, other = generate(spec(7), group=0), generate(spec(8), group=1)
+    quintiles = [0.2, 0.4, 0.6, 0.8]
+    grid = build_grid(s, 12)
+    grid = grid_from_values(
+        np.union1d(grid.y_grid, empirical_quantile(np.r_[s.y, other.y], quintiles)),
+        np.union1d(grid.w_grid, empirical_quantile(np.r_[s.w, other.w], quintiles)),
+    )
+    base = fit_bdr(s, grid)
+    assert base.n_failed == 0
+    rep, fit, _, reason = _run_replicate((s, WeightScheme(), base, 0, 9))
+    assert (rep, reason) == (9, None)
+    assert np.all(np.isfinite(fit.dep_coef))
+
+
+def test_ensemble_apply_names_replicates_lost_in_any_group():
+    # Eleven draws per group, each group losing a different one: ten survive
+    # in each group, but only nine are valid in both.
+    def ensemble(lost):
+        kept = [rep for rep in range(11) if rep != lost]
+        return BootstrapEnsemble(n_requested=11, draws=dict.fromkeys(kept),
+                                 weights=dict.fromkeys(kept),
+                                 failed={lost: f"cause {lost}"})
+
+    with pytest.raises(InferenceError) as info:
+        ensemble_apply({0: ensemble(2), 1: ensemble(5)}, lambda fits, wts: 0.0)
+    assert str(info.value) == (
+        "9 bootstrap replicates are valid in every group, need at least 10 "
+        "(group 0, replicate 2: cause 2; group 1, replicate 5: cause 5)"
+    )
+    assert sorted(ensemble_apply({1: ensemble(5)}, lambda fits, wts: 0.0)) == [
+        rep for rep in range(11) if rep != 5
+    ]
 
 
 def test_robust_se_map_matches_quantile_on_finite_draws():
