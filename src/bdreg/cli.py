@@ -273,8 +273,8 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
         grids[g] = build_grid(s, config.grid_points, config.trim, config.tail_min_obs)
         if y_inner or w_inner:
             grids[g] = grid_from_values(
-                np.union1d(grids[g].y_grid, [v for v in y_inner if np.isfinite(v)]),
-                np.union1d(grids[g].w_grid, [v for v in w_inner if np.isfinite(v)]),
+                np.union1d(grids[g].y_grid, y_inner),
+                np.union1d(grids[g].w_grid, w_inner),
                 config.tail_min_obs,
             )
     dep_cols = _dep_cols(config)
@@ -361,9 +361,6 @@ def _cmd_estimate(args, config: RunConfig, writer: OutputWriter) -> dict:
     _write_fit_tables(writer, run.fits)
     for g, fit in sorted(run.fits.items()):
         _write_surface(writer, f"surface_fitted_{g}.csv", fitted_surface(fit, run.samples[g]))
-    run.manifest["dependence_failures"] = {
-        str(g): fit.n_failed for g, fit in run.fits.items()
-    }
     return run.manifest
 
 
@@ -425,6 +422,10 @@ def _parse_cuts(arg: str | None, levels_arg: str | None, values, name: str):
         raise ConfigError(f"give either --{name}-cuts or --{name}-cut-levels, not both")
     if arg:
         vals = _numbers(arg, f"{name}-cuts")
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(
+                f"--{name}-cuts must be finite (the outer -inf and inf cuts are implied)"
+            )
     elif levels_arg:
         levels = _numbers(levels_arg, f"{name}-cut-levels")
         if any(not 0.0 < lv < 1.0 for lv in levels):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DataError
+from .exceptions import ConfigError, DataError
 
 __all__ = [
     "GridSpec",
@@ -16,6 +16,7 @@ __all__ = [
     "build_grid",
     "empirical_quantile",
     "grid_from_values",
+    "increasing",
     "nearest_body_index",
     "nearest_body_value",
     "split_groups",
@@ -106,37 +107,45 @@ def split_groups(sample: Sample) -> dict[int, Sample]:
     return out
 
 
+def increasing(values, what: str, min_size: int) -> np.ndarray:
+    """values as a float array of at least min_size strictly increasing
+    points (no NaN, no tie; a repeated +/-inf is a tie), else DataError.
+    The one rule for a threshold axis: evaluation grids and cuts."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size < min_size:
+        raise DataError(f"{what}: need at least {min_size} distinct values")
+    if np.isnan(arr).any() or not np.all(arr[1:] > arr[:-1]):
+        raise DataError(f"{what} must be sorted and distinct")
+    return arr
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grids for both outcomes with their body sub-ranges.
+    """Evaluation grids for both outcomes, each at least 3 increasing points.
 
-    The body is a contiguous, strict, non-empty subset of each grid; grid
-    points outside it are handled by the tail restrictions. tail_min_obs is
-    the minimum number of observations required between the body endpoint and
-    the auxiliary tail point, and again beyond it.
+    Each body (y_body, w_body) is derived: the grid without its two extremes,
+    which the tail restrictions handle. tail_min_obs is the minimum number of
+    observations required between the body endpoint and the auxiliary tail
+    point, and again beyond it.
     """
 
     y_grid: np.ndarray
     w_grid: np.ndarray
-    y_body: np.ndarray
-    w_body: np.ndarray
     tail_min_obs: int = DEFAULT_TAIL_MIN_OBS
 
     def __post_init__(self):
         for name in ("y", "w"):
-            grid = getattr(self, f"{name}_grid")
-            body = getattr(self, f"{name}_body")
-            if grid.size < 3:
-                raise DataError(f"{name} grid needs at least 3 distinct points")
-            if np.any(np.diff(grid) <= 0):
-                raise DataError(f"{name} grid must be sorted and distinct")
-            if body.size == 0 or body.size >= grid.size:
-                raise DataError(f"{name} body must be a strict non-empty subset")
-            lo = np.searchsorted(grid, body[0])
-            if not np.array_equal(body, grid[lo : lo + body.size]):
-                raise DataError(f"{name} body must be a contiguous sub-range")
+            increasing(getattr(self, f"{name}_grid"), f"{name} grid", 3)
         if self.tail_min_obs < 1:
-            raise DataError("tail_min_obs must be positive")
+            raise ConfigError("tail_min_obs must be positive")
+
+    @property
+    def y_body(self) -> np.ndarray:
+        return self.y_grid[1:-1]
+
+    @property
+    def w_body(self) -> np.ndarray:
+        return self.w_grid[1:-1]
 
 
 def empirical_quantile(values: np.ndarray, levels) -> np.ndarray:
@@ -144,7 +153,7 @@ def empirical_quantile(values: np.ndarray, levels) -> np.ndarray:
     return np.quantile(np.asarray(values, dtype=float), levels, method="inverted_cdf")
 
 
-def _outcome_grid(values: np.ndarray, n_points: int, trim) -> tuple[np.ndarray, np.ndarray]:
+def _outcome_grid(values: np.ndarray, n_points: int, trim) -> np.ndarray:
     lower, upper = trim
     levels = np.linspace(lower, upper, n_points)
     grid = np.unique(empirical_quantile(values, levels))
@@ -152,7 +161,7 @@ def _outcome_grid(values: np.ndarray, n_points: int, trim) -> tuple[np.ndarray, 
         raise DataError(
             "outcome is too close to degenerate: fewer than 3 distinct grid points"
         )
-    return grid, grid[1:-1]
+    return grid
 
 
 def build_grid(
@@ -161,36 +170,30 @@ def build_grid(
     body_trim=DEFAULT_TRIM,
     tail_min_obs: int = DEFAULT_TAIL_MIN_OBS,
 ) -> GridSpec:
-    """Quantile grids for both outcomes at equally spaced probability levels.
-
-    The body excludes the extreme grid point on each side; those two points
-    are reached by the tail extrapolation instead.
+    """Quantile grids for both outcomes at n_points equally spaced levels
+    across body_trim, ties merged. Each body is the grid without its two
+    extremes, which the tail extrapolation reaches instead. A bad setting
+    (n_points < 3, a trim outside 0 < lower < upper < 1, tail_min_obs < 1)
+    raises ConfigError.
     """
     lower, upper = body_trim
     if n_points < 3:
-        raise DataError("grid needs n_points >= 3")
+        raise ConfigError("grid needs n_points >= 3")
     if not (0.0 < lower < upper < 1.0):
-        raise DataError("trim pair must satisfy 0 < lower < upper < 1")
-    y_grid, y_body = _outcome_grid(sample.y, n_points, body_trim)
-    w_grid, w_body = _outcome_grid(sample.w, n_points, body_trim)
+        raise ConfigError("trim pair must satisfy 0 < lower < upper < 1")
     return GridSpec(
-        y_grid=y_grid,
-        w_grid=w_grid,
-        y_body=y_body,
-        w_body=w_body,
+        y_grid=_outcome_grid(sample.y, n_points, body_trim),
+        w_grid=_outcome_grid(sample.w, n_points, body_trim),
         tail_min_obs=tail_min_obs,
     )
 
 
 def grid_from_values(y_values, w_values, tail_min_obs: int = DEFAULT_TAIL_MIN_OBS) -> GridSpec:
-    """GridSpec from explicit threshold values, body = all but the extremes."""
-    y_grid = np.unique(np.asarray(y_values, dtype=float))
-    w_grid = np.unique(np.asarray(w_values, dtype=float))
+    """GridSpec from explicit threshold values, sorted with ties merged; the
+    body is all but the extremes. A NaN value raises DataError."""
     return GridSpec(
-        y_grid=y_grid,
-        w_grid=w_grid,
-        y_body=y_grid[1:-1],
-        w_body=w_grid[1:-1],
+        y_grid=np.unique(np.asarray(y_values, dtype=float)),
+        w_grid=np.unique(np.asarray(w_values, dtype=float)),
         tail_min_obs=tail_min_obs,
     )
 

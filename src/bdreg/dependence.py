@@ -121,19 +121,9 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
     with a warning.
     """
     kernel = _CellKernel(x_dep, a, b, below_y, below_w, weights)
-    below_y = np.asarray(below_y, dtype=float)
-    below_w = np.asarray(below_w, dtype=float)
-    w = kernel.w
-    mass = np.array(
-        [
-            np.sum(w * below_y * below_w),
-            np.sum(w * below_y * (1.0 - below_w)),
-            np.sum(w * (1.0 - below_y) * below_w),
-            np.sum(w * (1.0 - below_y) * (1.0 - below_w)),
-        ]
-    )
-    concordant = mass[1] == 0 and mass[2] == 0
-    discordant = mass[0] == 0 and mass[3] == 0
+    observed = kernel.sign[kernel.w > 0]  # +1 in a concordant quadrant, -1 not
+    concordant = not np.any(observed < 0)
+    discordant = not np.any(observed > 0)
     if concordant or discordant:
         kind = "concordant" if concordant else "discordant"
         warnings.warn(

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .data import Sample
+from .data import Sample, increasing
 from .dependence import BdrFit
-from .exceptions import ConfigError, DataError
+from .exceptions import ConfigError
 from .marginals import _normalize_weights
 from .normal import BLOCK_ROWS, bvn_cdf
 
@@ -210,6 +210,14 @@ def _decomposition_from_values(values: dict[str, np.ndarray]) -> DecompositionRe
     )
 
 
+def _path_values(fits, samples, y_values, w_values, x_weights) -> dict[str, np.ndarray]:
+    """Values of the five _PATH surfaces at common thresholds, by index."""
+    return {
+        code: _surface(*_ingredients(fits, samples, code, x_weights), y_values, w_values).values
+        for code in _PATH
+    }
+
+
 def decompose_joint(fits, samples, y_values=None, w_values=None,
                     x_weights=None) -> DecompositionReport:
     """Split the group difference in covariate-averaged joint CDFs, group 1
@@ -222,11 +230,7 @@ def decompose_joint(fits, samples, y_values=None, w_values=None,
         y_values = fits[1].grid.y_grid
     if w_values is None:
         w_values = fits[1].grid.w_grid
-    values = {
-        code: _surface(*_ingredients(fits, samples, code, x_weights), y_values, w_values).values
-        for code in _PATH
-    }
-    return _decomposition_from_values(values)
+    return _decomposition_from_values(_path_values(fits, samples, y_values, w_values, x_weights))
 
 
 @dataclass
@@ -238,57 +242,28 @@ class TransitionMatrix:
     w_cuts: np.ndarray  # length K + 1
 
 
-def _validate_cuts(cuts) -> np.ndarray:
-    cuts = np.asarray(cuts, dtype=float)
-    if cuts.size < 2:
-        raise DataError("need at least two cut values")
-    if np.any(np.isnan(cuts)) or np.any(np.diff(cuts) <= 0):
-        raise DataError("cuts must be sorted and distinct")
-    return cuts
-
-
 def _second_difference(values: np.ndarray) -> np.ndarray:
     return np.diff(np.diff(values, axis=0), axis=1)
 
 
-def _locate(axis: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Indices of the cut values on the surface axis (up to float rounding)."""
-    idx = np.empty(cuts.size, dtype=int)
-    for i, c in enumerate(np.asarray(cuts, dtype=float)):
-        if np.isinf(c):
-            hits = np.flatnonzero(axis == c)
-        else:
-            hits = np.flatnonzero(np.abs(axis - c) <= 1e-9 * (1.0 + abs(c)))
-        if hits.size == 0:
-            raise DataError(f"cut {c!r} is not an evaluation point of the surface")
-        idx[i] = hits[0]
-    return idx
-
-
-def transition_matrix(surface: JointCdfSurface, y_cuts=None, w_cuts=None) -> TransitionMatrix:
+def transition_matrix(surface: JointCdfSurface) -> TransitionMatrix:
     """Cell (j, k) = F(y_j, w_k) - F(y_{j-1}, w_k) - F(y_j, w_{k-1})
-    + F(y_{j-1}, w_{k-1}), over the given cut grids.
+    + F(y_{j-1}, w_{k-1}): the second difference of the surface.
 
-    Cuts default to the surface axes; otherwise they must be a subset of
-    them. With +/-inf outermost cuts the cells sum to one.
+    The cuts are the surface's axes: for other cuts, evaluate the surface at
+    them (transition_from_fits). With +/-inf outer cuts the cells sum to one.
     """
-    y_cuts = surface.y_values if y_cuts is None else _validate_cuts(y_cuts)
-    w_cuts = surface.w_values if w_cuts is None else _validate_cuts(w_cuts)
-    yi = _locate(surface.y_values, y_cuts)
-    wi = _locate(surface.w_values, w_cuts)
-    sub = surface.values[np.ix_(yi, wi)]
     return TransitionMatrix(
-        cells=_second_difference(sub),
-        y_cuts=np.asarray(y_cuts, dtype=float),
-        w_cuts=np.asarray(w_cuts, dtype=float),
+        cells=_second_difference(surface.values),
+        y_cuts=surface.y_values,
+        w_cuts=surface.w_values,
     )
 
 
 def transition_from_fits(fits, samples, index, y_cuts, w_cuts,
                          x_weights=None) -> TransitionMatrix:
     """Counterfactual transition matrix, evaluating the surface at the cuts."""
-    y_cuts = _validate_cuts(y_cuts)
-    w_cuts = _validate_cuts(w_cuts)
+    y_cuts, w_cuts = increasing(y_cuts, "y cuts", 2), increasing(w_cuts, "w cuts", 2)
     return transition_matrix(
         _surface(*_ingredients(fits, samples, index, x_weights), y_cuts, w_cuts)
     )
@@ -296,13 +271,8 @@ def transition_from_fits(fits, samples, index, y_cuts, w_cuts,
 
 def decompose_transition(fits, samples, y_cuts, w_cuts,
                          x_weights=None) -> DecompositionReport:
-    """Five-way decomposition of the group difference in transition matrices."""
-    y_cuts = _validate_cuts(y_cuts)
-    w_cuts = _validate_cuts(w_cuts)
-    values = {
-        code: _second_difference(
-            _surface(*_ingredients(fits, samples, code, x_weights), y_cuts, w_cuts).values
-        )
-        for code in _PATH
-    }
-    return _decomposition_from_values(values)
+    """Five-way decomposition of the group difference in transition matrices:
+    the path surfaces at the cuts, each second-differenced into its matrix."""
+    y_cuts, w_cuts = increasing(y_cuts, "y cuts", 2), increasing(w_cuts, "w cuts", 2)
+    values = _path_values(fits, samples, y_cuts, w_cuts, x_weights)
+    return _decomposition_from_values({c: _second_difference(v) for c, v in values.items()})

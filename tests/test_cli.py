@@ -148,6 +148,21 @@ def test_non_numeric_list_is_config_error(command, bad, sample_csv, tmp_path):
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("command,bad", [
+    ("transition", ["--y-cuts", "inf"]),
+    ("transition", ["--w-cuts=-inf,0"]),
+    ("transition", ["--y-cuts", "nan"]),
+    ("estimate", ["--grid-points", "2"]),
+    ("estimate", ["--trim", "0.5,0.4"]),
+    ("estimate", ["--tail-min-obs", "0"]),
+])
+def test_bad_cut_or_grid_setting_is_config_error(command, bad, sample_csv, tmp_path):
+    # Explicit cuts are interior: the outer -inf and inf cuts are implied.
+    out = tmp_path / "out"
+    assert run(command, sample_csv, out, *bad) == 2
+    assert list(out.glob("*")) == []
+
+
 @pytest.mark.parametrize("command,replicates", [
     ("bootstrap", "0"),
     ("bootstrap", "5"),

@@ -14,7 +14,7 @@ from bdreg.data import (
     validate,
 )
 from bdreg.dependence import BdrFit
-from bdreg.exceptions import DataError
+from bdreg.exceptions import ConfigError, DataError
 
 
 def make_sample(n=50, d_extra=2, seed=0):
@@ -106,10 +106,12 @@ class TestBuildGrid:
 
     def test_invalid_settings(self):
         s = make_sample(n=100)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             build_grid(s, n_points=2)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             build_grid(s, body_trim=(0.5, 0.4))
+        with pytest.raises(ConfigError):
+            build_grid(s, tail_min_obs=0)
 
     def test_grid_from_values_body(self):
         grid = grid_from_values([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0])
@@ -117,19 +119,12 @@ class TestBuildGrid:
         np.testing.assert_array_equal(grid.w_body, [1.0])
 
     def test_gridspec_invariants(self):
-        with pytest.raises(DataError):
-            GridSpec(
-                y_grid=np.array([1.0, 2.0, 3.0]),
-                w_grid=np.array([1.0, 2.0, 3.0]),
-                y_body=np.array([1.0, 2.0, 3.0]),  # not strict
-                w_body=np.array([2.0]),
-            )
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="sorted and distinct"):
+            grid_from_values([0.0, 1.0, 2.0, np.nan], [0.0, 1.0, 2.0])
+        with pytest.raises(DataError, match="sorted and distinct"):
             GridSpec(
                 y_grid=np.array([1.0, 1.0, 3.0]),  # not distinct
                 w_grid=np.array([1.0, 2.0, 3.0]),
-                y_body=np.array([1.0]),
-                w_body=np.array([2.0]),
             )
 
 

@@ -277,13 +277,17 @@ class TestFitDependence:
         r2 = fit_dependence(x[perm], a[perm], b[perm], iy[perm], jw[perm])
         assert np.max(np.abs(r1.coef - r2.coef)) <= 1e-10
 
-    def test_boundary_concordant_clamps(self):
-        x, a, b, iy, jw = balanced_quadrants(6, 0, 0, 6)
-        with pytest.warns(RuntimeWarning, match="concordant"):
+    @pytest.mark.parametrize("kind,counts,sign", [
+        pytest.param("concordant", (6, 0, 0, 6), 1.0, id="concordant"),
+        pytest.param("discordant", (0, 6, 6, 0), -1.0, id="discordant"),
+    ])
+    def test_boundary_concordant_clamps(self, kind, counts, sign):
+        x, a, b, iy, jw = balanced_quadrants(*counts)
+        with pytest.warns(RuntimeWarning, match=kind):
             res = fit_dependence(x, a, b, iy, jw)
         assert res.boundary
         rho, _ = link_rho(res.coef[0])
-        assert rho >= 1.0 - 1e-6
+        assert sign * rho >= 1.0 - 1e-6
 
     def test_start_independence(self):
         rng = np.random.default_rng(7)

@@ -321,19 +321,15 @@ class TestTransitionMatrix:
             transition_from_fits({0: fit}, {0: small_sample}, "0000",
                                  [0.0, -1.0, np.inf], [-np.inf, 0.0, np.inf])
 
-    def test_cuts_must_be_on_surface(self):
-        u = np.linspace(0.0, 1.0, 6)
-        surf = JointCdfSurface(values=np.outer(u, u), y_values=u, w_values=u)
-        with pytest.raises(DataError, match="evaluation point"):
-            transition_matrix(surf, y_cuts=[0.0, 0.33, 1.0], w_cuts=[0.0, 1.0])
-
-    def test_cut_subset_of_surface(self):
-        u = np.linspace(0.0, 1.0, 6)
-        F = np.minimum.outer(u, np.ones(6)) * np.minimum.outer(np.ones(6), u)
-        surf = JointCdfSurface(values=F, y_values=u, w_values=u)
-        tm = transition_matrix(surf, y_cuts=[0.0, 0.4, 1.0], w_cuts=[0.0, 0.6, 1.0])
-        np.testing.assert_allclose(tm.cells.sum(), 1.0, atol=1e-15)
-        np.testing.assert_allclose(tm.cells[0, 0], 0.24, atol=1e-15)
+    @pytest.mark.parametrize("cuts", [[-np.inf, np.inf, np.inf], [-np.inf, -np.inf, 0.0, np.inf]])
+    def test_repeated_infinite_cuts_rejected(self, cuts, small_fit, small_sample):
+        # inf > inf is false, so a repeated +/-inf is a tie like any other.
+        fit, _ = small_fit
+        ok = [-np.inf, 0.0, np.inf]
+        with pytest.raises(DataError, match="sorted and distinct"):
+            transition_from_fits({0: fit}, {0: small_sample}, "0000", cuts, ok)
+        with pytest.raises(DataError, match="sorted and distinct"):
+            decompose_transition({0: fit, 1: fit}, {0: small_sample, 1: small_sample}, ok, cuts)
 
 
 class TestTransitionDecomposition:
