@@ -3,10 +3,11 @@ the full model, ensemble application to functionals, and the IQR-based robust
 standard error, per draw vector or cellwise over a stack of draws.
 
 One weight vector drives every sub-estimation of a replicate: the marginal
-fits, the tail scales (at the base fit's auxiliary points), the dependence
+fits, the tail scales (at the base fit's auxiliary points) and the dependence
 fits (which hold the base marginal indices fixed and start each cell from
-the base estimate of the same cell), and the covariate averaging of any
-functional computed from that replicate.
+the base estimate of the same cell). The replicate fit keeps that vector as
+its `weights`, and every functional computed from the fit averages its
+covariate rows with it, so a replicate is one self-contained record.
 """
 
 from __future__ import annotations
@@ -76,12 +77,11 @@ def draw_weights(n: int, scheme: WeightScheme, replicate_id: int,
 
 @dataclass
 class BootstrapEnsemble:
-    """Replicate fits keyed by replicate id, with the weight vector each one
-    used (needed again when averaging functionals over covariates)."""
+    """Replicate fits keyed by replicate id (each holds its weight vector),
+    and the reason each failed replicate was dropped."""
 
     n_requested: int
     draws: dict[int, BdrFit] = field(default_factory=dict)
-    weights: dict[int, np.ndarray] = field(default_factory=dict)
     failed: dict[int, str] = field(default_factory=dict)
 
 
@@ -91,13 +91,13 @@ def _run_replicate(args):
     try:
         fit = fit_bdr(sample, base.grid, base.dep_cols, weights=w, base=base)
     except EstimationError as err:
-        return rep, None, None, str(err)
+        return rep, None, str(err)
     if fit.n_failed:
         y, w_val, why = fit.failures[0]
-        return rep, None, None, (
+        return rep, None, (
             f"{fit.n_failed} grid cell(s) failed, first at ({y:.6g}, {w_val:.6g}): {why}"
         )
-    return rep, fit, w, None
+    return rep, fit, None
 
 
 def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
@@ -127,12 +127,11 @@ def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
             results = list(pool.map(_run_replicate, jobs, chunksize=-(-n_draws // workers)))
     else:
         results = [_run_replicate(job) for job in jobs]
-    for rep, fit, w, err in results:
+    for rep, fit, err in results:
         if err is not None:
             ens.failed[rep] = err
         else:
             ens.draws[rep] = fit
-            ens.weights[rep] = w
     if (len(ens.failed) > MAX_FAILURE_SHARE * n_draws
             or len(ens.draws) < min(n_draws, MIN_DRAWS_FOR_INFERENCE)):
         reasons = "; ".join(f"replicate {rep}: {why}" for rep, why in sorted(ens.failed.items()))
@@ -145,8 +144,8 @@ def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
 
 def ensemble_apply(ensembles: dict[int, BootstrapEnsemble],
                    fn) -> dict[int, object]:
-    """Apply fn(replicate_fits_by_group, replicate_weights_by_group) across
-    the replicates valid in every group's ensemble.
+    """Apply fn(replicate_fits_by_group) across the replicates valid in every
+    group's ensemble.
 
     Groups can each keep enough replicates but lose different ones: with
     fewer than MIN_DRAWS_FOR_INFERENCE valid in every group, the
@@ -163,12 +162,7 @@ def ensemble_apply(ensembles: dict[int, BootstrapEnsemble],
             f"{len(ids)} bootstrap replicates are valid in every group, need at "
             f"least {MIN_DRAWS_FOR_INFERENCE} ({lost})"
         )
-    out = {}
-    for rep in ids:
-        fits = {g: ens.draws[rep] for g, ens in ensembles.items()}
-        wts = {g: ens.weights[rep] for g, ens in ensembles.items()}
-        out[rep] = fn(fits, wts)
-    return out
+    return {rep: fn({g: ens.draws[rep] for g, ens in ensembles.items()}) for rep in ids}
 
 
 def robust_se(draws) -> float:

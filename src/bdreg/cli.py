@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .data import (
     build_grid,
     empirical_quantile,
     grid_from_values,
+    increasing,
     split_groups,
     validate,
 )
@@ -232,10 +234,10 @@ class _Run:
     w_cuts: np.ndarray | None = None
 
     def se(self, fn, group=None):
-        """Robust SE over the replicates of fn(fits, x_weights), both keyed
-        by group; only group's replicates when given, else those valid in
-        every group. A dict result gets one SE per key; None without
-        replicates."""
+        """Robust SE over the replicates of fn(fits), fits keyed by group
+        (each replicate fit carries its own weights); only group's
+        replicates when given, else those valid in every group. A dict
+        result gets one SE per key; None without replicates."""
         if self.ensembles is None:
             return None
         ensembles = self.ensembles if group is None else {group: self.ensembles[group]}
@@ -253,7 +255,9 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
 
     With cut_args (the transition arguments) the cuts are taken from the
     pooled outcomes, so rows and columns mean the same across groups, and
-    merged into every grid so surfaces are exact there."""
+    merged into every grid so surfaces are exact there. Cuts that coincide
+    (distinct levels at one empirical quantile) raise DataError before any
+    fit."""
     bootstraps = command != "estimate" and (config.replicates or command == "bootstrap")
     if bootstraps and config.replicates < MIN_DRAWS_FOR_INFERENCE:
         raise ConfigError(
@@ -264,17 +268,17 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
     if two_groups and sample.d is None:
         raise ConfigError("this command requires --group-col with two groups")
     samples = {0: sample} if sample.d is None else split_groups(sample)
-    y_inner = w_inner = []
+    y_cuts = w_cuts = None
     if cut_args is not None:
-        y_inner = _parse_cuts(cut_args.y_cuts, cut_args.y_cut_levels, sample.y, "y")
-        w_inner = _parse_cuts(cut_args.w_cuts, cut_args.w_cut_levels, sample.w, "w")
+        y_cuts = _parse_cuts(cut_args.y_cuts, cut_args.y_cut_levels, sample.y, "y")
+        w_cuts = _parse_cuts(cut_args.w_cuts, cut_args.w_cut_levels, sample.w, "w")
     grids = {}
     for g, s in samples.items():
         grids[g] = build_grid(s, config.grid_points, config.trim, config.tail_min_obs)
-        if y_inner or w_inner:
+        if cut_args is not None:
             grids[g] = grid_from_values(
-                np.union1d(grids[g].y_grid, y_inner),
-                np.union1d(grids[g].w_grid, w_inner),
+                np.union1d(grids[g].y_grid, y_cuts[1:-1]),
+                np.union1d(grids[g].w_grid, w_cuts[1:-1]),
                 config.tail_min_obs,
             )
     dep_cols = _dep_cols(config)
@@ -287,11 +291,8 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
                              group=g, workers=config.workers)
             for g in sorted(samples)
         }
-    run = _Run(samples, fits, ensembles, _manifest_base(command, config, n_dropped, samples))
-    if cut_args is not None:
-        run.y_cuts = np.array([-np.inf] + y_inner + [np.inf])
-        run.w_cuts = np.array([-np.inf] + w_inner + [np.inf])
-    return run
+    manifest = _manifest_base(command, config, n_dropped, samples)
+    return _Run(samples, fits, ensembles, manifest, y_cuts, w_cuts)
 
 
 def _write_fit_tables(writer: OutputWriter, fits: dict[int, BdrFit]):
@@ -369,16 +370,16 @@ def _cmd_bootstrap(args, config: RunConfig, writer: OutputWriter) -> dict:
     _write_fit_tables(writer, run.fits)
     se_rows = {"y": [], "w": []}
     for g, fit in sorted(run.fits.items()):
-        se = run.se(lambda f, w: {
+        surface = partial(fitted_surface, sample=run.samples[g])
+        se = run.se(lambda f: {
             "y": f[g].y_marginal.coef,
             "w": f[g].w_marginal.coef,
-            "surface": fitted_surface(f[g], run.samples[g], x_weights=w[g]).values,
+            "surface": surface(f[g]).values,
         }, group=g)
         for outcome, rows in se_rows.items():
             body = getattr(fit, f"{outcome}_marginal").body
             rows.extend([g, thr] + list(row) for thr, row in zip(body, se[outcome]))
-        surface = fitted_surface(fit, run.samples[g])
-        _write_surface(writer, f"surface_fitted_{g}.csv", surface, se=se["surface"])
+        _write_surface(writer, f"surface_fitted_{g}.csv", surface(fit), se=se["surface"])
     d_x = next(iter(run.fits.values())).y_marginal.coef.shape[1]
     header = ["group", "threshold"] + [f"se_{j}" for j in range(d_x)]
     for outcome, rows in se_rows.items():
@@ -395,11 +396,10 @@ def _cmd_counterfactual(args, config: RunConfig, writer: OutputWriter) -> dict:
     y_vals, w_vals = run.fits[1].grid.y_grid, run.fits[1].grid.w_grid
     indices = args.index or ["1110"]
     for code in indices:
-        index = CounterfactualIndex.parse(code)
-        surf = counterfactual_joint_cdf(run.fits, run.samples, index, y_vals, w_vals)
-        se = run.se(lambda f, w: counterfactual_joint_cdf(
-            f, run.samples, index, y_vals, w_vals, x_weights=w
-        ).values)
+        surface = partial(counterfactual_joint_cdf, samples=run.samples,
+                          index=CounterfactualIndex.parse(code), y_values=y_vals, w_values=w_vals)
+        surf = surface(run.fits)
+        se = run.se(lambda f: surface(f).values)
         _write_surface(writer, f"surface_counterfactual_{code}.csv", surf, se=se)
     run.manifest["indices"] = list(indices)
     return run.manifest
@@ -408,33 +408,34 @@ def _cmd_counterfactual(args, config: RunConfig, writer: OutputWriter) -> dict:
 def _cmd_decompose(args, config: RunConfig, writer: OutputWriter) -> dict:
     run = _prologue("decompose", config, two_groups=True)
     y_vals, w_vals = run.fits[1].grid.y_grid, run.fits[1].grid.w_grid
-    report = decompose_joint(run.fits, run.samples, y_vals, w_vals)
-    se = run.se(lambda f, w: decompose_joint(
-        f, run.samples, y_vals, w_vals, x_weights=w
-    ).components())
+    decompose = partial(decompose_joint, samples=run.samples, y_values=y_vals, w_values=w_vals)
+    report = decompose(run.fits)
+    se = run.se(lambda f: decompose(f).components())
     _write_decomposition(writer, "decomposition.csv", report, ("y", y_vals), ("w", w_vals), se)
     return run.manifest
 
 
 def _parse_cuts(arg: str | None, levels_arg: str | None, values, name: str):
-    """Interior cut values from explicit numbers or quantile levels."""
+    """The cuts, -inf and inf outermost, from explicit interior numbers or
+    quantile levels. A repeated number is a ConfigError; levels that meet at
+    one data point make a repeated cut, a DataError."""
     if arg and levels_arg:
         raise ConfigError(f"give either --{name}-cuts or --{name}-cut-levels, not both")
     if arg:
-        vals = _numbers(arg, f"{name}-cuts")
+        vals = _numbers(arg, f"{name}-cuts", distinct=True)
         if not np.all(np.isfinite(vals)):
             raise ConfigError(
                 f"--{name}-cuts must be finite (the outer -inf and inf cuts are implied)"
             )
     elif levels_arg:
-        levels = _numbers(levels_arg, f"{name}-cut-levels")
+        levels = _numbers(levels_arg, f"{name}-cut-levels", distinct=True)
         if any(not 0.0 < lv < 1.0 for lv in levels):
             raise ConfigError("cut levels must lie in (0, 1)")
         vals = list(empirical_quantile(values, levels))
     else:
         # quintiles by default
         vals = list(empirical_quantile(values, [0.2, 0.4, 0.6, 0.8]))
-    return sorted(vals)
+    return increasing([-np.inf, *sorted(vals), np.inf], f"{name} cuts", 2)
 
 
 def _cmd_transition(args, config: RunConfig, writer: OutputWriter) -> dict:
@@ -442,11 +443,10 @@ def _cmd_transition(args, config: RunConfig, writer: OutputWriter) -> dict:
     y_cuts, w_cuts = run.y_cuts, run.w_cuts
     rows = []
     for g in sorted(run.fits):
-        own = f"{g}{g}{g}{g}"
-        tm = transition_from_fits(run.fits, run.samples, own, y_cuts, w_cuts)
-        se = run.se(lambda f, w: transition_from_fits(
-            {g: f[g]}, {g: run.samples[g]}, own, y_cuts, w_cuts, x_weights=w
-        ).cells, group=g)
+        matrix = partial(transition_from_fits, samples=run.samples, index=f"{g}{g}{g}{g}",
+                         y_cuts=y_cuts, w_cuts=w_cuts)
+        tm = matrix(run.fits)
+        se = run.se(lambda f: matrix(f).cells, group=g)
         for j, k in np.ndindex(tm.cells.shape):
             row = [g, j + 1, k + 1, y_cuts[j], y_cuts[j + 1], w_cuts[k],
                    w_cuts[k + 1], tm.cells[j, k]]
@@ -457,10 +457,10 @@ def _cmd_transition(args, config: RunConfig, writer: OutputWriter) -> dict:
     writer.csv("transition.csv", header + (["se"] if run.ensembles is not None else []), rows)
 
     if args.decompose:
-        report = decompose_transition(run.fits, run.samples, y_cuts, w_cuts)
-        se = run.se(lambda f, w: decompose_transition(
-            f, run.samples, y_cuts, w_cuts, x_weights=w
-        ).components())
+        decompose = partial(decompose_transition, samples=run.samples, y_cuts=y_cuts,
+                            w_cuts=w_cuts)
+        report = decompose(run.fits)
+        se = run.se(lambda f: decompose(f).components())
         cells = [("row", range(1, len(y_cuts))), ("col", range(1, len(w_cuts)))]
         _write_decomposition(writer, "transition_decomposition.csv", report, *cells, se)
 
@@ -469,13 +469,16 @@ def _cmd_transition(args, config: RunConfig, writer: OutputWriter) -> dict:
     return run.manifest
 
 
-def _numbers(arg: str, flag: str) -> list[float]:
+def _numbers(arg: str, flag: str, distinct: bool = False) -> list[float]:
     """The numbers of a comma-separated list option; empty entries are
-    skipped, anything else that is not a number is a ConfigError."""
+    skipped, and a non-number (or, when distinct, a repeat) is a ConfigError."""
     try:
-        return [float(tok) for tok in arg.split(",") if tok.strip()]
+        vals = [float(tok) for tok in arg.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--{flag} must be a comma-separated number list") from None
+    if distinct and len(set(vals)) < len(vals):
+        raise ConfigError(f"--{flag} repeats a value")
+    return vals
 
 
 def _cmd_simulate(args, config: None, writer: OutputWriter) -> dict:
@@ -535,21 +538,29 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--scheme", choices=["exponential", "multinomial"], default=d.scheme)
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--out", default="bdreg-out")
-    p.add_argument("--workers", type=int, default=int(os.environ.get(WORKERS_ENV, d.workers)))
+    p.add_argument("--workers", type=int, default=None,
+                   help=f"replicate-fit processes (default: ${WORKERS_ENV}, else {d.workers})")
 
 
 def _config_from(args) -> RunConfig:
     """Each RunConfig field from the parsed option of its name; the options
-    given as text lists (and the worker count, at least 1) are parsed here."""
+    given as text lists, and the worker count (--workers, else WORKERS_ENV;
+    at least 1), are parsed here."""
     trim = tuple(_numbers(args.trim, "trim"))
     if len(trim) != 2:
         raise ConfigError("--trim must be lower,upper")
+    workers = args.workers
+    if workers is None:
+        try:
+            workers = int(os.environ.get(WORKERS_ENV, RunConfig.workers))
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer") from None
     dep = args.dep_covariates
     parsed = {
         "covariates": [c for c in args.covariates.split(",") if c.strip()],
         "trim": trim,
         "dep_covariates": None if dep is None else [c for c in dep.split(",") if c.strip()],
-        "workers": max(1, args.workers),
+        "workers": max(1, workers),
     }
     return RunConfig(**{
         f.name: parsed[f.name] if f.name in parsed else getattr(args, f.name)

@@ -144,7 +144,9 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
 @dataclass
 class BdrFit:
     """Fitted model: marginal coefficient paths, tail scales, and the
-    dependence coefficients on the body grid, with per-point diagnostics."""
+    dependence coefficients on the body grid, with per-point diagnostics, and
+    the observation weights it was given (None for equal weights), with
+    which every functional of the fit averages its covariate rows."""
 
     grid: GridSpec
     y_marginal: MarginalFit
@@ -152,6 +154,7 @@ class BdrFit:
     dep_coef: np.ndarray  # (n_body_y, n_body_w, d_dep)
     dep_cols: tuple[int, ...]
     failures: list[tuple[float, float, str]] = field(default_factory=list)
+    weights: np.ndarray | None = None
 
     @property
     def n_failed(self) -> int:
@@ -243,4 +246,4 @@ def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
                 failures.append((float(yv), float(wv), str(err)))
 
     return BdrFit(grid=grid, y_marginal=y_marg, w_marginal=w_marg, dep_coef=dep,
-                  dep_cols=tuple(dep_cols), failures=failures)
+                  dep_cols=tuple(dep_cols), failures=failures, weights=weights)

@@ -3,8 +3,9 @@ composition/sorting/marginals decomposition, transition matrices and their
 decomposition, and the zero-dependence counterfactual.
 
 Counterfactual surfaces average the conditional CDF over one group's
-covariate rows while borrowing coefficient paths from (possibly) other
-groups; the four-slot index records who supplies what.
+covariate rows, with that group's fit weights, while borrowing coefficient
+paths from (possibly) other groups; the four-slot index records who supplies
+what.
 """
 
 from __future__ import annotations
@@ -72,15 +73,16 @@ class JointCdfSurface:
     w_values: np.ndarray
 
 
-def _x_average(x, x_weights):
+def _x_average(x, weights):
     """The covariate rows and their averaging weights, which sum to one."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return x, _normalize_weights(x_weights, x.shape[0]) / x.shape[0]
+    return x, _normalize_weights(weights, x.shape[0]) / x.shape[0]
 
 
-def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x,
-             x_weights=None, y_values=None, w_values=None) -> JointCdfSurface:
-    """Average Phi2(index_y, index_w; rho) over covariate rows on a grid.
+def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
+             y_values=None, w_values=None) -> JointCdfSurface:
+    """Average Phi2(index_y, index_w; rho) over covariate rows x, weighted by
+    weights (None for equal weights), on a grid.
 
     The grid defaults to y_fit's y grid and w_fit's w grid. dep_fit None
     means the zero-dependence counterfactual, whose value is the covariate
@@ -94,7 +96,7 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x,
     first failed cell raises its EstimationError. The distinct triples go to
     bvn_cdf in blocks of about BLOCK_ROWS rows.
     """
-    x, wts = _x_average(x, x_weights)
+    x, wts = _x_average(x, weights)
     y_values = np.asarray(y_fit.grid.y_grid if y_values is None else y_values, dtype=float)
     w_values = np.asarray(w_fit.grid.w_grid if w_values is None else w_values, dtype=float)
     if y_values.size == 0 or w_values.size == 0:
@@ -127,44 +129,41 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x,
     return JointCdfSurface(values, y_values, w_values)
 
 
-def _ingredients(fits, samples, index, x_weights):
+def _ingredients(fits, samples, index):
     """The _surface arguments a four-slot index selects: the fits supplying
-    each coefficient path, then the covariate group's rows and weights."""
+    each coefficient path, then the covariate group's rows and its fit's
+    weights."""
     if isinstance(index, str):
         index = CounterfactualIndex.parse(index)
     try:
         fit_group = (fits[index.y_group], fits[index.w_group], fits[index.dep_group])
-        x = samples[index.x_group].x
+        x, weights = samples[index.x_group].x, fits[index.x_group].weights
     except KeyError as missing:
         raise ConfigError(f"no fit/sample for group {missing}") from None
-    return (*fit_group, x, None if x_weights is None else x_weights.get(index.x_group))
+    return (*fit_group, x, weights)
 
 
 def counterfactual_joint_cdf(fits, samples, index: CounterfactualIndex,
-                             y_values=None, w_values=None,
-                             x_weights=None) -> JointCdfSurface:
+                             y_values=None, w_values=None) -> JointCdfSurface:
     """Plug-in counterfactual surface for one four-slot index.
 
     fits and samples are mappings keyed by group label. Evaluation grids
     default to the estimation grids of the coefficient-supplying groups.
-    x_weights, when given, is a mapping from group label to covariate-
-    averaging weights (bootstrap draws weight the rows of the covariate
-    group).
     """
-    return _surface(*_ingredients(fits, samples, index, x_weights), y_values, w_values)
+    return _surface(*_ingredients(fits, samples, index), y_values, w_values)
 
 
 def independence_counterfactual(fit: BdrFit, sample: Sample, y_values=None,
-                                w_values=None, x_weights=None) -> JointCdfSurface:
+                                w_values=None) -> JointCdfSurface:
     """Surface with the local correlation forced to zero for every row and
     threshold pair: the covariate-averaged product of the marginal CDFs."""
-    return _surface(fit, fit, None, sample.x, x_weights, y_values, w_values)
+    return _surface(fit, fit, None, sample.x, fit.weights, y_values, w_values)
 
 
-def fitted_surface(fit: BdrFit, sample: Sample, y_values=None, w_values=None,
-                   x_weights=None) -> JointCdfSurface:
+def fitted_surface(fit: BdrFit, sample: Sample, y_values=None,
+                   w_values=None) -> JointCdfSurface:
     """Covariate-averaged fitted joint CDF for a single group."""
-    return _surface(fit, fit, fit, sample.x, x_weights, y_values, w_values)
+    return _surface(fit, fit, fit, sample.x, fit.weights, y_values, w_values)
 
 
 @dataclass
@@ -210,16 +209,15 @@ def _decomposition_from_values(values: dict[str, np.ndarray]) -> DecompositionRe
     )
 
 
-def _path_values(fits, samples, y_values, w_values, x_weights) -> dict[str, np.ndarray]:
+def _path_values(fits, samples, y_values, w_values) -> dict[str, np.ndarray]:
     """Values of the five _PATH surfaces at common thresholds, by index."""
     return {
-        code: _surface(*_ingredients(fits, samples, code, x_weights), y_values, w_values).values
+        code: _surface(*_ingredients(fits, samples, code), y_values, w_values).values
         for code in _PATH
     }
 
 
-def decompose_joint(fits, samples, y_values=None, w_values=None,
-                    x_weights=None) -> DecompositionReport:
+def decompose_joint(fits, samples, y_values=None, w_values=None) -> DecompositionReport:
     """Split the group difference in covariate-averaged joint CDFs, group 1
     minus group 0, into composition, sorting, and the two marginal effects.
 
@@ -230,7 +228,7 @@ def decompose_joint(fits, samples, y_values=None, w_values=None,
         y_values = fits[1].grid.y_grid
     if w_values is None:
         w_values = fits[1].grid.w_grid
-    return _decomposition_from_values(_path_values(fits, samples, y_values, w_values, x_weights))
+    return _decomposition_from_values(_path_values(fits, samples, y_values, w_values))
 
 
 @dataclass
@@ -260,19 +258,15 @@ def transition_matrix(surface: JointCdfSurface) -> TransitionMatrix:
     )
 
 
-def transition_from_fits(fits, samples, index, y_cuts, w_cuts,
-                         x_weights=None) -> TransitionMatrix:
+def transition_from_fits(fits, samples, index, y_cuts, w_cuts) -> TransitionMatrix:
     """Counterfactual transition matrix, evaluating the surface at the cuts."""
     y_cuts, w_cuts = increasing(y_cuts, "y cuts", 2), increasing(w_cuts, "w cuts", 2)
-    return transition_matrix(
-        _surface(*_ingredients(fits, samples, index, x_weights), y_cuts, w_cuts)
-    )
+    return transition_matrix(_surface(*_ingredients(fits, samples, index), y_cuts, w_cuts))
 
 
-def decompose_transition(fits, samples, y_cuts, w_cuts,
-                         x_weights=None) -> DecompositionReport:
+def decompose_transition(fits, samples, y_cuts, w_cuts) -> DecompositionReport:
     """Five-way decomposition of the group difference in transition matrices:
     the path surfaces at the cuts, each second-differenced into its matrix."""
     y_cuts, w_cuts = increasing(y_cuts, "y cuts", 2), increasing(w_cuts, "w cuts", 2)
-    values = _path_values(fits, samples, y_cuts, w_cuts, x_weights)
+    values = _path_values(fits, samples, y_cuts, w_cuts)
     return _decomposition_from_values({c: _second_difference(v) for c, v in values.items()})

@@ -184,19 +184,14 @@ def _admissible_tail_points(values, anchor, direction, min_obs):
     """Auxiliary tail points, nearest first, satisfying the count condition:
     at least min_obs observations strictly between the anchor and the point,
     and at least min_obs strictly beyond the point."""
-    values = np.asarray(values, dtype=float)
-    if direction == "upper":
-        beyond = np.sort(values[values > anchor])
-        uniq = np.unique(beyond)
-        between = np.searchsorted(beyond, uniq, side="left")
-        outside = beyond.size - np.searchsorted(beyond, uniq, side="right")
-        return list(uniq[(between >= min_obs) & (outside >= min_obs)])
-    below = np.sort(values[values < anchor])
-    uniq = np.unique(below)
-    between = below.size - np.searchsorted(below, uniq, side="right")
-    outside = np.searchsorted(below, uniq, side="left")
-    keep = uniq[(between >= min_obs) & (outside >= min_obs)]
-    return list(keep[::-1])
+    # The lower tail is the upper tail of -values about -anchor, negated.
+    sign = 1.0 if direction == "upper" else -1.0
+    values = sign * np.asarray(values, dtype=float)
+    beyond = np.sort(values[values > sign * anchor])
+    uniq = np.unique(beyond)
+    between = np.searchsorted(beyond, uniq, side="left")
+    outside = beyond.size - np.searchsorted(beyond, uniq, side="right")
+    return list(sign * uniq[(between >= min_obs) & (outside >= min_obs)])
 
 
 @dataclass

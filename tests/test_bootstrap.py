@@ -31,8 +31,20 @@ def test_results_do_not_depend_on_workers():
     assert sorted(serial.draws) == sorted(pooled.draws) == [0, 1, 2]
     assert serial.failed == pooled.failed == {}
     for rep in serial.draws:
-        np.testing.assert_array_equal(serial.weights[rep], pooled.weights[rep])
+        np.testing.assert_array_equal(serial.draws[rep].weights, pooled.draws[rep].weights)
         np.testing.assert_array_equal(serial.draws[rep].dep_coef, pooled.draws[rep].dep_coef)
+
+
+def test_multinomial_weights_are_resampling_counts():
+    # Counts of n draws from n rows sum to n, so the rescaling to mean one
+    # leaves them integers; rows never drawn get weight zero.
+    scheme = WeightScheme("multinomial", seed=4)
+    w = draw_weights(200, scheme, replicate_id=3, group=1)
+    assert np.all(w == np.round(w)) and np.all(w >= 0) and np.any(w == 0)
+    assert w.mean() == 1.0
+    np.testing.assert_array_equal(w, draw_weights(200, scheme, 3, 1))
+    assert not np.array_equal(w, draw_weights(200, scheme, 3, 0))
+    assert not np.array_equal(w, draw_weights(200, scheme, 4, 1))
 
 
 @pytest.mark.parametrize("n_draws", [0, -3])
@@ -87,7 +99,7 @@ def test_replicate_cell_converges_from_its_base_estimate():
     )
     base = fit_bdr(s, grid)
     assert base.n_failed == 0
-    rep, fit, _, reason = _run_replicate((s, WeightScheme(), base, 0, 9))
+    rep, fit, reason = _run_replicate((s, WeightScheme(), base, 0, 9))
     assert (rep, reason) == (9, None)
     assert np.all(np.isfinite(fit.dep_coef))
 
@@ -98,16 +110,15 @@ def test_ensemble_apply_names_replicates_lost_in_any_group():
     def ensemble(lost):
         kept = [rep for rep in range(11) if rep != lost]
         return BootstrapEnsemble(n_requested=11, draws=dict.fromkeys(kept),
-                                 weights=dict.fromkeys(kept),
                                  failed={lost: f"cause {lost}"})
 
     with pytest.raises(InferenceError) as info:
-        ensemble_apply({0: ensemble(2), 1: ensemble(5)}, lambda fits, wts: 0.0)
+        ensemble_apply({0: ensemble(2), 1: ensemble(5)}, lambda fits: 0.0)
     assert str(info.value) == (
         "9 bootstrap replicates are valid in every group, need at least 10 "
         "(group 0, replicate 2: cause 2; group 1, replicate 5: cause 5)"
     )
-    assert sorted(ensemble_apply({1: ensemble(5)}, lambda fits, wts: 0.0)) == [
+    assert sorted(ensemble_apply({1: ensemble(5)}, lambda fits: 0.0)) == [
         rep for rep in range(11) if rep != 5
     ]
 

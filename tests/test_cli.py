@@ -184,6 +184,50 @@ def test_too_few_replicates_is_config_error_before_any_fit(command, replicates, 
     assert f">= {MIN_DRAWS_FOR_INFERENCE}" in capsys.readouterr().err
 
 
+def test_multinomial_bootstrap_round_trip(sample_csv, tmp_path):
+    # Rows a replicate never draws carry weight zero in its fits and in the
+    # covariate averaging of its surfaces.
+    assert run("bootstrap", sample_csv, tmp_path, "--replicates", "10",
+               "--scheme", "multinomial") == 0
+    check_round_trip("bootstrap", tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["scheme"] == "multinomial"
+
+
+@pytest.mark.parametrize("bad,code", [
+    (["--y-cuts", "0,0"], 2),
+    (["--w-cuts=-0.5,0.5,-0.5"], 2),
+    (["--y-cut-levels", "0.5,0.5"], 2),
+    (["--w-cut-levels", "0.2,0.8,0.2"], 2),
+    # Both levels pick the 600th of the 1200 pooled y values.
+    (["--y-cut-levels", "0.4998,0.5"], 3),
+])
+def test_bad_transition_cuts_fail_before_any_fit(bad, code, sample_csv, tmp_path,
+                                                 monkeypatch):
+    # A repeated cut or level is a configuration error; distinct levels at
+    # one empirical quantile are a data error. Both used to surface only
+    # after every group was fitted.
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_bdr must not run")
+
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    out = tmp_path / "out"
+    assert run("transition", sample_csv, out, *bad) == code
+    assert list(out.glob("*")) == []
+
+
+def test_bad_workers_variable_is_config_error(sample_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+    code = cli.main(["estimate", "--input", str(sample_csv), "--covariates", "x1,x2",
+                     "--group-col", "group", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert cli.WORKERS_ENV in capsys.readouterr().err
+    # simulate takes no worker count, so the variable does not concern it;
+    # an explicit --workers overrides it.
+    assert cli.main(["simulate", "--n", "50", "--out", str(tmp_path / "sim")]) == 0
+    assert run("estimate", sample_csv, tmp_path / "est") == 0
+
+
 def test_unknown_covariate_is_config_error(sample_csv, tmp_path):
     code = cli.main(["decompose", "--input", str(sample_csv), "--covariates", "x1,nope",
                      "--group-col", "group", "--out", str(tmp_path)])

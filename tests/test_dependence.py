@@ -402,9 +402,9 @@ class TestFitBdr:
         # the same cell, no cell falls below a cold refit.
         s = generate(bench_spec(800, 5))
         base = fit_bdr(s, build_grid(s, n_points=10))
-        _, fit, w, reason = _run_replicate((s, WeightScheme(), base, 0, 0))
+        _, fit, reason = _run_replicate((s, WeightScheme(), base, 0, 0))
         assert reason is None
-        for cell, args in cell_problems(s, base, w):
+        for cell, args in cell_problems(s, base, fit.weights):
             got = _CellKernel(*args).evaluate(fit.dep_coef[cell])[0]
             assert got >= fit_dependence(*args).loglik - 1e-12
 
@@ -465,7 +465,7 @@ class TestFitBdr:
         others[1, 1] = False
         np.testing.assert_array_equal(fit.dep_coef[others], clean.dep_coef[others])
 
-        rep, rep_fit, _, reason = _run_replicate((s, WeightScheme(), clean, 0, 3))
+        rep, rep_fit, reason = _run_replicate((s, WeightScheme(), clean, 0, 3))
         assert (rep, rep_fit) == (3, None)
         assert f"({yv:.6g}, {wv:.6g}): dependence fit did not converge" in reason
 

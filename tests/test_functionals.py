@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bdreg import functionals
+from bdreg.bootstrap import WeightScheme, draw_weights
 from bdreg.data import build_grid, grid_from_values
 from bdreg.dependence import fit_bdr
 from bdreg.dgp import DgpSpec, generate, true_joint_cdf
@@ -162,7 +163,26 @@ class TestCounterfactualSurface:
             "short": np.ones(n - 1),
         }[bad]
         with pytest.raises(DataError, match="weights"):
-            fitted_surface(fit, small_sample, x_weights=weights)
+            fitted_surface(dataclasses.replace(fit, weights=weights), small_sample)
+
+    def test_weighted_fit_averages_rows_with_its_own_weights(self):
+        # A replicate-style weighted fit keeps its weights, as given, and every
+        # surface built from it averages the covariate rows with them.
+        s = generate(bench_spec(400, 31))
+        weights = draw_weights(s.n, WeightScheme("multinomial"), 0)
+        fit = fit_bdr(s, build_grid(s, n_points=4), weights=weights)
+        assert fit.weights is weights
+        share = weights / weights.sum()
+        ys, ws = fit.grid.y_grid, fit.grid.w_grid
+
+        def reference(zero_dependence):
+            return np.array([[share @ fit.joint_cdf(yv, wv, s.x, zero_dependence)
+                              for wv in ws] for yv in ys])
+
+        for got, zero in ((fitted_surface(fit, s), False),
+                          (counterfactual_joint_cdf({0: fit}, {0: s}, "0000"), False),
+                          (independence_counterfactual(fit, s), True)):
+            assert np.max(np.abs(got.values - reference(zero))) <= 1e-13
 
     def test_copy_rule_keys_give_identical_indices(self, small_fit, small_sample):
         fit, grid = small_fit
