@@ -58,6 +58,8 @@ class WeightScheme:
     def __post_init__(self):
         if self.kind not in ("exponential", "multinomial"):
             raise InferenceError(f"unknown weight scheme {self.kind!r}")
+        if self.seed < 0:
+            raise InferenceError(f"bootstrap seed must be non-negative, got {self.seed}")
 
 
 def draw_weights(n: int, scheme: WeightScheme, replicate_id: int,

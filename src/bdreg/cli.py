@@ -1,9 +1,10 @@
 """Batch front end: CSV ingestion, pipeline orchestration, and plot-ready
 delimited outputs with a JSON run manifest.
 
-Subcommands: estimate, bootstrap, counterfactual, decompose, transition,
-simulate. Exit codes: 0 success, 2 configuration error, 3 data error,
-4 estimation/inference error.
+Subcommands: estimate, counterfactual, decompose, transition, simulate.
+Given --replicates N (0 for none, else at least 10), a fitting command adds
+weighted-bootstrap standard errors to its tables. Exit codes: 0 success,
+2 configuration error, 3 data error, 4 estimation/inference error.
 """
 
 from __future__ import annotations
@@ -249,20 +250,19 @@ class _Run:
 
 def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) -> _Run:
     """Ingest the input, split it by group, fit each group on its quantile
-    grid and, given replicates, bootstrap each fit (estimate reports no
-    standard errors, so it never does). A replicate count too small for
-    standard errors is rejected before any fit; bootstrap also rejects 0.
+    grid and, given replicates, bootstrap each fit and record each group's
+    failed replicates in the manifest. --replicates is 0 (no standard
+    errors) or at least MIN_DRAWS_FOR_INFERENCE; any other count is
+    rejected before ingest.
 
     With cut_args (the transition arguments) the cuts are taken from the
     pooled outcomes, so rows and columns mean the same across groups, and
     merged into every grid so surfaces are exact there. Cuts that coincide
     (distinct levels at one empirical quantile) raise DataError before any
     fit."""
-    bootstraps = command != "estimate" and (config.replicates or command == "bootstrap")
-    if bootstraps and config.replicates < MIN_DRAWS_FOR_INFERENCE:
+    if config.replicates and config.replicates < MIN_DRAWS_FOR_INFERENCE:
         raise ConfigError(
-            f"{command} needs --replicates >= {MIN_DRAWS_FOR_INFERENCE}"
-            + ("" if command == "bootstrap" else " (or 0 for no standard errors)")
+            f"--replicates must be 0 (no standard errors) or >= {MIN_DRAWS_FOR_INFERENCE}"
         )
     sample, n_dropped = ingest(config.input, config)
     if two_groups and sample.d is None:
@@ -283,15 +283,16 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
             )
     dep_cols = _dep_cols(config)
     fits = {g: fit_bdr(samples[g], grids[g], dep_cols) for g in sorted(samples)}
+    manifest = _manifest_base(command, config, n_dropped, samples)
     ensembles = None
-    if bootstraps:
+    if config.replicates:
         scheme = WeightScheme(kind=config.scheme, seed=config.seed)
         ensembles = {
             g: bootstrap_fit(samples[g], fits[g], config.replicates, scheme,
                              group=g, workers=config.workers)
             for g in sorted(samples)
         }
-    manifest = _manifest_base(command, config, n_dropped, samples)
+        manifest["bootstrap_failures"] = {str(g): len(e.failed) for g, e in ensembles.items()}
     return _Run(samples, fits, ensembles, manifest, y_cuts, w_cuts)
 
 
@@ -360,14 +361,6 @@ def _write_decomposition(writer: OutputWriter, name: str, report, rows_axis, col
 def _cmd_estimate(args, config: RunConfig, writer: OutputWriter) -> dict:
     run = _prologue("estimate", config)
     _write_fit_tables(writer, run.fits)
-    for g, fit in sorted(run.fits.items()):
-        _write_surface(writer, f"surface_fitted_{g}.csv", fitted_surface(fit, run.samples[g]))
-    return run.manifest
-
-
-def _cmd_bootstrap(args, config: RunConfig, writer: OutputWriter) -> dict:
-    run = _prologue("bootstrap", config)
-    _write_fit_tables(writer, run.fits)
     se_rows = {"y": [], "w": []}
     for g, fit in sorted(run.fits.items()):
         surface = partial(fitted_surface, sample=run.samples[g])
@@ -375,18 +368,16 @@ def _cmd_bootstrap(args, config: RunConfig, writer: OutputWriter) -> dict:
             "y": f[g].y_marginal.coef,
             "w": f[g].w_marginal.coef,
             "surface": surface(f[g]).values,
-        }, group=g)
+        }, group=g) or {}
         for outcome, rows in se_rows.items():
             body = getattr(fit, f"{outcome}_marginal").body
-            rows.extend([g, thr] + list(row) for thr, row in zip(body, se[outcome]))
-        _write_surface(writer, f"surface_fitted_{g}.csv", surface(fit), se=se["surface"])
-    d_x = next(iter(run.fits.values())).y_marginal.coef.shape[1]
-    header = ["group", "threshold"] + [f"se_{j}" for j in range(d_x)]
-    for outcome, rows in se_rows.items():
-        writer.csv(f"coefficients_{outcome}_se.csv", header, rows)
-    run.manifest["bootstrap_failures"] = {
-        str(g): len(ens.failed) for g, ens in run.ensembles.items()
-    }
+            rows.extend([g, thr] + list(row) for thr, row in zip(body, se.get(outcome, ())))
+        _write_surface(writer, f"surface_fitted_{g}.csv", surface(fit), se=se.get("surface"))
+    if run.ensembles is not None:
+        d_x = next(iter(run.fits.values())).y_marginal.coef.shape[1]
+        header = ["group", "threshold"] + [f"se_{j}" for j in range(d_x)]
+        for outcome, rows in se_rows.items():
+            writer.csv(f"coefficients_{outcome}_se.csv", header, rows)
     return run.manifest
 
 
@@ -482,6 +473,8 @@ def _numbers(arg: str, flag: str, distinct: bool = False) -> list[float]:
 
 
 def _cmd_simulate(args, config: None, writer: OutputWriter) -> dict:
+    if args.n < 1 or args.seed < 0:
+        raise ConfigError("simulate needs --n >= 1 and --seed >= 0")
     y_coef = np.array(_numbers(args.y_coef, "y-coef"))
     w_coef = np.array(_numbers(args.w_coef, "w-coef"))
     dep_coef = np.array(_numbers(args.dep_coef, "dep-coef"))
@@ -534,7 +527,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tail-min-obs", type=int, default=d.tail_min_obs)
     p.add_argument("--dep-covariates", default=d.dep_covariates,
                    help="subset of covariates driving the dependence (default: all)")
-    p.add_argument("--replicates", type=int, default=d.replicates)
+    p.add_argument("--replicates", type=int, default=d.replicates,
+                   help="bootstrap replicates for standard errors: 0 for none, else at least "
+                        f"{MIN_DRAWS_FOR_INFERENCE}")
     p.add_argument("--scheme", choices=["exponential", "multinomial"], default=d.scheme)
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--out", default="bdreg-out")
@@ -545,23 +540,30 @@ def _add_common(p: argparse.ArgumentParser):
 def _config_from(args) -> RunConfig:
     """Each RunConfig field from the parsed option of its name; the options
     given as text lists, and the worker count (--workers, else WORKERS_ENV;
-    at least 1), are parsed here."""
+    at least 1), are parsed here. A negative seed, or a column named twice
+    among the roles or the dependence covariates, is a ConfigError."""
     trim = tuple(_numbers(args.trim, "trim"))
     if len(trim) != 2:
         raise ConfigError("--trim must be lower,upper")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     workers = args.workers
     if workers is None:
         try:
             workers = int(os.environ.get(WORKERS_ENV, RunConfig.workers))
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV} must be an integer") from None
+    covariates = [c for c in args.covariates.split(",") if c.strip()]
     dep = args.dep_covariates
-    parsed = {
-        "covariates": [c for c in args.covariates.split(",") if c.strip()],
-        "trim": trim,
-        "dep_covariates": None if dep is None else [c for c in dep.split(",") if c.strip()],
-        "workers": max(1, workers),
-    }
+    dep = None if dep is None else [c for c in dep.split(",") if c.strip()]
+    roles = [c for c in (args.y_col, args.w_col, args.group_col, *covariates) if c is not None]
+    for names, options in ((roles, "--y-col, --w-col, --group-col and --covariates"),
+                           (dep or [], "--dep-covariates")):
+        repeated = [c for i, c in enumerate(names) if c in names[:i]]
+        if repeated:
+            raise ConfigError(f"column {repeated[0]!r} is named twice in {options}")
+    parsed = {"covariates": covariates, "trim": trim, "dep_covariates": dep,
+              "workers": max(1, workers)}
     return RunConfig(**{
         f.name: parsed[f.name] if f.name in parsed else getattr(args, f.name)
         for f in fields(RunConfig)
@@ -575,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("estimate", "bootstrap", "decompose"):
+    for name in ("estimate", "decompose"):
         p = sub.add_parser(name)
         _add_common(p)
 
@@ -611,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "estimate": _cmd_estimate,
-    "bootstrap": _cmd_bootstrap,
     "counterfactual": _cmd_counterfactual,
     "decompose": _cmd_decompose,
     "transition": _cmd_transition,

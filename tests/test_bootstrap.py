@@ -47,6 +47,17 @@ def test_multinomial_weights_are_resampling_counts():
     assert not np.array_equal(w, draw_weights(200, scheme, 4, 1))
 
 
+@pytest.mark.parametrize("kind,seed,match", [
+    ("bayesian", 0, "unknown weight scheme"),
+    ("exponential", -1, "non-negative"),
+])
+def test_weight_scheme_rejects_unknown_kind_and_negative_seed(kind, seed, match):
+    # numpy's SeedSequence takes only non-negative entropy, so a negative
+    # seed must fail here, not at the first replicate.
+    with pytest.raises(InferenceError, match=match):
+        WeightScheme(kind, seed=seed)
+
+
 @pytest.mark.parametrize("n_draws", [0, -3])
 def test_bootstrap_fit_rejects_fewer_than_one_draw(n_draws, small_sample, small_fit):
     with pytest.raises(InferenceError, match="n_draws must be at least 1"):

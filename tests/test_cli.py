@@ -1,6 +1,8 @@
+import argparse
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -28,11 +30,6 @@ SE = ["group", "threshold", "se_0", "se_1", "se_2"]
 ROUND_TRIPS = {
     "estimate": {
         **FIT_TABLES,
-        "surface_fitted_0.csv": (SURFACE, GRID * GRID),
-        "surface_fitted_1.csv": (SURFACE, GRID * GRID),
-    },
-    "bootstrap": {
-        **FIT_TABLES,
         "coefficients_y_se.csv": (SE, 2 * BODY),
         "coefficients_w_se.csv": (SE, 2 * BODY),
         "surface_fitted_0.csv": (SURFACE + ["se"], GRID * GRID),
@@ -52,6 +49,12 @@ ROUND_TRIPS = {
             ["component", "row", "col", "value", "share_of_total", "se"], 5 * CELLS),
     },
 }
+# What estimate writes without --replicates.
+ESTIMATE_NO_SE = {
+    **FIT_TABLES,
+    "surface_fitted_0.csv": (SURFACE, GRID * GRID),
+    "surface_fitted_1.csv": (SURFACE, GRID * GRID),
+}
 # Median cuts keep the transition tables 2 x 2; the default quintile cuts are
 # run by test_transition_decompose_at_quintile_cuts.
 EXTRA = {
@@ -68,11 +71,11 @@ def sample_csv(tmp_path_factory):
     return out / "sample.csv"
 
 
-def run(command, input_path, out, *extra):
+def run(command, input_path, out, *extra, group_col="group"):
+    groups = ["--group-col", group_col] if group_col else []
     return cli.main([
-        command, "--input", str(input_path), "--covariates", "x1,x2",
-        "--group-col", "group", "--grid-points", str(GRID), "--workers", "1",
-        "--out", str(out), *extra,
+        command, "--input", str(input_path), "--covariates", "x1,x2", *groups,
+        "--grid-points", str(GRID), "--workers", "1", "--out", str(out), *extra,
     ])
 
 
@@ -80,11 +83,16 @@ def decompose(input_path, out, *extra):
     return run("decompose", input_path, out, *extra)
 
 
-def check_round_trip(command, out):
-    """The command wrote exactly its tables and a manifest, each table with its
-    header and row count, every se finite, and the manifest the golden config
-    keys."""
-    tables = ROUND_TRIPS[command]
+def no_fit(*args, **kwargs):
+    raise AssertionError("fit_bdr must not run")
+
+
+def check_round_trip(command, out, tables=None, groups=("0", "1")):
+    """The command wrote exactly its tables (by default its ROUND_TRIPS entry)
+    and a manifest, each table with its header and row count, every se
+    finite, and the manifest the golden config keys and, for a run with
+    standard errors, each group's failed-replicate count."""
+    tables = ROUND_TRIPS[command] if tables is None else tables
     assert sorted(p.name for p in out.iterdir()) == sorted([*tables, "manifest.json"])
     for name, (header, n_rows) in tables.items():
         with open(out / name, newline="") as fh:
@@ -98,6 +106,8 @@ def check_round_trip(command, out):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
     assert set(manifest["config"]) == CONFIG_KEYS
+    with_se = any("se" in header or "se_0" in header for header, _ in tables.values())
+    assert set(manifest.get("bootstrap_failures", ())) == (set(groups) if with_se else set())
 
 
 def test_decompose_round_trip(sample_csv, tmp_path):
@@ -105,10 +115,29 @@ def test_decompose_round_trip(sample_csv, tmp_path):
     check_round_trip("decompose", tmp_path)
 
 
-@pytest.mark.parametrize("command", ["estimate", "bootstrap", "counterfactual", "transition"])
+@pytest.mark.parametrize("command", ["estimate", "counterfactual", "transition"])
 def test_round_trip(command, sample_csv, tmp_path):
     assert run(command, sample_csv, tmp_path, "--replicates", "10", *EXTRA.get(command, [])) == 0
     check_round_trip(command, tmp_path)
+
+
+def test_estimate_without_replicates_writes_no_se(sample_csv, tmp_path):
+    assert run("estimate", sample_csv, tmp_path) == 0
+    check_round_trip("estimate", tmp_path, tables=ESTIMATE_NO_SE)
+
+
+def test_bootstrap_subcommand_is_gone(sample_csv, tmp_path):
+    # estimate --replicates N took its place; no alias is kept.
+    with pytest.raises(SystemExit) as exc:
+        run("bootstrap", sample_csv, tmp_path, "--replicates", "10")
+    assert exc.value.code == 2
+
+
+def test_docstring_names_every_subcommand():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    listed = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1)
+    assert sorted(c.strip() for c in listed.split(",")) == sorted(sub.choices)
 
 
 def test_transition_decompose_at_quintile_cuts(sample_csv, tmp_path):
@@ -164,18 +193,15 @@ def test_bad_cut_or_grid_setting_is_config_error(command, bad, sample_csv, tmp_p
 
 
 @pytest.mark.parametrize("command,replicates", [
-    ("bootstrap", "0"),
-    ("bootstrap", "5"),
-    ("bootstrap", "9"),
+    ("estimate", "5"),
+    ("estimate", "9"),
+    ("estimate", "-3"),
     ("counterfactual", "1"),
     ("transition", "4"),
     ("decompose", "-3"),
 ])
 def test_too_few_replicates_is_config_error_before_any_fit(command, replicates, sample_csv,
                                                            tmp_path, monkeypatch, capsys):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("fit_bdr must not run")
-
     monkeypatch.setattr(cli, "fit_bdr", no_fit)
     out = tmp_path / "out"
     assert run(command, sample_csv, out, "--replicates", replicates,
@@ -184,12 +210,50 @@ def test_too_few_replicates_is_config_error_before_any_fit(command, replicates, 
     assert f">= {MIN_DRAWS_FOR_INFERENCE}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "50", "--seed", "-1"],
+    ["simulate", "--n", "-5"],
+    ["simulate", "--n", "0"],
+    ["estimate", "--replicates", "10", "--seed", "-1"],
+])
+def test_negative_seed_or_nonpositive_n_is_config_error(argv, sample_csv, tmp_path,
+                                                        monkeypatch):
+    # numpy's SeedSequence and its array constructors reject these with a
+    # bare ValueError, and --n 0 would write a header-only sample.
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    out = tmp_path / "out"
+    if argv[0] == "simulate":
+        code = cli.main([*argv, "--out", str(out)])
+    else:
+        code = run(argv[0], sample_csv, out, *argv[1:])
+    assert code == 2
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("bad,column", [
+    (["--dep-covariates", "x1,x1"], "x1"),
+    (["--covariates", "x1,x1"], "x1"),
+    (["--group-col", "x2"], "x2"),
+    (["--w-col", "y"], "y"),
+])
+def test_column_named_twice_is_config_error_before_any_fit(bad, column, sample_csv, tmp_path,
+                                                           monkeypatch, capsys):
+    # A column in two roles makes a rank-deficient design, or, as both
+    # outcomes, a fit with every cell at the saturation bound; the error
+    # names the column before any fit runs.
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    out = tmp_path / "out"
+    assert run("estimate", sample_csv, out, *bad) == 2
+    assert list(out.glob("*")) == []
+    assert f"column {column!r} is named twice" in capsys.readouterr().err
+
+
 def test_multinomial_bootstrap_round_trip(sample_csv, tmp_path):
     # Rows a replicate never draws carry weight zero in its fits and in the
     # covariate averaging of its surfaces.
-    assert run("bootstrap", sample_csv, tmp_path, "--replicates", "10",
+    assert run("estimate", sample_csv, tmp_path, "--replicates", "10",
                "--scheme", "multinomial") == 0
-    check_round_trip("bootstrap", tmp_path)
+    check_round_trip("estimate", tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["scheme"] == "multinomial"
 
@@ -207,9 +271,6 @@ def test_bad_transition_cuts_fail_before_any_fit(bad, code, sample_csv, tmp_path
     # A repeated cut or level is a configuration error; distinct levels at
     # one empirical quantile are a data error. Both used to surface only
     # after every group was fitted.
-    def no_fit(*args, **kwargs):
-        raise AssertionError("fit_bdr must not run")
-
     monkeypatch.setattr(cli, "fit_bdr", no_fit)
     out = tmp_path / "out"
     assert run("transition", sample_csv, out, *bad) == code
@@ -276,3 +337,55 @@ def test_failed_run_leaves_no_partial_output(sample_csv, tmp_path, monkeypatch):
     assert code == 4
     assert out.is_dir()
     assert sorted(out.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def one_group_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sim1")
+    assert cli.main(["simulate", "--n", "600", "--seed", "8", "--out", str(out)]) == 0
+    return out / "sample.csv"
+
+
+def test_one_group_estimate_round_trip(one_group_csv, tmp_path):
+    assert run("estimate", one_group_csv, tmp_path, "--replicates", "10", group_col=None) == 0
+    tables = {name: (header, n_rows // 2) for name, (header, n_rows) in FIT_TABLES.items()}
+    check_round_trip("estimate", tmp_path, groups=("0",), tables={
+        **tables,
+        "coefficients_y_se.csv": (SE, BODY),
+        "coefficients_w_se.csv": (SE, BODY),
+        "surface_fitted_0.csv": (SURFACE + ["se"], GRID * GRID),
+    })
+
+
+def test_one_group_transition_round_trip(one_group_csv, tmp_path):
+    assert run("transition", one_group_csv, tmp_path, "--replicates", "10",
+               "--y-cut-levels", "0.5", "--w-cut-levels", "0.5", group_col=None) == 0
+    header = ROUND_TRIPS["transition"]["transition.csv"][0]
+    check_round_trip("transition", tmp_path, groups=("0",),
+                     tables={"transition.csv": (header, CELLS)})
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("decompose", []),
+    ("counterfactual", ["--index", "1110"]),
+    ("transition", ["--decompose"]),
+])
+def test_group_comparison_on_one_group_is_config_error(command, extra, one_group_csv,
+                                                       tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(command, one_group_csv, out, *extra, group_col=None) == 2
+    assert list(out.glob("*")) == []
+    assert "requires --group-col with two groups" in capsys.readouterr().err
+
+
+def test_estimate_with_dependence_covariates(sample_csv, tmp_path):
+    assert run("estimate", sample_csv, tmp_path, "--dep-covariates", "x1") == 0
+    check_round_trip("estimate", tmp_path, tables={
+        **ESTIMATE_NO_SE,
+        "dependence.csv": (["group", "y", "w", "coef_0", "coef_1"], 2 * BODY * BODY),
+    })
+
+
+def test_decompose_with_dependence_covariates(sample_csv, tmp_path):
+    assert decompose(sample_csv, tmp_path, "--dep-covariates", "x2", "--replicates", "10") == 0
+    check_round_trip("decompose", tmp_path)
