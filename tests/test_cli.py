@@ -26,9 +26,16 @@ FIT_TABLES = {
     "tails.csv": (["group", "outcome", "side", "alpha", "anchor", "r0"], 2 * 2 * 2),
 }
 SE = ["group", "threshold", "se_0", "se_1", "se_2"]
-# Files, headers and row counts each two-group command writes with --replicates 10.
+# Files, headers and row counts each two-group run writes: estimate without
+# replicates, and each other case with --replicates 10. The "bootstrap" case is
+# estimate with replicates, the run that took the bootstrap subcommand's place.
 ROUND_TRIPS = {
     "estimate": {
+        **FIT_TABLES,
+        "surface_fitted_0.csv": (SURFACE, GRID * GRID),
+        "surface_fitted_1.csv": (SURFACE, GRID * GRID),
+    },
+    "bootstrap": {
         **FIT_TABLES,
         "coefficients_y_se.csv": (SE, 2 * BODY),
         "coefficients_w_se.csv": (SE, 2 * BODY),
@@ -49,12 +56,8 @@ ROUND_TRIPS = {
             ["component", "row", "col", "value", "share_of_total", "se"], 5 * CELLS),
     },
 }
-# What estimate writes without --replicates.
-ESTIMATE_NO_SE = {
-    **FIT_TABLES,
-    "surface_fitted_0.csv": (SURFACE, GRID * GRID),
-    "surface_fitted_1.csv": (SURFACE, GRID * GRID),
-}
+# The command of each ROUND_TRIPS case not named after its command.
+COMMAND = {"bootstrap": "estimate"}
 # Median cuts keep the transition tables 2 x 2; the default quintile cuts are
 # run by test_transition_decompose_at_quintile_cuts.
 EXTRA = {
@@ -87,12 +90,12 @@ def no_fit(*args, **kwargs):
     raise AssertionError("fit_bdr must not run")
 
 
-def check_round_trip(command, out, tables=None, groups=("0", "1")):
-    """The command wrote exactly its tables (by default its ROUND_TRIPS entry)
-    and a manifest, each table with its header and row count, every se
+def check_round_trip(case, out, tables=None, groups=("0", "1")):
+    """The case's command wrote exactly its tables (by default its ROUND_TRIPS
+    entry) and a manifest, each table with its header and row count, every se
     finite, and the manifest the golden config keys and, for a run with
     standard errors, each group's failed-replicate count."""
-    tables = ROUND_TRIPS[command] if tables is None else tables
+    tables = ROUND_TRIPS[case] if tables is None else tables
     assert sorted(p.name for p in out.iterdir()) == sorted([*tables, "manifest.json"])
     for name, (header, n_rows) in tables.items():
         with open(out / name, newline="") as fh:
@@ -104,7 +107,7 @@ def check_round_trip(command, out, tables=None, groups=("0", "1")):
             se = [float(v) for r in rows for k, v in r.items() if k.startswith("se")]
             assert np.all(np.isfinite(se)), name
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == command
+    assert manifest["command"] == COMMAND.get(case, case)
     assert set(manifest["config"]) == CONFIG_KEYS
     with_se = any("se" in header or "se_0" in header for header, _ in tables.values())
     assert set(manifest.get("bootstrap_failures", ())) == (set(groups) if with_se else set())
@@ -115,15 +118,12 @@ def test_decompose_round_trip(sample_csv, tmp_path):
     check_round_trip("decompose", tmp_path)
 
 
-@pytest.mark.parametrize("command", ["estimate", "counterfactual", "transition"])
-def test_round_trip(command, sample_csv, tmp_path):
-    assert run(command, sample_csv, tmp_path, "--replicates", "10", *EXTRA.get(command, [])) == 0
-    check_round_trip(command, tmp_path)
-
-
-def test_estimate_without_replicates_writes_no_se(sample_csv, tmp_path):
-    assert run("estimate", sample_csv, tmp_path) == 0
-    check_round_trip("estimate", tmp_path, tables=ESTIMATE_NO_SE)
+@pytest.mark.parametrize("case", ["estimate", "bootstrap", "counterfactual", "transition"])
+def test_round_trip(case, sample_csv, tmp_path):
+    command = COMMAND.get(case, case)
+    replicates = [] if case == "estimate" else ["--replicates", "10"]
+    assert run(command, sample_csv, tmp_path, *replicates, *EXTRA.get(command, [])) == 0
+    check_round_trip(case, tmp_path)
 
 
 def test_bootstrap_subcommand_is_gone(sample_csv, tmp_path):
@@ -253,7 +253,7 @@ def test_multinomial_bootstrap_round_trip(sample_csv, tmp_path):
     # covariate averaging of its surfaces.
     assert run("estimate", sample_csv, tmp_path, "--replicates", "10",
                "--scheme", "multinomial") == 0
-    check_round_trip("estimate", tmp_path)
+    check_round_trip("bootstrap", tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["scheme"] == "multinomial"
 
@@ -381,7 +381,7 @@ def test_group_comparison_on_one_group_is_config_error(command, extra, one_group
 def test_estimate_with_dependence_covariates(sample_csv, tmp_path):
     assert run("estimate", sample_csv, tmp_path, "--dep-covariates", "x1") == 0
     check_round_trip("estimate", tmp_path, tables={
-        **ESTIMATE_NO_SE,
+        **ROUND_TRIPS["estimate"],
         "dependence.csv": (["group", "y", "w", "coef_0", "coef_1"], 2 * BODY * BODY),
     })
 
