@@ -8,10 +8,17 @@ fits (which hold the base marginal indices fixed and start each cell from
 the base estimate of the same cell). The replicate fit keeps that vector as
 its `weights`, and every functional computed from the fit averages its
 covariate rows with it, so a replicate is one self-contained record.
+
+Replicate fits and their functionals run on one pool helper, _fork_map. Its
+workers are forked and get the task through the pool initializer, so only
+item ids and results cross the pipe: a task is never pickled, and may be a
+closure over local state (the CLI's functionals are) holding every fit.
+Where the platform cannot fork (Windows), the helper runs serially.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -87,6 +94,25 @@ class BootstrapEnsemble:
     failed: dict[int, str] = field(default_factory=dict)
 
 
+_worker_task = []  # in a pool worker, the task _fork_map's initializer appended
+
+
+def _call_task(item):
+    return _worker_task[-1](item)
+
+
+def _fork_map(task, items, workers):
+    """[task(i) for i in items], on up to `workers` forked processes with one
+    even share of the items each; serial for one worker or one item, or where
+    the platform cannot fork."""
+    if workers <= 1 or len(items) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [task(i) for i in items]
+    workers = min(workers, len(items))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_worker_task.append, initargs=(task,)) as pool:
+        return list(pool.map(_call_task, items, chunksize=-(-len(items) // workers)))
+
+
 def _run_replicate(args):
     sample, scheme, base, group, rep = args
     w = draw_weights(sample.n, scheme, rep, group)
@@ -117,18 +143,13 @@ def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
     each failed replicate and why it failed.
 
     Replicates are seeded by replicate id, so results do not depend on
-    workers (the degree of parallelism).
+    workers (the number of processes _fork_map fits them on).
     """
     if n_draws < 1:
         raise InferenceError("n_draws must be at least 1")
     ens = BootstrapEnsemble(n_requested=n_draws)
-    jobs = [(sample, scheme, base, group, rep) for rep in range(n_draws)]
-    if workers > 1 and n_draws > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # One even share of the draws per worker.
-            results = list(pool.map(_run_replicate, jobs, chunksize=-(-n_draws // workers)))
-    else:
-        results = [_run_replicate(job) for job in jobs]
+    results = _fork_map(lambda rep: _run_replicate((sample, scheme, base, group, rep)),
+                        range(n_draws), workers)
     for rep, fit, err in results:
         if err is not None:
             ens.failed[rep] = err
@@ -144,10 +165,13 @@ def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
     return ens
 
 
-def ensemble_apply(ensembles: dict[int, BootstrapEnsemble],
-                   fn) -> dict[int, object]:
+def ensemble_apply(ensembles: dict[int, BootstrapEnsemble], fn,
+                   workers: int = 1) -> dict[int, object]:
     """Apply fn(replicate_fits_by_group) across the replicates valid in every
-    group's ensemble.
+    group's ensemble, keyed by replicate id in increasing order. The calls
+    run on up to `workers` forked processes (_fork_map): fn may be a closure
+    over local state, its results must pickle, and an exception it raises
+    reaches the caller as raised.
 
     Groups can each keep enough replicates but lose different ones: with
     fewer than MIN_DRAWS_FOR_INFERENCE valid in every group, the
@@ -164,7 +188,9 @@ def ensemble_apply(ensembles: dict[int, BootstrapEnsemble],
             f"{len(ids)} bootstrap replicates are valid in every group, need at "
             f"least {MIN_DRAWS_FOR_INFERENCE} ({lost})"
         )
-    return {rep: fn({g: ens.draws[rep] for g, ens in ensembles.items()}) for rep in ids}
+    values = _fork_map(lambda rep: fn({g: ens.draws[rep] for g, ens in ensembles.items()}),
+                       ids, workers)
+    return dict(zip(ids, values))
 
 
 def robust_se(draws) -> float:

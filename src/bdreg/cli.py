@@ -59,7 +59,8 @@ __all__ = ["OutputWriter", "RunConfig", "build_parser", "ingest", "main"]
 
 MISSING_TOKENS = {"", "na", "nan", "null", "."}
 WORKERS_ENV = "BDREG_WORKERS"
-_COEF_FLAGS = ("--y-coef", "--w-coef", "--dep-coef", "--y-coef-1", "--w-coef-1", "--dep-coef-1")
+_LIST_FLAGS = ("--y-coef", "--w-coef", "--dep-coef", "--y-coef-1", "--w-coef-1", "--dep-coef-1",
+               "--y-cuts", "--w-cuts")
 _VERSIONS = {"bdreg": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
@@ -233,16 +234,18 @@ class _Run:
     manifest: dict
     y_cuts: np.ndarray | None = None
     w_cuts: np.ndarray | None = None
+    workers: int = 1
 
     def se(self, fn, group=None):
         """Robust SE over the replicates of fn(fits), fits keyed by group
         (each replicate fit carries its own weights); only group's
-        replicates when given, else those valid in every group. A dict
-        result gets one SE per key; None without replicates."""
+        replicates when given, else those valid in every group, on the
+        run's workers. A dict result gets one SE per key; None without
+        replicates."""
         if self.ensembles is None:
             return None
         ensembles = self.ensembles if group is None else {group: self.ensembles[group]}
-        draws = list(ensemble_apply(ensembles, fn).values())
+        draws = list(ensemble_apply(ensembles, fn, self.workers).values())
         if isinstance(draws[0], dict):
             return {k: robust_se_map(np.stack([d[k] for d in draws])) for k in draws[0]}
         return robust_se_map(np.stack(draws))
@@ -293,7 +296,7 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
             for g in sorted(samples)
         }
         manifest["bootstrap_failures"] = {str(g): len(e.failed) for g, e in ensembles.items()}
-    return _Run(samples, fits, ensembles, manifest, y_cuts, w_cuts)
+    return _Run(samples, fits, ensembles, manifest, y_cuts, w_cuts, config.workers)
 
 
 def _write_fit_tables(writer: OutputWriter, fits: dict[int, BdrFit]):
@@ -534,25 +537,29 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--out", default="bdreg-out")
     p.add_argument("--workers", type=int, default=None,
-                   help=f"replicate-fit processes (default: ${WORKERS_ENV}, else {d.workers})")
+                   help="processes for the bootstrap replicate fits and their functionals "
+                        f"(default: ${WORKERS_ENV}, else {d.workers})")
 
 
 def _config_from(args) -> RunConfig:
     """Each RunConfig field from the parsed option of its name; the options
-    given as text lists, and the worker count (--workers, else WORKERS_ENV;
-    at least 1), are parsed here. A negative seed, or a column named twice
-    among the roles or the dependence covariates, is a ConfigError."""
+    given as text lists, and the worker count (--workers, else WORKERS_ENV),
+    are parsed here. A negative seed, a worker count below 1, or a column
+    named twice among the roles or the dependence covariates is a ConfigError."""
     trim = tuple(_numbers(args.trim, "trim"))
     if len(trim) != 2:
         raise ConfigError("--trim must be lower,upper")
     if args.seed < 0:
         raise ConfigError("--seed must be non-negative")
-    workers = args.workers
+    workers, source = args.workers, "--workers"
     if workers is None:
+        source = WORKERS_ENV
         try:
             workers = int(os.environ.get(WORKERS_ENV, RunConfig.workers))
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV} must be an integer") from None
+    if workers < 1:
+        raise ConfigError(f"{source} must be at least 1, got {workers}")
     covariates = [c for c in args.covariates.split(",") if c.strip()]
     dep = args.dep_covariates
     dep = None if dep is None else [c for c in dep.split(",") if c.strip()]
@@ -563,7 +570,7 @@ def _config_from(args) -> RunConfig:
         if repeated:
             raise ConfigError(f"column {repeated[0]!r} is named twice in {options}")
     parsed = {"covariates": covariates, "trim": trim, "dep_covariates": dep,
-              "workers": max(1, workers)}
+              "workers": workers}
     return RunConfig(**{
         f.name: parsed[f.name] if f.name in parsed else getattr(args, f.name)
         for f in fields(RunConfig)
@@ -620,13 +627,13 @@ _COMMANDS = {
 }
 
 
-def _attach_coef_values(argv: list[str]) -> list[str]:
-    """Join each simulate coefficient flag to its value as one --flag=value
-    token, so argparse does not take a list that starts with a minus sign
-    (--w-coef -0.1,0.8,0.2) for an option."""
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """Join each number-list flag to its value as one --flag=value token, so
+    argparse does not take a list that starts with a minus sign
+    (--w-coef -0.1,0.8,0.2, --y-cuts -0.5,0.5) for an option."""
     out = []
     for arg in argv:
-        if out and out[-1] in _COEF_FLAGS:
+        if out and out[-1] in _LIST_FLAGS:
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
@@ -635,7 +642,7 @@ def _attach_coef_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     """Run one subcommand; on any failure remove the files this run wrote."""
-    args = build_parser().parse_args(_attach_coef_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     writer = None
     code = 1
     try:

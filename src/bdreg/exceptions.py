@@ -35,7 +35,7 @@ class EstimationError(BdrError):
 
 
 class TailError(EstimationError):
-    """No admissible tail anchor/scale could be found."""
+    """The tail scale is non-positive at every admissible auxiliary point."""
 
 
 class InferenceError(BdrError):

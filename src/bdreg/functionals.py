@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .data import Sample, increasing
+from .data import Sample, increasing, nearest_body_index
 from .dependence import BdrFit
 from .exceptions import ConfigError
 from .marginals import _normalize_weights
-from .normal import BLOCK_ROWS, bvn_cdf
+from .normal import BLOCK_ROWS, bvn_cdf, link_rho
 
 __all__ = [
     "CounterfactualIndex",
@@ -89,12 +89,12 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
     average of the product of the marginal CDFs.
 
     Thresholds with equal copy-rule keys (MarginalFit.key) have identical
-    indices, and pairs in the same dependence cell (BdrFit.dep_cell) have
-    identical correlations, so each distinct (y key, w key, cell) triple is
-    evaluated once and scattered back to the grid. Every triple's dependence
-    coefficients are looked up, in grid order, before any evaluation, so the
-    first failed cell raises its EstimationError. The distinct triples go to
-    bvn_cdf in blocks of about BLOCK_ROWS rows.
+    indices, and pairs in the same dependence cell (BdrFit.dep_cell, found
+    per axis value) have identical correlations, computed once per cell, so
+    each distinct (y key, w key, cell) triple is evaluated once and scattered
+    back to the grid. Before any evaluation, the first grid pair whose cell
+    failed raises its EstimationError. The distinct triples go to bvn_cdf in
+    blocks of about BLOCK_ROWS rows.
     """
     x, wts = _x_average(x, weights)
     y_values = np.asarray(y_fit.grid.y_grid if y_values is None else y_values, dtype=float)
@@ -110,20 +110,25 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
         values = (special.ndtr(a_rows) * wts) @ special.ndtr(b_rows).T
         return JointCdfSurface(values[np.ix_(y_pos, w_pos)], y_values, w_values)
 
-    cells = [(iy, iw, *dep_fit.dep_cell(y, w))
-             for y, iy in zip(y_values, y_pos) for w, iw in zip(w_values, w_pos)]
-    triples, first, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
-    pairs = [(y_values[p // w_values.size], w_values[p % w_values.size]) for p in first]
-    for p in np.argsort(first):
-        dep_fit.dep_at(*pairs[p])
+    y_cells = [nearest_body_index(dep_fit.grid.y_body, y) for y in y_values]
+    w_cells = [nearest_body_index(dep_fit.grid.w_body, w) for w in w_values]
+    failed = ~np.isfinite(dep_fit.dep_coef).all(axis=-1)[np.ix_(y_cells, w_cells)]
+    if failed.any():
+        iy, iw = np.unravel_index(np.argmax(failed), failed.shape)
+        dep_fit.dep_at(y_values[iy], w_values[iw])
+    pairs = [(iy, iw, jy, jw) for iy, jy in zip(y_pos, y_cells) for iw, jw in zip(w_pos, w_cells)]
+    triples, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    cells, cell_of = np.unique(triples[:, 2:], axis=0, return_inverse=True)
+    x_dep = x[:, dep_fit.dep_cols]
+    cell_rho = [link_rho(x_dep @ dep_fit.dep_coef[jy, jw])[0] for jy, jw in cells]
     n_rows = x.shape[0]
     step = max(1, BLOCK_ROWS // n_rows)
-    values = np.empty(len(pairs))
-    for lo in range(0, len(pairs), step):
-        hi = min(lo + step, len(pairs))
+    values = np.empty(len(triples))
+    for lo in range(0, len(triples), step):
+        hi = min(lo + step, len(triples))
         a = a_rows[triples[lo:hi, 0]].ravel()
         b = b_rows[triples[lo:hi, 1]].ravel()
-        rho = np.concatenate([dep_fit.local_rho(y, w, x) for y, w in pairs[lo:hi]])
+        rho = np.concatenate([cell_rho[c] for c in cell_of.ravel()[lo:hi]])
         values[lo:hi] = bvn_cdf(a, b, rho).reshape(hi - lo, n_rows) @ wts
     values = values[inverse.ravel()].reshape(y_values.size, w_values.size)
     return JointCdfSurface(values, y_values, w_values)

@@ -208,6 +208,7 @@ def fit_tail_scale(values, x, coef_anchor, anchor, direction, min_obs,
     direction is "upper" or "lower". When r0 is given (bootstrap replicates
     reuse the point chosen by the base fit) no search is performed. Otherwise
     admissible points are tried nearest-first until one yields alpha > 0.
+    With none admissible, the data cannot meet min_obs: a DataError.
     """
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -218,7 +219,7 @@ def fit_tail_scale(values, x, coef_anchor, anchor, direction, min_obs,
     else:
         candidates = _admissible_tail_points(values, anchor, direction, min_obs)
         if not candidates:
-            raise TailError(
+            raise DataError(
                 f"no admissible {direction}-tail point beyond anchor {anchor}: "
                 f"widen the body or reduce tail_min_obs={min_obs}"
             )

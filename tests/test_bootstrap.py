@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from bdreg.bootstrap import (
 from bdreg.data import build_grid, empirical_quantile, grid_from_values
 from bdreg.dependence import fit_bdr
 from bdreg.dgp import DgpSpec, generate
-from bdreg.exceptions import InferenceError
+from bdreg.exceptions import EstimationError, InferenceError
 
 from conftest import bench_spec
 
@@ -132,6 +134,42 @@ def test_ensemble_apply_names_replicates_lost_in_any_group():
     assert sorted(ensemble_apply({1: ensemble(5)}, lambda fits: 0.0)) == [
         rep for rep in range(11) if rep != 5
     ]
+
+
+def test_ensemble_apply_on_workers_runs_a_closure_over_local_state():
+    # A local closure does not pickle; forked workers inherit it. Results
+    # must equal the serial ones, keyed in replicate-id order.
+    ensembles = {g: BootstrapEnsemble(12, draws={rep: 10 * g + rep for rep in range(12)})
+                 for g in (0, 1)}
+    offset = np.linspace(0.0, 1.0, 3)
+
+    def fn(fits):
+        return fits[0] + fits[1] + offset, os.getpid()
+
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(fn)
+    serial = ensemble_apply(ensembles, fn)
+    pooled = ensemble_apply(ensembles, fn, workers=2)
+    assert list(serial) == list(pooled) == list(range(12))
+    for rep in serial:
+        np.testing.assert_array_equal(serial[rep][0], pooled[rep][0])
+    assert {pid for _, pid in serial.values()} == {os.getpid()}
+    assert os.getpid() not in {pid for _, pid in pooled.values()}
+
+
+def test_error_in_a_worker_reaches_the_caller():
+    # Replicate 7 is in the second of the two shares of ids.
+    ensemble = BootstrapEnsemble(10, draws={rep: rep for rep in range(10)})
+    message = "no dependence estimate at grid pair (0.5, 0.25): its fit failed"
+
+    def fn(fits):
+        if fits[0] == 7:
+            raise EstimationError(message, diagnostics={"cell": (0, 1)})
+
+    with pytest.raises(EstimationError) as info:
+        ensemble_apply({0: ensemble}, fn, workers=2)
+    assert str(info.value) == message
+    assert info.value.diagnostics == {"cell": (0, 1)}
 
 
 def test_robust_se_map_matches_quantile_on_finite_draws():

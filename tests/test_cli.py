@@ -289,6 +289,58 @@ def test_bad_workers_variable_is_config_error(sample_csv, tmp_path, monkeypatch,
     assert run("estimate", sample_csv, tmp_path / "est") == 0
 
 
+@pytest.mark.parametrize("workers,env,named", [
+    (["--workers", "0"], None, "--workers"),
+    (["--workers", "-4"], None, "--workers"),
+    ([], "0", cli.WORKERS_ENV),
+])
+def test_workers_below_one_is_config_error(workers, env, named, sample_csv, tmp_path,
+                                           monkeypatch, capsys):
+    # These used to be taken as one worker.
+    if env is not None:
+        monkeypatch.setenv(cli.WORKERS_ENV, env)
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    out = tmp_path / "out"
+    code = cli.main(["estimate", "--input", str(sample_csv), "--covariates", "x1,x2",
+                     "--group-col", "group", *workers, "--out", str(out)])
+    assert code == 2
+    assert f"{named} must be at least 1" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+def test_transition_takes_negative_cut_lists(sample_csv, tmp_path):
+    cuts = {"--y-cuts": "-0.5,0.5", "--w-cuts": "-0.5,0.5"}
+    spaced = [tok for flag, value in cuts.items() for tok in (flag, value)]
+    joined = [f"{flag}={value}" for flag, value in cuts.items()]
+    assert run("transition", sample_csv, tmp_path / "spaced", *spaced) == 0
+    assert run("transition", sample_csv, tmp_path / "joined", *joined) == 0
+    spaced_csv, joined_csv = (tmp_path / d / "transition.csv" for d in ("spaced", "joined"))
+    assert spaced_csv.read_bytes() == joined_csv.read_bytes()
+
+
+def test_unmeetable_tail_min_obs_is_data_error(sample_csv, tmp_path, capsys):
+    assert run("estimate", sample_csv, tmp_path / "out", "--tail-min-obs", "100000") == 3
+    assert "reduce tail_min_obs=100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("decompose", []),
+    ("transition", EXTRA["transition"]),
+    ("estimate", []),
+])
+def test_pooled_replicates_write_what_one_worker_writes(command, extra, sample_csv, tmp_path):
+    # Replicate fits and their functionals run on the worker pool; every
+    # table must match the one-worker run byte for byte.
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert run(command, sample_csv, out, "--replicates", "10", *extra,
+                   "--workers", workers) == 0
+    tables = sorted(p.name for p in (tmp_path / "1").glob("*.csv"))
+    assert tables == sorted(p.name for p in (tmp_path / "2").glob("*.csv"))
+    for name in tables:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_unknown_covariate_is_config_error(sample_csv, tmp_path):
     code = cli.main(["decompose", "--input", str(sample_csv), "--covariates", "x1,nope",
                      "--group-col", "group", "--out", str(tmp_path)])

@@ -5,7 +5,7 @@ import pytest
 
 from bdreg.data import Sample, build_grid, grid_from_values
 from bdreg.dgp import DgpSpec, generate
-from bdreg.exceptions import DataError, EstimationError, TailError
+from bdreg.exceptions import DataError, EstimationError
 from bdreg.marginals import (
     _damped_newton,
     _probit_evaluate,
@@ -137,7 +137,7 @@ class TestTailScale:
         anchor = float(np.quantile(y, 0.98, method="inverted_cdf"))
         x = np.ones((200, 1))
         coef = fit_probit_dr(x, (y <= anchor).astype(float)).coef
-        with pytest.raises(TailError, match="admissible"):
+        with pytest.raises(DataError, match="admissible"):
             fit_tail_scale(y, x, coef, anchor, "upper", min_obs=30)
 
     def test_lower_tail(self):
@@ -153,7 +153,7 @@ class TestTailScale:
         # exactly min_obs - 1 observations beyond the anchor: no candidate
         y = np.r_[np.linspace(0, 1, 100), np.linspace(2, 3, 29)]
         x = np.ones((y.size, 1))
-        with pytest.raises(TailError):
+        with pytest.raises(DataError):
             fit_tail_scale(y, x, np.array([1.0]), 1.0, "upper", min_obs=30)
 
 
