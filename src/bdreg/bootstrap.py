@@ -3,11 +3,15 @@ the full model, ensemble application to functionals, and the IQR-based robust
 standard error, per draw vector or cellwise over a stack of draws.
 
 One weight vector drives every sub-estimation of a replicate: the marginal
-fits, the tail scales (at the base fit's auxiliary points) and the dependence
-fits (which hold the base marginal indices fixed and start each cell from
-the base estimate of the same cell). The replicate fit keeps that vector as
-its `weights`, and every functional computed from the fit averages its
-covariate rows with it, so a replicate is one self-contained record.
+fits (refitted, the tail scales at the base fit's auxiliary points) and the
+dependence cells. A dependence cell holds the base marginal indices fixed
+and takes one Newton step from the base estimate of the same cell (the
+one-step bootstrap, first-order equivalent to refitting it), all cells of
+all replicates from one kernel pass per cell (dependence._ReplicateBase).
+So a replicate can fail only in its marginal fits. The replicate fit keeps
+its weight vector as its `weights`, and every functional computed from the
+fit averages its covariate rows with it, so a replicate is one
+self-contained record.
 
 Replicate fits and their functionals run on one pool helper, _fork_map. Its
 workers are forked and get the task through the pool initializer, so only
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Sample
-from .dependence import BdrFit, fit_bdr
+from .dependence import BdrFit, _ReplicateBase, fit_bdr
 from .exceptions import EstimationError, InferenceError
 from .normal import std_normal_quantile
 
@@ -117,30 +121,26 @@ def _run_replicate(args):
     sample, scheme, base, group, rep = args
     w = draw_weights(sample.n, scheme, rep, group)
     try:
-        fit = fit_bdr(sample, base.grid, base.dep_cols, weights=w, base=base)
+        return rep, fit_bdr(sample, base.fit.grid, base.fit.dep_cols, weights=w, base=base), None
     except EstimationError as err:
         return rep, None, str(err)
-    if fit.n_failed:
-        y, w_val, why = fit.failures[0]
-        return rep, None, (
-            f"{fit.n_failed} grid cell(s) failed, first at ({y:.6g}, {w_val:.6g}): {why}"
-        )
-    return rep, fit, None
 
 
 def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
                   scheme: WeightScheme = WeightScheme(), group: int = 0,
                   workers: int = 1) -> BootstrapEnsemble:
-    """Draw n_draws weighted refits of the base fit's model.
+    """Draw n_draws weighted replicate fits of the base fit's model.
 
-    Each replicate is fitted on base.grid with base.dep_cols, reuses the base
-    fit's tail auxiliary points, holds the base marginal indices fixed in the
-    dependence step and starts each dependence cell from the base estimate of
-    the same cell. A replicate with any failed grid pair is dropped,
-    with its reason kept in `failed`. The run fails when more than
-    MAX_FAILURE_SHARE of the draws fail, or when fewer than
-    min(n_draws, MIN_DRAWS_FOR_INFERENCE) survive; its InferenceError names
-    each failed replicate and why it failed.
+    Each replicate is fitted on base.grid with base.dep_cols: its marginals
+    are refitted with the base fit's tail auxiliary points, and each
+    dependence cell takes one Newton step from the base estimate of the same
+    cell, at the base marginal indices (fit_bdr with a _ReplicateBase, made
+    once here). A cell whose base fit failed stays NaN in every replicate, so
+    a functional that reads it raises the base fit's EstimationError. A
+    replicate whose marginal fits fail is dropped, with its reason kept in
+    `failed`. The run fails when more than MAX_FAILURE_SHARE of the draws
+    fail, or when fewer than min(n_draws, MIN_DRAWS_FOR_INFERENCE) survive;
+    its InferenceError names each failed replicate and why it failed.
 
     Replicates are seeded by replicate id, so results do not depend on
     workers (the number of processes _fork_map fits them on).
@@ -148,7 +148,8 @@ def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
     if n_draws < 1:
         raise InferenceError("n_draws must be at least 1")
     ens = BootstrapEnsemble(n_requested=n_draws)
-    results = _fork_map(lambda rep: _run_replicate((sample, scheme, base, group, rep)),
+    ready = _ReplicateBase(sample, base)
+    results = _fork_map(lambda rep: _run_replicate((sample, scheme, ready, group, rep)),
                         range(n_draws), workers)
     for rep, fit, err in results:
         if err is not None:

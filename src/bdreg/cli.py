@@ -3,7 +3,9 @@ delimited outputs with a JSON run manifest.
 
 Subcommands: estimate, counterfactual, decompose, transition, simulate.
 Given --replicates N (0 for none, else at least 10), a fitting command adds
-weighted-bootstrap standard errors to its tables. Exit codes: 0 success,
+weighted-bootstrap standard errors to its tables: each replicate refits the
+marginals under its weights and takes one Newton step from the base estimate
+in every dependence cell (bootstrap.bootstrap_fit). Exit codes: 0 success,
 2 configuration error, 3 data error, 4 estimation/inference error.
 """
 
@@ -532,7 +534,8 @@ def _add_common(p: argparse.ArgumentParser):
                    help="subset of covariates driving the dependence (default: all)")
     p.add_argument("--replicates", type=int, default=d.replicates,
                    help="bootstrap replicates for standard errors: 0 for none, else at least "
-                        f"{MIN_DRAWS_FOR_INFERENCE}")
+                        f"{MIN_DRAWS_FOR_INFERENCE}; each refits the marginals and takes one "
+                        "Newton step per dependence cell")
     p.add_argument("--scheme", choices=["exponential", "multinomial"], default=d.scheme)
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--out", default="bdreg-out")

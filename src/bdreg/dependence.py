@@ -1,7 +1,9 @@
 """Dependence estimation: for each body grid pair, maximize the four-quadrant
 bivariate probit likelihood in the dependence coefficients, holding the
 marginal indices fixed (the second step of the two-step estimator). The fitted
-surface is extended off the body by nearest-body-point copying.
+surface is extended off the body by nearest-body-point copying. A bootstrap
+replicate does not refit the cells: it takes one Newton step from each base
+estimate under its weights (_ReplicateBase).
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ import numpy as np
 
 from .data import GridSpec, Sample, nearest_body_index, validate
 from .exceptions import DataError, EstimationError
-from .marginals import MarginalFit, NewtonResult, _damped_newton, _normalize_weights, fit_marginal
+from .marginals import (
+    POLISH_GRAD,
+    MarginalFit,
+    NewtonResult,
+    _damped_newton,
+    _newton_step,
+    _normalize_weights,
+    fit_marginal,
+)
 from .normal import EPS_RHO, FixedThresholdBvn, bvn_cdf, link_rho
 
 __all__ = [
@@ -68,43 +78,71 @@ class _CellKernel:
         )
         self.w = _normalize_weights(weights, self.n)
 
-    def evaluate(self, dep):
-        """Log-likelihood, score and observed information (the negative
-        Hessian) at dep, all from one quadrature pass. Where the observed
-        information is not positive definite, the expected information
-        (Fisher's) stands in for it."""
+    def terms(self, dep):
+        """Each row's log cell, weighted score factor and observed curvature
+        at dep (the row's contributions to the log-likelihood, score and
+        observed information, before the design rows x and x x'), and its
+        Fisher curvature, all from one quadrature pass. The score factor
+        carries the kernel's weights; the curvatures do not."""
         u = self.x_dep @ np.asarray(dep, dtype=float)
         rho, gprime = link_rho(u)
         p11 = self.bvn.cdf(rho)
         cell = self.offset + self.sign * p11
         free = cell > CELL_FLOOR
         cell = np.maximum(cell, CELL_FLOOR)
-        ll = float(np.mean(self.w * np.log(cell)))
         # d log(cell) / dP, zero where the cell is floored.
         inv = np.where(free, 1.0 / cell, 0.0)
         ratio = self.sign * inv
         dens, ddens = self.bvn.pdf_drho(rho)
-        grad = self.x_dep.T @ (self.w * ratio * dens * gprime) / self.n
+        score = self.w * ratio * dens * gprime
         # -d2/du2 of log(cell) with dP/du = dens g' and, as g'' = -2 rho g',
         # d2P/du2 = ddens g'^2 - 2 rho g' dens.
         dp = dens * gprime
         d2p = gprime * (ddens * gprime - 2.0 * rho * dens)
-        info = self._information(inv * inv * dp * dp - ratio * d2p)
-        try:
-            np.linalg.cholesky(info)
-        except np.linalg.LinAlgError:
-            info = self._fisher(p11, dp)
+        observed = inv * inv * dp * dp - ratio * d2p
+        return np.log(cell), score, observed, lambda: self._fisher(p11, dp)
+
+    def evaluate(self, dep):
+        """Log-likelihood, score and observed information (the negative
+        Hessian) at dep, all from one quadrature pass. Where the observed
+        information is not positive definite, the expected information
+        (Fisher's) stands in for it."""
+        log_cell, score, observed, fisher = self.terms(dep)
+        ll = float(np.mean(self.w * log_cell))
+        grad = self.x_dep.T @ score / self.n
+        info = self._information(observed)
+        if not _positive_definite(info[None])[0]:
+            info = self._information(fisher())
         return ll, grad, info
+
+    def saturation(self) -> float:
+        """+1 (-1) when every weighted row falls in a concordant (discordant)
+        quadrant, the patterns with no interior maximizer; 0 otherwise."""
+        observed = self.sign[self.w > 0]  # +1 in a concordant quadrant, -1 not
+        if not np.any(observed < 0):
+            return 1.0
+        return -1.0 if not np.any(observed > 0) else 0.0
 
     def _information(self, curvature):
         # Weighted average of x x' times each row's curvature.
         return (self.x_dep * (self.w * curvature)[:, None]).T @ self.x_dep / self.n
 
     def _fisher(self, p11, dp):
-        # Expected information: the sum of reciprocal cells times dP/du squared.
+        # Expected curvature: the sum of reciprocal cells times dP/du squared.
         cells = (p11, self.pa - p11, self.pb - p11, 1.0 - self.pa - self.pb + p11)
         recip = sum(1.0 / np.maximum(c, CELL_FLOOR) for c in cells)
-        return self._information(recip * dp * dp)
+        return recip * dp * dp
+
+
+def _positive_definite(stack):
+    """Whether each (d, d) matrix of a stack has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_positive_definite(m[None]) for m in stack])
+    return np.ones(len(stack), dtype=bool)
 
 
 def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
@@ -121,11 +159,9 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
     with a warning.
     """
     kernel = _CellKernel(x_dep, a, b, below_y, below_w, weights)
-    observed = kernel.sign[kernel.w > 0]  # +1 in a concordant quadrant, -1 not
-    concordant = not np.any(observed < 0)
-    discordant = not np.any(observed > 0)
-    if concordant or discordant:
-        kind = "concordant" if concordant else "discordant"
+    sign = kernel.saturation()
+    if sign:
+        kind = "concordant" if sign > 0 else "discordant"
         warnings.warn(
             f"perfectly {kind} indicator cells: dependence clamped at the "
             "link saturation bound",
@@ -133,7 +169,7 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
             stacklevel=2,
         )
         coef = np.zeros(kernel.x_dep.shape[1])
-        coef[0] = U_SAT if concordant else -U_SAT
+        coef[0] = sign * U_SAT
         return NewtonResult(coef=coef, iterations=0, grad_norm=np.nan,
                             loglik=kernel.evaluate(coef)[0], boundary=True)
 
@@ -195,55 +231,120 @@ class BdrFit:
         return bvn_cdf(a, b, rho)
 
 
+def _cells(sample: Sample, x, grid: GridSpec, y_marg: MarginalFit, w_marg: MarginalFit):
+    """Each body grid pair (iy, iw), in grid order, with its dependence
+    problem: the marginal indices at the pair and the indicators
+    1(y <= y_body[iy]) and 1(w <= w_body[iw])."""
+    for iy, yv in enumerate(grid.y_body):
+        a = y_marg.index(yv, x)
+        below_y = (sample.y <= yv).astype(float)
+        for iw, wv in enumerate(grid.w_body):
+            b = w_marg.index(wv, x)
+            below_w = (sample.w <= wv).astype(float)
+            yield (iy, iw), (a, b, below_y, below_w)
+
+
+class _ReplicateBase:
+    """A base fit readied for its bootstrap replicates (one-step dependence).
+
+    A replicate holds the base marginal indices fixed in the dependence step
+    and takes one full Newton step from each cell's base estimate under its
+    own weights: the k-step bootstrap with k = 1 (Davidson & MacKinnon 1999;
+    Andrews 2002), first-order equivalent to refitting the cell. At the base
+    estimate and indices, each row's score factor, observed curvature and
+    Fisher curvature are the same in every replicate; only the weights
+    change. So one kernel pass per cell, made here, serves every replicate,
+    and step() forms a replicate's scores and informations for all cells as
+    weighted sums of these rows.
+
+    A cell whose base fit failed (NaN) keeps NaN, and a cell clamped at the
+    link saturation bound (a perfectly concordant or discordant pattern,
+    which no reweighting undoes) keeps its clamped coefficients: neither has
+    an interior estimate to step from.
+    """
+
+    def __init__(self, sample: Sample, fit: BdrFit):
+        self.fit = fit
+        x = np.asarray(sample.x, dtype=float)
+        self.x_dep = x[:, fit.dep_cols]
+        n, d = self.x_dep.shape
+        self.xx = (self.x_dep[:, :, None] * self.x_dep[:, None, :]).reshape(n, d * d)
+        # Cells that step; the rows below are theirs, in grid order.
+        self.live = np.all(np.isfinite(fit.dep_coef), axis=2)
+        rows = []
+        for cell, args in _cells(sample, x, fit.grid, fit.y_marginal, fit.w_marginal):
+            if not self.live[cell]:
+                continue
+            kernel = _CellKernel(self.x_dep, *args)
+            if kernel.saturation():
+                self.live[cell] = False
+                continue
+            _, score, observed, fisher = kernel.terms(fit.dep_coef[cell])
+            rows.append((score, observed, fisher()))
+        self.score, self.observed, self.fisher = (
+            np.array([r[k] for r in rows]).reshape(-1, n) for k in range(3))
+
+    def step(self, weights) -> np.ndarray:
+        """The replicate's dependence coefficients under `weights`. In each
+        live cell: the base estimate plus solve(I, g), where g and I are the
+        replicate-weighted score and observed information at the base
+        estimate, with Fisher's information where the observed one has no
+        Cholesky factor. This is the first point `_damped_newton` tries from
+        the base estimate under these weights, and like it a cell takes no
+        step where the max-norm of g is already at most POLISH_GRAD."""
+        n, d = self.x_dep.shape
+        w = _normalize_weights(weights, n)
+        grad = (self.score * w) @ self.x_dep / n
+        info = (self.observed * w) @ self.xx / n
+        pd = _positive_definite(info.reshape(-1, d, d))
+        info[~pd] = (self.fisher[~pd] * w) @ self.xx / n
+        step = _newton_step(info.reshape(-1, d, d), grad)
+        step[np.max(np.abs(grad), axis=1) <= POLISH_GRAD] = 0.0
+        dep = self.fit.dep_coef.copy()
+        dep[self.live] += step
+        return dep
+
+
 def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
-            base: "BdrFit | None" = None) -> BdrFit:
+            base: _ReplicateBase | None = None) -> BdrFit:
     """Run the full two-step estimator over the grid.
 
     dep_cols are the design columns that drive the dependence (None for all
-    of them). When `base` is given (bootstrap replicates) the dependence step
-    holds the base fit's marginal indices fixed and the tail fits reuse its
-    auxiliary points; otherwise the replicate's own marginals are used.
+    of them). Each grid pair is fitted alone from zero, so no cell depends
+    on another or on loop order. A dependence fit that fails at a grid pair
+    does not stop the others: the pair is recorded in `failures` with its
+    reason and its cell carries NaN coefficients.
 
-    Each grid pair is fitted alone, so no cell depends on another or on loop
-    order. A base fit starts every cell from zero; a replicate starts each
-    from the base estimate of the same cell, or from zero if that one failed.
-
-    A dependence fit that fails at a grid pair does not stop the others: the
-    pair is recorded in `failures` with its reason and its cell carries NaN
-    coefficients.
+    With `base` (a `_ReplicateBase`, which `bootstrap_fit` builds once per
+    ensemble) the fit is a bootstrap replicate of base.fit under `weights`:
+    the marginals are refitted, their tail fits at base.fit's auxiliary
+    points, and each dependence cell takes one Newton step from its base
+    estimate at the base marginal indices (`_ReplicateBase.step`). A
+    replicate's cells cannot fail; only its marginal fits can, by raising.
     """
     validate(sample)
     dep_cols = tuple(range(sample.d_x)) if dep_cols is None else dep_cols
     x = np.asarray(sample.x, dtype=float)
-    x_dep = x[:, dep_cols]
 
     y_marg = fit_marginal(sample.y, x, grid, "y", weights=weights,
                           fixed_r0=None if base is None else (
-                              base.y_marginal.r0_lo, base.y_marginal.r0_hi))
+                              base.fit.y_marginal.r0_lo, base.fit.y_marginal.r0_hi))
     w_marg = fit_marginal(sample.w, x, grid, "w", weights=weights,
                           fixed_r0=None if base is None else (
-                              base.w_marginal.r0_lo, base.w_marginal.r0_hi))
+                              base.fit.w_marginal.r0_lo, base.fit.w_marginal.r0_hi))
+    if base is not None:
+        return BdrFit(grid=grid, y_marginal=y_marg, w_marginal=w_marg,
+                      dep_coef=base.step(weights), dep_cols=tuple(dep_cols), weights=weights)
 
-    # Dependence maximization holds the marginal indices fixed; replicates use
-    # the original (base) marginal estimates.
-    y_idx, w_idx = (y_marg, w_marg) if base is None else (
-        base.y_marginal, base.w_marginal
-    )
-    y_body, w_body = grid.y_body, grid.w_body
-    dep = np.full((y_body.size, w_body.size, len(dep_cols)), np.nan)
-    starts = np.zeros_like(dep) if base is None else np.nan_to_num(base.dep_coef, nan=0.0)
+    x_dep = x[:, dep_cols]
+    dep = np.full((grid.y_body.size, grid.w_body.size, len(dep_cols)), np.nan)
     failures = []
-    for iy, yv in enumerate(y_body):
-        a = y_idx.index(yv, x)
-        below_y = (sample.y <= yv).astype(float)
-        for iw, wv in enumerate(w_body):
-            b = w_idx.index(wv, x)
-            below_w = (sample.w <= wv).astype(float)
-            try:
-                dep[iy, iw] = fit_dependence(x_dep, a, b, below_y, below_w,
-                                             weights=weights, start=starts[iy, iw]).coef
-            except EstimationError as err:
-                failures.append((float(yv), float(wv), str(err)))
+    for cell, args in _cells(sample, x, grid, y_marg, w_marg):
+        try:
+            dep[cell] = fit_dependence(x_dep, *args, weights=weights).coef
+        except EstimationError as err:
+            iy, iw = cell
+            failures.append((float(grid.y_body[iy]), float(grid.w_body[iw]), str(err)))
 
     return BdrFit(grid=grid, y_marginal=y_marg, w_marginal=w_marg, dep_coef=dep,
                   dep_cols=tuple(dep_cols), failures=failures, weights=weights)

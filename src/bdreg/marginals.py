@@ -91,6 +91,21 @@ class NewtonResult:
     boundary: bool = False
 
 
+def _newton_step(info, grad):
+    """The full Newton step solve(info, grad), for one system (info (d, d),
+    grad (d,)) or a stack of them (info (k, d, d), grad (k, d)). A system
+    that is singular or gives a non-finite step takes the plain ascent
+    direction, step = grad, instead."""
+    try:
+        step = np.linalg.solve(info, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if grad.ndim == 1:
+            return grad
+        step = np.stack([_newton_step(i, g) for i, g in zip(info, grad)])
+    finite = np.all(np.isfinite(step), axis=-1, keepdims=True)
+    return np.where(finite, step, grad)
+
+
 def _damped_newton(evaluate, coef, name) -> NewtonResult:
     """Maximize a smooth objective by at most MAX_ITER damped Newton steps
     from coef.
@@ -119,12 +134,7 @@ def _damped_newton(evaluate, coef, name) -> NewtonResult:
     it = 0
     while grad_norm > POLISH_GRAD and it < MAX_ITER:
         it += 1
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            step = grad  # near-singular curvature: plain ascent direction
-        if not np.all(np.isfinite(step)):
-            step = grad
+        step = _newton_step(info, grad)
         gain = float(grad @ step)
         grad_len = float(np.linalg.norm(grad))
         t = 1.0

@@ -1,11 +1,10 @@
-import dataclasses
 import os
 import pickle
 
 import numpy as np
 import pytest
 
-from bdreg import bootstrap
+from bdreg import dependence
 from bdreg.bootstrap import (
     MIN_DRAWS_FOR_INFERENCE,
     BootstrapEnsemble,
@@ -18,9 +17,9 @@ from bdreg.bootstrap import (
     robust_se_map,
 )
 from bdreg.data import build_grid, empirical_quantile, grid_from_values
-from bdreg.dependence import fit_bdr
+from bdreg.dependence import _CellKernel, _ReplicateBase, fit_bdr, fit_dependence
 from bdreg.dgp import DgpSpec, generate
-from bdreg.exceptions import EstimationError, InferenceError
+from bdreg.exceptions import EstimationError, InferenceError, TailError
 
 from conftest import bench_spec
 
@@ -68,21 +67,21 @@ def test_bootstrap_fit_rejects_fewer_than_one_draw(n_draws, small_sample, small_
 
 def test_one_failed_replicate_of_ten_is_named_with_its_cause(small_sample, small_fit,
                                                              monkeypatch):
-    # Nine survivors are too few for robust_se_map, so the run fails here,
-    # naming the replicate, its first failed grid pair and why it failed.
+    # A replicate fails only in its marginal refits, here replicate 9's upper
+    # w tail. Nine survivors are too few for robust_se_map, so the run fails
+    # here, naming the replicate and why it failed.
     base = small_fit[0]
     failing = draw_weights(small_sample.n, WeightScheme(), 9)
+    reason = ("tail scale non-positive at every admissible upper-tail point "
+              "(last alpha=-0.1 at r0=2)")
+    real_fit_marginal = dependence.fit_marginal
 
-    def fit_failing_replicate_9(sample, grid, dep_cols, weights, base):
-        if np.array_equal(weights, failing):
-            return dataclasses.replace(base, failures=[
-                (1.5, 0.25, "dependence fit did not converge"),
-                (2.5, 0.25, "dependence fit did not converge"),
-            ])
-        return base
+    def fit_marginal_failing_replicate_9(values, x, grid, outcome, weights=None, fixed_r0=None):
+        if outcome == "w" and np.array_equal(weights, failing):
+            raise TailError(reason)
+        return real_fit_marginal(values, x, grid, outcome, weights=weights, fixed_r0=fixed_r0)
 
-    monkeypatch.setattr(bootstrap, "fit_bdr", fit_failing_replicate_9)
-    reason = "2 grid cell(s) failed, first at (1.5, 0.25): dependence fit did not converge"
+    monkeypatch.setattr(dependence, "fit_marginal", fit_marginal_failing_replicate_9)
     with pytest.raises(InferenceError) as info:
         bootstrap_fit(small_sample, base, n_draws=10)
     assert str(info.value) == f"1 of 10 bootstrap replicates failed, leaving 9 (replicate 9: {reason})"
@@ -92,13 +91,15 @@ def test_one_failed_replicate_of_ten_is_named_with_its_cause(small_sample, small
     assert sorted(ens.draws) == [r for r in range(12) if r != 9]
 
 
-def test_replicate_cell_converges_from_its_base_estimate():
+def test_replicate_cell_steps_from_its_base_estimate():
     # The data and grid of `bdreg simulate --n 1200 --seed 7 --two-groups`,
     # then `bdreg transition --covariates x1,x2 --group-col group
-    # --replicates 10 --decompose`, group 0. Started from the previous
+    # --replicates 10 --decompose`, group 0. Refitted from the previous
     # cell's estimate, replicate 9 failed at (1.37125, 1.06914), a cell with
-    # no empty quadrant; started from the base estimate of the same cell,
-    # every cell converges.
+    # no empty quadrant. One Newton step from the base estimate of the same
+    # cell lands within 1e-6 per observation of the optimum that a refit
+    # from there converges to, and every other cell of the replicate is
+    # finite.
     def spec(seed):  # the simulate defaults
         return DgpSpec(y_coef=np.array([0.0, 0.5, -0.3]), w_coef=np.array([0.0, 0.8, 0.2]),
                        dep_coef=np.array([0.3, 0.4, -0.2]), n=1200, seed=seed)
@@ -112,9 +113,17 @@ def test_replicate_cell_converges_from_its_base_estimate():
     )
     base = fit_bdr(s, grid)
     assert base.n_failed == 0
-    rep, fit, reason = _run_replicate((s, WeightScheme(), base, 0, 9))
+    rep, fit, reason = _run_replicate((s, WeightScheme(), _ReplicateBase(s, base), 0, 9))
     assert (rep, reason) == (9, None)
     assert np.all(np.isfinite(fit.dep_coef))
+
+    cell = (np.flatnonzero(np.round(grid.y_body, 5) == 1.37125)[0],
+            np.flatnonzero(np.round(grid.w_body, 5) == 1.06914)[0])
+    a = base.y_marginal.index(grid.y_body[cell[0]], s.x)
+    b = base.w_marginal.index(grid.w_body[cell[1]], s.x)
+    args = (s.x, a, b, s.y <= grid.y_body[cell[0]], s.w <= grid.w_body[cell[1]], fit.weights)
+    refit = fit_dependence(*args, start=base.dep_coef[cell])
+    assert 0.0 <= refit.loglik - _CellKernel(*args).evaluate(fit.dep_coef[cell])[0] <= 1e-6
 
 
 def test_ensemble_apply_names_replicates_lost_in_any_group():

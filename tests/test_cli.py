@@ -357,7 +357,9 @@ def test_unparseable_cell_is_data_error(sample_csv, tmp_path):
     assert decompose(bad, tmp_path / "out") == 3
 
 
-def test_failed_dependence_cell_is_estimation_error(sample_csv, tmp_path, monkeypatch):
+def fail_first_cell(monkeypatch):
+    """Make every base fit of the CLI come back with its first dependence
+    cell failed (NaN coefficients)."""
     real_fit = cli.fit_bdr
 
     def fit_with_failed_cell(*args, **kwargs):
@@ -367,21 +369,27 @@ def test_failed_dependence_cell_is_estimation_error(sample_csv, tmp_path, monkey
         return fit
 
     monkeypatch.setattr(cli, "fit_bdr", fit_with_failed_cell)
+
+
+def test_failed_dependence_cell_is_estimation_error(sample_csv, tmp_path, monkeypatch):
+    fail_first_cell(monkeypatch)
     assert decompose(sample_csv, tmp_path) == 4
+
+
+def test_failed_dependence_cell_with_replicates_is_estimation_error(sample_csv, tmp_path,
+                                                                    monkeypatch, capsys):
+    # A replicate cannot step from the failed base cell: the cell stays NaN
+    # in every replicate, no replicate fails, and the base fit's error, not
+    # a bootstrap one, ends the run.
+    fail_first_cell(monkeypatch)
+    assert decompose(sample_csv, tmp_path, "--replicates", "10") == 4
+    assert "estimation error: no dependence estimate at grid pair (" in capsys.readouterr().err
 
 
 def test_failed_run_leaves_no_partial_output(sample_csv, tmp_path, monkeypatch):
     # estimate writes its coefficient tables before the surface evaluation
     # meets the failed cell; none of them may outlive the failed run.
-    real_fit = cli.fit_bdr
-
-    def fit_with_failed_cell(*args, **kwargs):
-        fit = real_fit(*args, **kwargs)
-        fit = dataclasses.replace(fit, dep_coef=fit.dep_coef.copy())
-        fit.dep_coef[0, 0] = np.nan
-        return fit
-
-    monkeypatch.setattr(cli, "fit_bdr", fit_with_failed_cell)
+    fail_first_cell(monkeypatch)
     out = tmp_path / "out"
     code = cli.main(["estimate", "--input", str(sample_csv), "--covariates", "x1,x2",
                      "--group-col", "group", "--grid-points", str(GRID),

@@ -9,16 +9,19 @@ import pytest
 
 from bdreg import dependence
 from bdreg.bootstrap import WeightScheme, _run_replicate, draw_weights
-from bdreg.data import build_grid, grid_from_values
+from bdreg.data import Sample, build_grid, grid_from_values
 from bdreg.dependence import (
     CELL_FLOOR,
     _CellKernel,
+    _positive_definite,
+    _ReplicateBase,
     fit_bdr,
     fit_dependence,
 )
 from bdreg.dgp import DgpSpec, generate
 from bdreg.exceptions import DataError, EstimationError
 from bdreg.functionals import fitted_surface
+from bdreg.marginals import _damped_newton
 from bdreg.normal import bvn_cdf, bvn_pdf, link_rho
 
 from conftest import bench_spec
@@ -319,10 +322,12 @@ class TestFitDependence:
         np.testing.assert_allclose(cold.coef, [0.36745870, 0.18711415, 0.06283511],
                                    atol=1e-8)
         assert np.max(np.abs(warm.coef - cold.coef)) <= 1e-9
+        ready = _ReplicateBase(s, base)
         for rep in (9, 10):
             fit = fit_bdr(s, grid,
-                          weights=draw_weights(1000, WeightScheme(), rep, 0), base=base)
+                          weights=draw_weights(1000, WeightScheme(), rep, 0), base=ready)
             assert fit.n_failed == 0
+            assert np.all(np.isfinite(fit.dep_coef))
 
 
 class TestFitBdr:
@@ -395,18 +400,22 @@ class TestFitBdr:
             np.testing.assert_allclose(res.coef, fit.dep_coef[cell], rtol=0, atol=1e-12)
             assert res.iterations <= 6
 
-    def test_replicate_cells_reach_their_cold_start_optimum(self):
+    def test_replicate_cells_step_toward_their_cold_start_optimum(self):
         # Started from the previous cell's estimate, cells (7, 1) and (7, 2)
-        # of this replicate stopped on saturation plateaus up to 8.7e-2 per
-        # observation below their optimum. Started from the base estimate of
-        # the same cell, no cell falls below a cold refit.
+        # of this replicate once stopped on saturation plateaus up to 8.7e-2
+        # per observation below their optimum. A replicate cell now takes one
+        # Newton step from the base estimate of the same cell, and in every
+        # cell that step climbs toward the cold refit's optimum: it ends above
+        # the base estimate, and below the optimum only by what the step
+        # leaves (at most 5.6e-4 per observation here, 2e-6 in most cells).
         s = generate(bench_spec(800, 5))
         base = fit_bdr(s, build_grid(s, n_points=10))
-        _, fit, reason = _run_replicate((s, WeightScheme(), base, 0, 0))
+        _, fit, reason = _run_replicate((s, WeightScheme(), _ReplicateBase(s, base), 0, 0))
         assert reason is None
         for cell, args in cell_problems(s, base, fit.weights):
-            got = _CellKernel(*args).evaluate(fit.dep_coef[cell])[0]
-            assert got >= fit_dependence(*args).loglik - 1e-12
+            kernel = _CellKernel(*args)
+            got = kernel.evaluate(fit.dep_coef[cell])[0]
+            assert kernel.evaluate(base.dep_coef[cell])[0] < got <= fit_dependence(*args).loglik
 
     def test_two_step_matches_profile_grid_search(self):
         # 200-observation intercept-only instance: brute-force profile search
@@ -443,7 +452,7 @@ class TestFitBdr:
         brute = deltas[np.argmax(ll)]
         assert abs(res.coef[0] - brute) <= 1e-3
 
-    def test_failed_cell_is_recorded_and_drops_its_replicate(self, monkeypatch):
+    def test_failed_cell_is_recorded_and_stays_nan_in_its_replicates(self, monkeypatch):
         s = generate(bench_spec(1500, 74))
         grid = build_grid(s, n_points=5)
         clean = fit_bdr(s, grid)
@@ -465,9 +474,118 @@ class TestFitBdr:
         others[1, 1] = False
         np.testing.assert_array_equal(fit.dep_coef[others], clean.dep_coef[others])
 
-        rep, rep_fit, reason = _run_replicate((s, WeightScheme(), clean, 0, 3))
-        assert (rep, rep_fit) == (3, None)
-        assert f"({yv:.6g}, {wv:.6g}): dependence fit did not converge" in reason
+        # A replicate cannot step from a failed cell: it keeps NaN there, its
+        # other cells step, and the replicate itself does not fail.
+        rep, rep_fit, reason = _run_replicate((s, WeightScheme(), _ReplicateBase(s, fit), 0, 3))
+        assert (rep, reason) == (3, None)
+        assert rep_fit.n_failed == 0
+        assert np.all(np.isnan(rep_fit.dep_coef[1, 1]))
+        assert np.all(np.isfinite(rep_fit.dep_coef[others]))
+        assert not np.array_equal(rep_fit.dep_coef[others], clean.dep_coef[others])
+
+
+def first_newton_trial(kernel, start):
+    """The first point `_damped_newton` evaluates after start: start plus its
+    full Newton step, before any step halving."""
+    trials = []
+
+    class FirstTrial(Exception):
+        pass
+
+    def evaluate(coef):
+        trials.append(np.array(coef))
+        if len(trials) == 2:
+            raise FirstTrial
+        return kernel.evaluate(coef)
+
+    with pytest.raises(FirstTrial):
+        _damped_newton(evaluate, start, "first step")
+    return trials[1]
+
+
+class TestOneStepReplicates:
+    """A replicate cell is the first full step of a refit from the base
+    estimate under the replicate's weights, at the base marginal indices."""
+
+    def check_first_steps(self, sample, base, weights):
+        """Every cell of the one-step replicate against `_damped_newton`'s
+        first trial; returns the cells whose observed information had no
+        Cholesky factor (the Fisher fallback)."""
+        got = _ReplicateBase(sample, base).step(weights)
+        fisher = []
+        for cell, args in cell_problems(sample, base, weights):
+            kernel = _CellKernel(*args)
+            want = first_newton_trial(kernel, base.dep_coef[cell])
+            np.testing.assert_allclose(got[cell], want, rtol=0, atol=1e-12)
+            observed = kernel._information(kernel.terms(base.dep_coef[cell])[2])
+            if not _positive_definite(observed[None])[0]:
+                fisher.append(cell)
+        return fisher
+
+    @pytest.mark.parametrize("kind,rep", [
+        ("exponential", 0), ("exponential", 1), ("exponential", 2), ("multinomial", 3),
+    ])
+    def test_replicate_is_the_first_newton_step(self, kind, rep, small_sample, small_fit):
+        w = draw_weights(small_sample.n, WeightScheme(kind), rep)
+        assert kind == "exponential" or np.any(w == 0)  # rows never drawn weigh zero
+        assert self.check_first_steps(small_sample, small_fit[0], w) == []
+
+    def test_fisher_fallback_is_the_first_newton_step(self):
+        # Strong dependence at n=400: in replicate 0, cell (2, 0)'s observed
+        # information at the base estimate is not positive definite, so the
+        # step is taken on Fisher's information, as the refit's first is.
+        # Every information here is well conditioned (condition number below
+        # 200); where it is near singular (1e9 and more, on flat-ridge
+        # cells), rounding differences between the batched sums and the
+        # kernel's move the two steps apart by up to that times 1e-16.
+        s = generate(bench_spec(400, 2, dep_coef=[0.8, 0.5, 0.0]))
+        base = fit_bdr(s, build_grid(s, n_points=5))
+        w = draw_weights(s.n, WeightScheme(), 0)
+        assert self.check_first_steps(s, base, w) == [(2, 0)]
+
+    def test_cell_with_a_polished_gradient_keeps_its_base_coefficients(self):
+        # Strong dependence at n=300: corner cells (0, 3) and (3, 0) sit on a
+        # flat ridge, where every row's score at the base estimate is nearly
+        # zero, so replicate 0's gradient there is at most POLISH_GRAD. A
+        # refit from the base estimate returns it without a step; so does the
+        # one-step replicate, where solve(I, g) would divide one rounding
+        # error by another.
+        s = generate(bench_spec(300, 1, dep_coef=[1.05, 0.6, 0.0]))
+        base = fit_bdr(s, build_grid(s, n_points=6))
+        w = draw_weights(s.n, WeightScheme(), 0)
+        got = _ReplicateBase(s, base).step(w)
+        polished = []
+        for cell, args in cell_problems(s, base, w):
+            refit = fit_dependence(*args, start=base.dep_coef[cell])
+            if refit.iterations == 0:
+                polished.append(cell)
+                np.testing.assert_array_equal(got[cell], base.dep_coef[cell])
+        assert polished == [(0, 3), (3, 0)]
+
+    def test_clamped_cell_keeps_its_base_coefficients(self):
+        # w <= 0 exactly where y is at most its median, so the body cell
+        # (median y, 0) is perfectly concordant and its base fit is clamped
+        # at the saturation bound. No reweighting can undo that pattern; a
+        # refit clamps again, and a replicate keeps the base coefficients
+        # without stepping (or warning) from the bound.
+        s = generate(bench_spec(600, 3))
+        w = np.where(s.y <= np.median(s.y), -1.0, 1.0) * np.abs(s.w - np.median(s.w))
+        clamped = Sample(y=s.y, w=w, x=s.x)
+        levels = [0.05, 0.5, 0.75, 0.95]
+        grid = grid_from_values(np.quantile(s.y, levels),
+                                np.r_[np.quantile(w, [0.05, 0.75, 0.95]), 0.0])
+        with pytest.warns(RuntimeWarning, match="concordant"):
+            base = fit_bdr(clamped, grid)
+        assert base.n_failed == 0 and base.dep_coef[0, 0, 0] == dependence.U_SAT
+        ready = _ReplicateBase(clamped, base)
+        for scheme in (WeightScheme(), WeightScheme("multinomial")):
+            weights = draw_weights(clamped.n, scheme, 1)
+            got = ready.step(weights)
+            np.testing.assert_array_equal(got[0, 0], base.dep_coef[0, 0])
+            assert np.all(np.isfinite(got))
+            args = next(cell_problems(clamped, base, weights))[1]
+            with pytest.warns(RuntimeWarning, match="concordant"):
+                np.testing.assert_array_equal(fit_dependence(*args).coef, got[0, 0])
 
 
 def test_import_leaves_scipy_optimize_unloaded():
