@@ -12,7 +12,6 @@ from .bootstrap import (
     bootstrap_fit,
     draw_weights,
     ensemble_apply,
-    robust_se,
     robust_se_map,
 )
 from .data import (
@@ -59,8 +58,6 @@ from .marginals import (
 from .normal import (
     EPS_RHO,
     bvn_cdf,
-    bvn_pdf,
-    std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
 )
@@ -88,7 +85,6 @@ __all__ = [
     "bootstrap_fit",
     "build_grid",
     "bvn_cdf",
-    "bvn_pdf",
     "counterfactual_joint_cdf",
     "decompose_joint",
     "decompose_transition",
@@ -103,10 +99,8 @@ __all__ = [
     "generate",
     "grid_from_values",
     "independence_counterfactual",
-    "robust_se",
     "robust_se_map",
     "split_groups",
-    "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
     "transition_from_fits",

@@ -1,6 +1,6 @@
 """Weighted-bootstrap inference: exchangeable weight draws, replicate fits of
 the full model, ensemble application to functionals, and the IQR-based robust
-standard error, per draw vector or cellwise over a stack of draws.
+standard error, cellwise over a stack of draws.
 
 One weight vector drives every sub-estimation of a replicate: the marginal
 fits (refitted, the tail scales at the base fit's auxiliary points) and the
@@ -39,7 +39,6 @@ __all__ = [
     "bootstrap_fit",
     "draw_weights",
     "ensemble_apply",
-    "robust_se",
     "robust_se_map",
 ]
 
@@ -194,22 +193,10 @@ def ensemble_apply(ensembles: dict[int, BootstrapEnsemble], fn,
     return dict(zip(ids, values))
 
 
-def robust_se(draws) -> float:
-    """Interquartile range of the finite draws divided by the interquartile
-    range of the standard normal distribution."""
-    arr = np.asarray(draws, dtype=float).ravel()
-    arr = arr[np.isfinite(arr)]
-    if arr.size < MIN_DRAWS_FOR_INFERENCE:
-        raise InferenceError(
-            f"need at least {MIN_DRAWS_FOR_INFERENCE} valid draws, got {arr.size}"
-        )
-    q25, q75 = np.quantile(arr, [0.25, 0.75])
-    return float((q75 - q25) / _NORMAL_IQR)
-
-
 def robust_se_map(draws_stack: np.ndarray) -> np.ndarray:
-    """Cellwise robust_se over the leading (replicate) axis; each cell drops
-    its non-finite draws, as robust_se does."""
+    """The robust standard error of each cell over the leading (replicate)
+    axis: the interquartile range of the cell's finite draws divided by
+    that of the standard normal distribution."""
     stack = np.asarray(draws_stack, dtype=float)
     finite = np.isfinite(stack)
     fewest = int(finite.sum(axis=0).min()) if stack.size else stack.shape[0]

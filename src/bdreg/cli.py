@@ -67,15 +67,8 @@ _VERSIONS = {"bdreg": __version__, "numpy": np.__version__, "scipy": scipy.__ver
 
 
 def _fmt(v) -> str:
-    """12-significant-digit fixed formatting for all numeric output."""
-    v = float(v)
-    if np.isnan(v):
-        return "nan"
-    if np.isposinf(v):
-        return "inf"
-    if np.isneginf(v):
-        return "-inf"
-    return f"{v:.12g}"
+    """12 significant digits for all numeric output; nan, inf and -inf as words."""
+    return f"{float(v):.12g}"
 
 
 @dataclass
@@ -387,13 +380,14 @@ def _cmd_estimate(args, config: RunConfig, writer: OutputWriter) -> dict:
 
 
 def _cmd_counterfactual(args, config: RunConfig, writer: OutputWriter) -> dict:
+    indices = args.index or ["1110"]
+    parsed = [CounterfactualIndex.parse(code) for code in indices]  # before any fit
     run = _prologue("counterfactual", config, two_groups=True)
     # common evaluation thresholds: group-1 estimation grid
     y_vals, w_vals = run.fits[1].grid.y_grid, run.fits[1].grid.w_grid
-    indices = args.index or ["1110"]
-    for code in indices:
+    for code, index in zip(indices, parsed):
         surface = partial(counterfactual_joint_cdf, samples=run.samples,
-                          index=CounterfactualIndex.parse(code), y_values=y_vals, w_values=w_vals)
+                          index=index, y_values=y_vals, w_values=w_vals)
         surf = surface(run.fits)
         se = run.se(lambda f: surface(f).values)
         _write_surface(writer, f"surface_counterfactual_{code}.csv", surf, se=se)

@@ -85,11 +85,8 @@ def validate(sample: Sample) -> Sample:
         d = np.asarray(sample.d)
         if d.shape != (n,):
             raise DataError("group labels must match the design row count")
-        vals = np.unique(d)
-        if not np.all(np.isin(vals, (0, 1))):
+        if not np.all(np.isin(d, (0, 1))):
             raise DataError("group labels must be 0 or 1")
-        if vals.size == 2 and (np.sum(d == 0) == 0 or np.sum(d == 1) == 0):
-            raise DataError("both groups must be non-empty")
     return sample
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import GridSpec, Sample, nearest_body_index, validate
+from .data import GridSpec, Sample, validate
 from .exceptions import DataError, EstimationError
 from .marginals import (
     POLISH_GRAD,
@@ -24,7 +24,8 @@ from .marginals import (
     _normalize_weights,
     fit_marginal,
 )
-from .normal import EPS_RHO, FixedThresholdBvn, bvn_cdf, link_rho
+from .normal import bvn_cdf  # noqa: F401  (perfbench/spans.py traces it at this name)
+from .normal import EPS_RHO, FixedThresholdBvn, link_rho
 
 __all__ = [
     "BdrFit",
@@ -179,10 +180,12 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
 
 @dataclass
 class BdrFit:
-    """Fitted model: marginal coefficient paths, tail scales, and the
-    dependence coefficients on the body grid, with per-point diagnostics, and
-    the observation weights it was given (None for equal weights), with
-    which every functional of the fit averages its covariate rows."""
+    """Fitted model: marginal coefficient paths, tail scales, the dependence
+    coefficients on the body grid (NaN in a cell whose fit failed, with its
+    reason in `failures`), and the observation weights it was given (None
+    for equal weights), with which every functional of the fit averages its
+    covariate rows. The fitted joint CDF is evaluated by the functionals
+    (functionals._surface), not here."""
 
     grid: GridSpec
     y_marginal: MarginalFit
@@ -195,40 +198,6 @@ class BdrFit:
     @property
     def n_failed(self) -> int:
         return len(self.failures)
-
-    def dep_cell(self, y: float, w: float) -> tuple[int, int]:
-        """Body-grid cell whose dependence coefficients serve (y, w) (the copy
-        rule): the nearest body point in each coordinate."""
-        return nearest_body_index(self.grid.y_body, y), nearest_body_index(self.grid.w_body, w)
-
-    def dep_at(self, y: float, w: float) -> np.ndarray:
-        """Dependence coefficients at the nearest body pair (copy rule)."""
-        iy, iw = self.dep_cell(y, w)
-        coef = self.dep_coef[iy, iw]
-        if not np.all(np.isfinite(coef)):
-            raise EstimationError(
-                "no dependence estimate at grid pair "
-                f"({self.grid.y_body[iy]:.6g}, {self.grid.w_body[iw]:.6g}): "
-                "its fit failed"
-            )
-        return coef
-
-    def local_rho(self, y: float, w: float, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        rho, _ = link_rho(x[:, self.dep_cols] @ self.dep_at(y, w))
-        return rho
-
-    def joint_cdf(self, y: float, w: float, x: np.ndarray,
-                  zero_dependence: bool = False) -> np.ndarray:
-        """Conditional joint CDF at (y, w) for each covariate row."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        a = self.y_marginal.index(y, x)
-        b = self.w_marginal.index(w, x)
-        if zero_dependence:
-            rho = np.zeros(x.shape[0])
-        else:
-            rho = self.local_rho(y, w, x)
-        return bvn_cdf(a, b, rho)
 
 
 def _cells(sample: Sample, x, grid: GridSpec, y_marg: MarginalFit, w_marg: MarginalFit):

@@ -17,7 +17,7 @@ from scipy import special
 
 from .data import Sample, increasing, nearest_body_index
 from .dependence import BdrFit
-from .exceptions import ConfigError
+from .exceptions import ConfigError, EstimationError
 from .marginals import _normalize_weights
 from .normal import BLOCK_ROWS, bvn_cdf, link_rho
 
@@ -89,12 +89,12 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
     average of the product of the marginal CDFs.
 
     Thresholds with equal copy-rule keys (MarginalFit.key) have identical
-    indices, and pairs in the same dependence cell (BdrFit.dep_cell, found
-    per axis value) have identical correlations, computed once per cell, so
-    each distinct (y key, w key, cell) triple is evaluated once and scattered
-    back to the grid. Before any evaluation, the first grid pair whose cell
-    failed raises its EstimationError. The distinct triples go to bvn_cdf in
-    blocks of about BLOCK_ROWS rows.
+    indices, and pairs in the same dependence cell (nearest_body_index, per
+    axis value) have identical correlations, computed once per cell, so
+    each distinct (y key, w key, cell) triple is evaluated once and
+    scattered back to the grid. Before any evaluation, the first grid pair
+    whose cell failed raises an EstimationError naming it. The distinct
+    triples go to bvn_cdf in blocks of about BLOCK_ROWS rows.
     """
     x, wts = _x_average(x, weights)
     y_values = np.asarray(y_fit.grid.y_grid if y_values is None else y_values, dtype=float)
@@ -115,7 +115,11 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
     failed = ~np.isfinite(dep_fit.dep_coef).all(axis=-1)[np.ix_(y_cells, w_cells)]
     if failed.any():
         iy, iw = np.unravel_index(np.argmax(failed), failed.shape)
-        dep_fit.dep_at(y_values[iy], w_values[iw])
+        raise EstimationError(
+            "no dependence estimate at grid pair "
+            f"({dep_fit.grid.y_body[y_cells[iy]]:.6g}, {dep_fit.grid.w_body[w_cells[iw]]:.6g}): "
+            "its fit failed"
+        )
     pairs = [(iy, iw, jy, jw) for iy, jy in zip(y_pos, y_cells) for iw, jw in zip(w_pos, w_cells)]
     triples, inverse = np.unique(pairs, axis=0, return_inverse=True)
     cells, cell_of = np.unique(triples[:, 2:], axis=0, return_inverse=True)

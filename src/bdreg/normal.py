@@ -1,10 +1,10 @@
-"""Standard normal primitives: univariate CDF/quantile, the bivariate CDF and
-density, and the tanh correlation link.
+"""Standard normal primitives: univariate density/quantile, the bivariate CDF
+and density, and the tanh correlation link.
 
 FixedThresholdBvn is the one evaluator of the bivariate CDF and density: it
 holds a set of threshold pairs and evaluates at any correlation. The
-dependence fits keep one per grid pair; bvn_cdf and bvn_pdf build one for a
-single call.
+dependence fits keep one per grid pair; bvn_cdf builds one for a single
+call.
 
 The bivariate CDF follows the Drezner-Wesolowsky/Genz construction: Gauss-
 Legendre quadrature along the correlation path for moderate correlation, and
@@ -30,10 +30,8 @@ __all__ = [
     "EPS_RHO",
     "FixedThresholdBvn",
     "bvn_cdf",
-    "bvn_pdf",
     "clamp_rho",
     "link_rho",
-    "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
 ]
@@ -55,15 +53,6 @@ _RULE_EDGES = (0.3, 0.75)
 _MODERATE_RULES = tuple((nodes + 1.0, weights) for nodes, weights in _GL_RULES.values())
 # Rows per quadrature block: bounds the (rows, nodes) temporaries.
 BLOCK_ROWS = 4096
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF. Rejects non-finite input."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("std_normal_cdf requires finite input")
-    out = special.ndtr(z)
-    return float(out) if out.ndim == 0 else out
 
 
 def std_normal_pdf(z):
@@ -186,9 +175,9 @@ class FixedThresholdBvn:
     This is the package's one evaluator of Phi2 and phi2. A dependence fit
     evaluates Phi2(a_i, b_i; rho_i) many times with the same thresholds and a
     new correlation each iteration, so everything that does not depend on rho
-    is computed once here; bvn_cdf and bvn_pdf are one-shot uses. Thresholds
-    may be +/-inf: such rows are constant in rho, resolve exactly to the
-    marginal limits (density zero), and are set aside once.
+    is computed once here; bvn_cdf is a one-shot use. Thresholds may be
+    +/-inf: such rows are constant in rho, resolve exactly to the marginal
+    limits (density zero), and are set aside once.
     """
 
     def __init__(self, a, b):
@@ -248,17 +237,6 @@ class FixedThresholdBvn:
     # sees only the repeated evaluations of the dependence fits.
     cdf = _cdf
 
-    def _density(self, r):
-        # phi2 and 1 - r^2 on the finite rows at their clamped correlations r.
-        a, b = self._a, self._b
-        det = 1.0 - r * r
-        q = (a * a - 2.0 * r * a * b + b * b) / det
-        return np.exp(-0.5 * q) / (2.0 * np.pi * np.sqrt(det)), det
-
-    def pdf(self, rho):
-        """phi2 at the stored thresholds, zero where one is infinite."""
-        return self._scatter(self._density(self._rows(rho))[0], 0.0)
-
     def pdf_drho(self, rho):
         """phi2 and its derivative in rho at the stored thresholds, both zero
         where a threshold is infinite:
@@ -267,16 +245,12 @@ class FixedThresholdBvn:
                                      + (ab (1 + rho^2) - rho (a^2 + b^2)) / (1 - rho^2)^2]
         """
         r = self._rows(rho)
-        dens, det = self._density(r)
+        a, b = self._a, self._b
+        det = 1.0 - r * r
+        q = (a * a - 2.0 * r * a * b + b * b) / det
+        dens = np.exp(-0.5 * q) / (2.0 * np.pi * np.sqrt(det))
         slope = r / det + (self._hk * (1.0 + r * r) - 2.0 * r * self._hs) / (det * det)
         return self._scatter(dens, 0.0), self._scatter(dens * slope, 0.0)
-
-
-def _one_shot(method, a, b, rho):
-    # One FixedThresholdBvn method on the broadcast arguments, in their shape.
-    a, b, rho = np.broadcast_arrays(a, b, rho)
-    out = method(FixedThresholdBvn(a, b), rho.ravel()).reshape(a.shape)
-    return float(out) if out.ndim == 0 else out
 
 
 def bvn_cdf(a, b, rho):
@@ -285,9 +259,6 @@ def bvn_cdf(a, b, rho):
     a and b may be +/-inf; those resolve exactly to the marginal limits.
     rho is clamped via :func:`clamp_rho`.
     """
-    return _one_shot(FixedThresholdBvn._cdf, a, b, rho)
-
-
-def bvn_pdf(a, b, rho):
-    """Standard bivariate normal density; zero at infinite arguments."""
-    return _one_shot(FixedThresholdBvn.pdf, a, b, rho)
+    a, b, rho = np.broadcast_arrays(a, b, rho)
+    out = FixedThresholdBvn(a, b)._cdf(rho.ravel()).reshape(a.shape)
+    return float(out) if out.ndim == 0 else out

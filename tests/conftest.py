@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from bdreg.data import build_grid
+from bdreg.data import build_grid, nearest_body_index
 from bdreg.dependence import fit_bdr
 from bdreg.dgp import DgpSpec, generate
+from bdreg.normal import bvn_cdf, link_rho
 
 # Canonical covariate-dependent specification used across the estimator tests:
 # intercept + uniform(0,1) + binary(0.5) covariates feeding both locations and
@@ -32,3 +33,33 @@ def small_sample():
 def small_fit(small_sample):
     grid = build_grid(small_sample, n_points=6)
     return fit_bdr(small_sample, grid), grid
+
+
+def dep_coef_at(fit, y, w):
+    """The dependence coefficients that serve (y, w): those of the nearest
+    body point on each axis (the copy rule)."""
+    return fit.dep_coef[nearest_body_index(fit.grid.y_body, y),
+                        nearest_body_index(fit.grid.w_body, w)]
+
+
+def joint_cdf_rows(y_fit, w_fit, dep_fit, y, w, x):
+    """Each covariate row's conditional joint CDF at (y, w), one row at a
+    time: Phi2 of y_fit's y index, w_fit's w index and dep_fit's local
+    correlation at (y, w), zero with dep_fit None. The point-by-point
+    reference the batched functionals are checked against."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    a = y_fit.y_marginal.index(y, x)
+    b = w_fit.w_marginal.index(w, x)
+    if dep_fit is None:
+        rho = np.zeros(x.shape[0])
+    else:
+        rho = link_rho(x[:, dep_fit.dep_cols] @ dep_coef_at(dep_fit, y, w))[0]
+    return bvn_cdf(a, b, rho)
+
+
+def bvn_density(a, b, rho):
+    """The standard bivariate normal density phi2, from its closed form."""
+    a, b, rho = (np.asarray(v, dtype=float) for v in (a, b, rho))
+    det = 1.0 - rho * rho
+    q = (a * a - 2.0 * rho * a * b + b * b) / det
+    return np.exp(-0.5 * q) / (2.0 * np.pi * np.sqrt(det))

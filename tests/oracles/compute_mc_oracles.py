@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
@@ -21,7 +22,7 @@ from bdreg.data import build_grid, grid_from_values
 from bdreg.dependence import fit_bdr
 from bdreg.dgp import generate
 from bdreg.marginals import fit_probit_dr, fit_tail_scale
-from bdreg.normal import link_rho, std_normal_cdf
+from bdreg.normal import link_rho
 
 from conftest import bench_spec
 
@@ -38,7 +39,7 @@ def probit_two_covariate():
         rng = np.random.default_rng(1000 + r)
         n = 10000
         x = np.column_stack([np.ones(n), rng.normal(size=n), rng.random(n)])
-        below = (rng.random(n) < std_normal_cdf(x @ coef)).astype(float)
+        below = (rng.random(n) < ndtr(x @ coef)).astype(float)
         draws.append(fit_probit_dr(x, below).coef)
     return np.std(np.asarray(draws), axis=0, ddof=1).tolist()
 

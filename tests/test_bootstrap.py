@@ -13,15 +13,24 @@ from bdreg.bootstrap import (
     bootstrap_fit,
     draw_weights,
     ensemble_apply,
-    robust_se,
     robust_se_map,
 )
 from bdreg.data import build_grid, empirical_quantile, grid_from_values
 from bdreg.dependence import _CellKernel, _ReplicateBase, fit_bdr, fit_dependence
 from bdreg.dgp import DgpSpec, generate
 from bdreg.exceptions import EstimationError, InferenceError, TailError
+from bdreg.normal import std_normal_quantile
 
 from conftest import bench_spec
+
+
+def robust_se(draws) -> float:
+    """The robust SE of one draw vector by np.quantile's rule: the
+    interquartile range of the finite draws over that of the standard
+    normal. The independent reference for robust_se_map's own quantiles."""
+    arr = np.asarray(draws, dtype=float).ravel()
+    q25, q75 = np.quantile(arr[np.isfinite(arr)], [0.25, 0.75])
+    return float((q75 - q25) / (2.0 * std_normal_quantile(0.75)))
 
 
 def test_results_do_not_depend_on_workers():

@@ -210,6 +210,18 @@ def test_too_few_replicates_is_config_error_before_any_fit(command, replicates, 
     assert f">= {MIN_DRAWS_FOR_INFERENCE}" in capsys.readouterr().err
 
 
+def test_bad_counterfactual_index_is_config_error_before_any_fit(sample_csv, tmp_path,
+                                                                 monkeypatch, capsys):
+    # A valid index ahead of the bad one used to be fitted, bootstrapped and
+    # written before the bad one was parsed.
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    out = tmp_path / "out"
+    assert run("counterfactual", sample_csv, out, "--index", "1110", "--index", "2222",
+               "--replicates", "10") == 2
+    assert list(out.glob("*")) == []
+    assert "'2222'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "50", "--seed", "-1"],
     ["simulate", "--n", "-5"],

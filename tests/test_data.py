@@ -13,7 +13,6 @@ from bdreg.data import (
     split_groups,
     validate,
 )
-from bdreg.dependence import BdrFit
 from bdreg.exceptions import ConfigError, DataError
 
 
@@ -147,9 +146,7 @@ class TestNearestBody:
     def test_pairwise(self):
         # The dependence cell is the nearest body point in each coordinate.
         grid = grid_from_values([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
-        fit = BdrFit(grid=grid, y_marginal=None, w_marginal=None,
-                     dep_coef=np.zeros((2, 2, 1)), dep_cols=(0,))
-        iy, iw = fit.dep_cell(-10.0, 10.0)
+        iy, iw = nearest_body_index(grid.y_body, -10.0), nearest_body_index(grid.w_body, 10.0)
         assert (grid.y_body[iy], grid.w_body[iw]) == (1.0, 2.0)
 
     def test_nan_raises(self):

@@ -22,9 +22,9 @@ from bdreg.dgp import DgpSpec, generate
 from bdreg.exceptions import DataError, EstimationError
 from bdreg.functionals import fitted_surface
 from bdreg.marginals import _damped_newton
-from bdreg.normal import bvn_cdf, bvn_pdf, link_rho
+from bdreg.normal import bvn_cdf, link_rho
 
-from conftest import bench_spec
+from conftest import bench_spec, bvn_density, dep_coef_at
 
 ATANH_HALF = 0.5493061443340548
 
@@ -216,7 +216,7 @@ class TestCellKernel:
         cells = (bvn_cdf(a, b, rho), bvn_cdf(a, -b, -rho),
                  bvn_cdf(-a, b, -rho), bvn_cdf(-a, -b, rho))
         recip = sum(1.0 / np.maximum(c, CELL_FLOOR) for c in cells)
-        dp = bvn_pdf(a, b, rho) * gprime
+        dp = bvn_density(a, b, rho) * gprime
         fisher = (x * (recip * dp * dp)[:, None]).T @ x / n
         np.testing.assert_allclose(info, fisher, rtol=1e-10)
         assert np.all(np.linalg.eigvalsh(info) > 0)
@@ -335,9 +335,9 @@ class TestFitBdr:
         fit, grid = small_fit
         assert fit.dep_coef.shape == (grid.y_body.size, grid.w_body.size, 3)
         # off-grid queries copy the nearest body pair's coefficients
-        corner = fit.dep_at(grid.y_grid[-1] + 1.0, grid.w_grid[-1] + 1.0)
+        corner = dep_coef_at(fit, grid.y_grid[-1] + 1.0, grid.w_grid[-1] + 1.0)
         np.testing.assert_array_equal(corner, fit.dep_coef[-1, -1])
-        low = fit.dep_at(-np.inf, -np.inf)
+        low = dep_coef_at(fit, -np.inf, -np.inf)
         np.testing.assert_array_equal(low, fit.dep_coef[0, 0])
 
     def test_failed_cell_raises_before_evaluation(self, small_fit, small_sample):
@@ -350,7 +350,7 @@ class TestFitBdr:
     def test_mixed_tail_body_query(self, small_fit):
         fit, grid = small_fit
         mid_w = grid.w_body[1]
-        got = fit.dep_at(grid.y_grid[-1] + 5.0, mid_w)
+        got = dep_coef_at(fit, grid.y_grid[-1] + 5.0, mid_w)
         np.testing.assert_array_equal(got, fit.dep_coef[-1, 1])
 
     def test_independence_dgp_mean_abs_rho(self):

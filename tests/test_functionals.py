@@ -2,10 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from bdreg import functionals
 from bdreg.bootstrap import WeightScheme, draw_weights
-from bdreg.data import build_grid, grid_from_values
+from bdreg.data import build_grid, grid_from_values, nearest_body_index
 from bdreg.dependence import fit_bdr
 from bdreg.dgp import DgpSpec, generate, true_joint_cdf
 from bdreg.exceptions import ConfigError, DataError, EstimationError
@@ -20,9 +21,8 @@ from bdreg.functionals import (
     transition_from_fits,
     transition_matrix,
 )
-from bdreg.normal import bvn_cdf, std_normal_cdf
 
-from conftest import bench_spec
+from conftest import bench_spec, joint_cdf_rows
 
 
 @pytest.fixture(scope="module")
@@ -52,18 +52,18 @@ class TestCounterfactualIndex:
 class TestConditionalJointCdf:
     def test_sentinel_limits(self, small_fit, small_sample):
         fit, _ = small_fit
-        x = small_sample.x[:4]
-        np.testing.assert_allclose(fit.joint_cdf(np.inf, np.inf, x), 1.0)
-        np.testing.assert_allclose(fit.joint_cdf(-np.inf, 0.3, x), 0.0)
+        surf = fitted_surface(fit, small_sample, [-np.inf, np.inf], [0.3, np.inf])
+        np.testing.assert_allclose(surf.values[0], 0.0)
+        np.testing.assert_allclose(surf.values[1, 1], 1.0)
 
     def test_zero_dependence_factorizes(self, small_fit, small_sample):
         fit, grid = small_fit
-        x = small_sample.x[:10]
+        s = small_sample
+        ten = type(s)(y=s.y[:10], w=s.w[:10], x=s.x[:10])
         y, w = grid.y_body[1], grid.w_body[2]
-        got = fit.joint_cdf(y, w, x, zero_dependence=True)
-        want = std_normal_cdf(fit.y_marginal.index(y, x)) * std_normal_cdf(
-            fit.w_marginal.index(w, x))
-        assert np.max(np.abs(got - want)) <= 1e-12
+        got = independence_counterfactual(fit, ten, [y], [w]).values[0, 0]
+        want = np.mean(ndtr(fit.y_marginal.index(y, ten.x)) * ndtr(fit.w_marginal.index(w, ten.x)))
+        assert abs(got - want) <= 1e-12
 
     def test_tracks_dgp_truth(self):
         spec = bench_spec(4000, 203)
@@ -72,7 +72,7 @@ class TestConditionalJointCdf:
         fit = fit_bdr(s, grid)
         x = s.x[:50]
         y, w = grid.y_body[2], grid.w_body[2]
-        est = fit.joint_cdf(y, w, x)
+        est = joint_cdf_rows(fit, fit, fit, y, w, x)
         tru = true_joint_cdf(spec, y, w, x)
         assert np.mean(np.abs(est - tru)) <= 0.03
 
@@ -121,13 +121,11 @@ class TestCounterfactualSurface:
             return np.array([[cell(yv, wv) for wv in ws] for yv in ys])
 
         got = fitted_surface(fit, small_sample, ys, ws).values
-        want = reference(lambda yv, wv: wts @ fit.joint_cdf(yv, wv, x))
+        want = reference(lambda yv, wv: wts @ joint_cdf_rows(fit, fit, fit, yv, wv, x))
         assert np.max(np.abs(got - want)) <= 1e-13
 
         got = independence_counterfactual(fit, small_sample, ys, ws).values
-        want = reference(
-            lambda yv, wv: wts @ fit.joint_cdf(yv, wv, x, zero_dependence=True)
-        )
+        want = reference(lambda yv, wv: wts @ joint_cdf_rows(fit, fit, None, yv, wv, x))
         assert np.max(np.abs(got - want)) <= 1e-13
 
         # Cross-group: marginals from groups 1 and 0, dependence from group 1,
@@ -136,9 +134,7 @@ class TestCounterfactualSurface:
         x0 = samples[0].x
         w0 = np.full(x0.shape[0], 1.0 / x0.shape[0])
         got = counterfactual_joint_cdf(fits, samples, "1010", ys, ws).values
-        want = reference(lambda yv, wv: w0 @ bvn_cdf(
-            fits[1].y_marginal.index(yv, x0), fits[0].w_marginal.index(wv, x0),
-            fits[1].local_rho(yv, wv, x0)))
+        want = reference(lambda yv, wv: w0 @ joint_cdf_rows(fits[1], fits[0], fits[1], yv, wv, x0))
         assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_nan_threshold_raises(self, small_fit, small_sample):
@@ -175,14 +171,14 @@ class TestCounterfactualSurface:
         share = weights / weights.sum()
         ys, ws = fit.grid.y_grid, fit.grid.w_grid
 
-        def reference(zero_dependence):
-            return np.array([[share @ fit.joint_cdf(yv, wv, s.x, zero_dependence)
+        def reference(dep_fit):
+            return np.array([[share @ joint_cdf_rows(fit, fit, dep_fit, yv, wv, s.x)
                               for wv in ws] for yv in ys])
 
-        for got, zero in ((fitted_surface(fit, s), False),
-                          (counterfactual_joint_cdf({0: fit}, {0: s}, "0000"), False),
-                          (independence_counterfactual(fit, s), True)):
-            assert np.max(np.abs(got.values - reference(zero))) <= 1e-13
+        for got, dep_fit in ((fitted_surface(fit, s), fit),
+                             (counterfactual_joint_cdf({0: fit}, {0: s}, "0000"), fit),
+                             (independence_counterfactual(fit, s), None)):
+            assert np.max(np.abs(got.values - reference(dep_fit))) <= 1e-13
 
     def test_copy_rule_keys_give_identical_indices(self, small_fit, small_sample):
         fit, grid = small_fit
@@ -195,8 +191,7 @@ class TestCounterfactualSurface:
             else:
                 assert key == v
             np.testing.assert_array_equal(marginal.index(v, x), marginal.index(key, x))
-            iy, iw = fit.dep_cell(v, v)
-            np.testing.assert_array_equal(fit.dep_at(v, v), fit.dep_coef[iy, iw])
+            assert nearest_body_index(grid.y_body, v) == nearest_body_index(grid.y_body, key)
 
     def test_first_failed_cell_in_grid_order_raises(self, small_fit, small_sample):
         fit, grid = small_fit
@@ -407,9 +402,7 @@ class TestIndependenceCounterfactual:
         )
         surf = independence_counterfactual(fit, one)
         y, w = grid.y_grid[2], grid.w_grid[3]
-        want = std_normal_cdf(fit.y_marginal.index(y, one.x))[0] * std_normal_cdf(
-            fit.w_marginal.index(w, one.x)
-        )[0]
+        want = ndtr(fit.y_marginal.index(y, one.x))[0] * ndtr(fit.w_marginal.index(w, one.x))[0]
         iy = list(grid.y_grid).index(y)
         iw = list(grid.w_grid).index(w)
         assert abs(surf.values[iy, iw] - want) <= 1e-12

@@ -2,6 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from bdreg.data import Sample, build_grid, grid_from_values
 from bdreg.dgp import DgpSpec, generate
@@ -13,7 +14,7 @@ from bdreg.marginals import (
     fit_probit_dr,
     fit_tail_scale,
 )
-from bdreg.normal import std_normal_cdf, std_normal_quantile
+from bdreg.normal import std_normal_quantile
 
 from conftest import bench_spec
 
@@ -21,7 +22,7 @@ from conftest import bench_spec
 def two_covariate_probit(n, seed, coef=(0.3, -0.6, 0.9)):
     rng = np.random.default_rng(seed)
     x = np.column_stack([np.ones(n), rng.normal(size=n), rng.random(n)])
-    p = std_normal_cdf(x @ np.asarray(coef))
+    p = ndtr(x @ np.asarray(coef))
     below = (rng.random(n) < p).astype(float)
     return x, below
 
@@ -173,7 +174,7 @@ class TestMarginalFit:
         fit = fit_marginal(s.y, s.x, grid, "y")
         for i, r in enumerate(fit.body):
             frac = np.mean(y <= r)
-            assert abs(std_normal_cdf(fit.coef[i, 0]) - frac) <= 1e-10
+            assert abs(ndtr(fit.coef[i, 0]) - frac) <= 1e-10
 
     def test_weight_neutrality(self, small_sample):
         grid = build_grid(small_sample, n_points=5)
@@ -192,7 +193,7 @@ class TestMarginalFit:
         grid = build_grid(s, n_points=8)
         fit = fit_marginal(s.y, s.x, grid, "y")
         for i, r in enumerate(fit.body):
-            model = float(np.mean(std_normal_cdf(s.x @ fit.coef[i])))
+            model = float(np.mean(ndtr(s.x @ fit.coef[i])))
             emp = float(np.mean(s.y <= r))
             assert abs(model - emp) <= 3.0 * np.sqrt(emp * (1 - emp) / s.n) + 5e-3
 

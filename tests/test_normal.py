@@ -10,19 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from bdreg.normal import (
     BLOCK_ROWS,
     EPS_RHO,
     FixedThresholdBvn,
     bvn_cdf,
-    bvn_pdf,
     clamp_rho,
     link_rho,
-    std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
 )
+
+from conftest import bvn_density
 
 # 30-digit erf-based oracle value for Phi(1).
 PHI_AT_1 = 0.841344746068542948585232545632
@@ -37,25 +38,18 @@ BVN_ORACLE = [
 ]
 
 
-class TestUnivariate:
-    def test_symmetry_at_zero(self):
-        assert std_normal_cdf(0.0) == 0.5
+def phi2(a, b, rho):
+    """The library's bivariate normal density at one threshold pair, as
+    FixedThresholdBvn.pdf_drho gives it."""
+    return FixedThresholdBvn([a], [b]).pdf_drho(rho)[0][0]
 
+
+class TestUnivariate:
     def test_tail_limit(self):
-        assert abs(std_normal_cdf(40.0) - 1.0) <= 1e-15
+        assert abs(ndtr(40.0) - 1.0) <= 1e-15
 
     def test_oracle_value(self):
-        assert abs(std_normal_cdf(1.0) - PHI_AT_1) <= 1e-15
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            std_normal_cdf(np.inf)
-        with pytest.raises(ValueError):
-            std_normal_cdf(np.nan)
-
-    @given(st.floats(-38.0, 38.0, allow_nan=False))
-    def test_reflection(self, z):
-        assert abs(std_normal_cdf(z) + std_normal_cdf(-z) - 1.0) <= 1e-15
+        assert abs(ndtr(1.0) - PHI_AT_1) <= 1e-15
 
     def test_quantile_median(self):
         assert std_normal_quantile(0.5) == 0.0
@@ -65,7 +59,7 @@ class TestUnivariate:
 
     @pytest.mark.parametrize("p", [0.01, 0.25, 0.975])
     def test_quantile_round_trip(self, p):
-        assert abs(std_normal_cdf(std_normal_quantile(p)) - p) <= 1e-12
+        assert abs(ndtr(std_normal_quantile(p)) - p) <= 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4])
     def test_quantile_domain(self, p):
@@ -93,7 +87,7 @@ class TestBivariateCdf:
         assert bvn_cdf(np.inf, np.inf, 0.3) == 1.0
         assert bvn_cdf(-np.inf, 1.0, 0.3) == 0.0
         assert bvn_cdf(1.0, -np.inf, -0.5) == 0.0
-        assert abs(bvn_cdf(np.inf, 1.0, 0.7) - std_normal_cdf(1.0)) <= 1e-15
+        assert abs(bvn_cdf(np.inf, 1.0, 0.7) - ndtr(1.0)) <= 1e-15
 
     def test_rejects_nan_and_bad_rho(self):
         with pytest.raises(ValueError):
@@ -106,7 +100,7 @@ class TestBivariateCdf:
         # 20 x 20 x 19 lattice.
         z = np.linspace(-3.5, 3.5, 20)
         a, b = np.meshgrid(z, z)
-        pa, pb = std_normal_cdf(a), std_normal_cdf(b)
+        pa, pb = ndtr(a), ndtr(b)
         for rho in np.linspace(-0.95, 0.95, 19):
             p = bvn_cdf(a, b, rho)
             lower = np.maximum(0.0, pa + pb - 1.0)
@@ -124,8 +118,8 @@ class TestBivariateCdf:
     )
     def test_bounds_property(self, a, b, rho):
         p = bvn_cdf(a, b, rho)
-        lower = max(0.0, std_normal_cdf(a) + std_normal_cdf(b) - 1.0)
-        upper = min(std_normal_cdf(a), std_normal_cdf(b))
+        lower = max(0.0, ndtr(a) + ndtr(b) - 1.0)
+        upper = min(ndtr(a), ndtr(b))
         assert lower - 1e-13 <= p <= upper + 1e-13
 
     def test_per_row_rule_matches_row_by_row(self):
@@ -154,41 +148,40 @@ class TestBivariateCdf:
             assert np.max(np.abs(got - want)) <= 5e-15
 
     def test_pinned_values(self):
-        # bvn_cdf and bvn_pdf on the threshold pairs above (with +/-inf rows
-        # and |rho| > 0.925), frozen from the two separate evaluators that
-        # FixedThresholdBvn replaced.
+        # bvn_cdf and the density of pdf_drho on the threshold pairs above
+        # (with +/-inf rows and |rho| > 0.925), frozen from the two separate
+        # evaluators that FixedThresholdBvn replaced.
         pinned = json.loads((Path(__file__).parent / "data" / "bvn_pinned.json").read_text())
         a, b = np.array(pinned["a"]), np.array(pinned["b"])
         assert a.size == 53 and np.isinf(a).sum() == 2 and np.isinf(b).sum() == 1
         for rho, cdf, pdf in zip(pinned["rho"], pinned["cdf"], pinned["pdf"]):
             assert np.max(np.abs(bvn_cdf(a, b, rho) - np.array(cdf))) <= 1e-15
-            assert np.max(np.abs(bvn_pdf(a, b, rho) - np.array(pdf))) <= 1e-15
-            ev = FixedThresholdBvn(a, b)
-            assert np.max(np.abs(ev.pdf(rho) - np.array(pdf))) <= 1e-15
+            dens = FixedThresholdBvn(a, b).pdf_drho(rho)[0]
+            assert np.max(np.abs(dens - np.array(pdf))) <= 1e-15
 
 
 class TestDensityAndPartials:
     def test_density_at_origin(self):
-        assert abs(bvn_pdf(0.0, 0.0, 0.0) - 1.0 / (2.0 * np.pi)) <= 1e-16
+        assert abs(phi2(0.0, 0.0, 0.0) - 1.0 / (2.0 * np.pi)) <= 1e-16
 
     def test_density_independence_factorization(self):
         want = std_normal_pdf(1.0) * std_normal_pdf(2.0)
-        assert abs(bvn_pdf(1.0, 2.0, 0.0) - want) <= 1e-16
+        assert abs(phi2(1.0, 2.0, 0.0) - want) <= 1e-16
 
     def test_density_symmetry(self):
-        assert bvn_pdf(0.7, -1.1, 0.6) == bvn_pdf(-1.1, 0.7, 0.6)
+        assert phi2(0.7, -1.1, 0.6) == phi2(-1.1, 0.7, 0.6)
 
     def test_density_matches_rho_difference(self):
         # Correlation-derivative identity: d/drho of the CDF is the density.
         a, b, rho = 0.7, -1.1, 0.6
         h = 1e-5
         fd = (bvn_cdf(a, b, rho + h) - bvn_cdf(a, b, rho - h)) / (2.0 * h)
-        assert abs(bvn_pdf(a, b, rho) - fd) / abs(fd) <= 1e-6
+        assert abs(phi2(a, b, rho) - fd) / abs(fd) <= 1e-6
 
     def test_partials_finite_difference_sweep(self):
         # All three partials of the CDF against central differences over a
         # random sweep: d/da = phi(a) Phi((b - rho a) / sqrt(1 - rho^2)), d/db
-        # by symmetry, and d/drho = bvn_pdf. Relative agreement wherever the
+        # by symmetry, and d/drho = phi2. Relative agreement wherever the
         # derivative is large enough for the finite difference itself to
         # carry 6 digits; tiny derivatives are checked absolutely (the
         # difference quotient noise floor is ~1e-11).
@@ -199,9 +192,9 @@ class TestDensityAndPartials:
             rho = rng.uniform(-0.99, 0.99)
             s = np.sqrt(1.0 - rho * rho)
             parts = (
-                std_normal_pdf(a) * std_normal_cdf((b - rho * a) / s),
-                std_normal_pdf(b) * std_normal_cdf((a - rho * b) / s),
-                bvn_pdf(a, b, rho),
+                std_normal_pdf(a) * ndtr((b - rho * a) / s),
+                std_normal_pdf(b) * ndtr((a - rho * b) / s),
+                phi2(a, b, rho),
             )
             fds = (
                 (bvn_cdf(a + h, b, rho) - bvn_cdf(a - h, b, rho)) / (2 * h),
@@ -220,9 +213,9 @@ class TestDensityAndPartials:
         rho = rng.uniform(-0.95, 0.95, size=200)
         ev = FixedThresholdBvn(a, b)
         dens, slope = ev.pdf_drho(rho)
-        assert np.array_equal(dens, ev.pdf(rho))
+        np.testing.assert_allclose(dens, bvn_density(a, b, rho), rtol=1e-14, atol=0.0)
         h = 1e-6
-        fd = (ev.pdf(rho + h) - ev.pdf(rho - h)) / (2.0 * h)
+        fd = (ev.pdf_drho(rho + h)[0] - ev.pdf_drho(rho - h)[0]) / (2.0 * h)
         big = np.abs(fd) >= 1e-4
         assert np.max(np.abs(slope[big] - fd[big]) / np.abs(fd[big])) <= 1e-6
         assert np.max(np.abs(slope[~big] - fd[~big])) <= 1e-9

@@ -1,12 +1,14 @@
 """The package's public names are locked: bdreg.__all__ is the agreed set,
 and each module's __all__ lists exactly the public functions and classes it
-defines. No module imports a name it never uses."""
+defines. No module imports a name it never uses, and no public name or
+class member exists only for the tests."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ import bdreg
 PUBLIC = {
     # bootstrap
     "BootstrapEnsemble", "WeightScheme", "bootstrap_fit", "draw_weights",
-    "ensemble_apply", "robust_se", "robust_se_map",
+    "ensemble_apply", "robust_se_map",
     # data
     "GridSpec", "Sample", "build_grid", "grid_from_values", "split_groups", "validate",
     # dependence
@@ -32,14 +34,13 @@ PUBLIC = {
     # marginals
     "MarginalFit", "fit_marginal", "fit_probit_dr", "fit_tail_scale",
     # normal
-    "EPS_RHO", "bvn_cdf", "bvn_pdf", "std_normal_cdf", "std_normal_pdf",
-    "std_normal_quantile",
+    "EPS_RHO", "bvn_cdf", "std_normal_pdf", "std_normal_quantile",
 }
 MODULES = [m.name for m in pkgutil.iter_modules(bdreg.__path__)]
 
 
 def test_package_all_is_the_agreed_set():
-    assert len(bdreg.__all__) == len(set(bdreg.__all__)) == len(PUBLIC) == 47
+    assert len(bdreg.__all__) == len(set(bdreg.__all__)) == len(PUBLIC) == 44
     assert set(bdreg.__all__) == PUBLIC
     for name in bdreg.__all__:
         assert hasattr(bdreg, name), name
@@ -90,10 +91,93 @@ def test_module_imports_only_names_it_uses(name):
 
 
 def test_unused_import_scan_flags_a_dropped_caller():
-    source = "from .normal import bvn_cdf, std_normal_cdf\n\n\ndef f(a):\n    return bvn_cdf(a, a, 0.0)\n"
-    assert unused_imports(source) == ["std_normal_cdf (line 1)"]
+    source = "from .normal import bvn_cdf, link_rho\n\n\ndef f(a):\n    return bvn_cdf(a, a, 0.0)\n"
+    assert unused_imports(source) == ["link_rho (line 1)"]
     marked = source.replace("\n", "  # noqa: F401\n", 1)
     assert unused_imports(marked) == []
+
+
+def names_read(sources) -> set[str]:
+    """Every name and attribute the sources read (loaded, not assigned)."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+def names_mentioned(sources) -> set[str]:
+    """Every identifier the sources mention: names, attributes, imported
+    names and string constants (attribute names looked up by string)."""
+    named = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return named
+
+
+def public_members(cls) -> list[str]:
+    """The public methods, properties and annotated fields a class defines."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0]
+    members = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            members.append(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            members.append(node.target.id)
+    return [m for m in members if not m.startswith("_")]
+
+
+def uncalled(public, library_sources, bench_sources) -> list[str]:
+    """The public names (each name, and each class's public members as
+    Class.member) that no library source reads and no benchmark source
+    mentions."""
+    read, named = names_read(library_sources), names_mentioned(bench_sources)
+    out = []
+    for name, obj in public.items():
+        wanted = [(name, name)]
+        if inspect.isclass(obj):
+            wanted += [(f"{name}.{m}", m) for m in public_members(obj)]
+        out += [label for label, key in wanted if key not in read and key not in named]
+    return sorted(out)
+
+
+def test_every_public_name_has_a_caller():
+    # A public function, class, method, property or field that only the tests
+    # call is a second way to compute what the library computes elsewhere.
+    # perfbench/ reads some names to time or check a run; those count.
+    src = Path(bdreg.__file__).parent
+    library = [p.read_text() for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    bench = [p.read_text() for p in sorted((src.parents[1] / "perfbench").glob("*.py"))]
+    public = {name: getattr(bdreg, name) for name in bdreg.__all__}
+    assert uncalled(public, library, bench) == []
+
+
+def test_caller_scan_flags_a_name_only_tests_call():
+    class Fit:
+        coef: int
+        spare: int
+
+        def value(self):
+            return self.coef
+
+        def extra(self):
+            return 0
+
+    library = ["def use(fit):\n    fit.spare = 1\n    return fit.value(), helper\n"]
+    bench = ["import x\nx.lookup(Fit, 'coef')\n"]
+    public = {"Fit": Fit, "helper": len, "dropped": len}
+    assert uncalled(public, library, bench) == ["Fit.extra", "Fit.spare", "dropped"]
 
 
 def test_oracle_script_matches_the_current_api():
