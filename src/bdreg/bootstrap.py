@@ -46,7 +46,8 @@ DEFAULT_DRAWS = 200
 MAX_FAILURE_SHARE = 0.10
 MIN_DRAWS_FOR_INFERENCE = 10
 # Interquartile range of the standard normal, the denominator of the robust
-# standard error.
+# standard error: twice the 0.75 quantile, from the standard library's
+# NormalDist (normal.std_normal_quantile), equal to scipy's ndtri(0.75).
 _NORMAL_IQR = 2.0 * std_normal_quantile(0.75)
 
 

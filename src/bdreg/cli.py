@@ -16,12 +16,12 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bootstrap import (
@@ -63,7 +63,7 @@ MISSING_TOKENS = {"", "na", "nan", "null", "."}
 WORKERS_ENV = "BDREG_WORKERS"
 _LIST_FLAGS = ("--y-coef", "--w-coef", "--dep-coef", "--y-coef-1", "--w-coef-1", "--dep-coef-1",
                "--y-cuts", "--w-cuts")
-_VERSIONS = {"bdreg": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+_VERSIONS = {"bdreg": __version__, "numpy": np.__version__}
 
 
 def _fmt(v) -> str:
@@ -92,32 +92,46 @@ class RunConfig:
 
 
 class OutputWriter:
-    """Tracks written files so a failed run can remove its partial output."""
+    """Tracks written files so a failed run can remove its partial output.
+
+    An output directory that cannot be created or written into is a
+    ConfigError: --out names it.
+    """
 
     def __init__(self, outdir: Path):
         self.outdir = outdir
         self.written: list[Path] = []
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory {outdir}: {err.strerror}") from None
+
+    @contextmanager
+    def _open(self, name: str, newline=None):
+        path = self.outdir / name
+        # Recorded before opening, so that a partly written file is removed.
+        self.written.append(path)
+        try:
+            with open(path, "w", newline=newline) as fh:
+                yield fh
+        except OSError as err:
+            raise ConfigError(f"cannot write {path}: {err.strerror}") from None
 
     def csv(self, name: str, header: list[str], rows) -> Path:
-        path = self.outdir / name
-        with open(path, "w", newline="") as fh:
+        with self._open(name, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
                 writer.writerow(
                     [_fmt(v) if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool) else str(v) for v in row]
                 )
-        self.written.append(path)
-        return path
+        return self.outdir / name
 
     def manifest(self, payload: dict) -> Path:
-        path = self.outdir / "manifest.json"
-        with open(path, "w") as fh:
+        with self._open("manifest.json") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        self.written.append(path)
-        return path
+        return self.outdir / "manifest.json"
 
     def cleanup(self):
         for path in self.written:
@@ -125,6 +139,17 @@ class OutputWriter:
                 path.unlink()
             except OSError:
                 pass
+
+
+@contextmanager
+def _decoded(path: str):
+    """Turn a decoding failure while reading the input into a DataError."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise DataError(
+            f"input {path} is not UTF-8 text: cannot decode byte 0x{err.object[err.start]:02x}"
+        ) from None
 
 
 def ingest(path: str, config: RunConfig):
@@ -137,10 +162,10 @@ def ingest(path: str, config: RunConfig):
     if config.group_col:
         used.append(config.group_col)
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as err:
         raise DataError(f"cannot open input {path}: {err}") from None
-    with fh:
+    with fh, _decoded(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)

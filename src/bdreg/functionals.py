@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data import Sample, increasing, nearest_body_index
 from .dependence import BdrFit
 from .exceptions import ConfigError, EstimationError
 from .marginals import _normalize_weights
-from .normal import BLOCK_ROWS, bvn_cdf, link_rho
+from .normal import BLOCK_ROWS, _ndtr, bvn_cdf, link_rho
 
 __all__ = [
     "CounterfactualIndex",
@@ -89,12 +88,13 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
     average of the product of the marginal CDFs.
 
     Thresholds with equal copy-rule keys (MarginalFit.key) have identical
-    indices, and pairs in the same dependence cell (nearest_body_index, per
-    axis value) have identical correlations, computed once per cell, so
-    each distinct (y key, w key, cell) triple is evaluated once and
-    scattered back to the grid. Before any evaluation, the first grid pair
-    whose cell failed raises an EstimationError naming it. The distinct
-    triples go to bvn_cdf in blocks of about BLOCK_ROWS rows.
+    indices, so each key's index rows and their marginal CDFs are computed
+    once; pairs in the same dependence cell (nearest_body_index, per axis
+    value) have identical correlations, computed once per cell. Each
+    distinct (y key, w key, cell) triple is evaluated once and scattered
+    back to the grid. Before any evaluation, the first grid pair whose cell
+    failed raises an EstimationError naming it. The distinct triples go to
+    bvn_cdf in blocks of about BLOCK_ROWS rows, with their keys' marginals.
     """
     x, wts = _x_average(x, weights)
     y_values = np.asarray(y_fit.grid.y_grid if y_values is None else y_values, dtype=float)
@@ -105,9 +105,10 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
     w_keys, w_pos = np.unique([w_fit.w_marginal.key(v) for v in w_values], return_inverse=True)
     a_rows = np.array([y_fit.y_marginal.index(k, x) for k in y_keys])
     b_rows = np.array([w_fit.w_marginal.index(k, x) for k in w_keys])
+    pa_rows, pb_rows = _ndtr(a_rows), _ndtr(b_rows)
 
     if dep_fit is None:
-        values = (special.ndtr(a_rows) * wts) @ special.ndtr(b_rows).T
+        values = (pa_rows * wts) @ pb_rows.T
         return JointCdfSurface(values[np.ix_(y_pos, w_pos)], y_values, w_values)
 
     y_cells = [nearest_body_index(dep_fit.grid.y_body, y) for y in y_values]
@@ -130,10 +131,11 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
     values = np.empty(len(triples))
     for lo in range(0, len(triples), step):
         hi = min(lo + step, len(triples))
-        a = a_rows[triples[lo:hi, 0]].ravel()
-        b = b_rows[triples[lo:hi, 1]].ravel()
+        ya, wb = triples[lo:hi, 0], triples[lo:hi, 1]
         rho = np.concatenate([cell_rho[c] for c in cell_of.ravel()[lo:hi]])
-        values[lo:hi] = bvn_cdf(a, b, rho).reshape(hi - lo, n_rows) @ wts
+        p = bvn_cdf(a_rows[ya].ravel(), b_rows[wb].ravel(), rho,
+                    pa=pa_rows[ya].ravel(), pb=pb_rows[wb].ravel())
+        values[lo:hi] = p.reshape(hi - lo, n_rows) @ wts
     values = values[inverse.ravel()].reshape(y_values.size, w_values.size)
     return JointCdfSurface(values, y_values, w_values)
 

@@ -9,11 +9,10 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import special
 
 from .data import GridSpec, nearest_body_index, nearest_body_value
 from .exceptions import DataError, EstimationError, TailError
-from .normal import std_normal_pdf
+from .normal import _ndtr, std_normal_pdf
 
 __all__ = [
     "MarginalFit",
@@ -69,7 +68,7 @@ def _probit_evaluate(x, below, w, offset, coef):
     idx = x @ coef
     if offset is not None:
         idx = idx + offset
-    p = _clip_prob(special.ndtr(idx))
+    p = _clip_prob(_ndtr(idx))
     ll = float(np.mean(w * (below * np.log(p) + (1.0 - below) * np.log1p(-p))))
     phi = std_normal_pdf(idx)
     denom = p * (1.0 - p)

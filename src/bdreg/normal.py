@@ -1,5 +1,15 @@
-"""Standard normal primitives: univariate density/quantile, the bivariate CDF
-and density, and the tanh correlation link.
+"""Standard normal primitives: the univariate CDF, density and quantile, the
+bivariate CDF and density, and the tanh correlation link.
+
+The univariate CDF Phi (_ndtr) is Cephes's ndtr (Moshier 1989, Methods and
+Programs for Mathematical Functions) in numpy: the erf and erfc rational
+approximations behind scipy.special.ndtr, evaluated by Horner's rule in
+Cephes's order. Against scipy it is within 1.1e-16 absolute and 5.5e-16
+relative (on normal, not subnormal, results). Every value of the erf branch
+(|x| < sqrt 2) is bit-equal, and about 98% of the rest: numpy's exp differs
+from the C library's in the last bit of a few results. The quantile is the
+standard library's statistics.NormalDist().inv_cdf (Wichura's AS241), within
+a few ulps of scipy.special.ndtri. So the package imports no scipy.
 
 FixedThresholdBvn is the one evaluator of the bivariate CDF and density: it
 holds a set of threshold pairs and evaluates at any correlation. The
@@ -23,8 +33,10 @@ to the exact marginal limits before any quadrature runs.
 
 from __future__ import annotations
 
+import math
+from statistics import NormalDist
+
 import numpy as np
-from scipy import special
 
 __all__ = [
     "EPS_RHO",
@@ -55,6 +67,98 @@ _MODERATE_RULES = tuple((nodes + 1.0, weights) for nodes, weights in _GL_RULES.v
 BLOCK_ROWS = 4096
 
 
+# Cephes's rationals, highest power first: erf(z) = z T(z^2) / U(z^2) for
+# |z| < 1, and erfc(z) = exp(-z^2) P(z) / Q(z) for 1 <= z < 8, with R / S in
+# place of P / Q beyond; U, Q and S are monic, their leading 1 left out.
+_ERF_T = np.array((9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+                   7.00332514112805075473e3, 5.55923013010394962768e4))
+_ERF_U = np.array((3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+                   2.26290000613890934246e4, 4.92673942608635921086e4))
+_ERFC_P = np.array((2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+                    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+                    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2))
+_ERFC_Q = np.array((1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+                    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+                    1.65666309194161350182e3, 5.57535340817727675546e2))
+_ERFC_R = np.array((5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+                    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0))
+_ERFC_S = np.array((2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+                    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0))
+# Beyond z^2 = _MAXLOG, exp(-z^2) underflows and Cephes returns erfc(z) = 0.
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = math.sqrt(0.5)
+_STD_NORMAL = NormalDist()
+
+
+def _horner(x, coefs, monic=False):
+    """Cephes's polevl (p1evl when monic): the polynomial with coefficients
+    coefs, highest power first, after a leading 1 when monic, at x."""
+    out = x + coefs[0] if monic else coefs[0] * x + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erfc_rational(z, num, den):
+    # exp(-z^2) num(z) / den(z), multiplied and divided in Cephes's order.
+    out = z * z
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= _horner(z, num)
+    out /= _horner(z, den, monic=True)
+    return out
+
+
+def _ndtr_block(t):
+    # Phi(x) at t = x / sqrt(2), as Cephes's ndtr: 0.5 + 0.5 erf(t) for
+    # |x| < 1, else 0.5 erfc(|t|), reflected for x > 0. The erf rational runs
+    # on every row (clipped into its range) and the erfc rationals only on
+    # the rows beyond it: selecting rows costs more than the short erf.
+    z = np.abs(t)
+    zi = np.minimum(z, 1.0)
+    zz = zi * zi
+    erf = zi * _horner(zz, _ERF_T)
+    erf /= _horner(zz, _ERF_U, monic=True)
+    tail = 1.0 - erf  # NaN rows stay NaN from here on
+    outer = np.flatnonzero(z >= 1.0)
+    if outer.size:
+        zo = z.take(outer)
+        mid = zo < 8.0
+        if mid.all():
+            tail[outer] = _erfc_rational(zo, _ERFC_P, _ERFC_Q)
+        else:
+            zc = np.minimum(zo, 27.0)  # squares without overflow; 27^2 > _MAXLOG
+            far = ~mid & (zc * zc <= _MAXLOG)
+            vals = np.zeros_like(zo)
+            vals[mid] = _erfc_rational(zo[mid], _ERFC_P, _ERFC_Q)
+            vals[far] = _erfc_rational(zo[far], _ERFC_R, _ERFC_S)
+            tail[outer] = vals
+    tail *= 0.5
+    out = np.where(t > 0.0, 1.0 - tail, tail)
+    np.copysign(erf, t, out=erf)
+    erf *= 0.5
+    erf += 0.5
+    return np.where(z < _SQRT1_2, erf, out)
+
+
+def _ndtr(x):
+    """The standard normal CDF Phi, elementwise, as an array of x's shape.
+
+    +/-inf map exactly to 1 and 0, and NaN passes through, with no
+    floating-point warning. Rows go through in blocks of BLOCK_ROWS, so the
+    temporaries stay a fixed size.
+    """
+    t = np.asarray(x, dtype=float) * _SQRT1_2
+    flat = t.reshape(-1)
+    if flat.size <= BLOCK_ROWS:
+        return _ndtr_block(flat).reshape(t.shape)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, BLOCK_ROWS):
+        out[lo:lo + BLOCK_ROWS] = _ndtr_block(flat[lo:lo + BLOCK_ROWS])
+    return out.reshape(t.shape)
+
+
 def std_normal_pdf(z):
     z = np.asarray(z, dtype=float)
     out = np.exp(-0.5 * z * z) / _SQRT_2PI
@@ -66,7 +170,7 @@ def std_normal_quantile(p):
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("std_normal_quantile requires 0 < p < 1")
-    out = special.ndtri(p)
+    out = np.vectorize(_STD_NORMAL.inv_cdf, otypes=[float])(p)
     return float(out) if out.ndim == 0 else out
 
 
@@ -143,7 +247,7 @@ def _bvnu_high(h, k, r):
         0.0,
     )
     b = np.sqrt(bs)
-    sp = _SQRT_2PI * special.ndtr(-b / a)
+    sp = _SQRT_2PI * _ndtr(-b / a)
     bvn = np.where(
         -hk < 100.0,
         bvn - np.exp(np.minimum(-hk / 2.0, 700.0)) * sp * b
@@ -164,8 +268,8 @@ def _bvnu_high(h, k, r):
     bvn = bvn + contrib @ _GL_WEIGHTS
     bvn = -bvn / twopi
 
-    pos_part = bvn + special.ndtr(-np.maximum(h, k))
-    neg_part = -bvn + np.maximum(0.0, special.ndtr(-h) - special.ndtr(-k))
+    pos_part = bvn + _ndtr(-np.maximum(h, k))
+    neg_part = -bvn + np.maximum(0.0, _ndtr(-h) - _ndtr(-k))
     return np.where(neg, neg_part, pos_part)
 
 
@@ -178,9 +282,14 @@ class FixedThresholdBvn:
     is computed once here; bvn_cdf is a one-shot use. Thresholds may be
     +/-inf: such rows are constant in rho, resolve exactly to the marginal
     limits (density zero), and are set aside once.
+
+    pa and pb are the marginals Phi(a) and Phi(b), computed here when not
+    given. A caller that already holds them passes them in, so that Phi is
+    computed once per threshold, not once per threshold pair; since Phi is
+    elementwise, the results are the same bits either way.
     """
 
-    def __init__(self, a, b):
+    def __init__(self, a, b, pa=None, pb=None):
         a = np.asarray(a, dtype=float).ravel()
         b = np.asarray(b, dtype=float).ravel()
         if a.shape != b.shape:
@@ -188,8 +297,10 @@ class FixedThresholdBvn:
         if np.any(np.isnan(a)) or np.any(np.isnan(b)):
             raise ValueError("thresholds must not be NaN")
         self.n = a.size
-        self.pa = special.ndtr(a)
-        self.pb = special.ndtr(b)
+        self.pa = _ndtr(a) if pa is None else np.asarray(pa, dtype=float).ravel()
+        self.pb = _ndtr(b) if pb is None else np.asarray(pb, dtype=float).ravel()
+        if self.pa.shape != a.shape or self.pb.shape != b.shape:
+            raise ValueError("marginals must match the thresholds in length")
         finite = np.isfinite(a) & np.isfinite(b)
         # _finite and _const are None when every row is finite, the common
         # case, which then needs no masked copies.
@@ -253,12 +364,14 @@ class FixedThresholdBvn:
         return self._scatter(dens, 0.0), self._scatter(dens * slope, 0.0)
 
 
-def bvn_cdf(a, b, rho):
+def bvn_cdf(a, b, rho, *, pa=None, pb=None):
     """Standard bivariate normal CDF P(X <= a, Y <= b) with correlation rho.
 
     a and b may be +/-inf; those resolve exactly to the marginal limits.
-    rho is clamped via :func:`clamp_rho`.
+    rho is clamped via :func:`clamp_rho`. pa and pb, if given, are Phi(a)
+    and Phi(b) at the broadcast shape of a, b and rho, passed on to
+    FixedThresholdBvn in place of computing them.
     """
     a, b, rho = np.broadcast_arrays(a, b, rho)
-    out = FixedThresholdBvn(a, b)._cdf(rho.ravel()).reshape(a.shape)
+    out = FixedThresholdBvn(a, b, pa, pb)._cdf(rho.ravel()).reshape(a.shape)
     return float(out) if out.ndim == 0 else out

@@ -369,6 +369,29 @@ def test_unparseable_cell_is_data_error(sample_csv, tmp_path):
     assert decompose(bad, tmp_path / "out") == 3
 
 
+def test_non_utf8_input_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"y,w,x1\n1,2,\xff\xfe\n")
+    code = cli.main(["estimate", "--input", str(bad), "--covariates", "x1",
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert f"{bad} is not UTF-8" in capsys.readouterr().err
+
+
+def test_unusable_out_is_config_error(tmp_path, capsys):
+    # --out names a file, so its directory cannot be created.
+    taken = tmp_path / "taken"
+    taken.touch()
+    assert cli.main(["simulate", "--n", "10", "--out", str(taken)]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+    # The output file's name is taken by a directory, so it cannot be
+    # written.
+    out = tmp_path / "out"
+    (out / "sample.csv").mkdir(parents=True)
+    assert cli.main(["simulate", "--n", "10", "--out", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 def fail_first_cell(monkeypatch):
     """Make every base fit of the CLI come back with its first dependence
     cell failed (NaN coefficients)."""

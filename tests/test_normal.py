@@ -1,21 +1,24 @@
 """Gaussian primitive checks: frozen high-precision oracle values, closed-form
-identities, Frechet bounds, and finite-difference agreement of the CDF's
-partials.
+identities, Frechet bounds, finite-difference agreement of the CDF's
+partials, and scipy.special as an independent reference for Phi and its
+inverse.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from bdreg.normal import (
     BLOCK_ROWS,
     EPS_RHO,
     FixedThresholdBvn,
+    _ndtr,
     bvn_cdf,
     clamp_rho,
     link_rho,
@@ -44,12 +47,81 @@ def phi2(a, b, rho):
     return FixedThresholdBvn([a], [b]).pdf_drho(rho)[0][0]
 
 
+# Phi against scipy.special.ndtr: one ulp of 1 absolute, and relative on
+# normal (not subnormal) results, where both carry full precision.
+NDTR_ABS = 2.3e-16
+NDTR_REL = 1e-15
+# The quantile (AS241) against scipy.special.ndtri (Cephes): each is within a
+# few ulps of the true quantile, and the two differ by up to about 8 ulps
+# (1.04e-15 relative) on the draws below.
+QUANTILE_REL = 2e-15
+# Cephes's ndtr switches at |x| = 1 (erf to erfc), |x| = sqrt 2 (erfc's own
+# erf branch to its P/Q rational), |x| = 8 sqrt 2 (P/Q to R/S) and where
+# exp(-x^2 / 2) underflows.
+NDTR_EDGES = (1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 7.09782712893383996843e2))
+
+
+def assert_close_to_ndtr(x):
+    got, want = _ndtr(x), ndtr(x)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    got, want = got[~nan], want[~nan]
+    err = np.abs(got - want)
+    assert np.max(err, initial=0.0) <= NDTR_ABS
+    normal = want >= np.finfo(float).tiny
+    assert np.max(err[normal] / want[normal], initial=0.0) <= NDTR_REL
+
+
 class TestUnivariate:
     def test_tail_limit(self):
-        assert abs(ndtr(40.0) - 1.0) <= 1e-15
+        assert abs(_ndtr(40.0) - 1.0) <= 1e-15
 
     def test_oracle_value(self):
-        assert abs(ndtr(1.0) - PHI_AT_1) <= 1e-15
+        assert abs(_ndtr(1.0) - PHI_AT_1) <= 1e-15
+
+    def test_ndtr_matches_scipy_on_draws(self):
+        rng = np.random.default_rng(17)
+        x = np.concatenate([rng.normal(0.0, 1.0, 400_000), rng.normal(0.0, 4.0, 400_000),
+                            rng.uniform(-40.0, 40.0, 200_000)])
+        assert_close_to_ndtr(x)
+
+    def test_ndtr_at_branch_edges(self):
+        edges = np.array(NDTR_EDGES)
+        x = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        assert_close_to_ndtr(np.concatenate([x, -x]))
+
+    def test_ndtr_limits_and_nan_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _ndtr([np.inf, -np.inf, np.nan, 1e308, -1e308])
+        assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2])
+        assert got[3] == 1.0 and got[4] == 0.0
+
+    def test_ndtr_keeps_shape(self):
+        # 0-d and 2-D inputs, the latter longer than one block, give the
+        # values the flat call gives, in the input's shape.
+        assert _ndtr(0.3).shape == () and _ndtr(0.3) == _ndtr([0.3])[0]
+        x = np.random.default_rng(5).normal(0.0, 3.0, (3, BLOCK_ROWS + 7))
+        got = _ndtr(x)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got, _ndtr(x.ravel()).reshape(x.shape))
+        assert_close_to_ndtr(x)
+
+    def test_quantile_matches_scipy_on_draws(self):
+        rng = np.random.default_rng(19)
+        p = np.concatenate([rng.random(600_000), 10.0 ** rng.uniform(-300.0, -1.0, 200_000),
+                            1.0 - 10.0 ** rng.uniform(-15.0, -1.0, 200_000)])
+        got, want = std_normal_quantile(p), ndtri(p)
+        assert got.shape == p.shape
+        nonzero = want != 0.0
+        assert np.array_equal(got[~nonzero], want[~nonzero])
+        assert np.max(np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])) <= QUANTILE_REL
+
+    def test_quantile_keeps_shape(self):
+        p = np.array([[0.1, 0.5], [0.9, 0.999]])
+        assert std_normal_quantile(p).shape == (2, 2)
+        assert isinstance(std_normal_quantile(0.1), float)
 
     def test_quantile_median(self):
         assert std_normal_quantile(0.5) == 0.0
@@ -219,6 +291,18 @@ class TestDensityAndPartials:
         big = np.abs(fd) >= 1e-4
         assert np.max(np.abs(slope[big] - fd[big]) / np.abs(fd[big])) <= 1e-6
         assert np.max(np.abs(slope[~big] - fd[~big])) <= 1e-9
+
+    def test_given_marginals_change_no_bit(self):
+        # Marginals passed in (as _surface passes its per-key ones) give the
+        # bits bvn_cdf gives when it computes them, in every branch.
+        rng = np.random.default_rng(23)
+        a, b = rng.normal(0.0, 2.0, 3000), rng.normal(0.0, 2.0, 3000)
+        a[:5], b[5:10] = np.inf, -np.inf
+        rho = rng.uniform(-0.99, 0.99, 3000)
+        got = bvn_cdf(a, b, rho, pa=_ndtr(a), pb=_ndtr(b))
+        np.testing.assert_array_equal(got, bvn_cdf(a, b, rho))
+        with pytest.raises(ValueError, match="marginals"):
+            bvn_cdf(a, b, rho, pa=_ndtr(a[1:]), pb=_ndtr(b))
 
     def test_density_rho_derivative_zero_at_infinite_thresholds(self):
         ev = FixedThresholdBvn([np.inf, -np.inf, 0.4, 0.4], [0.3, 0.3, np.inf, -np.inf])
