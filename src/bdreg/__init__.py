@@ -59,7 +59,6 @@ from .normal import (
     EPS_RHO,
     bvn_cdf,
     std_normal_pdf,
-    std_normal_quantile,
 )
 
 __all__ = [
@@ -102,7 +101,6 @@ __all__ = [
     "robust_se_map",
     "split_groups",
     "std_normal_pdf",
-    "std_normal_quantile",
     "transition_from_fits",
     "transition_matrix",
     "true_joint_cdf",

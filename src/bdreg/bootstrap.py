@@ -3,15 +3,14 @@ the full model, ensemble application to functionals, and the IQR-based robust
 standard error, cellwise over a stack of draws.
 
 One weight vector drives every sub-estimation of a replicate: the marginal
-fits (refitted, the tail scales at the base fit's auxiliary points) and the
-dependence cells. A dependence cell holds the base marginal indices fixed
-and takes one Newton step from the base estimate of the same cell (the
-one-step bootstrap, first-order equivalent to refitting it), all cells of
-all replicates from one kernel pass per cell (dependence._ReplicateBase).
-So a replicate can fail only in its marginal fits. The replicate fit keeps
-its weight vector as its `weights`, and every functional computed from the
-fit averages its covariate rows with it, so a replicate is one
-self-contained record.
+fits (refitted by the base fit's own code) and the dependence cells. A
+dependence cell holds the base marginal indices fixed and takes one Newton
+step from the base estimate of the same cell (the one-step bootstrap, first-
+order equivalent to refitting it), all cells of all replicates from one
+kernel pass per cell (dependence._ReplicateBase). So a replicate can fail
+only in its marginal fits. The replicate fit keeps its weight vector as its
+`weights`, and every functional computed from the fit averages its covariate
+rows with it, so a replicate is one self-contained record.
 
 Replicate fits and their functionals run on one pool helper, _fork_map. Its
 workers are forked and get the task through the pool initializer, so only
@@ -25,13 +24,13 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
 from .data import Sample
 from .dependence import BdrFit, _ReplicateBase, fit_bdr
 from .exceptions import EstimationError, InferenceError
-from .normal import std_normal_quantile
 
 __all__ = [
     "BootstrapEnsemble",
@@ -47,8 +46,8 @@ MAX_FAILURE_SHARE = 0.10
 MIN_DRAWS_FOR_INFERENCE = 10
 # Interquartile range of the standard normal, the denominator of the robust
 # standard error: twice the 0.75 quantile, from the standard library's
-# NormalDist (normal.std_normal_quantile), equal to scipy's ndtri(0.75).
-_NORMAL_IQR = 2.0 * std_normal_quantile(0.75)
+# NormalDist().inv_cdf (Wichura's AS241), equal to scipy's ndtri(0.75).
+_NORMAL_IQR = 2.0 * NormalDist().inv_cdf(0.75)
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,7 @@ def _fork_map(task, items, workers):
         return list(pool.map(_call_task, items, chunksize=-(-len(items) // workers)))
 
 
-def _run_replicate(args):
-    sample, scheme, base, group, rep = args
+def _run_replicate(sample, scheme, base, group, rep):
     w = draw_weights(sample.n, scheme, rep, group)
     try:
         return rep, fit_bdr(sample, base.fit.grid, base.fit.dep_cols, weights=w, base=base), None
@@ -132,15 +130,15 @@ def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
     """Draw n_draws weighted replicate fits of the base fit's model.
 
     Each replicate is fitted on base.grid with base.dep_cols: its marginals
-    are refitted with the base fit's tail auxiliary points, and each
-    dependence cell takes one Newton step from the base estimate of the same
-    cell, at the base marginal indices (fit_bdr with a _ReplicateBase, made
-    once here). A cell whose base fit failed stays NaN in every replicate, so
-    a functional that reads it raises the base fit's EstimationError. A
-    replicate whose marginal fits fail is dropped, with its reason kept in
-    `failed`. The run fails when more than MAX_FAILURE_SHARE of the draws
-    fail, or when fewer than min(n_draws, MIN_DRAWS_FOR_INFERENCE) survive;
-    its InferenceError names each failed replicate and why it failed.
+    are refitted as the base fit's were, and each dependence cell takes one
+    Newton step from the base estimate of the same cell, at the base
+    marginal indices (fit_bdr with a _ReplicateBase, made once here). A cell
+    whose base fit failed stays NaN in every replicate, so a functional that
+    reads it raises the base fit's EstimationError. A replicate whose
+    marginal fits fail is dropped, with its reason kept in `failed`. The run
+    fails when more than MAX_FAILURE_SHARE of the draws fail, or when fewer
+    than min(n_draws, MIN_DRAWS_FOR_INFERENCE) survive; its InferenceError
+    names each failed replicate and why it failed.
 
     Replicates are seeded by replicate id, so results do not depend on
     workers (the number of processes _fork_map fits them on).
@@ -149,7 +147,7 @@ def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
         raise InferenceError("n_draws must be at least 1")
     ens = BootstrapEnsemble(n_requested=n_draws)
     ready = _ReplicateBase(sample, base)
-    results = _fork_map(lambda rep: _run_replicate((sample, scheme, ready, group, rep)),
+    results = _fork_map(lambda rep: _run_replicate(sample, scheme, ready, group, rep),
                         range(n_draws), workers)
     for rep, fit, err in results:
         if err is not None:

@@ -121,10 +121,7 @@ class OutputWriter:
         with self._open(name, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [_fmt(v) if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool) else str(v) for v in row]
-                )
+            writer.writerows([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)
         return self.outdir / name
 
     def manifest(self, payload: dict) -> Path:
@@ -521,11 +518,7 @@ def _cmd_simulate(args, config: None, writer: OutputWriter) -> dict:
     rows = []
     for spec, g in zip(specs, groups):
         s = generate(spec, group=g)
-        for i in range(s.n):
-            row = [s.y[i], s.w[i]] + list(s.x[i, 1:])
-            if g is not None:
-                row.append(g)
-            rows.append(row)
+        rows += np.column_stack([s.y, s.w, s.x[:, 1:]] + ([] if s.d is None else [s.d])).tolist()
     header = ["y", "w", "x1", "x2"] + (["group"] if args.two_groups else [])
     writer.csv(args.output_name, header, rows)
     return {
@@ -563,11 +556,17 @@ def _add_common(p: argparse.ArgumentParser):
                         f"(default: ${WORKERS_ENV}, else {d.workers})")
 
 
+def _names(arg: str) -> list[str]:
+    """The names of a comma-separated column list, stripped as the header is."""
+    return [c.strip() for c in arg.split(",") if c.strip()]
+
+
 def _config_from(args) -> RunConfig:
     """Each RunConfig field from the parsed option of its name; the options
     given as text lists, and the worker count (--workers, else WORKERS_ENV),
-    are parsed here. A negative seed, a worker count below 1, or a column
-    named twice among the roles or the dependence covariates is a ConfigError."""
+    are parsed here, and every column name is stripped. A negative seed, a
+    worker count below 1, or a column named twice among the roles or the
+    dependence covariates is a ConfigError."""
     trim = tuple(_numbers(args.trim, "trim"))
     if len(trim) != 2:
         raise ConfigError("--trim must be lower,upper")
@@ -582,16 +581,17 @@ def _config_from(args) -> RunConfig:
             raise ConfigError(f"{WORKERS_ENV} must be an integer") from None
     if workers < 1:
         raise ConfigError(f"{source} must be at least 1, got {workers}")
-    covariates = [c for c in args.covariates.split(",") if c.strip()]
-    dep = args.dep_covariates
-    dep = None if dep is None else [c for c in dep.split(",") if c.strip()]
-    roles = [c for c in (args.y_col, args.w_col, args.group_col, *covariates) if c is not None]
+    columns = {f: getattr(args, f) for f in ("y_col", "w_col", "group_col")}
+    columns = {f: c if c is None else c.strip() for f, c in columns.items()}
+    covariates = _names(args.covariates)
+    dep = None if args.dep_covariates is None else _names(args.dep_covariates)
+    roles = [c for c in (*columns.values(), *covariates) if c is not None]
     for names, options in ((roles, "--y-col, --w-col, --group-col and --covariates"),
                            (dep or [], "--dep-covariates")):
         repeated = [c for i, c in enumerate(names) if c in names[:i]]
         if repeated:
             raise ConfigError(f"column {repeated[0]!r} is named twice in {options}")
-    parsed = {"covariates": covariates, "trim": trim, "dep_covariates": dep,
+    parsed = {**columns, "covariates": covariates, "trim": trim, "dep_covariates": dep,
               "workers": workers}
     return RunConfig(**{
         f.name: parsed[f.name] if f.name in parsed else getattr(args, f.name)

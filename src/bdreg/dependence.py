@@ -146,8 +146,7 @@ def _positive_definite(stack):
     return np.ones(len(stack), dtype=bool)
 
 
-def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
-                   start=None) -> NewtonResult:
+def fit_dependence(x_dep, a, b, below_y, below_w, weights=None) -> NewtonResult:
     """Maximize the quadrant likelihood in the dependence coefficients.
 
     Newton steps on the observed information (the exact negative Hessian; the
@@ -174,8 +173,7 @@ def fit_dependence(x_dep, a, b, below_y, below_w, weights=None,
         return NewtonResult(coef=coef, iterations=0, grad_norm=np.nan,
                             loglik=kernel.evaluate(coef)[0], boundary=True)
 
-    coef0 = np.zeros(kernel.x_dep.shape[1]) if start is None else start
-    return _damped_newton(kernel.evaluate, coef0, "dependence fit")
+    return _damped_newton(kernel.evaluate, np.zeros(kernel.x_dep.shape[1]), "dependence fit")
 
 
 @dataclass
@@ -286,21 +284,17 @@ def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
 
     With `base` (a `_ReplicateBase`, which `bootstrap_fit` builds once per
     ensemble) the fit is a bootstrap replicate of base.fit under `weights`:
-    the marginals are refitted, their tail fits at base.fit's auxiliary
-    points, and each dependence cell takes one Newton step from its base
-    estimate at the base marginal indices (`_ReplicateBase.step`). A
+    the marginals are refitted as in a base fit, and each dependence cell
+    takes one Newton step from its base estimate at the base marginal
+    indices (`_ReplicateBase.step`, the only replicate-specific code). A
     replicate's cells cannot fail; only its marginal fits can, by raising.
     """
     validate(sample)
     dep_cols = tuple(range(sample.d_x)) if dep_cols is None else dep_cols
     x = np.asarray(sample.x, dtype=float)
 
-    y_marg = fit_marginal(sample.y, x, grid, "y", weights=weights,
-                          fixed_r0=None if base is None else (
-                              base.fit.y_marginal.r0_lo, base.fit.y_marginal.r0_hi))
-    w_marg = fit_marginal(sample.w, x, grid, "w", weights=weights,
-                          fixed_r0=None if base is None else (
-                              base.fit.w_marginal.r0_lo, base.fit.w_marginal.r0_hi))
+    y_marg = fit_marginal(sample.y, x, grid, "y", weights=weights)
+    w_marg = fit_marginal(sample.w, x, grid, "w", weights=weights)
     if base is not None:
         return BdrFit(grid=grid, y_marginal=y_marg, w_marginal=w_marg,
                       dep_coef=base.step(weights), dep_cols=tuple(dep_cols), weights=weights)

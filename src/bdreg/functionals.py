@@ -59,9 +59,6 @@ class CounterfactualIndex:
             raise ConfigError(f"counterfactual index must be 4 binary digits, got {code!r}")
         return cls(*(int(c) for c in code))
 
-    def __str__(self) -> str:
-        return f"{self.y_group}{self.w_group}{self.dep_group}{self.x_group}"
-
 
 @dataclass
 class JointCdfSurface:

@@ -210,28 +210,24 @@ class TailFit:
 
 
 def fit_tail_scale(values, x, coef_anchor, anchor, direction, min_obs,
-                   weights=None, r0=None) -> TailFit:
+                   weights=None) -> TailFit:
     """Fit the positive tail scale by profiling the likelihood at one
     auxiliary point beyond the body.
 
-    direction is "upper" or "lower". When r0 is given (bootstrap replicates
-    reuse the point chosen by the base fit) no search is performed. Otherwise
-    admissible points are tried nearest-first until one yields alpha > 0.
-    With none admissible, the data cannot meet min_obs: a DataError.
+    direction is "upper" or "lower". Admissible points are tried
+    nearest-first until one yields alpha > 0. With none admissible, the data
+    cannot meet min_obs: a DataError.
     """
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
     offset = x @ np.asarray(coef_anchor, dtype=float)
 
-    if r0 is not None:
-        candidates = [float(r0)]
-    else:
-        candidates = _admissible_tail_points(values, anchor, direction, min_obs)
-        if not candidates:
-            raise DataError(
-                f"no admissible {direction}-tail point beyond anchor {anchor}: "
-                f"widen the body or reduce tail_min_obs={min_obs}"
-            )
+    candidates = _admissible_tail_points(values, anchor, direction, min_obs)
+    if not candidates:
+        raise DataError(
+            f"no admissible {direction}-tail point beyond anchor {anchor}: "
+            f"widen the body or reduce tail_min_obs={min_obs}"
+        )
 
     last = None
     for cand in candidates:
@@ -298,8 +294,7 @@ class MarginalFit:
         return x @ self.coef[nearest_body_index(self.body, r)]
 
 
-def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None,
-                 fixed_r0=None) -> MarginalFit:
+def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None) -> MarginalFit:
     """Run the probit fits over one outcome's body grid, then both tail fits.
 
     outcome selects "y" or "w" in the grid. Fits sweep the body in ascending
@@ -326,11 +321,10 @@ def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None,
         iters.append(res.iterations)
         warm = res.coef
 
-    lo_r0, hi_r0 = (fixed_r0 if fixed_r0 is not None else (None, None))
     lo = fit_tail_scale(values, x, coefs[0], float(body[0]), "lower",
-                        grid.tail_min_obs, weights=weights, r0=lo_r0)
+                        grid.tail_min_obs, weights=weights)
     hi = fit_tail_scale(values, x, coefs[-1], float(body[-1]), "upper",
-                        grid.tail_min_obs, weights=weights, r0=hi_r0)
+                        grid.tail_min_obs, weights=weights)
     return MarginalFit(
         body=body,
         coef=coefs,

@@ -1,5 +1,5 @@
-"""Standard normal primitives: the univariate CDF, density and quantile, the
-bivariate CDF and density, and the tanh correlation link.
+"""Standard normal primitives: the univariate CDF and density, the bivariate
+CDF and density, and the tanh correlation link.
 
 The univariate CDF Phi (_ndtr) is Cephes's ndtr (Moshier 1989, Methods and
 Programs for Mathematical Functions) in numpy: the erf and erfc rational
@@ -7,9 +7,8 @@ approximations behind scipy.special.ndtr, evaluated by Horner's rule in
 Cephes's order. Against scipy it is within 1.1e-16 absolute and 5.5e-16
 relative (on normal, not subnormal, results). Every value of the erf branch
 (|x| < sqrt 2) is bit-equal, and about 98% of the rest: numpy's exp differs
-from the C library's in the last bit of a few results. The quantile is the
-standard library's statistics.NormalDist().inv_cdf (Wichura's AS241), within
-a few ulps of scipy.special.ndtri. So the package imports no scipy.
+from the C library's in the last bit of a few results. So the package imports
+no scipy.
 
 FixedThresholdBvn is the one evaluator of the bivariate CDF and density: it
 holds a set of threshold pairs and evaluates at any correlation. The
@@ -34,7 +33,6 @@ to the exact marginal limits before any quadrature runs.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
@@ -45,7 +43,6 @@ __all__ = [
     "clamp_rho",
     "link_rho",
     "std_normal_pdf",
-    "std_normal_quantile",
 ]
 
 # Correlations are clamped to |rho| <= 1 - EPS_RHO so that sqrt(1 - rho^2)
@@ -87,7 +84,6 @@ _ERFC_S = np.array((2.26052863220117276590e0, 9.39603524938001434673e0, 1.204895
 # Beyond z^2 = _MAXLOG, exp(-z^2) underflows and Cephes returns erfc(z) = 0.
 _MAXLOG = 7.09782712893383996843e2
 _SQRT1_2 = math.sqrt(0.5)
-_STD_NORMAL = NormalDist()
 
 
 def _horner(x, coefs, monic=False):
@@ -162,15 +158,6 @@ def _ndtr(x):
 def std_normal_pdf(z):
     z = np.asarray(z, dtype=float)
     out = np.exp(-0.5 * z * z) / _SQRT_2PI
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_quantile(p):
-    """Inverse standard normal CDF for p strictly inside (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    if not np.all((p > 0.0) & (p < 1.0)):
-        raise ValueError("std_normal_quantile requires 0 < p < 1")
-    out = np.vectorize(_STD_NORMAL.inv_cdf, otypes=[float])(p)
     return float(out) if out.ndim == 0 else out
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bdreg.data import build_grid, nearest_body_index
-from bdreg.dependence import fit_bdr
+from bdreg.dependence import _CellKernel, fit_bdr
 from bdreg.dgp import DgpSpec, generate
+from bdreg.marginals import _damped_newton
 from bdreg.normal import bvn_cdf, link_rho
 
 # Canonical covariate-dependent specification used across the estimator tests:
@@ -40,6 +41,13 @@ def dep_coef_at(fit, y, w):
     body point on each axis (the copy rule)."""
     return fit.dep_coef[nearest_body_index(fit.grid.y_body, y),
                         nearest_body_index(fit.grid.w_body, w)]
+
+
+def refit_cell(args, start):
+    """The dependence fit of one cell (args are fit_dependence's positional
+    arguments, weights included) by damped Newton from start instead of
+    zero: the refit reference for one-step replicates."""
+    return _damped_newton(_CellKernel(*args).evaluate, start, "dependence fit")
 
 
 def joint_cdf_rows(y_fit, w_fit, dep_fit, y, w, x):

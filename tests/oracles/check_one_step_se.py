@@ -38,13 +38,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from bdreg.bootstrap import WeightScheme, _fork_map, draw_weights, robust_se_map
 from bdreg.data import build_grid
-from bdreg.dependence import _cells, _ReplicateBase, fit_bdr, fit_dependence
+from bdreg.dependence import _cells, _ReplicateBase, fit_bdr
 from bdreg.dgp import generate
 from bdreg.exceptions import EstimationError
 from bdreg.functionals import fitted_surface
 from bdreg.normal import link_rho
 
-from conftest import bench_spec
+from conftest import bench_spec, refit_cell
 
 SE_BAND = (0.95, 1.05)
 RHO_X = np.array([1.0, 0.5, 1.0])
@@ -60,8 +60,7 @@ def refit_dependence(sample, base, weights):
     for cell, args in _cells(sample, x, base.grid, base.y_marginal, base.w_marginal):
         if np.all(np.isfinite(base.dep_coef[cell])):
             try:
-                dep[cell] = fit_dependence(x_dep, *args, weights=weights,
-                                           start=base.dep_coef[cell]).coef
+                dep[cell] = refit_cell((x_dep, *args, weights), base.dep_coef[cell]).coef
             except EstimationError:
                 pass
     return dep

@@ -1,5 +1,6 @@
 import os
 import pickle
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -16,12 +17,12 @@ from bdreg.bootstrap import (
     robust_se_map,
 )
 from bdreg.data import build_grid, empirical_quantile, grid_from_values
-from bdreg.dependence import _CellKernel, _ReplicateBase, fit_bdr, fit_dependence
+from bdreg.dependence import _CellKernel, _ReplicateBase, fit_bdr
 from bdreg.dgp import DgpSpec, generate
 from bdreg.exceptions import EstimationError, InferenceError, TailError
-from bdreg.normal import std_normal_quantile
+from bdreg.marginals import fit_marginal
 
-from conftest import bench_spec
+from conftest import bench_spec, refit_cell
 
 
 def robust_se(draws) -> float:
@@ -30,7 +31,7 @@ def robust_se(draws) -> float:
     normal. The independent reference for robust_se_map's own quantiles."""
     arr = np.asarray(draws, dtype=float).ravel()
     q25, q75 = np.quantile(arr[np.isfinite(arr)], [0.25, 0.75])
-    return float((q75 - q25) / (2.0 * std_normal_quantile(0.75)))
+    return float((q75 - q25) / (2.0 * NormalDist().inv_cdf(0.75)))
 
 
 def test_results_do_not_depend_on_workers():
@@ -85,10 +86,10 @@ def test_one_failed_replicate_of_ten_is_named_with_its_cause(small_sample, small
               "(last alpha=-0.1 at r0=2)")
     real_fit_marginal = dependence.fit_marginal
 
-    def fit_marginal_failing_replicate_9(values, x, grid, outcome, weights=None, fixed_r0=None):
+    def fit_marginal_failing_replicate_9(values, x, grid, outcome, weights=None):
         if outcome == "w" and np.array_equal(weights, failing):
             raise TailError(reason)
-        return real_fit_marginal(values, x, grid, outcome, weights=weights, fixed_r0=fixed_r0)
+        return real_fit_marginal(values, x, grid, outcome, weights=weights)
 
     monkeypatch.setattr(dependence, "fit_marginal", fit_marginal_failing_replicate_9)
     with pytest.raises(InferenceError) as info:
@@ -122,7 +123,7 @@ def test_replicate_cell_steps_from_its_base_estimate():
     )
     base = fit_bdr(s, grid)
     assert base.n_failed == 0
-    rep, fit, reason = _run_replicate((s, WeightScheme(), _ReplicateBase(s, base), 0, 9))
+    rep, fit, reason = _run_replicate(s, WeightScheme(), _ReplicateBase(s, base), 0, 9)
     assert (rep, reason) == (9, None)
     assert np.all(np.isfinite(fit.dep_coef))
 
@@ -131,8 +132,28 @@ def test_replicate_cell_steps_from_its_base_estimate():
     a = base.y_marginal.index(grid.y_body[cell[0]], s.x)
     b = base.w_marginal.index(grid.w_body[cell[1]], s.x)
     args = (s.x, a, b, s.y <= grid.y_body[cell[0]], s.w <= grid.w_body[cell[1]], fit.weights)
-    refit = fit_dependence(*args, start=base.dep_coef[cell])
+    refit = refit_cell(args, base.dep_coef[cell])
     assert 0.0 <= refit.loglik - _CellKernel(*args).evaluate(fit.dep_coef[cell])[0] <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["exponential", "multinomial"])
+def test_replicate_marginals_are_the_base_fits_code_under_its_weights(kind):
+    # A replicate refits its marginals by the base fit's own call, so each
+    # equals fit_marginal under the replicate's weights bit for bit. On the
+    # bench design every tail keeps the base fit's auxiliary point.
+    s = generate(bench_spec(1000, 13))
+    grid = build_grid(s, n_points=8)
+    base = fit_bdr(s, grid)
+    ens = bootstrap_fit(s, base, n_draws=10, scheme=WeightScheme(kind))
+    assert sorted(ens.draws) == list(range(10))
+    for fit in ens.draws.values():
+        for outcome, values in (("y", s.y), ("w", s.w)):
+            got = getattr(fit, f"{outcome}_marginal")
+            want = fit_marginal(values, s.x, grid, outcome, weights=fit.weights)
+            np.testing.assert_array_equal(got.coef, want.coef)
+            assert (got.alpha_lo, got.alpha_hi) == (want.alpha_lo, want.alpha_hi)
+            own = getattr(base, f"{outcome}_marginal")
+            assert (got.r0_lo, got.r0_hi) == (want.r0_lo, want.r0_hi) == (own.r0_lo, own.r0_hi)
 
 
 def test_ensemble_apply_names_replicates_lost_in_any_group():

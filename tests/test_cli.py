@@ -359,6 +359,24 @@ def test_unknown_covariate_is_config_error(sample_csv, tmp_path):
     assert code == 2
 
 
+def test_column_names_are_stripped_like_the_header(sample_csv, tmp_path):
+    # ingest strips the header's names, so the names that must match them are
+    # stripped too: spaces around a name change no table and no manifest.
+    def estimate(out, *columns):
+        return cli.main(["estimate", "--input", str(sample_csv), *columns,
+                         "--grid-points", str(GRID), "--workers", "1", "--out", str(out)])
+
+    assert estimate(tmp_path / "plain", "--covariates", "x1,x2", "--dep-covariates", "x1,x2",
+                    "--y-col", "y", "--w-col", "w", "--group-col", "group") == 0
+    assert estimate(tmp_path / "spaced", "--covariates", "x1, x2", "--dep-covariates", " x1 ,x2",
+                    "--y-col", " y", "--w-col", "w ", "--group-col", " group ") == 0
+    files = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "spaced").iterdir())
+    for name in files:
+        assert (tmp_path / "plain" / name).read_bytes() == \
+            (tmp_path / "spaced" / name).read_bytes(), name
+
+
 def test_unparseable_cell_is_data_error(sample_csv, tmp_path):
     lines = sample_csv.read_text().splitlines()
     fields = lines[5].split(",")

@@ -24,7 +24,7 @@ from bdreg.functionals import fitted_surface
 from bdreg.marginals import _damped_newton
 from bdreg.normal import bvn_cdf, link_rho
 
-from conftest import bench_spec, bvn_density, dep_coef_at
+from conftest import bench_spec, bvn_density, dep_coef_at, refit_cell
 
 ATANH_HALF = 0.5493061443340548
 
@@ -300,7 +300,7 @@ class TestFitDependence:
         iy = (rng.random(n) < 0.5).astype(float)
         jw = (rng.random(n) < 0.5).astype(float)
         r1 = fit_dependence(x, a, b, iy, jw)
-        r2 = fit_dependence(x, a, b, iy, jw, start=np.full(2, 0.3))
+        r2 = refit_cell((x, a, b, iy, jw), np.full(2, 0.3))
         assert np.max(np.abs(r1.coef - r2.coef)) <= 1e-10
 
     def test_warm_start_near_optimum_polishes(self):
@@ -317,7 +317,7 @@ class TestFitDependence:
         iy = (s.y <= yv).astype(float)
         jw = (s.w <= wv).astype(float)
         start = [0.3674908211267515, 0.18706410054358522, 0.06282829652203696]
-        warm = fit_dependence(s.x, a, b, iy, jw, weights=w, start=start)
+        warm = refit_cell((s.x, a, b, iy, jw, w), start)
         cold = fit_dependence(s.x, a, b, iy, jw, weights=w)
         np.testing.assert_allclose(cold.coef, [0.36745870, 0.18711415, 0.06283511],
                                    atol=1e-8)
@@ -410,7 +410,7 @@ class TestFitBdr:
         # leaves (at most 5.6e-4 per observation here, 2e-6 in most cells).
         s = generate(bench_spec(800, 5))
         base = fit_bdr(s, build_grid(s, n_points=10))
-        _, fit, reason = _run_replicate((s, WeightScheme(), _ReplicateBase(s, base), 0, 0))
+        _, fit, reason = _run_replicate(s, WeightScheme(), _ReplicateBase(s, base), 0, 0)
         assert reason is None
         for cell, args in cell_problems(s, base, fit.weights):
             kernel = _CellKernel(*args)
@@ -476,7 +476,7 @@ class TestFitBdr:
 
         # A replicate cannot step from a failed cell: it keeps NaN there, its
         # other cells step, and the replicate itself does not fail.
-        rep, rep_fit, reason = _run_replicate((s, WeightScheme(), _ReplicateBase(s, fit), 0, 3))
+        rep, rep_fit, reason = _run_replicate(s, WeightScheme(), _ReplicateBase(s, fit), 0, 3)
         assert (rep, reason) == (3, None)
         assert rep_fit.n_failed == 0
         assert np.all(np.isnan(rep_fit.dep_coef[1, 1]))
@@ -556,7 +556,7 @@ class TestOneStepReplicates:
         got = _ReplicateBase(s, base).step(w)
         polished = []
         for cell, args in cell_problems(s, base, w):
-            refit = fit_dependence(*args, start=base.dep_coef[cell])
+            refit = refit_cell(args, base.dep_coef[cell])
             if refit.iterations == 0:
                 polished.append(cell)
                 np.testing.assert_array_equal(got[cell], base.dep_coef[cell])

@@ -1,7 +1,6 @@
 """Gaussian primitive checks: frozen high-precision oracle values, closed-form
 identities, Frechet bounds, finite-difference agreement of the CDF's
-partials, and scipy.special as an independent reference for Phi and its
-inverse.
+partials, and scipy.special as an independent reference for Phi.
 """
 
 import json
@@ -12,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
+from bdreg.bootstrap import _NORMAL_IQR
 from bdreg.normal import (
     BLOCK_ROWS,
     EPS_RHO,
@@ -23,7 +23,6 @@ from bdreg.normal import (
     clamp_rho,
     link_rho,
     std_normal_pdf,
-    std_normal_quantile,
 )
 
 from conftest import bvn_density
@@ -51,10 +50,6 @@ def phi2(a, b, rho):
 # normal (not subnormal) results, where both carry full precision.
 NDTR_ABS = 2.3e-16
 NDTR_REL = 1e-15
-# The quantile (AS241) against scipy.special.ndtri (Cephes): each is within a
-# few ulps of the true quantile, and the two differ by up to about 8 ulps
-# (1.04e-15 relative) on the draws below.
-QUANTILE_REL = 2e-15
 # Cephes's ndtr switches at |x| = 1 (erf to erfc), |x| = sqrt 2 (erfc's own
 # erf branch to its P/Q rational), |x| = 8 sqrt 2 (P/Q to R/S) and where
 # exp(-x^2 / 2) underflows.
@@ -108,35 +103,9 @@ class TestUnivariate:
         np.testing.assert_array_equal(got, _ndtr(x.ravel()).reshape(x.shape))
         assert_close_to_ndtr(x)
 
-    def test_quantile_matches_scipy_on_draws(self):
-        rng = np.random.default_rng(19)
-        p = np.concatenate([rng.random(600_000), 10.0 ** rng.uniform(-300.0, -1.0, 200_000),
-                            1.0 - 10.0 ** rng.uniform(-15.0, -1.0, 200_000)])
-        got, want = std_normal_quantile(p), ndtri(p)
-        assert got.shape == p.shape
-        nonzero = want != 0.0
-        assert np.array_equal(got[~nonzero], want[~nonzero])
-        assert np.max(np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])) <= QUANTILE_REL
-
-    def test_quantile_keeps_shape(self):
-        p = np.array([[0.1, 0.5], [0.9, 0.999]])
-        assert std_normal_quantile(p).shape == (2, 2)
-        assert isinstance(std_normal_quantile(0.1), float)
-
-    def test_quantile_median(self):
-        assert std_normal_quantile(0.5) == 0.0
-
     def test_quantile_oracle(self):
-        assert abs(std_normal_quantile(0.75) - QUANTILE_75) <= 1e-14
-
-    @pytest.mark.parametrize("p", [0.01, 0.25, 0.975])
-    def test_quantile_round_trip(self, p):
-        assert abs(ndtr(std_normal_quantile(p)) - p) <= 1e-12
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4])
-    def test_quantile_domain(self, p):
-        with pytest.raises(ValueError):
-            std_normal_quantile(p)
+        # The robust SE's denominator is the standard normal's IQR.
+        assert abs(_NORMAL_IQR / 2.0 - QUANTILE_75) <= 1e-14
 
 
 class TestBivariateCdf:
