@@ -194,31 +194,14 @@ def ensemble_apply(ensembles: dict[int, BootstrapEnsemble], fn,
 
 def robust_se_map(draws_stack: np.ndarray) -> np.ndarray:
     """The robust standard error of each cell over the leading (replicate)
-    axis: the interquartile range of the cell's finite draws divided by
-    that of the standard normal distribution."""
+    axis: the interquartile range of its draws divided by that of the
+    standard normal. The draws must be finite and at least
+    MIN_DRAWS_FOR_INFERENCE, else an InferenceError."""
     stack = np.asarray(draws_stack, dtype=float)
+    if stack.ndim == 0 or len(stack) < MIN_DRAWS_FOR_INFERENCE:
+        raise InferenceError(f"need at least {MIN_DRAWS_FOR_INFERENCE} draws per cell")
     finite = np.isfinite(stack)
-    fewest = int(finite.sum(axis=0).min()) if stack.size else stack.shape[0]
-    if fewest < MIN_DRAWS_FOR_INFERENCE:
-        raise InferenceError(
-            f"need at least {MIN_DRAWS_FOR_INFERENCE} valid draws per cell, got {fewest}"
-        )
-    # np.quantile's linear rule per cell over that cell's finite draws, which
-    # sort ahead of the NaNs that stand in for the others.
-    ordered = np.sort(np.where(finite, stack, np.nan), axis=0)
-    last = finite.sum(axis=0) - 1
-    q25, q75 = (_sorted_quantile(ordered, last, q) for q in (0.25, 0.75))
+    if not finite.all():
+        raise InferenceError(f"non-finite draw at index {np.argwhere(~finite)[0].tolist()}")
+    q25, q75 = np.quantile(stack, (0.25, 0.75), axis=0)
     return (q75 - q25) / _NORMAL_IQR
-
-
-def _sorted_quantile(ordered, last, q):
-    # Interpolates as np.quantile's "linear" method does, between the order
-    # statistics at floor and ceil of last * q.
-    pos = last * q
-    lo = np.floor(pos).astype(int)
-    a = np.take_along_axis(ordered, lo[None], axis=0)[0]
-    b = np.take_along_axis(ordered, np.minimum(lo + 1, last)[None], axis=0)[0]
-    t = pos - lo
-    diff = b - a
-    return np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)
-

@@ -150,7 +150,8 @@ def _decoded(path: str):
 
 
 def ingest(path: str, config: RunConfig):
-    """Parse the delimited input into per-group Samples.
+    """Parse the delimited UTF-8 input into per-group Samples; a leading
+    byte-order mark (Excel's "CSV UTF-8") is skipped.
 
     Rows with a missing value in any used column are dropped (counted in the
     manifest); unparseable cells raise a DataError naming row and column.
@@ -159,7 +160,7 @@ def ingest(path: str, config: RunConfig):
     if config.group_col:
         used.append(config.group_col)
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
         raise DataError(f"cannot open input {path}: {err}") from None
     with fh, _decoded(path):

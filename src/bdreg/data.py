@@ -196,18 +196,14 @@ def grid_from_values(y_values, w_values, tail_min_obs: int = DEFAULT_TAIL_MIN_OB
 
 
 def nearest_body_index(body: np.ndarray, r: float) -> int:
-    """Position of the body point closest to r (the copy rule); ties break
-    toward the smaller grid value.
-
-    +/-inf clamp to the corresponding body endpoint; NaN raises DataError.
+    """Position of the body point closest to r clamped into the body range
+    (the copy rule), so +/-inf and every value beyond the body take its
+    endpoints; ties break toward the smaller grid value. NaN raises
+    DataError.
     """
     if np.isnan(r):
         raise DataError("threshold is NaN: no nearest body point")
-    if np.isposinf(r):
-        return body.size - 1
-    if np.isneginf(r):
-        return 0
-    return int(np.argmin(np.abs(body - r)))
+    return int(np.argmin(np.abs(body - np.clip(r, body[0], body[-1]))))
 
 
 def nearest_body_value(body: np.ndarray, r: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import GridSpec, Sample, validate
-from .exceptions import DataError, EstimationError
+from .exceptions import ConfigError, DataError, EstimationError
 from .marginals import (
     POLISH_GRAD,
     MarginalFit,
@@ -201,13 +201,12 @@ class BdrFit:
 def _cells(sample: Sample, x, grid: GridSpec, y_marg: MarginalFit, w_marg: MarginalFit):
     """Each body grid pair (iy, iw), in grid order, with its dependence
     problem: the marginal indices at the pair and the indicators
-    1(y <= y_body[iy]) and 1(w <= w_body[iw])."""
+    1(y <= y_body[iy]) and 1(w <= w_body[iw]), each computed once per fit."""
+    w_axis = [(w_marg.index(wv, x), (sample.w <= wv).astype(float)) for wv in grid.w_body]
     for iy, yv in enumerate(grid.y_body):
         a = y_marg.index(yv, x)
         below_y = (sample.y <= yv).astype(float)
-        for iw, wv in enumerate(grid.w_body):
-            b = w_marg.index(wv, x)
-            below_w = (sample.w <= wv).astype(float)
+        for iw, (b, below_w) in enumerate(w_axis):
             yield (iy, iw), (a, b, below_y, below_w)
 
 
@@ -276,11 +275,12 @@ def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
             base: _ReplicateBase | None = None) -> BdrFit:
     """Run the full two-step estimator over the grid.
 
-    dep_cols are the design columns that drive the dependence (None for all
-    of them). Each grid pair is fitted alone from zero, so no cell depends
-    on another or on loop order. A dependence fit that fails at a grid pair
-    does not stop the others: the pair is recorded in `failures` with its
-    reason and its cell carries NaN coefficients.
+    dep_cols are the design columns that drive the dependence, at least one
+    and distinct in 0..d_x - 1 (else ConfigError); None for all. Each grid
+    pair is fitted alone from zero, so no cell depends on another or on loop
+    order. A dependence fit that fails at a grid pair does not stop the
+    others: the pair is recorded in `failures` with its reason and its cell
+    carries NaN coefficients.
 
     With `base` (a `_ReplicateBase`, which `bootstrap_fit` builds once per
     ensemble) the fit is a bootstrap replicate of base.fit under `weights`:
@@ -290,14 +290,17 @@ def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
     replicate's cells cannot fail; only its marginal fits can, by raising.
     """
     validate(sample)
-    dep_cols = tuple(range(sample.d_x)) if dep_cols is None else dep_cols
+    dep_cols = tuple(range(sample.d_x)) if dep_cols is None else tuple(dep_cols)
+    if not 0 < len(dep_cols) == len(set(dep_cols) & set(range(sample.d_x))):
+        raise ConfigError(f"dep_cols {dep_cols} must be distinct design columns in "
+                          f"0..{sample.d_x - 1}")
     x = np.asarray(sample.x, dtype=float)
 
     y_marg = fit_marginal(sample.y, x, grid, "y", weights=weights)
     w_marg = fit_marginal(sample.w, x, grid, "w", weights=weights)
     if base is not None:
         return BdrFit(grid=grid, y_marginal=y_marg, w_marginal=w_marg,
-                      dep_coef=base.step(weights), dep_cols=tuple(dep_cols), weights=weights)
+                      dep_coef=base.step(weights), dep_cols=dep_cols, weights=weights)
 
     x_dep = x[:, dep_cols]
     dep = np.full((grid.y_body.size, grid.w_body.size, len(dep_cols)), np.nan)
@@ -310,4 +313,4 @@ def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
             failures.append((float(grid.y_body[iy]), float(grid.w_body[iw]), str(err)))
 
     return BdrFit(grid=grid, y_marginal=y_marg, w_marginal=w_marg, dep_coef=dep,
-                  dep_cols=tuple(dep_cols), failures=failures, weights=weights)
+                  dep_cols=dep_cols, failures=failures, weights=weights)

@@ -279,14 +279,11 @@ class MarginalFit:
 
         Inside the body range the nearest fitted threshold is used; beyond it
         the index is affine in r with the fitted tail scale, so it is
-        continuous at the anchors. +/-inf thresholds give +/-inf indices.
+        continuous at the anchors. As both tail scales are positive,
+        +/-inf thresholds give +/-inf indices.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = self.key(r)
-        if np.isposinf(r):
-            return np.full(x.shape[0], np.inf)
-        if np.isneginf(r):
-            return np.full(x.shape[0], -np.inf)
         if r > self.anchor_hi:
             return x @ self.coef[-1] + (r - self.anchor_hi) * self.alpha_hi
         if r < self.anchor_lo:

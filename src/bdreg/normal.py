@@ -26,8 +26,8 @@ runs in place, in blocks of at most BLOCK_ROWS rows, so its (rows, nodes)
 temporaries stay a fixed size however many rows a call brings; the
 high-correlation branch and the per-row arrays of a call are not blocked.
 
-Thresholds at +/-inf are legal inputs to the bivariate functions and resolve
-to the exact marginal limits before any quadrature runs.
+Thresholds at or beyond +/-40, +/-inf included, resolve in the bivariate
+functions to the exact marginal limits before any quadrature runs.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ _RULE_EDGES = (0.3, 0.75)
 _MODERATE_RULES = tuple((nodes + 1.0, weights) for nodes, weights in _GL_RULES.values())
 # Rows per quadrature block: bounds the (rows, nodes) temporaries.
 BLOCK_ROWS = 4096
+# From this |threshold| on, Phi is exactly 0 or 1 in double: Phi2 is its limit.
+_SATURATED = 40.0
 
 
 # Cephes's rationals, highest power first: erf(z) = z T(z^2) / U(z^2) for
@@ -266,9 +268,9 @@ class FixedThresholdBvn:
     This is the package's one evaluator of Phi2 and phi2. A dependence fit
     evaluates Phi2(a_i, b_i; rho_i) many times with the same thresholds and a
     new correlation each iteration, so everything that does not depend on rho
-    is computed once here; bvn_cdf is a one-shot use. Thresholds may be
-    +/-inf: such rows are constant in rho, resolve exactly to the marginal
-    limits (density zero), and are set aside once.
+    is computed once here; bvn_cdf is a one-shot use. A row with a threshold
+    at or beyond +/-40 (_SATURATED), +/-inf included, is constant in rho,
+    resolves exactly to the marginal limit (density zero) and is set aside.
 
     pa and pb are the marginals Phi(a) and Phi(b), computed here when not
     given. A caller that already holds them passes them in, so that Phi is
@@ -288,32 +290,32 @@ class FixedThresholdBvn:
         self.pb = _ndtr(b) if pb is None else np.asarray(pb, dtype=float).ravel()
         if self.pa.shape != a.shape or self.pb.shape != b.shape:
             raise ValueError("marginals must match the thresholds in length")
-        finite = np.isfinite(a) & np.isfinite(b)
-        # _finite and _const are None when every row is finite, the common
+        inner = (np.abs(a) < _SATURATED) & (np.abs(b) < _SATURATED)
+        # _inner and _const are None when no row is saturated, the common
         # case, which then needs no masked copies.
-        self._finite = self._const = None
+        self._inner = self._const = None
         pa, pb = self.pa, self.pb
-        if not np.all(finite):
-            self._finite = finite
-            neg = np.isneginf(a) | np.isneginf(b)
-            self._const = np.where(neg, 0.0, np.where(np.isposinf(a), pb, pa))
-            a, b, pa, pb = a[finite], b[finite], pa[finite], pb[finite]
+        if not np.all(inner):
+            self._inner = inner
+            low = (a <= -_SATURATED) | (b <= -_SATURATED)
+            self._const = np.where(low, 0.0, np.where(a >= _SATURATED, pb, pa))
+            a, b, pa, pb = a[inner], b[inner], pa[inner], pb[inner]
         self._a, self._b = a, b
         self._hk = a * b
         self._hs = 0.5 * (a * a + b * b)
         self._prod = pa * pb
 
     def _rows(self, rho):
-        # The clamped correlation of every finite row.
+        # The clamped correlation of every unsaturated row.
         r = np.broadcast_to(np.asarray(clamp_rho(rho), dtype=float), (self.n,))
-        return r if self._finite is None else r[self._finite]
+        return r if self._inner is None else r[self._inner]
 
     def _scatter(self, vals, const):
-        # Finite-row values into a full-length array holding const elsewhere.
-        if self._finite is None:
+        # Unsaturated-row values into a full-length array, const elsewhere.
+        if self._inner is None:
             return vals
-        out = np.where(self._finite, 0.0, const)
-        out[self._finite] = vals
+        out = np.where(self._inner, 0.0, const)
+        out[self._inner] = vals
         return out
 
     def _cdf(self, rho):
@@ -337,7 +339,7 @@ class FixedThresholdBvn:
 
     def pdf_drho(self, rho):
         """phi2 and its derivative in rho at the stored thresholds, both zero
-        where a threshold is infinite:
+        where a threshold is saturated:
 
             d phi2 / d rho = phi2 * [rho / (1 - rho^2)
                                      + (ab (1 + rho^2) - rho (a^2 + b^2)) / (1 - rho^2)^2]
@@ -354,7 +356,8 @@ class FixedThresholdBvn:
 def bvn_cdf(a, b, rho, *, pa=None, pb=None):
     """Standard bivariate normal CDF P(X <= a, Y <= b) with correlation rho.
 
-    a and b may be +/-inf; those resolve exactly to the marginal limits.
+    a and b may be +/-inf; those and all beyond +/-40 resolve exactly to the
+    marginal limits.
     rho is clamped via :func:`clamp_rho`. pa and pb, if given, are Phi(a)
     and Phi(b) at the broadcast shape of a, b and rho, passed on to
     FixedThresholdBvn in place of computing them.

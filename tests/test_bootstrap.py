@@ -27,10 +27,9 @@ from conftest import bench_spec, refit_cell
 
 def robust_se(draws) -> float:
     """The robust SE of one draw vector by np.quantile's rule: the
-    interquartile range of the finite draws over that of the standard
-    normal. The independent reference for robust_se_map's own quantiles."""
-    arr = np.asarray(draws, dtype=float).ravel()
-    q25, q75 = np.quantile(arr[np.isfinite(arr)], [0.25, 0.75])
+    interquartile range of the draws over that of the standard normal. The
+    independent reference for robust_se_map's own quantiles."""
+    q25, q75 = np.quantile(np.asarray(draws, dtype=float).ravel(), [0.25, 0.75])
     return float((q75 - q25) / (2.0 * NormalDist().inv_cdf(0.75)))
 
 
@@ -220,17 +219,17 @@ def test_robust_se_map_matches_quantile_on_finite_draws():
     np.testing.assert_array_equal(robust_se_map(stack), want)
 
 
-def test_robust_se_map_drops_non_finite_draws_per_cell():
-    rng = np.random.default_rng(5)
-    stack = rng.normal(size=(MIN_DRAWS_FOR_INFERENCE + 3, 2, 3))
-    stack[[0, 4], 0, 1] = np.nan
-    stack[7, 1, 2] = np.inf
-    se = robust_se_map(stack)
-    assert np.all(np.isfinite(se))
-    for i in range(2):
-        for j in range(3):
-            assert se[i, j] == robust_se(stack[:, i, j])
-
-    stack[:4, 1, 0] = np.nan  # this cell keeps fewer finite draws than needed
-    with pytest.raises(InferenceError, match="valid draws"):
-        robust_se_map(stack)
+def test_robust_se_map_rejects_a_non_finite_draw():
+    good = np.random.default_rng(5).normal(size=(MIN_DRAWS_FOR_INFERENCE + 3, 2, 3))
+    np.testing.assert_array_equal(
+        robust_se_map(good), [[robust_se(good[:, i, j]) for j in range(3)] for i in range(2)])
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ((0, 0, 0), (7, 1, 2), (12, 1, 0)):
+            stack = good.copy()
+            stack[where] = bad
+            with pytest.raises(InferenceError) as info:
+                robust_se_map(stack)
+            assert str(info.value) == f"non-finite draw at index {list(where)}"
+    for draws in (0, 1, MIN_DRAWS_FOR_INFERENCE - 1):
+        with pytest.raises(InferenceError, match=f"at least {MIN_DRAWS_FOR_INFERENCE} draws"):
+            robust_se_map(good[:draws])

@@ -387,6 +387,25 @@ def test_unparseable_cell_is_data_error(sample_csv, tmp_path):
     assert decompose(bad, tmp_path / "out") == 3
 
 
+def test_input_with_a_byte_order_mark_reads_as_without(sample_csv, tmp_path):
+    # Excel's "CSV UTF-8" starts the file with EF BB BF, which would
+    # otherwise stick to the first column's name.
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + sample_csv.read_bytes())
+    for path, out in ((sample_csv, "plain"), (marked, "marked")):
+        assert cli.main(["estimate", "--input", str(path), "--covariates", "x1,x2",
+                         "--grid-points", str(GRID), "--out", str(tmp_path / out)]) == 0
+    files = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "marked").iterdir())
+    for name in files:
+        plain, bom = ((tmp_path / out / name).read_bytes() for out in ("plain", "marked"))
+        if name == "manifest.json":
+            plain, bom = (json.loads(m) for m in (plain, bom))
+            for m, path in ((plain, sample_csv), (bom, marked)):
+                assert m["config"].pop("input") == str(path)
+        assert plain == bom, name
+
+
 def test_non_utf8_input_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"y,w,x1\n1,2,\xff\xfe\n")

@@ -19,7 +19,7 @@ from bdreg.dependence import (
     fit_dependence,
 )
 from bdreg.dgp import DgpSpec, generate
-from bdreg.exceptions import DataError, EstimationError
+from bdreg.exceptions import ConfigError, DataError, EstimationError
 from bdreg.functionals import fitted_surface
 from bdreg.marginals import _damped_newton
 from bdreg.normal import bvn_cdf, link_rho
@@ -388,6 +388,14 @@ class TestFitBdr:
         fit = fit_bdr(s, grid, dep_cols=(0, 1))
         assert fit.dep_coef.shape[2] == 2
         assert fit.dep_cols == (0, 1)
+
+    @pytest.mark.parametrize("dep_cols", [(0, 7), (), (-1,), (0, 0)])
+    def test_bad_dep_cols_rejected(self, dep_cols):
+        # Out of range, empty, negative (which numpy would read from the
+        # end) and repeated (which splits one coefficient over two columns).
+        s = generate(bench_spec(800, 3))
+        with pytest.raises(ConfigError, match=r"distinct design columns in 0\.\.2"):
+            fit_bdr(s, build_grid(s, n_points=5), dep_cols=dep_cols)
 
     def test_dependence_steps_stay_few(self, small_sample, small_fit):
         # Each cell refitted alone from zero gives the fit's estimate. Newton

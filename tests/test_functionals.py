@@ -330,6 +330,23 @@ class TestTransitionMatrix:
         assert abs(tm.cells.sum() - 1.0) <= 1e-8
         assert tm.cells.min() >= -1e-8
 
+    @pytest.mark.parametrize("cuts", [[-np.inf, 1e200, np.inf], [-np.inf, -1e200, 0.0, np.inf]])
+    def test_huge_finite_cuts_give_finite_cells(self, cuts, small_fit, small_sample):
+        # A cut this far out gives indices far beyond +/-40, which resolve to
+        # the marginal limits as +/-inf do.
+        fit, _ = small_fit
+        tm = transition_from_fits({0: fit}, {0: small_sample}, "0000", cuts, cuts)
+        assert np.all(np.isfinite(tm.cells)) and tm.cells.min() >= -1e-12
+        assert abs(tm.cells.sum() - 1.0) <= 1e-12
+
+    def test_huge_finite_thresholds_read_as_infinite(self, small_fit, small_sample):
+        fit, _ = small_fit
+        axis = [-np.inf, -1e200, -0.3, 0.4, 1e200, np.inf]
+        values = fitted_surface(fit, small_sample, y_values=axis, w_values=axis).values
+        for far, inf in ((1, 0), (4, 5)):
+            np.testing.assert_array_equal(values[far], values[inf])
+            np.testing.assert_array_equal(values[:, far], values[:, inf])
+
     def test_unsorted_cuts_rejected(self, small_fit, small_sample):
         fit, _ = small_fit
         with pytest.raises(DataError, match="sorted"):

@@ -278,6 +278,25 @@ class TestDensityAndPartials:
         dens, slope = ev.pdf_drho(0.6)
         assert np.array_equal(dens, np.zeros(4)) and np.array_equal(slope, np.zeros(4))
 
+    @pytest.mark.parametrize("rho", [0.5, 0.95, -0.95])
+    def test_saturated_thresholds_resolve_as_infinite_ones(self, rho):
+        # From |t| = 40 on Phi(t) is exactly 0 or 1 in double, so such a
+        # threshold takes the +/-inf result bit for bit, in both correlation
+        # branches (|rho| above and below 0.925).
+        for big in (40.0, 1e100, 1e200):
+            for t in (big, -big):
+                inf = np.copysign(np.inf, t)
+                partners = np.array([-3.0, -0.5, 0.0, 1.2, 39.9, t, -t])
+                limits = np.r_[partners[:5], inf, -inf]
+                np.testing.assert_array_equal(bvn_cdf(t, partners, rho),
+                                              bvn_cdf(inf, limits, rho))
+                np.testing.assert_array_equal(bvn_cdf(partners, t, rho),
+                                              bvn_cdf(limits, inf, rho))
+                ev = FixedThresholdBvn(np.r_[np.full(7, t), partners],
+                                       np.r_[partners, np.full(7, t)])
+                dens, slope = ev.pdf_drho(rho)
+                assert not dens.any() and not slope.any()
+
 
 class TestLink:
     def test_at_zero(self):
