@@ -7,6 +7,9 @@ weighted-bootstrap standard errors to its tables: each replicate refits the
 marginals under its weights and takes one Newton step from the base estimate
 in every dependence cell (bootstrap.bootstrap_fit). Exit codes: 0 success,
 2 configuration error, 3 data error, 4 estimation/inference error.
+
+Every table has one row per cell of a product of axes (_long): the cell's
+axis labels, then its values, then se only with replicates.
 """
 
 from __future__ import annotations
@@ -138,17 +141,6 @@ class OutputWriter:
                 pass
 
 
-@contextmanager
-def _decoded(path: str):
-    """Turn a decoding failure while reading the input into a DataError."""
-    try:
-        yield
-    except UnicodeDecodeError as err:
-        raise DataError(
-            f"input {path} is not UTF-8 text: cannot decode byte 0x{err.object[err.start]:02x}"
-        ) from None
-
-
 def ingest(path: str, config: RunConfig):
     """Parse the delimited UTF-8 input into per-group Samples; a leading
     byte-order mark (Excel's "CSV UTF-8") is skipped.
@@ -163,53 +155,50 @@ def ingest(path: str, config: RunConfig):
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
         raise DataError(f"cannot open input {path}: {err}") from None
-    with fh, _decoded(path):
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        missing_cols = [c for c in used if c not in header]
-        if missing_cols:
-            raise ConfigError(f"unknown column(s) {missing_cols}; file has {header}")
-        pos = {c: header.index(c) for c in used}
+    kept, n_dropped = [], 0
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path} is empty") from None
+            missing_cols = [c for c in used if c not in header]
+            if missing_cols:
+                raise ConfigError(f"unknown column(s) {missing_cols}; file has {header}")
+            pos = [header.index(c) for c in used]
+            for line_no, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                vals = []
+                for col, at in zip(used, pos):
+                    raw = row[at].strip() if at < len(row) else ""
+                    if raw.lower() in MISSING_TOKENS:
+                        n_dropped += 1
+                        break
+                    try:
+                        vals.append(float(raw))
+                    except ValueError:
+                        raise DataError(
+                            f"unparseable value {raw!r} at line {line_no}, column {col!r}"
+                        ) from None
+                else:
+                    kept.append(vals)
+    except UnicodeDecodeError as err:
+        raise DataError(
+            f"input {path} is not UTF-8 text: cannot decode byte 0x{err.object[err.start]:02x}"
+        ) from None
 
-        kept_rows = []
-        n_dropped = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            vals = {}
-            drop = False
-            for col in used:
-                raw = row[pos[col]].strip() if pos[col] < len(row) else ""
-                if raw.lower() in MISSING_TOKENS:
-                    drop = True
-                    break
-                try:
-                    vals[col] = float(raw)
-                except ValueError:
-                    raise DataError(
-                        f"unparseable value {raw!r} at line {line_no}, column {col!r}"
-                    ) from None
-            if drop:
-                n_dropped += 1
-                continue
-            kept_rows.append(vals)
-
-    if not kept_rows:
+    if not kept:
         raise DataError("no usable rows after dropping missing values")
 
-    y = np.array([r[config.y_col] for r in kept_rows])
-    w = np.array([r[config.w_col] for r in kept_rows])
-    x = np.column_stack(
-        [np.ones(len(kept_rows))]
-        + [np.array([r[c] for r in kept_rows]) for c in config.covariates]
-    )
+    # One contiguous array per used column, in the order of used.
+    columns = np.array(kept).T.copy()
+    y, w = columns[0], columns[1]
+    x = np.column_stack([np.ones(len(kept)), *columns[2:2 + len(config.covariates)]])
     d = None
     if config.group_col:
-        draw = np.array([r[config.group_col] for r in kept_rows])
+        draw = columns[-1]
         if not np.all(np.isin(draw, (0.0, 1.0))):
             raise DataError(f"group column {config.group_col!r} must be binary 0/1")
         d = draw.astype(int)
@@ -227,17 +216,6 @@ def _dep_cols(config: RunConfig) -> tuple[int, ...] | None:
     return (0,) + tuple(
         1 + config.covariates.index(c) for c in config.dep_covariates
     )
-
-
-def _manifest_base(command: str, config: RunConfig, n_dropped: int,
-                   samples: dict[int, Sample]) -> dict:
-    return {
-        "command": command,
-        "config": asdict(config),
-        "versions": _VERSIONS,
-        "rows_dropped_missing": n_dropped,
-        "group_sizes": {str(g): int(s.n) for g, s in samples.items()},
-    }
 
 
 @dataclass
@@ -277,10 +255,12 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
     rejected before ingest.
 
     With cut_args (the transition arguments) the cuts are taken from the
-    pooled outcomes, so rows and columns mean the same across groups, and
-    merged into every grid so surfaces are exact there. Cuts that coincide
-    (distinct levels at one empirical quantile) raise DataError before any
-    fit."""
+    pooled outcomes, so rows and columns mean the same across groups. Each
+    cut within a group's grid range is merged into that grid, so surfaces
+    are exact there; a cut beyond it is left out, as the affine tails reach
+    it, and merging it would pull the grid's old extreme into the body.
+    Cuts that coincide (distinct levels at one empirical quantile) raise
+    DataError before any fit."""
     if config.replicates and config.replicates < MIN_DRAWS_FOR_INFERENCE:
         raise ConfigError(
             f"--replicates must be 0 (no standard errors) or >= {MIN_DRAWS_FOR_INFERENCE}"
@@ -297,14 +277,19 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
     for g, s in samples.items():
         grids[g] = build_grid(s, config.grid_points, config.trim, config.tail_min_obs)
         if cut_args is not None:
-            grids[g] = grid_from_values(
-                np.union1d(grids[g].y_grid, y_cuts[1:-1]),
-                np.union1d(grids[g].w_grid, w_cuts[1:-1]),
-                config.tail_min_obs,
-            )
+            grids[g] = grid_from_values(*(
+                np.union1d(grid, cuts[(cuts >= grid[0]) & (cuts <= grid[-1])])
+                for grid, cuts in ((grids[g].y_grid, y_cuts), (grids[g].w_grid, w_cuts))
+            ), config.tail_min_obs)
     dep_cols = _dep_cols(config)
     fits = {g: fit_bdr(samples[g], grids[g], dep_cols) for g in sorted(samples)}
-    manifest = _manifest_base(command, config, n_dropped, samples)
+    manifest = {
+        "command": command,
+        "config": asdict(config),
+        "versions": _VERSIONS,
+        "rows_dropped_missing": n_dropped,
+        "group_sizes": {str(g): int(s.n) for g, s in samples.items()},
+    }
     ensembles = None
     if config.replicates:
         scheme = WeightScheme(kind=config.scheme, seed=config.seed)
@@ -317,72 +302,70 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
     return _Run(samples, fits, ensembles, manifest, y_cuts, w_cuts, config.workers)
 
 
-def _write_fit_tables(writer: OutputWriter, fits: dict[int, BdrFit]):
-    coef_rows_y, coef_rows_w, dep_rows, tail_rows = [], [], [], []
-    for g, fit in sorted(fits.items()):
-        d_x = fit.y_marginal.coef.shape[1]
-        for i, r in enumerate(fit.y_marginal.body):
-            coef_rows_y.append([g, r] + list(fit.y_marginal.coef[i]))
-        for i, r in enumerate(fit.w_marginal.body):
-            coef_rows_w.append([g, r] + list(fit.w_marginal.coef[i]))
-        for iy, yv in enumerate(fit.grid.y_body):
-            for iw, wv in enumerate(fit.grid.w_body):
-                dep_rows.append([g, yv, wv] + list(fit.dep_coef[iy, iw]))
-        for outcome, marg in (("y", fit.y_marginal), ("w", fit.w_marginal)):
-            tail_rows.append([g, outcome, "lower", marg.alpha_lo, marg.anchor_lo, marg.r0_lo])
-            tail_rows.append([g, outcome, "upper", marg.alpha_hi, marg.anchor_hi, marg.r0_hi])
-    coef_header = ["group", "threshold"] + [f"coef_{j}" for j in range(d_x)]
-    writer.csv("coefficients_y.csv", coef_header, coef_rows_y)
-    writer.csv("coefficients_w.csv", coef_header, coef_rows_w)
-    n_dep = len(next(iter(fits.values())).dep_cols)
-    writer.csv(
-        "dependence.csv",
-        ["group", "y", "w"] + [f"coef_{j}" for j in range(n_dep)],
-        dep_rows,
-    )
-    writer.csv(
-        "tails.csv",
-        ["group", "outcome", "side", "alpha", "anchor", "r0"],
-        tail_rows,
-    )
+def _long(axes: dict, columns: dict) -> tuple[list[str], list[list]]:
+    """The (header, rows) of a long table: one row per cell of the product
+    of axes (name -> labels), in np.ndindex order, holding the cell's labels
+    and then each column's value there (name -> array broadcast to the axes'
+    shape). A None column is left out, so se appears only with replicates."""
+    labels = list(axes.values())
+    shape = tuple(len(v) for v in labels)
+    kept = {name: np.broadcast_to(col, shape) for name, col in columns.items() if col is not None}
+    rows = [[*(v[i] for v, i in zip(labels, cell)), *(col[cell] for col in kept.values())]
+            for cell in np.ndindex(shape)]
+    return [*axes, *kept], rows
+
+
+def _write_groups(writer: OutputWriter, parts: list[dict]):
+    """Write each table of parts, one {file name: _long table} per group, its
+    rows joined in group order."""
+    for name in parts[0]:
+        writer.csv(name, parts[0][name][0], [row for part in parts for row in part[name][1]])
+
+
+def _coefficients(g: int, marginal, values, prefix: str) -> tuple[list[str], list[list]]:
+    """Group g's rows of a marginal coefficient table, prefix_j for column j."""
+    return _long({"group": [g], "threshold": marginal.body},
+                 {f"{prefix}_{j}": v for j, v in enumerate(values.T)})
+
+
+def _fit_tables(g: int, fit: BdrFit) -> dict:
+    """Group g's part of each fit table, by file name."""
+    margs = {"y": fit.y_marginal, "w": fit.w_marginal}
+    return {
+        **{f"coefficients_{o}.csv": _coefficients(g, m, m.coef, "coef") for o, m in margs.items()},
+        "dependence.csv": _long(
+            {"group": [g], "y": fit.grid.y_body, "w": fit.grid.w_body},
+            {f"coef_{j}": fit.dep_coef[..., j] for j in range(fit.dep_coef.shape[-1])}),
+        "tails.csv": _long({"group": [g], "outcome": list(margs), "side": ["lower", "upper"]}, {
+            "alpha": [[m.alpha_lo, m.alpha_hi] for m in margs.values()],
+            "anchor": [[m.anchor_lo, m.anchor_hi] for m in margs.values()],
+            "r0": [[m.r0_lo, m.r0_hi] for m in margs.values()],
+        }),
+    }
 
 
 def _write_surface(writer: OutputWriter, name: str, surface, se=None):
-    rows = []
-    for iy, yv in enumerate(surface.y_values):
-        for iw, wv in enumerate(surface.w_values):
-            row = [yv, wv, surface.values[iy, iw]]
-            if se is not None:
-                row.append(se[iy, iw])
-            rows.append(row)
-    header = ["y", "w", "value"] + (["se"] if se is not None else [])
-    writer.csv(name, header, rows)
+    writer.csv(name, *_long({"y": surface.y_values, "w": surface.w_values},
+                            {"value": surface.values, "se": se}))
 
 
-def _write_decomposition(writer: OutputWriter, name: str, report, rows_axis, cols_axis,
-                         se=None):
-    """One row per component and cell: its value, its share of the total (1
-    for the total itself) and, given per-component SEs, its se. Each axis is
-    a (column name, labels) pair."""
-    (row_name, row_labels), (col_name, col_labels) = rows_axis, cols_axis
-    shares = report.shares()
-    rows = []
-    for comp_name, comp in report.components().items():
-        for i, row_label in enumerate(row_labels):
-            for j, col_label in enumerate(col_labels):
-                row = [comp_name, row_label, col_label, comp[i, j],
-                       shares[comp_name][i, j] if comp_name in shares else 1.0]
-                if se is not None:
-                    row.append(se[comp_name][i, j])
-                rows.append(row)
-    header = ["component", row_name, col_name, "value", "share_of_total"]
-    writer.csv(name, header + (["se"] if se is not None else []), rows)
+def _write_decomposition(writer: OutputWriter, name: str, report, axes: dict, se=None):
+    """One row per component and cell of axes (the row and column axes): its
+    value, its share of the total (1 for the total itself) and, given
+    per-component SEs, its se."""
+    comps = report.components()
+    shares = {"total": np.ones_like(report.total), **report.shares()}
+    writer.csv(name, *_long({"component": list(comps), **axes}, {
+        "value": np.stack(list(comps.values())),
+        "share_of_total": np.stack([shares[c] for c in comps]),
+        "se": None if se is None else np.stack([se[c] for c in comps]),
+    }))
 
 
 def _cmd_estimate(args, config: RunConfig, writer: OutputWriter) -> dict:
     run = _prologue("estimate", config)
-    _write_fit_tables(writer, run.fits)
-    se_rows = {"y": [], "w": []}
+    _write_groups(writer, [_fit_tables(g, fit) for g, fit in sorted(run.fits.items())])
+    se_tables = []
     for g, fit in sorted(run.fits.items()):
         surface = partial(fitted_surface, sample=run.samples[g])
         se = run.se(lambda f: {
@@ -390,15 +373,10 @@ def _cmd_estimate(args, config: RunConfig, writer: OutputWriter) -> dict:
             "w": f[g].w_marginal.coef,
             "surface": surface(f[g]).values,
         }, group=g) or {}
-        for outcome, rows in se_rows.items():
-            body = getattr(fit, f"{outcome}_marginal").body
-            rows.extend([g, thr] + list(row) for thr, row in zip(body, se.get(outcome, ())))
         _write_surface(writer, f"surface_fitted_{g}.csv", surface(fit), se=se.get("surface"))
-    if run.ensembles is not None:
-        d_x = next(iter(run.fits.values())).y_marginal.coef.shape[1]
-        header = ["group", "threshold"] + [f"se_{j}" for j in range(d_x)]
-        for outcome, rows in se_rows.items():
-            writer.csv(f"coefficients_{outcome}_se.csv", header, rows)
+        se_tables.append({f"coefficients_{o}_se.csv": _coefficients(g, m, se[o], "se")
+                          for o, m in (("y", fit.y_marginal), ("w", fit.w_marginal)) if o in se})
+    _write_groups(writer, se_tables)
     return run.manifest
 
 
@@ -424,7 +402,7 @@ def _cmd_decompose(args, config: RunConfig, writer: OutputWriter) -> dict:
     decompose = partial(decompose_joint, samples=run.samples, y_values=y_vals, w_values=w_vals)
     report = decompose(run.fits)
     se = run.se(lambda f: decompose(f).components())
-    _write_decomposition(writer, "decomposition.csv", report, ("y", y_vals), ("w", w_vals), se)
+    _write_decomposition(writer, "decomposition.csv", report, {"y": y_vals, "w": w_vals}, se)
     return run.manifest
 
 
@@ -454,28 +432,25 @@ def _parse_cuts(arg: str | None, levels_arg: str | None, values, name: str):
 def _cmd_transition(args, config: RunConfig, writer: OutputWriter) -> dict:
     run = _prologue("transition", config, two_groups=args.decompose, cut_args=args)
     y_cuts, w_cuts = run.y_cuts, run.w_cuts
-    rows = []
-    for g in sorted(run.fits):
-        matrix = partial(transition_from_fits, samples=run.samples, index=f"{g}{g}{g}{g}",
-                         y_cuts=y_cuts, w_cuts=w_cuts)
-        tm = matrix(run.fits)
-        se = run.se(lambda f: matrix(f).cells, group=g)
-        for j, k in np.ndindex(tm.cells.shape):
-            row = [g, j + 1, k + 1, y_cuts[j], y_cuts[j + 1], w_cuts[k],
-                   w_cuts[k + 1], tm.cells[j, k]]
-            if se is not None:
-                row.append(se[j, k])
-            rows.append(row)
-    header = ["group", "row", "col", "y_lo", "y_hi", "w_lo", "w_hi", "value"]
-    writer.csv("transition.csv", header + (["se"] if run.ensembles is not None else []), rows)
+    groups = sorted(run.fits)
+
+    def matrix(fits, g):
+        return transition_from_fits(fits, run.samples, f"{g}{g}{g}{g}", y_cuts, w_cuts).cells
+
+    values = np.stack([matrix(run.fits, g) for g in groups])
+    ses = [run.se(partial(matrix, g=g), group=g) for g in groups]
+    cells = {"row": range(1, len(y_cuts)), "col": range(1, len(w_cuts))}
+    writer.csv("transition.csv", *_long({"group": groups, **cells}, {
+        "y_lo": y_cuts[:-1, None], "y_hi": y_cuts[1:, None], "w_lo": w_cuts[:-1],
+        "w_hi": w_cuts[1:], "value": values, "se": None if ses[0] is None else np.stack(ses),
+    }))
 
     if args.decompose:
         decompose = partial(decompose_transition, samples=run.samples, y_cuts=y_cuts,
                             w_cuts=w_cuts)
         report = decompose(run.fits)
         se = run.se(lambda f: decompose(f).components())
-        cells = [("row", range(1, len(y_cuts))), ("col", range(1, len(w_cuts)))]
-        _write_decomposition(writer, "transition_decomposition.csv", report, *cells, se)
+        _write_decomposition(writer, "transition_decomposition.csv", report, cells, se)
 
     run.manifest["y_cuts"] = [_fmt(v) for v in y_cuts]
     run.manifest["w_cuts"] = [_fmt(v) for v in w_cuts]

@@ -10,7 +10,7 @@ what.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -186,13 +186,7 @@ class DecompositionReport:
     marginal_y: np.ndarray
 
     def components(self) -> dict[str, np.ndarray]:
-        return {
-            "total": self.total,
-            "composition": self.composition,
-            "sorting": self.sorting,
-            "marginal_w": self.marginal_w,
-            "marginal_y": self.marginal_y,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def shares(self) -> dict[str, np.ndarray]:
         """Components as fractions of the total, NaN where |total| <
@@ -208,13 +202,7 @@ class DecompositionReport:
 
 def _decomposition_from_values(values: dict[str, np.ndarray]) -> DecompositionReport:
     steps = [values[c] - values[n] for c, n in zip(_PATH, _PATH[1:])]
-    return DecompositionReport(
-        total=values["1111"] - values["0000"],
-        composition=steps[0],
-        sorting=steps[1],
-        marginal_w=steps[2],
-        marginal_y=steps[3],
-    )
+    return DecompositionReport(values["1111"] - values["0000"], *steps)
 
 
 def _path_values(fits, samples, y_values, w_values) -> dict[str, np.ndarray]:

@@ -283,7 +283,6 @@ class MarginalFit:
         +/-inf thresholds give +/-inf indices.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = self.key(r)
         if r > self.anchor_hi:
             return x @ self.coef[-1] + (r - self.anchor_hi) * self.alpha_hi
         if r < self.anchor_lo:

@@ -1,0 +1,104 @@
+"""Digest every table and manifest the CLI writes over a fixed matrix of runs.
+
+Two versions of the program are compared byte for byte by running this
+script under each and diffing its output. The matrix, all at grid 6:
+
+- estimate, counterfactual --index 1110 --index 0101, decompose and
+  transition --decompose on `simulate --two-groups --seed 3` files of
+  n = 600 and 2,000, each with --replicates 0 and 12 on 1 and 2 workers;
+- one-group estimate and transition --y-cut-levels 0.1,0.5,0.9 on a
+  `simulate --seed 3` file of n = 2,000, with the same replicates and
+  workers;
+- two transitions with cuts beyond the grid: --y-cuts=-1e200,0 --w-cuts 1e3
+  --decompose on the two-group n = 600 file, and one-group
+  --y-cuts=-1,1e3 --w-cuts 50 --replicates 10.
+
+The runs write into folders under OUT, with paths relative to OUT, so no
+manifest depends on where OUT is. For each run the script prints its exit
+code, then one `sha256  relative/path` line per CSV and manifest.json it
+wrote, in path order.
+
+Not collected by pytest. Run from the repository root:
+
+    PYTHONPATH=src python tests/oracles/cli_digest.py OUT > digest.txt
+
+and compare two versions with `diff`. It takes under a minute on 2 CPUs.
+"""
+
+import argparse
+import hashlib
+import os
+from pathlib import Path
+
+from bdreg.cli import build_parser, main
+
+COMMON = ["--covariates", "x1,x2", "--grid-points", "6"]
+SETTINGS = [(replicates, workers) for replicates in ("0", "12") for workers in ("1", "2")]
+TWO_GROUP = {
+    "estimate": ["estimate"],
+    "counterfactual": ["counterfactual", "--index", "1110", "--index", "0101"],
+    "decompose": ["decompose"],
+    "transition": ["transition", "--decompose"],
+}
+ONE_GROUP = {
+    "estimate": ["estimate"],
+    "transition": ["transition", "--y-cut-levels", "0.1,0.5,0.9"],
+}
+
+
+def simulate(name: str, n: int, *extra: str) -> str:
+    """Simulate the seed-3 sample of n rows per group into folder name."""
+    code = main(["simulate", "--n", str(n), "--seed", "3", *extra, "--out", name])
+    if code != 0:
+        raise SystemExit(f"simulate {name} exited {code}")
+    return f"{name}/sample.csv"
+
+
+def matrix() -> dict[str, list[str]]:
+    """The argv of each run, keyed by the folder it writes into."""
+    runs = {}
+    for n in (600, 2000):
+        data = simulate(f"two_{n}", n, "--two-groups")
+        for name, command in TWO_GROUP.items():
+            for replicates, workers in SETTINGS:
+                runs[f"two_{n}/{name}_r{replicates}_w{workers}"] = [
+                    *command, "--input", data, "--group-col", "group",
+                    "--replicates", replicates, "--workers", workers]
+    data = simulate("one_2000", 2000)
+    for name, command in ONE_GROUP.items():
+        for replicates, workers in SETTINGS:
+            runs[f"one_2000/{name}_r{replicates}_w{workers}"] = [
+                *command, "--input", data, "--replicates", replicates, "--workers", workers]
+    runs["two_600/transition_far_cuts"] = [
+        "transition", "--input", "two_600/sample.csv", "--group-col", "group",
+        "--y-cuts=-1e200,0", "--w-cuts", "1e3", "--decompose"]
+    runs["one_2000/transition_far_cuts"] = [
+        "transition", "--input", data, "--y-cuts=-1,1e3", "--w-cuts", "50",
+        "--replicates", "10"]
+    return runs
+
+
+def digest(folder: Path) -> list[str]:
+    """One `sha256  path` line per file a run left in folder: its CSVs and
+    manifest, or nothing after a failure."""
+    files = sorted(folder.iterdir()) if folder.is_dir() else []
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p}" for p in files]
+
+
+def run_all(out: Path):
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    runs = {folder: [*argv, *COMMON, "--out", folder] for folder, argv in matrix().items()}
+    for argv in runs.values():  # a renamed option fails here, before the first run
+        build_parser().parse_args(argv)
+    for folder, argv in runs.items():
+        code = main(argv)
+        print(f"exit {code}  {folder}", flush=True)
+        for line in digest(Path(folder)):
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="folder for the inputs and the runs")
+    run_all(parser.parse_args().out.resolve())

@@ -521,3 +521,91 @@ def test_estimate_with_dependence_covariates(sample_csv, tmp_path):
 def test_decompose_with_dependence_covariates(sample_csv, tmp_path):
     assert decompose(sample_csv, tmp_path, "--dep-covariates", "x2", "--replicates", "10") == 0
     check_round_trip("decompose", tmp_path)
+
+
+@pytest.mark.parametrize("simulate,extra", [
+    (["--n", "600", "--two-groups"], ["--y-cuts=-1e200,0", "--w-cuts", "1e3", "--decompose"]),
+    (["--n", "2000"], ["--y-cuts=-1,1e3", "--w-cuts", "50", "--replicates", "10"]),
+], ids=["two-group", "one-group"])
+def test_cuts_beyond_the_grid_leave_the_grid_alone(simulate, extra, tmp_path):
+    # A cut beyond the trimmed range used to become the grid's new extreme,
+    # pulling the old extreme into the body, whose tail fit then found too
+    # few observations beyond it (exit 3). The affine tails reach such a cut.
+    assert cli.main(["simulate", *simulate, "--seed", "3", "--out", str(tmp_path / "sim")]) == 0
+    group_col = "group" if "--two-groups" in simulate else None
+    assert run("transition", tmp_path / "sim" / "sample.csv", tmp_path / "out", *extra,
+               group_col=group_col) == 0
+    with open(tmp_path / "out" / "transition.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for g in {r["group"] for r in rows}:
+        cells = np.array([float(r["value"]) for r in rows if r["group"] == g])
+        assert cells.size == 3 * 2
+        assert np.all(np.isfinite(cells)) and np.all(cells >= -1e-12)
+        assert cells.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def capture_fits(monkeypatch) -> list:
+    """Record the (sample, fit) of every base fit the CLI makes, in order."""
+    real_fit, fits = cli.fit_bdr, []
+
+    def recorded(sample, *args, **kwargs):
+        fits.append((sample, real_fit(sample, *args, **kwargs)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(cli, "fit_bdr", recorded)
+    return fits
+
+
+def read_rows(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def formatted(*values) -> list[str]:
+    return [v if isinstance(v, str) else cli._fmt(v) for v in values]
+
+
+def test_estimate_cells_hold_the_fit(sample_csv, tmp_path, monkeypatch):
+    # Each row's labels and values are the fit's at those labels, in group,
+    # then axis order; the se columns only join them.
+    fits = capture_fits(monkeypatch)
+    assert run("estimate", sample_csv, tmp_path, "--replicates", "10") == 0
+    assert len(fits) == 2
+    coef = {"y": [], "w": []}
+    dep, tails = [], []
+    for g, (sample, fit) in enumerate(fits):
+        margs = {"y": fit.y_marginal, "w": fit.w_marginal}
+        for outcome, m in margs.items():
+            coef[outcome] += [formatted(g, r, *c) for r, c in zip(m.body, m.coef)]
+            tails += [formatted(g, outcome, "lower", m.alpha_lo, m.anchor_lo, m.r0_lo),
+                      formatted(g, outcome, "upper", m.alpha_hi, m.anchor_hi, m.r0_hi)]
+        dep += [formatted(g, yv, wv, *fit.dep_coef[iy, iw])
+                for iy, yv in enumerate(fit.grid.y_body) for iw, wv in enumerate(fit.grid.w_body)]
+        surface = cli.fitted_surface(fit, sample)
+        assert [r[:3] for r in read_rows(tmp_path / f"surface_fitted_{g}.csv")] == [
+            formatted(yv, wv, surface.values[iy, iw])
+            for iy, yv in enumerate(surface.y_values) for iw, wv in enumerate(surface.w_values)]
+    for outcome, rows in coef.items():
+        assert read_rows(tmp_path / f"coefficients_{outcome}.csv") == rows
+        se_rows = read_rows(tmp_path / f"coefficients_{outcome}_se.csv")
+        assert [r[:2] for r in se_rows] == [r[:2] for r in rows]
+    assert read_rows(tmp_path / "dependence.csv") == dep
+    assert read_rows(tmp_path / "tails.csv") == tails
+
+
+def test_decomposition_cells_hold_the_report(sample_csv, tmp_path, monkeypatch):
+    # Component-major, then y, then w, at group 1's grid; the total's share
+    # is 1 and the se column follows.
+    fits = capture_fits(monkeypatch)
+    assert decompose(sample_csv, tmp_path, "--replicates", "10") == 0
+    samples = {g: sample for g, (sample, _) in enumerate(fits)}
+    grid = fits[1][1].grid
+    report = cli.decompose_joint({g: fit for g, (_, fit) in enumerate(fits)}, samples,
+                                 y_values=grid.y_grid, w_values=grid.w_grid)
+    shares = report.shares()
+    expected = [
+        formatted(name, yv, wv, comp[iy, iw], shares[name][iy, iw] if name in shares else 1.0)
+        for name, comp in report.components().items()
+        for iy, yv in enumerate(grid.y_grid) for iw, wv in enumerate(grid.w_grid)
+    ]
+    assert [r[:5] for r in read_rows(tmp_path / "decomposition.csv")] == expected
