@@ -48,7 +48,7 @@ from .data import (
     validate,
 )
 from .dependence import BdrFit, fit_bdr
-from .dgp import CovariateSpec, DgpSpec, generate
+from .dgp import DgpSpec, generate
 from .exceptions import BdrError, ConfigError, DataError
 from .functionals import (
     CounterfactualIndex,
@@ -475,14 +475,11 @@ def _cmd_simulate(args, config: None, writer: OutputWriter) -> dict:
     y_coef = np.array(_numbers(args.y_coef, "y-coef"))
     w_coef = np.array(_numbers(args.w_coef, "w-coef"))
     dep_coef = np.array(_numbers(args.dep_coef, "dep-coef"))
-    covs = (CovariateSpec("uniform", 0.0, 1.0), CovariateSpec("binary", 0.5))
-    d_x = 1 + len(covs)
+    spec = DgpSpec(y_coef=y_coef, w_coef=w_coef, dep_coef=dep_coef, n=args.n, seed=args.seed)
     for name, coef in (("y-coef", y_coef), ("w-coef", w_coef), ("dep-coef", dep_coef)):
-        if coef.size != d_x:
-            raise ConfigError(f"--{name} must have {d_x} entries (intercept + 2 covariates)")
-
-    spec = DgpSpec(y_coef=y_coef, w_coef=w_coef, dep_coef=dep_coef,
-                   n=args.n, seed=args.seed, covariates=covs)
+        if coef.size != spec.d_x:
+            raise ConfigError(f"--{name} must have {spec.d_x} entries "
+                              f"(intercept + {spec.d_x - 1} covariates)")
     specs, groups = [spec], [None]
     if args.two_groups:
         y1 = np.array(_numbers(args.y_coef_1, "y-coef-1")) if args.y_coef_1 else y_coef
@@ -491,12 +488,12 @@ def _cmd_simulate(args, config: None, writer: OutputWriter) -> dict:
         specs.append(replace(spec, y_coef=y1, w_coef=w1, dep_coef=d1, seed=args.seed + 1))
         groups = [0, 1]
 
+    header = ["y", "w"] + [f"x{j}" for j in range(1, spec.d_x)]
     rows = []
     for spec, g in zip(specs, groups):
         s = generate(spec, group=g)
         rows += np.column_stack([s.y, s.w, s.x[:, 1:]] + ([] if s.d is None else [s.d])).tolist()
-    header = ["y", "w", "x1", "x2"] + (["group"] if args.two_groups else [])
-    writer.csv(args.output_name, header, rows)
+    writer.csv(args.output_name, header + (["group"] if args.two_groups else []), rows)
     return {
         "command": "simulate",
         "versions": _VERSIONS,

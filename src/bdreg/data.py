@@ -150,13 +150,13 @@ def empirical_quantile(values: np.ndarray, levels) -> np.ndarray:
     return np.quantile(np.asarray(values, dtype=float), levels, method="inverted_cdf")
 
 
-def _outcome_grid(values: np.ndarray, n_points: int, trim) -> np.ndarray:
+def _outcome_grid(values: np.ndarray, n_points: int, trim, outcome: str) -> np.ndarray:
     lower, upper = trim
     levels = np.linspace(lower, upper, n_points)
     grid = np.unique(empirical_quantile(values, levels))
     if grid.size < 3:
         raise DataError(
-            "outcome is too close to degenerate: fewer than 3 distinct grid points"
+            f"outcome {outcome} is too close to degenerate: fewer than 3 distinct grid points"
         )
     return grid
 
@@ -179,8 +179,8 @@ def build_grid(
     if not (0.0 < lower < upper < 1.0):
         raise ConfigError("trim pair must satisfy 0 < lower < upper < 1")
     return GridSpec(
-        y_grid=_outcome_grid(sample.y, n_points, body_trim),
-        w_grid=_outcome_grid(sample.w, n_points, body_trim),
+        y_grid=_outcome_grid(sample.y, n_points, body_trim, "y"),
+        w_grid=_outcome_grid(sample.w, n_points, body_trim, "w"),
         tail_min_obs=tail_min_obs,
     )
 

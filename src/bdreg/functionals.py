@@ -90,7 +90,8 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
     value) have identical correlations, computed once per cell. Each
     distinct (y key, w key, cell) triple is evaluated once and scattered
     back to the grid. Before any evaluation, the first grid pair whose cell
-    failed raises an EstimationError naming it. The distinct triples go to
+    failed raises an EstimationError naming it and the reason its fit
+    recorded in dep_fit.failures, if any. The distinct triples go to
     bvn_cdf in blocks of about BLOCK_ROWS rows, with their keys' marginals.
     """
     x, wts = _x_average(x, weights)
@@ -113,10 +114,11 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
     failed = ~np.isfinite(dep_fit.dep_coef).all(axis=-1)[np.ix_(y_cells, w_cells)]
     if failed.any():
         iy, iw = np.unravel_index(np.argmax(failed), failed.shape)
+        pair = (dep_fit.grid.y_body[y_cells[iy]], dep_fit.grid.w_body[w_cells[iw]])
+        why = "".join(f" ({r})" for y_at, w_at, r in dep_fit.failures if (y_at, w_at) == pair)
         raise EstimationError(
-            "no dependence estimate at grid pair "
-            f"({dep_fit.grid.y_body[y_cells[iy]]:.6g}, {dep_fit.grid.w_body[w_cells[iw]]:.6g}): "
-            "its fit failed"
+            f"no dependence estimate at grid pair ({pair[0]:.6g}, {pair[1]:.6g}): "
+            f"its fit failed{why}"
         )
     pairs = [(iy, iw, jy, jw) for iy, jy in zip(y_pos, y_cells) for iw, jw in zip(w_pos, w_cells)]
     triples, inverse = np.unique(pairs, axis=0, return_inverse=True)

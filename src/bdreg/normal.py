@@ -17,17 +17,17 @@ call.
 
 The bivariate CDF follows the Drezner-Wesolowsky/Genz construction: Gauss-
 Legendre quadrature along the correlation path for moderate correlation, and
-the reflection/expansion branch for |rho| > 0.925. The moderate-correlation
-rule is chosen per row by that row's |rho|: 6 nodes below 0.3, 12 below 0.75,
-20 otherwise; the high-correlation branch always uses 20. Each rule keeps the
-absolute error a few ulps from zero over the range it serves, well beyond
-what the likelihood optimizers can see. The moderate-correlation quadrature
-runs in place, in blocks of at most BLOCK_ROWS rows, so its (rows, nodes)
-temporaries stay a fixed size however many rows a call brings; the
-high-correlation branch and the per-row arrays of a call are not blocked.
+the reflection/expansion branch for |rho| > 0.925. Each row takes the
+formula of its own band: saturated (below), the 6-, 12- or 20-node path rule
+for |rho| below 0.3, below 0.75 or up to 0.925, or the high-correlation
+branch, which always uses 20 nodes. Each rule keeps the absolute error a few
+ulps from zero over the range it serves, well beyond what the likelihood
+optimizers can see. The bands run in blocks of at most BLOCK_ROWS rows, so
+their (rows, nodes) temporaries stay a fixed size however many rows a call
+brings; only the per-row arrays of a call are not blocked.
 
-Thresholds at or beyond +/-40, +/-inf included, resolve in the bivariate
-functions to the exact marginal limits before any quadrature runs.
+Thresholds at or beyond +/-40, +/-inf included, make a saturated row: its
+CDF is the exact marginal limit and its density zero, with no quadrature.
 """
 
 from __future__ import annotations
@@ -52,13 +52,13 @@ EPS_RHO = 1e-7
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Gauss-Legendre rules for the correlation-path quadrature; the node count
 # grows with |rho| (6/12/20), matching the accuracy of the fixed 20-point
-# rule at a fraction of the work for small correlations. A moderate row uses
-# the 6-node rule below |rho| = _RULE_EDGES[0], the 12-node rule below
-# _RULE_EDGES[1], and the 20-node rule above; _MODERATE_RULES holds each
+# rule at a fraction of the work for small correlations. _RULE_EDGES bound
+# the |rho| bands of the 6-, 12- and 20-node rules (the last edge included)
+# and of the high-correlation branch beyond; _MODERATE_RULES holds each path
 # rule's nodes plus one, and its weights, in that order.
 _GL_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (6, 12, 20)}
 _GL_NODES, _GL_WEIGHTS = _GL_RULES[20]
-_RULE_EDGES = (0.3, 0.75)
+_RULE_EDGES = (0.3, 0.75, 0.925)
 _MODERATE_RULES = tuple((nodes + 1.0, weights) for nodes, weights in _GL_RULES.values())
 # Rows per quadrature block: bounds the (rows, nodes) temporaries.
 BLOCK_ROWS = 4096
@@ -199,31 +199,17 @@ def _correction_block(hk, hs, r, nodes1, weights):
     return 0.5 * asr * (terms @ weights) / (2.0 * np.pi)
 
 
-def _moderate_correction(hk, hs, r):
-    # Quadrature on theta in [0, asin(r)] of the correlation-path integrand;
-    # add Phi(-h) Phi(-k) to get P(X > h, Y > k) for |r| <= 0.925. Each row
-    # gets the smallest rule for its own |r|.
-    out = np.empty(r.shape)
-    absr = np.abs(r)
-    band = (absr >= _RULE_EDGES[0]).astype(np.int8) + (absr >= _RULE_EDGES[1])
-    for k, (nodes1, weights) in enumerate(_MODERATE_RULES):
-        rows = np.flatnonzero(band == k)
-        for lo in range(0, rows.size, BLOCK_ROWS):
-            sel = rows[lo:lo + BLOCK_ROWS]
-            out[sel] = _correction_block(hk[sel], hs[sel], r[sel], nodes1, weights)
-    return out
-
-
-def _bvnu_high(h, k, r):
-    # P(X > h, Y > k) for 0.925 < |r| < 1: expansion around |r| = 1 plus a
-    # quadrature correction (the reflection branch of the Genz scheme).
-    twopi = 2.0 * np.pi
+def _bvnu_high(a, b, pa, pb, r):
+    # Phi2(a, b; r) = P(X > h, Y > k) at h = -a, k = -b for 0.925 < |r| < 1:
+    # expansion around |r| = 1 plus a quadrature correction (the reflection
+    # branch of the Genz scheme). pa and pb are Phi(a) and Phi(b).
     neg = r < 0.0
-    k = np.where(neg, -k, k)
+    h = -a
+    k = np.where(neg, b, -b)
     hk = h * k
 
     a2 = (1.0 - r) * (1.0 + r)
-    a = np.sqrt(a2)
+    sa = np.sqrt(a2)
     bs = (h - k) ** 2
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 16.0
@@ -231,20 +217,20 @@ def _bvnu_high(h, k, r):
 
     bvn = np.where(
         asr0 > -100.0,
-        a * np.exp(np.maximum(asr0, -745.0))
+        sa * np.exp(np.maximum(asr0, -745.0))
         * (1.0 - c * (bs - a2) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a2 * a2 / 5.0),
         0.0,
     )
-    b = np.sqrt(bs)
-    sp = _SQRT_2PI * _ndtr(-b / a)
+    sb = np.sqrt(bs)
+    sp = _SQRT_2PI * _ndtr(-sb / sa)
     bvn = np.where(
         -hk < 100.0,
-        bvn - np.exp(np.minimum(-hk / 2.0, 700.0)) * sp * b
+        bvn - np.exp(np.minimum(-hk / 2.0, 700.0)) * sp * sb
         * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
         bvn,
     )
 
-    ah = a[:, None] / 2.0
+    ah = sa[:, None] / 2.0
     xs = (ah * (_GL_NODES[None, :] + 1.0)) ** 2
     rs = np.sqrt(1.0 - xs)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -255,10 +241,11 @@ def _bvnu_high(h, k, r):
             asr1 > -100.0, ah * np.exp(np.maximum(asr1, -745.0)) * (ep - sp1), 0.0
         )
     bvn = bvn + contrib @ _GL_WEIGHTS
-    bvn = -bvn / twopi
+    bvn = -bvn / (2.0 * np.pi)
 
-    pos_part = bvn + _ndtr(-np.maximum(h, k))
-    neg_part = -bvn + np.maximum(0.0, _ndtr(-h) - _ndtr(-k))
+    # Phi(-max(h, k)) = Phi(min(a, b)) for r > 0, and Phi(-h) = Phi(a).
+    pos_part = bvn + np.where(a <= b, pa, pb)
+    neg_part = -bvn + np.maximum(0.0, pa - _ndtr(-k))
     return np.where(neg, neg_part, pos_part)
 
 
@@ -269,8 +256,9 @@ class FixedThresholdBvn:
     evaluates Phi2(a_i, b_i; rho_i) many times with the same thresholds and a
     new correlation each iteration, so everything that does not depend on rho
     is computed once here; bvn_cdf is a one-shot use. A row with a threshold
-    at or beyond +/-40 (_SATURATED), +/-inf included, is constant in rho,
-    resolves exactly to the marginal limit (density zero) and is set aside.
+    at or beyond +/-40 (_SATURATED), +/-inf included, is saturated: constant
+    in rho, its CDF is exactly the marginal limit and its density zero. Its
+    thresholds are stored as 0, so that the per-row arithmetic stays finite.
 
     pa and pb are the marginals Phi(a) and Phi(b), computed here when not
     given. A caller that already holds them passes them in, so that Phi is
@@ -290,48 +278,48 @@ class FixedThresholdBvn:
         self.pb = _ndtr(b) if pb is None else np.asarray(pb, dtype=float).ravel()
         if self.pa.shape != a.shape or self.pb.shape != b.shape:
             raise ValueError("marginals must match the thresholds in length")
-        inner = (np.abs(a) < _SATURATED) & (np.abs(b) < _SATURATED)
-        # _inner and _const are None when no row is saturated, the common
-        # case, which then needs no masked copies.
-        self._inner = self._const = None
-        pa, pb = self.pa, self.pb
-        if not np.all(inner):
-            self._inner = inner
-            low = (a <= -_SATURATED) | (b <= -_SATURATED)
-            self._const = np.where(low, 0.0, np.where(a >= _SATURATED, pb, pa))
-            a, b, pa, pb = a[inner], b[inner], pa[inner], pb[inner]
-        self._a, self._b = a, b
+        saturated = (np.abs(a) >= _SATURATED) | (np.abs(b) >= _SATURATED)
+        low = (a <= -_SATURATED) | (b <= -_SATURATED)
+        limit = np.where(low, 0.0, np.where(a >= _SATURATED, self.pb, self.pa))
+        self._saturated = np.flatnonzero(saturated)
+        self._limit = limit[self._saturated]
+        self._a = a = np.where(saturated, 0.0, a)
+        self._b = b = np.where(saturated, 0.0, b)
         self._hk = a * b
         self._hs = 0.5 * (a * a + b * b)
-        self._prod = pa * pb
+        self._prod = self.pa * self.pb
 
     def _rows(self, rho):
-        # The clamped correlation of every unsaturated row.
-        r = np.broadcast_to(np.asarray(clamp_rho(rho), dtype=float), (self.n,))
-        return r if self._inner is None else r[self._inner]
-
-    def _scatter(self, vals, const):
-        # Unsaturated-row values into a full-length array, const elsewhere.
-        if self._inner is None:
-            return vals
-        out = np.where(self._inner, 0.0, const)
-        out[self._inner] = vals
-        return out
+        # The clamped correlation of every row.
+        return np.broadcast_to(np.asarray(clamp_rho(rho), dtype=float), (self.n,))
 
     def _cdf(self, rho):
-        """Phi2 at the stored thresholds; rho scalar or per-row array."""
+        """Phi2 at the stored thresholds; rho scalar or per-row array.
+
+        Each row falls in one band: k < 3 for the k-th path rule, 3 for the
+        high-correlation branch (|rho| > 0.925; the edge itself is a path
+        row) and 4 for the saturated rows, which take their limit. Every
+        band runs in blocks of at most BLOCK_ROWS rows.
+        """
         r = self._rows(rho)
-        moderate = np.abs(r) <= 0.925
-        if np.all(moderate):
-            vals = self._prod + _moderate_correction(self._hk, self._hs, r)
-        else:
-            vals = np.empty(r.shape)
-            vals[moderate] = self._prod[moderate] + _moderate_correction(
-                self._hk[moderate], self._hs[moderate], r[moderate]
-            )
-            high = ~moderate
-            vals[high] = _bvnu_high(-self._a[high], -self._b[high], r[high])
-        return self._scatter(np.clip(vals, 0.0, 1.0), self._const)
+        absr = np.abs(r)
+        band = (absr >= _RULE_EDGES[0]).astype(np.int8)
+        band += absr >= _RULE_EDGES[1]
+        band += absr > _RULE_EDGES[2]
+        band[self._saturated] = 4
+        out = np.empty(self.n)
+        out[self._saturated] = self._limit
+        for k, rule in enumerate((*_MODERATE_RULES, None)):
+            rows = np.flatnonzero(band == k)
+            for lo in range(0, rows.size, BLOCK_ROWS):
+                sel = rows[lo:lo + BLOCK_ROWS]
+                if rule is None:
+                    out[sel] = _bvnu_high(self._a[sel], self._b[sel], self.pa[sel],
+                                          self.pb[sel], r[sel])
+                else:
+                    out[sel] = self._prod[sel] + _correction_block(
+                        self._hk[sel], self._hs[sel], r[sel], *rule)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     # bvn_cdf calls _cdf, so that a wrapper put on cdf (perfbench's spans)
     # sees only the repeated evaluations of the dependence fits.
@@ -350,7 +338,9 @@ class FixedThresholdBvn:
         q = (a * a - 2.0 * r * a * b + b * b) / det
         dens = np.exp(-0.5 * q) / (2.0 * np.pi * np.sqrt(det))
         slope = r / det + (self._hk * (1.0 + r * r) - 2.0 * r * self._hs) / (det * det)
-        return self._scatter(dens, 0.0), self._scatter(dens * slope, 0.0)
+        slope *= dens
+        dens[self._saturated] = slope[self._saturated] = 0.0
+        return dens, slope
 
 
 def bvn_cdf(a, b, rho, *, pa=None, pb=None):

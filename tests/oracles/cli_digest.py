@@ -11,7 +11,12 @@ script under each and diffing its output. The matrix, all at grid 6:
   workers;
 - two transitions with cuts beyond the grid: --y-cuts=-1e200,0 --w-cuts 1e3
   --decompose on the two-group n = 600 file, and one-group
-  --y-cuts=-1,1e3 --w-cuts 50 --replicates 10.
+  --y-cuts=-1,1e3 --w-cuts 50 --replicates 10;
+- estimate, decompose --replicates 12 --workers 2 and transition
+  --decompose on a strong-dependence `simulate --two-groups --seed 3
+  --dep-coef 1.05,0.6,0` file of n = 2,000, where a third or more of the
+  bivariate-normal kernel's rows take its high-correlation branch
+  (|rho| > 0.925).
 
 The runs write into folders under OUT, with paths relative to OUT, so no
 manifest depends on where OUT is. For each run the script prints its exit
@@ -22,7 +27,7 @@ Not collected by pytest. Run from the repository root:
 
     PYTHONPATH=src python tests/oracles/cli_digest.py OUT > digest.txt
 
-and compare two versions with `diff`. It takes under a minute on 2 CPUs.
+and compare two versions with `diff`. It takes about a minute on 2 CPUs.
 """
 
 import argparse
@@ -75,6 +80,12 @@ def matrix() -> dict[str, list[str]]:
     runs["one_2000/transition_far_cuts"] = [
         "transition", "--input", data, "--y-cuts=-1,1e3", "--w-cuts", "50",
         "--replicates", "10"]
+    data = simulate("strong_2000", 2000, "--two-groups", "--dep-coef", "1.05,0.6,0")
+    strong = ["--input", data, "--group-col", "group"]
+    runs["strong_2000/estimate"] = ["estimate", *strong]
+    runs["strong_2000/decompose_r12_w2"] = [
+        "decompose", *strong, "--replicates", "12", "--workers", "2"]
+    runs["strong_2000/transition"] = ["transition", "--decompose", *strong]
     return runs
 
 

@@ -471,6 +471,36 @@ def test_failed_run_leaves_no_partial_output(sample_csv, tmp_path, monkeypatch):
     assert sorted(out.iterdir()) == []
 
 
+def test_failed_dependence_cell_error_carries_its_reason(sample_csv, tmp_path, monkeypatch,
+                                                        capsys):
+    real_fit = cli.fit_bdr
+
+    def fit_with_recorded_failure(sample, grid, *args, **kwargs):
+        fit = real_fit(sample, grid, *args, **kwargs)
+        failures = [(float(grid.y_body[0]), float(grid.w_body[0]),
+                     "dependence fit did not converge")]
+        fit = dataclasses.replace(fit, dep_coef=fit.dep_coef.copy(), failures=failures)
+        fit.dep_coef[0, 0] = np.nan
+        return fit
+
+    monkeypatch.setattr(cli, "fit_bdr", fit_with_recorded_failure)
+    assert run("estimate", sample_csv, tmp_path / "out") == 4
+    assert re.search(r"no dependence estimate at grid pair \([^)]+\): its fit failed "
+                     r"\(dependence fit did not converge\)$", capsys.readouterr().err, re.M)
+
+
+def test_binary_outcome_is_data_error_naming_it(sample_csv, tmp_path, capsys):
+    rows = list(csv.reader(sample_csv.open(newline="")))
+    col = rows[0].index("w")
+    for row in rows[1:]:
+        row[col] = "1" if float(row[col]) > 0.0 else "0"
+    binary = tmp_path / "binary.csv"
+    with binary.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run("estimate", binary, tmp_path / "out") == 3
+    assert "outcome w is too close to degenerate" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def one_group_csv(tmp_path_factory):
     out = tmp_path_factory.mktemp("sim1")

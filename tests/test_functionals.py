@@ -203,6 +203,23 @@ class TestCounterfactualSurface:
         with pytest.raises(EstimationError, match=f"{grid.y_body[-1]:.6g}, {grid.w_body[0]:.6g}"):
             fitted_surface(broken, small_sample, grid.y_body[::-1], grid.w_body)
 
+    def test_failed_cell_names_its_recorded_reason(self, small_fit, small_sample):
+        # The reason fit_bdr recorded for the cell follows the grid pair; a
+        # NaN cell with no record keeps the bare message.
+        fit, grid = small_fit
+        pair = (float(grid.y_body[0]), float(grid.w_body[0]))
+        bare = (f"no dependence estimate at grid pair ({pair[0]:.6g}, {pair[1]:.6g}): "
+                "its fit failed")
+        broken = dataclasses.replace(fit, dep_coef=fit.dep_coef.copy())
+        broken.dep_coef[0, 0] = np.nan
+        recorded = dataclasses.replace(broken, failures=[
+            (pair[1], pair[0], "wrong pair"), (*pair, "dependence fit did not converge")])
+        for case, message in ((broken, bare),
+                              (recorded, bare + " (dependence fit did not converge)")):
+            with pytest.raises(EstimationError) as info:
+                fitted_surface(case, small_sample)
+            assert str(info.value) == message
+
     def test_failed_last_cell_raises_before_any_kernel_call(self, small_fit, small_sample,
                                                             monkeypatch):
         fit, _ = small_fit

@@ -4,6 +4,7 @@ partials, and scipy.special as an independent reference for Phi.
 """
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -164,19 +165,53 @@ class TestBivariateCdf:
         assert lower - 1e-13 <= p <= upper + 1e-13
 
     def test_per_row_rule_matches_row_by_row(self):
-        # A batch mixing |rho| from every quadrature band (and the high-
-        # correlation branch), longer than one block, gives each row the value
-        # a call on that row alone gives.
+        # A batch mixing |rho| from every quadrature band and the high-
+        # correlation branch, with more than a block of high rows alone and
+        # saturated rows (+/-40, +/-inf) interleaved, gives each row the value
+        # a call on that row alone gives: the same bits for high and
+        # saturated rows, within 1e-15 for path rows (a one-row matrix
+        # product may round the rule's sum differently). Every band's rows
+        # get the bits a call on that band's rows alone gives, so no band
+        # moves another's values.
         rng = np.random.default_rng(11)
-        n = BLOCK_ROWS + 301
+        n = BLOCK_ROWS + 1400
         a = rng.normal(scale=1.5, size=n)
         b = rng.normal(scale=1.5, size=n)
         bands = np.array([0.0, 0.29, 0.3, 0.5, 0.75, 0.9, 0.925, 0.97])
         rho = rng.choice(bands, size=n) * rng.choice([-1.0, 1.0], size=n)
         rho += rng.uniform(-0.02, 0.0, size=n) * np.sign(rho)
+        high = rng.permutation(n)[:BLOCK_ROWS + 200]
+        rho[high] = rng.uniform(0.926, 1.0, high.size) * rng.choice([-1.0, 1.0], high.size)
+        limits = np.array([40.0, -40.0, np.inf, -np.inf])
+        a[::61], b[30::61] = rng.choice(limits, a[::61].size), rng.choice(limits, b[30::61].size)
+        saturated = (np.abs(a) >= 40.0) | (np.abs(b) >= 40.0)
+        absr = np.abs(rho)
+        band = np.where(saturated, 4, np.digitize(absr, [0.3, 0.75]) + (absr > 0.925))
+        assert (band == 3).sum() > BLOCK_ROWS
+        assert set(band) == {0, 1, 2, 3, 4}
         got = bvn_cdf(a, b, rho)
+        for k in range(5):
+            rows = band == k
+            np.testing.assert_array_equal(got[rows], bvn_cdf(a[rows], b[rows], rho[rows]))
         want = np.array([bvn_cdf(a[i], b[i], rho[i]) for i in range(n)])
+        np.testing.assert_array_equal(got[band >= 3], want[band >= 3])
         assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_high_band_runs_in_blocks(self):
+        # The high-correlation branch's (rows, nodes) temporaries are blocked
+        # like the path rules', so a long call's traced peak stays a few
+        # times its per-row arrays (0.4 MB each here).
+        rng = np.random.default_rng(5)
+        n = 50_000
+        ev = FixedThresholdBvn(rng.normal(size=n), rng.normal(size=n))
+        rho = rng.uniform(0.93, 0.999, n) * rng.choice([-1.0, 1.0], n)
+        tracemalloc.start()
+        try:
+            ev.cdf(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_fixed_threshold_matches_general(self):
         rng = np.random.default_rng(3)
