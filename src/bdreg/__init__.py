@@ -19,7 +19,6 @@ from .data import (
     Sample,
     build_grid,
     grid_from_values,
-    split_groups,
     validate,
 )
 from .dependence import (
@@ -99,7 +98,6 @@ __all__ = [
     "grid_from_values",
     "independence_counterfactual",
     "robust_se_map",
-    "split_groups",
     "std_normal_pdf",
     "transition_from_fits",
     "transition_matrix",

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -44,11 +44,10 @@ from .data import (
     empirical_quantile,
     grid_from_values,
     increasing,
-    split_groups,
     validate,
 )
 from .dependence import BdrFit, fit_bdr
-from .dgp import DgpSpec, generate
+from .dgp import DEFAULT_COVARIATES, DgpSpec, generate
 from .exceptions import BdrError, ConfigError, DataError
 from .functionals import (
     CounterfactualIndex,
@@ -142,11 +141,14 @@ class OutputWriter:
 
 
 def ingest(path: str, config: RunConfig):
-    """Parse the delimited UTF-8 input into per-group Samples; a leading
-    byte-order mark (Excel's "CSV UTF-8") is skipped.
+    """Parse the delimited UTF-8 input into (sample, n_dropped, labels): the
+    pooled Sample in file order, the count of dropped rows, and the group
+    column as a 0/1 array (None without --group-col). A leading byte-order
+    mark (Excel's "CSV UTF-8") is skipped.
 
     Rows with a missing value in any used column are dropped (counted in the
-    manifest); unparseable cells raise a DataError naming row and column.
+    manifest); unparseable cells, and a group column holding anything but 0
+    and 1, raise a DataError.
     """
     used = [config.y_col, config.w_col] + list(config.covariates)
     if config.group_col:
@@ -196,14 +198,12 @@ def ingest(path: str, config: RunConfig):
     columns = np.array(kept).T.copy()
     y, w = columns[0], columns[1]
     x = np.column_stack([np.ones(len(kept)), *columns[2:2 + len(config.covariates)]])
-    d = None
+    labels = None
     if config.group_col:
-        draw = columns[-1]
-        if not np.all(np.isin(draw, (0.0, 1.0))):
+        labels = columns[-1]
+        if not np.all(np.isin(labels, (0.0, 1.0))):
             raise DataError(f"group column {config.group_col!r} must be binary 0/1")
-        d = draw.astype(int)
-    sample = validate(Sample(y=y, w=w, x=x, d=d))
-    return sample, n_dropped
+    return validate(Sample(y=y, w=w, x=x)), n_dropped, labels
 
 
 def _dep_cols(config: RunConfig) -> tuple[int, ...] | None:
@@ -265,10 +265,15 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
         raise ConfigError(
             f"--replicates must be 0 (no standard errors) or >= {MIN_DRAWS_FOR_INFERENCE}"
         )
-    sample, n_dropped = ingest(config.input, config)
-    if two_groups and sample.d is None:
+    sample, n_dropped, labels = ingest(config.input, config)
+    if two_groups and labels is None:
         raise ConfigError("this command requires --group-col with two groups")
-    samples = {0: sample} if sample.d is None else split_groups(sample)
+    samples = {0: sample}
+    if labels is not None:
+        samples = {g: Sample(*(v[labels == g] for v in (sample.y, sample.w, sample.x)))
+                   for g in (0, 1)}
+        if min(s.n for s in samples.values()) == 0:
+            raise DataError("both groups must be non-empty")
     y_cuts = w_cuts = None
     if cut_args is not None:
         y_cuts = _parse_cuts(cut_args.y_cuts, cut_args.y_cut_levels, sample.y, "y")
@@ -472,27 +477,26 @@ def _numbers(arg: str, flag: str, distinct: bool = False) -> list[float]:
 def _cmd_simulate(args, config: None, writer: OutputWriter) -> dict:
     if args.n < 1 or args.seed < 0:
         raise ConfigError("simulate needs --n >= 1 and --seed >= 0")
-    y_coef = np.array(_numbers(args.y_coef, "y-coef"))
-    w_coef = np.array(_numbers(args.w_coef, "w-coef"))
-    dep_coef = np.array(_numbers(args.dep_coef, "dep-coef"))
-    spec = DgpSpec(y_coef=y_coef, w_coef=w_coef, dep_coef=dep_coef, n=args.n, seed=args.seed)
-    for name, coef in (("y-coef", y_coef), ("w-coef", w_coef), ("dep-coef", dep_coef)):
-        if coef.size != spec.d_x:
-            raise ConfigError(f"--{name} must have {spec.d_x} entries "
-                              f"(intercept + {spec.d_x - 1} covariates)")
-    specs, groups = [spec], [None]
-    if args.two_groups:
-        y1 = np.array(_numbers(args.y_coef_1, "y-coef-1")) if args.y_coef_1 else y_coef
-        w1 = np.array(_numbers(args.w_coef_1, "w-coef-1")) if args.w_coef_1 else w_coef
-        d1 = np.array(_numbers(args.dep_coef_1, "dep-coef-1")) if args.dep_coef_1 else dep_coef
-        specs.append(replace(spec, y_coef=y1, w_coef=w1, dep_coef=d1, seed=args.seed + 1))
-        groups = [0, 1]
+    # Group g draws with seed + g; a group-1 list left unset takes group 0's.
+    d_x = 1 + len(DEFAULT_COVARIATES)
+    specs = []
+    for g in (0, 1) if args.two_groups else (0,):
+        coefs = {}
+        for name in ("y_coef", "w_coef", "dep_coef"):
+            option = f"{name}_1" if g else name
+            flag, arg = option.replace("_", "-"), getattr(args, option)
+            coefs[name] = getattr(specs[0], name) if arg is None else np.array(_numbers(arg, flag))
+            if coefs[name].size != d_x:
+                raise ConfigError(f"--{flag} must have {d_x} entries "
+                                  f"(intercept + {d_x - 1} covariates)")
+        specs.append(DgpSpec(**coefs, n=args.n, seed=args.seed + g))
 
-    header = ["y", "w"] + [f"x{j}" for j in range(1, spec.d_x)]
+    header = ["y", "w"] + [f"x{j}" for j in range(1, d_x)]
     rows = []
-    for spec, g in zip(specs, groups):
-        s = generate(spec, group=g)
-        rows += np.column_stack([s.y, s.w, s.x[:, 1:]] + ([] if s.d is None else [s.d])).tolist()
+    for g, spec in enumerate(specs):
+        s = generate(spec)
+        rows += np.column_stack([s.y, s.w, s.x[:, 1:]]
+                                + ([np.full(s.n, g)] if args.two_groups else [])).tolist()
     writer.csv(args.output_name, header + (["group"] if args.two_groups else []), rows)
     return {
         "command": "simulate",

@@ -1,5 +1,7 @@
-"""Data model shared by the estimators: samples, evaluation grids, and the
-nearest-body-point rule used to extend coefficients beyond the body grid.
+"""Data model shared by the estimators: one group's sample, evaluation
+grids, and the nearest-body-point rule used to extend coefficients beyond
+the body grid. Group membership is the key of a dict of samples, never a
+column of one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "increasing",
     "nearest_body_index",
     "nearest_body_value",
-    "split_groups",
     "validate",
 ]
 
@@ -30,16 +31,13 @@ DEFAULT_TAIL_MIN_OBS = 30
 
 @dataclass(frozen=True)
 class Sample:
-    """Observed outcomes, design matrix, and optional binary group labels.
-
-    The first design column must be identically one. Group labels, when
-    present, take values in {0, 1}.
+    """One group's observed outcomes and design matrix, whose first column
+    must be identically one.
     """
 
     y: np.ndarray
     w: np.ndarray
     x: np.ndarray
-    d: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -80,28 +78,7 @@ def validate(sample: Sample) -> Sample:
         raise DataError("first design column must be identically 1 (intercept)")
     if np.linalg.matrix_rank(x) < d_x:
         raise DataError("design matrix is rank deficient (collinear columns)")
-
-    if sample.d is not None:
-        d = np.asarray(sample.d)
-        if d.shape != (n,):
-            raise DataError("group labels must match the design row count")
-        if not np.all(np.isin(d, (0, 1))):
-            raise DataError("group labels must be 0 or 1")
     return sample
-
-
-def split_groups(sample: Sample) -> dict[int, Sample]:
-    """Split a labeled sample into per-group samples keyed by label."""
-    if sample.d is None:
-        raise DataError("sample carries no group labels")
-    out = {}
-    for g in (0, 1):
-        mask = np.asarray(sample.d) == g
-        if np.any(mask):
-            out[g] = Sample(y=sample.y[mask], w=sample.w[mask], x=sample.x[mask])
-    if len(out) < 2:
-        raise DataError("both groups must be non-empty")
-    return out
 
 
 def increasing(values, what: str, min_size: int) -> np.ndarray:

@@ -64,7 +64,7 @@ def _design(spec: DgpSpec, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def generate(spec: DgpSpec, group: int | None = None) -> Sample:
+def generate(spec: DgpSpec) -> Sample:
     """Draw one sample; deterministic given spec.seed."""
     for name in ("y_coef", "w_coef", "dep_coef"):
         if np.asarray(getattr(spec, name)).shape != (spec.d_x,):
@@ -78,8 +78,7 @@ def generate(spec: DgpSpec, group: int | None = None) -> Sample:
     e2 = rho * z1 + np.sqrt(1.0 - rho * rho) * z2
     y = x @ np.asarray(spec.y_coef, dtype=float) + e1
     w = x @ np.asarray(spec.w_coef, dtype=float) + e2
-    d = None if group is None else np.full(spec.n, group, dtype=int)
-    return Sample(y=y, w=w, x=x, d=d)
+    return Sample(y=y, w=w, x=x)
 
 
 def true_joint_cdf(spec: DgpSpec, y, w, x) -> np.ndarray:

@@ -233,9 +233,7 @@ def decompose_joint(fits, samples, y_values=None, w_values=None) -> Decompositio
 class TransitionMatrix:
     """Bracket probabilities from four-corner differencing of a surface."""
 
-    cells: np.ndarray  # (J, K)
-    y_cuts: np.ndarray  # length J + 1
-    w_cuts: np.ndarray  # length K + 1
+    cells: np.ndarray  # (J, K) for J + 1 y cuts and K + 1 w cuts
 
 
 def _second_difference(values: np.ndarray) -> np.ndarray:
@@ -249,11 +247,7 @@ def transition_matrix(surface: JointCdfSurface) -> TransitionMatrix:
     The cuts are the surface's axes: for other cuts, evaluate the surface at
     them (transition_from_fits). With +/-inf outer cuts the cells sum to one.
     """
-    return TransitionMatrix(
-        cells=_second_difference(surface.values),
-        y_cuts=surface.y_values,
-        w_cuts=surface.w_values,
-    )
+    return TransitionMatrix(cells=_second_difference(surface.values))
 
 
 def transition_from_fits(fits, samples, index, y_cuts, w_cuts) -> TransitionMatrix:

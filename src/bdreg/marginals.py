@@ -214,9 +214,12 @@ def fit_tail_scale(values, x, coef_anchor, anchor, direction, min_obs,
     """Fit the positive tail scale by profiling the likelihood at one
     auxiliary point beyond the body.
 
-    direction is "upper" or "lower". Admissible points are tried
-    nearest-first until one yields alpha > 0. With none admissible, the data
-    cannot meet min_obs: a DataError.
+    direction is "upper" or "lower". At a point r0 the probit fits the
+    intercept shift gamma = alpha * (r0 - anchor) from gamma = 0, so the fit
+    does not depend on the units of the outcome, and alpha = gamma /
+    (r0 - anchor). Admissible points are tried nearest-first until one
+    yields alpha > 0. With none admissible, the data cannot meet min_obs: a
+    DataError.
     """
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -230,12 +233,11 @@ def fit_tail_scale(values, x, coef_anchor, anchor, direction, min_obs,
         )
 
     last = None
+    shift = np.ones((values.shape[0], 1))
     for cand in candidates:
         below = (values <= cand).astype(float)
-        design = np.full((values.shape[0], 1), cand - anchor)
-        res = fit_probit_dr(design, below, weights=weights, offset=offset,
-                            warm_start=np.array([1.0]))
-        alpha = float(res.coef[0])
+        res = fit_probit_dr(shift, below, weights=weights, offset=offset)
+        alpha = float(res.coef[0]) / (cand - anchor)
         last = (alpha, cand)
         if alpha > 0:
             return TailFit(alpha=alpha, r0=cand)

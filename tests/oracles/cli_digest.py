@@ -16,7 +16,12 @@ script under each and diffing its output. The matrix, all at grid 6:
   --decompose on a strong-dependence `simulate --two-groups --seed 3
   --dep-coef 1.05,0.6,0` file of n = 2,000, where a third or more of the
   bivariate-normal kernel's rows take its high-correlation branch
-  (|rho| > 0.925).
+  (|rho| > 0.925);
+- estimate and transition --y-cut-levels 0.1,0.5,0.9 on two rescaled
+  copies of the one-group file, y and w written as 100 v + 50000 and
+  20000 v + 50000 at full precision (outcomes in other units, such as
+  earnings in dollars); their surfaces are the one-group file's at the
+  rescaled thresholds.
 
 The runs write into folders under OUT, with paths relative to OUT, so no
 manifest depends on where OUT is. For each run the script prints its exit
@@ -31,6 +36,7 @@ and compare two versions with `diff`. It takes about a minute on 2 CPUs.
 """
 
 import argparse
+import csv
 import hashlib
 import os
 from pathlib import Path
@@ -57,6 +63,22 @@ def simulate(name: str, n: int, *extra: str) -> str:
     if code != 0:
         raise SystemExit(f"simulate {name} exited {code}")
     return f"{name}/sample.csv"
+
+
+def rescale(source: str, scale: float, shift: float) -> str:
+    """Copy source with y and w as scale * v + shift, written by repr so no
+    digit is lost, into folder scaled_<scale>."""
+    with open(source, newline="") as fh:
+        rows = list(csv.reader(fh))
+    cols = [rows[0].index("y"), rows[0].index("w")]
+    for row in rows[1:]:
+        for c in cols:
+            row[c] = repr(scale * float(row[c]) + shift)
+    folder = Path(f"scaled_{scale:g}")
+    folder.mkdir(exist_ok=True)
+    with open(folder / "sample.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return f"{folder}/sample.csv"
 
 
 def matrix() -> dict[str, list[str]]:
@@ -86,6 +108,10 @@ def matrix() -> dict[str, list[str]]:
     runs["strong_2000/decompose_r12_w2"] = [
         "decompose", *strong, "--replicates", "12", "--workers", "2"]
     runs["strong_2000/transition"] = ["transition", "--decompose", *strong]
+    for scale in (100.0, 20000.0):
+        scaled = rescale("one_2000/sample.csv", scale, 50000.0)
+        for name, command in ONE_GROUP.items():
+            runs[f"{Path(scaled).parent}/{name}"] = [*command, "--input", scaled]
     return runs
 
 

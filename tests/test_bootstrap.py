@@ -113,7 +113,7 @@ def test_replicate_cell_steps_from_its_base_estimate():
         return DgpSpec(y_coef=np.array([0.0, 0.5, -0.3]), w_coef=np.array([0.0, 0.8, 0.2]),
                        dep_coef=np.array([0.3, 0.4, -0.2]), n=1200, seed=seed)
 
-    s, other = generate(spec(7), group=0), generate(spec(8), group=1)
+    s, other = generate(spec(7)), generate(spec(8))
     quintiles = [0.2, 0.4, 0.6, 0.8]
     grid = build_grid(s, 12)
     grid = grid_from_values(

@@ -177,6 +177,20 @@ def test_non_numeric_list_is_config_error(command, bad, sample_csv, tmp_path):
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("bad", [
+    ["--y-coef-1", "1,2"],
+    ["--w-coef-1", "0,1,2,3"],
+    ["--dep-coef-1", "0.1"],
+])
+def test_coefficient_list_of_wrong_length_is_config_error(bad, tmp_path, capsys):
+    # A group-1 list used to reach the generator unchecked and end in a
+    # ValueError traceback.
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--n", "50", "--two-groups", *bad, "--out", str(out)]) == 2
+    assert list(out.glob("*")) == []
+    assert f"{bad[0]} must have 3 entries" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,bad", [
     ("transition", ["--y-cuts", "inf"]),
     ("transition", ["--w-cuts=-inf,0"]),
@@ -387,6 +401,26 @@ def test_unparseable_cell_is_data_error(sample_csv, tmp_path):
     assert decompose(bad, tmp_path / "out") == 3
 
 
+@pytest.mark.parametrize("labels,message", [
+    (lambda i, g: "2" if i == 7 else g, "group column 'group' must be binary 0/1"),
+    (lambda i, g: "0", "both groups must be non-empty"),
+])
+def test_bad_group_column_is_data_error_before_any_fit(labels, message, sample_csv, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    rows = list(csv.reader(sample_csv.open(newline="")))
+    col = rows[0].index("group")
+    for i, row in enumerate(rows[1:]):
+        row[col] = labels(i, row[col])
+    relabelled = tmp_path / "relabelled.csv"
+    with relabelled.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "out"
+    assert run("estimate", relabelled, out) == 3
+    assert list(out.glob("*")) == []
+    assert message in capsys.readouterr().err
+
+
 def test_input_with_a_byte_order_mark_reads_as_without(sample_csv, tmp_path):
     # Excel's "CSV UTF-8" starts the file with EF BB BF, which would
     # otherwise stick to the first column's name.
@@ -525,6 +559,22 @@ def test_one_group_transition_round_trip(one_group_csv, tmp_path):
     header = ROUND_TRIPS["transition"]["transition.csv"][0]
     check_round_trip("transition", tmp_path, groups=("0",),
                      tables={"transition.csv": (header, CELLS)})
+
+
+def test_estimate_on_outcomes_in_other_units(one_group_csv, tmp_path):
+    # y and w as 100 v + 50000, written at full precision. Each tail fit
+    # used to start at alpha = 1, where such outcomes saturate the index: it
+    # stopped there (alpha = 1, as here) or failed to converge (exit 4).
+    rows = list(csv.reader(one_group_csv.open(newline="")))
+    for row in rows[1:]:
+        row[:2] = [repr(100.0 * float(v) + 50000.0) for v in row[:2]]
+    scaled = tmp_path / "scaled.csv"
+    with scaled.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run("estimate", scaled, tmp_path / "out", group_col=None) == 0
+    with open(tmp_path / "out" / "tails.csv", newline="") as fh:
+        alphas = [float(r["alpha"]) for r in csv.DictReader(fh)]
+    assert all(0 < a < 0.1 for a in alphas)
 
 
 @pytest.mark.parametrize("command,extra", [

@@ -10,7 +10,6 @@ from bdreg.data import (
     grid_from_values,
     nearest_body_index,
     nearest_body_value,
-    split_groups,
     validate,
 )
 from bdreg.exceptions import ConfigError, DataError
@@ -58,19 +57,6 @@ class TestValidate:
         s = make_sample(n=3, d_extra=3)
         with pytest.raises(DataError, match="at least"):
             validate(s)
-
-    def test_one_sided_groups_rejected(self):
-        s = make_sample()
-        d = np.zeros(s.n, dtype=int)
-        d[0] = 2
-        with pytest.raises(DataError, match="0 or 1"):
-            validate(Sample(y=s.y, w=s.w, x=s.x, d=d))
-
-    def test_split_groups(self):
-        s = make_sample()
-        d = (np.arange(s.n) % 2).astype(int)
-        parts = split_groups(Sample(y=s.y, w=s.w, x=s.x, d=d))
-        assert parts[0].n + parts[1].n == s.n
 
 
 class TestBuildGrid:

@@ -43,10 +43,6 @@ class TestGenerate:
         want = 0.25 + np.arcsin(rho) / (2.0 * np.pi)  # exactly 1/3
         assert abs(freq - want) <= 3.0 * np.sqrt(want * (1 - want) / spec.n)
 
-    def test_group_labels(self):
-        s = generate(bench_spec(100, 1), group=1)
-        assert np.all(s.d == 1)
-
     def test_bad_coef_length(self):
         with pytest.raises(ValueError, match="length"):
             generate(DgpSpec(

@@ -196,6 +196,20 @@ class TestMarginalFit:
             emp = float(np.mean(s.y <= r))
             assert abs(model - emp) <= 3.0 * np.sqrt(emp * (1 - emp) / s.n) + 5e-3
 
+    @pytest.mark.parametrize("scale,shift", [(1e-3, 0.0), (100.0, 5e4), (2e4, 5e4)])
+    def test_fit_follows_the_units_of_the_outcome(self, scale, shift):
+        # Outcomes in other units (earnings in dollars) give the same body
+        # fits and tail scales in the new units. Each tail fit used to start
+        # from alpha = 1, where such outcomes saturate the index: it failed
+        # to converge at scale 100 and stopped at alpha = 1 at 2e4.
+        s = generate(bench_spec(2000, 3))
+        unit = fit_marginal(s.y, s.x, build_grid(s), "y")
+        y = scale * s.y + shift
+        fit = fit_marginal(y, s.x, build_grid(Sample(y=y, w=y, x=s.x)), "y")
+        np.testing.assert_array_equal(fit.coef, unit.coef)
+        for alpha, want in ((fit.alpha_lo, unit.alpha_lo), (fit.alpha_hi, unit.alpha_hi)):
+            assert abs(alpha * scale - want) <= 1e-12 * want
+
 
 class TestMarginalIndex:
     @pytest.fixture(scope="class")

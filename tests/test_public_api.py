@@ -21,7 +21,7 @@ PUBLIC = {
     "BootstrapEnsemble", "WeightScheme", "bootstrap_fit", "draw_weights",
     "ensemble_apply", "robust_se_map",
     # data
-    "GridSpec", "Sample", "build_grid", "grid_from_values", "split_groups", "validate",
+    "GridSpec", "Sample", "build_grid", "grid_from_values", "validate",
     # dependence
     "BdrFit", "fit_bdr", "fit_dependence",
     # dgp
@@ -41,7 +41,7 @@ MODULES = [m.name for m in pkgutil.iter_modules(bdreg.__path__)]
 
 
 def test_package_all_is_the_agreed_set():
-    assert len(bdreg.__all__) == len(set(bdreg.__all__)) == len(PUBLIC) == 43
+    assert len(bdreg.__all__) == len(set(bdreg.__all__)) == len(PUBLIC) == 42
     assert set(bdreg.__all__) == PUBLIC
     for name in bdreg.__all__:
         assert hasattr(bdreg, name), name
