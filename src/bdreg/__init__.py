@@ -36,7 +36,6 @@ from .exceptions import (
     TailError,
 )
 from .functionals import (
-    CounterfactualIndex,
     DecompositionReport,
     JointCdfSurface,
     TransitionMatrix,
@@ -65,7 +64,6 @@ __all__ = [
     "BdrFit",
     "BootstrapEnsemble",
     "ConfigError",
-    "CounterfactualIndex",
     "CovariateSpec",
     "DataError",
     "DecompositionReport",

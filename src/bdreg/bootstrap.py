@@ -176,7 +176,8 @@ def ensemble_apply(ensembles: dict[int, BootstrapEnsemble], fn,
     fewer than MIN_DRAWS_FOR_INFERENCE valid in every group, the
     InferenceError names each group's failed replicates and their reasons.
     """
-    ids = sorted(set.intersection(*(set(ens.draws) for ens in ensembles.values())))
+    ids = sorted(set.intersection(*(set(ens.draws) for ens in ensembles.values()))
+                 if ensembles else ())
     if len(ids) < MIN_DRAWS_FOR_INFERENCE:
         lost = "; ".join(
             f"group {g}, replicate {rep}: {why}"

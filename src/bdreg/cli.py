@@ -48,9 +48,9 @@ from .data import (
 )
 from .dependence import BdrFit, fit_bdr
 from .dgp import DEFAULT_COVARIATES, DgpSpec, generate
-from .exceptions import BdrError, ConfigError, DataError
+from .exceptions import BdrError, ConfigError, DataError, EstimationError
 from .functionals import (
-    CounterfactualIndex,
+    _check_index,
     counterfactual_joint_cdf,
     decompose_joint,
     decompose_transition,
@@ -147,8 +147,8 @@ def ingest(path: str, config: RunConfig):
     mark (Excel's "CSV UTF-8") is skipped.
 
     Rows with a missing value in any used column are dropped (counted in the
-    manifest); unparseable cells, and a group column holding anything but 0
-    and 1, raise a DataError.
+    manifest); unparseable cells, a used column named twice in the header,
+    and a group column holding anything but 0 and 1, raise a DataError.
     """
     used = [config.y_col, config.w_col] + list(config.covariates)
     if config.group_col:
@@ -168,6 +168,9 @@ def ingest(path: str, config: RunConfig):
             missing_cols = [c for c in used if c not in header]
             if missing_cols:
                 raise ConfigError(f"unknown column(s) {missing_cols}; file has {header}")
+            repeated = [c for c in used if header.count(c) > 1]
+            if repeated:
+                raise DataError(f"column {repeated[0]!r} appears more than once in the header")
             pos = [header.index(c) for c in used]
             for line_no, row in enumerate(reader, start=2):
                 if not row or all(not c.strip() for c in row):
@@ -260,7 +263,8 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
     are exact there; a cut beyond it is left out, as the affine tails reach
     it, and merging it would pull the grid's old extreme into the body.
     Cuts that coincide (distinct levels at one empirical quantile) raise
-    DataError before any fit."""
+    DataError before any fit. With --group-col, a DataError or
+    EstimationError from gridding or fitting a group names the group."""
     if config.replicates and config.replicates < MIN_DRAWS_FOR_INFERENCE:
         raise ConfigError(
             f"--replicates must be 0 (no standard errors) or >= {MIN_DRAWS_FOR_INFERENCE}"
@@ -278,16 +282,21 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
     if cut_args is not None:
         y_cuts = _parse_cuts(cut_args.y_cuts, cut_args.y_cut_levels, sample.y, "y")
         w_cuts = _parse_cuts(cut_args.w_cuts, cut_args.w_cut_levels, sample.w, "w")
-    grids = {}
-    for g, s in samples.items():
-        grids[g] = build_grid(s, config.grid_points, config.trim, config.tail_min_obs)
-        if cut_args is not None:
-            grids[g] = grid_from_values(*(
-                np.union1d(grid, cuts[(cuts >= grid[0]) & (cuts <= grid[-1])])
-                for grid, cuts in ((grids[g].y_grid, y_cuts), (grids[g].w_grid, w_cuts))
-            ), config.tail_min_obs)
     dep_cols = _dep_cols(config)
-    fits = {g: fit_bdr(samples[g], grids[g], dep_cols) for g in sorted(samples)}
+    fits = {}
+    for g, s in samples.items():
+        try:
+            grid = build_grid(s, config.grid_points, config.trim, config.tail_min_obs)
+            if cut_args is not None:
+                grid = grid_from_values(*(
+                    np.union1d(values, cuts[(cuts >= values[0]) & (cuts <= values[-1])])
+                    for values, cuts in ((grid.y_grid, y_cuts), (grid.w_grid, w_cuts))
+                ), config.tail_min_obs)
+            fits[g] = fit_bdr(s, grid, dep_cols)
+        except (DataError, EstimationError) as err:
+            if labels is not None:
+                err.args = (f"group {g}: {err}",)
+            raise
     manifest = {
         "command": command,
         "config": asdict(config),
@@ -386,14 +395,16 @@ def _cmd_estimate(args, config: RunConfig, writer: OutputWriter) -> dict:
 
 
 def _cmd_counterfactual(args, config: RunConfig, writer: OutputWriter) -> dict:
-    indices = args.index or ["1110"]
-    parsed = [CounterfactualIndex.parse(code) for code in indices]  # before any fit
+    indices = [_check_index(code) for code in args.index or ["1110"]]  # before any fit
+    repeated = [c for i, c in enumerate(indices) if c in indices[:i]]
+    if repeated:
+        raise ConfigError(f"--index {repeated[0]} is given twice")
     run = _prologue("counterfactual", config, two_groups=True)
     # common evaluation thresholds: group-1 estimation grid
     y_vals, w_vals = run.fits[1].grid.y_grid, run.fits[1].grid.w_grid
-    for code, index in zip(indices, parsed):
+    for code in indices:
         surface = partial(counterfactual_joint_cdf, samples=run.samples,
-                          index=index, y_values=y_vals, w_values=w_vals)
+                          index=code, y_values=y_vals, w_values=w_vals)
         surf = surface(run.fits)
         se = run.se(lambda f: surface(f).values)
         _write_surface(writer, f"surface_counterfactual_{code}.csv", surf, se=se)

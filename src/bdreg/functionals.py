@@ -4,7 +4,7 @@ decomposition, and the zero-dependence counterfactual.
 
 Counterfactual surfaces average the conditional CDF over one group's
 covariate rows, with that group's fit weights, while borrowing coefficient
-paths from (possibly) other groups; the four-slot index records who supplies
+paths from (possibly) other groups; the four-digit code records who supplies
 what.
 """
 
@@ -21,7 +21,6 @@ from .marginals import _normalize_weights
 from .normal import BLOCK_ROWS, _ndtr, bvn_cdf, link_rho
 
 __all__ = [
-    "CounterfactualIndex",
     "DecompositionReport",
     "JointCdfSurface",
     "TransitionMatrix",
@@ -39,25 +38,13 @@ SHARE_FLOOR = 1e-3
 # The decomposition path: total split into composition, sorting, and the two
 # marginal effects, telescoping through these five counterfactual indices.
 _PATH = ("1111", "1110", "1100", "1000", "0000")
-_COMPONENTS = ("composition", "sorting", "marginal_w", "marginal_y")
 
 
-@dataclass(frozen=True)
-class CounterfactualIndex:
-    """Which group supplies each ingredient: the Y-marginal coefficients, the
-    W-marginal coefficients, the dependence coefficients, and the covariate
-    distribution."""
-
-    y_group: int
-    w_group: int
-    dep_group: int
-    x_group: int
-
-    @classmethod
-    def parse(cls, code: str) -> "CounterfactualIndex":
-        if len(code) != 4 or any(c not in "01" for c in code):
-            raise ConfigError(f"counterfactual index must be 4 binary digits, got {code!r}")
-        return cls(*(int(c) for c in code))
+def _check_index(index: str) -> str:
+    """index as given if it is four binary digits, else a ConfigError."""
+    if len(index) != 4 or any(c not in "01" for c in index):
+        raise ConfigError(f"counterfactual index must be 4 binary digits, got {index!r}")
+    return index
 
 
 @dataclass
@@ -140,22 +127,24 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
 
 
 def _ingredients(fits, samples, index):
-    """The _surface arguments a four-slot index selects: the fits supplying
+    """The _surface arguments a four-digit code selects: the fits supplying
     each coefficient path, then the covariate group's rows and its fit's
-    weights."""
-    if isinstance(index, str):
-        index = CounterfactualIndex.parse(index)
+    weights. The only reader of a code's digits and the only lookup of a
+    fit or sample by group."""
+    y_group, w_group, dep_group, x_group = map(int, _check_index(index))
     try:
-        fit_group = (fits[index.y_group], fits[index.w_group], fits[index.dep_group])
-        x, weights = samples[index.x_group].x, fits[index.x_group].weights
+        return (fits[y_group], fits[w_group], fits[dep_group], samples[x_group].x,
+                fits[x_group].weights)
     except KeyError as missing:
         raise ConfigError(f"no fit/sample for group {missing}") from None
-    return (*fit_group, x, weights)
 
 
-def counterfactual_joint_cdf(fits, samples, index: CounterfactualIndex,
+def counterfactual_joint_cdf(fits, samples, index: str,
                              y_values=None, w_values=None) -> JointCdfSurface:
-    """Plug-in counterfactual surface for one four-slot index.
+    """Plug-in counterfactual surface for one four-digit code: the groups
+    that supply the Y-marginal coefficients, the W-marginal coefficients,
+    the dependence coefficients and the covariate distribution, in that
+    order ("1110" takes group 0's covariates and group 1's coefficients).
 
     fits and samples are mappings keyed by group label. Evaluation grids
     default to the estimation grids of the coefficient-supplying groups.
@@ -193,13 +182,10 @@ class DecompositionReport:
     def shares(self) -> dict[str, np.ndarray]:
         """Components as fractions of the total, NaN where |total| <
         SHARE_FLOOR (the total can sit arbitrarily close to zero)."""
-        out = {}
         guard = np.abs(self.total) >= SHARE_FLOOR
         with np.errstate(divide="ignore", invalid="ignore"):
-            for name in _COMPONENTS:
-                comp = getattr(self, name)
-                out[name] = np.where(guard, comp / self.total, np.nan)
-        return out
+            return {name: np.where(guard, comp / self.total, np.nan)
+                    for name, comp in self.components().items() if name != "total"}
 
 
 def _decomposition_from_values(values: dict[str, np.ndarray]) -> DecompositionReport:
@@ -215,17 +201,13 @@ def _path_values(fits, samples, y_values, w_values) -> dict[str, np.ndarray]:
     }
 
 
-def decompose_joint(fits, samples, y_values=None, w_values=None) -> DecompositionReport:
+def decompose_joint(fits, samples, y_values, w_values) -> DecompositionReport:
     """Split the group difference in covariate-averaged joint CDFs, group 1
     minus group 0, into composition, sorting, and the two marginal effects.
 
-    Surfaces for every path index are evaluated at common thresholds
-    (defaulting to group 1's estimation grid).
+    Surfaces for every path index are evaluated at the common thresholds
+    y_values x w_values.
     """
-    if y_values is None:
-        y_values = fits[1].grid.y_grid
-    if w_values is None:
-        w_values = fits[1].grid.w_grid
     return _decomposition_from_values(_path_values(fits, samples, y_values, w_values))
 
 

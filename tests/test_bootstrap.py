@@ -172,6 +172,9 @@ def test_ensemble_apply_names_replicates_lost_in_any_group():
     assert sorted(ensemble_apply({1: ensemble(5)}, lambda fits: 0.0)) == [
         rep for rep in range(11) if rep != 5
     ]
+    # No groups, no replicates valid in every group.
+    with pytest.raises(InferenceError, match="0 bootstrap replicates are valid"):
+        ensemble_apply({}, lambda fits: 0.0)
 
 
 def test_ensemble_apply_on_workers_runs_a_closure_over_local_state():

@@ -9,6 +9,7 @@ import pytest
 
 from bdreg import cli
 from bdreg.bootstrap import MIN_DRAWS_FOR_INFERENCE
+from bdreg.exceptions import EstimationError
 
 GRID = 4
 BODY = GRID - 2  # body grid points per outcome
@@ -236,6 +237,17 @@ def test_bad_counterfactual_index_is_config_error_before_any_fit(sample_csv, tmp
     assert "'2222'" in capsys.readouterr().err
 
 
+def test_repeated_counterfactual_index_is_config_error_before_any_fit(sample_csv, tmp_path,
+                                                                      monkeypatch, capsys):
+    # A repeated index used to be fitted, bootstrapped and written twice.
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    out = tmp_path / "out"
+    assert run("counterfactual", sample_csv, out, "--index", "1111", "--index", "0101",
+               "--index", "1111", "--replicates", "10") == 2
+    assert list(out.glob("*")) == []
+    assert "--index 1111 is given twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "50", "--seed", "-1"],
     ["simulate", "--n", "-5"],
@@ -399,6 +411,45 @@ def test_unparseable_cell_is_data_error(sample_csv, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     assert decompose(bad, tmp_path / "out") == 3
+
+
+def test_used_column_twice_in_header_is_data_error(sample_csv, tmp_path, monkeypatch, capsys):
+    # ingest used to read the first of the two x1 columns without a word.
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    rows = list(csv.reader(sample_csv.open(newline="")))
+    twice = tmp_path / "twice.csv"
+    with twice.open("w", newline="") as fh:
+        csv.writer(fh).writerows(row + [row[rows[0].index("x1")]] for row in rows)
+    out = tmp_path / "out"
+    assert run("estimate", twice, out) == 3
+    assert list(out.glob("*")) == []
+    assert "column 'x1' appears more than once in the header" in capsys.readouterr().err
+
+
+def test_group_fit_error_names_the_group(sample_csv, tmp_path, monkeypatch, capsys):
+    # x2 constant in group 1 makes only that group's design rank deficient.
+    rows = list(csv.reader(sample_csv.open(newline="")))
+    x2, group = rows[0].index("x2"), rows[0].index("group")
+    for row in rows[1:]:
+        if row[group] == "1":
+            row[x2] = "1"
+    collinear = tmp_path / "collinear.csv"
+    with collinear.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run("estimate", collinear, tmp_path / "data") == 3
+    assert "data error: group 1: design matrix is rank deficient" in capsys.readouterr().err
+
+    real_fit, calls = cli.fit_bdr, []
+
+    def second_fit_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise EstimationError("dependence fit did not converge")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_bdr", second_fit_fails)
+    assert run("estimate", sample_csv, tmp_path / "fit") == 4
+    assert "estimation error: group 1: dependence fit did not converge" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("labels,message", [

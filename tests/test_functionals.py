@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from bdreg.dependence import fit_bdr
 from bdreg.dgp import DgpSpec, generate, true_joint_cdf
 from bdreg.exceptions import ConfigError, DataError, EstimationError
 from bdreg.functionals import (
-    CounterfactualIndex,
     JointCdfSurface,
     counterfactual_joint_cdf,
     decompose_joint,
@@ -34,19 +34,6 @@ def two_group_setup():
     grids = {g: build_grid(s, n_points=6) for g, s in samples.items()}
     fits = {g: fit_bdr(samples[g], grids[g]) for g in samples}
     return fits, samples, grids
-
-
-class TestCounterfactualIndex:
-    def test_parse_and_str(self):
-        idx = CounterfactualIndex.parse("1011")
-        assert (idx.y_group, idx.w_group, idx.dep_group, idx.x_group) == (1, 0, 1, 1)
-        assert "".join(map(str, dataclasses.astuple(idx))) == "1011"
-
-    def test_parse_rejects(self):
-        with pytest.raises(ConfigError):
-            CounterfactualIndex.parse("102")
-        with pytest.raises(ConfigError):
-            CounterfactualIndex.parse("12ab")
 
 
 class TestConditionalJointCdf:
@@ -236,6 +223,29 @@ class TestCounterfactualSurface:
         with pytest.raises(ConfigError, match="group"):
             counterfactual_joint_cdf({0: fit}, {0: small_sample}, "1111",
                                      grid.y_grid, grid.w_grid)
+        with pytest.raises(ConfigError, match="no fit/sample for group 1"):
+            decompose_joint({0: fit}, {0: small_sample}, grid.y_grid, grid.w_grid)
+
+    def test_each_digit_picks_its_group(self, monkeypatch):
+        # The digits name the groups supplying, in order, the y marginal, the
+        # w marginal, the dependence and the covariates with their weights.
+        monkeypatch.setattr(functionals, "_surface", lambda *args: args)
+        fits = {g: types.SimpleNamespace(weights=f"weights {g}") for g in (0, 1)}
+        samples = {g: types.SimpleNamespace(x=f"x {g}") for g in (0, 1)}
+        got = counterfactual_joint_cdf(fits, samples, "1011")
+        assert got == (fits[1], fits[0], fits[1], "x 1", "weights 1", None, None)
+        got = counterfactual_joint_cdf(fits, samples, "0100")
+        assert got == (fits[0], fits[1], fits[0], "x 0", "weights 0", None, None)
+
+    @pytest.mark.parametrize("code", ["102", "12ab", "2222"])
+    def test_malformed_index_raises(self, code, small_fit, small_sample):
+        fit, grid = small_fit
+        fits, samples = {0: fit, 1: fit}, {0: small_sample, 1: small_sample}
+        message = f"counterfactual index must be 4 binary digits, got '{code}'"
+        with pytest.raises(ConfigError, match=message):
+            counterfactual_joint_cdf(fits, samples, code, grid.y_grid, grid.w_grid)
+        with pytest.raises(ConfigError, match=message):
+            transition_from_fits(fits, samples, code, grid.y_grid, grid.w_grid)
 
     def test_composition_gap_matches_analytic(self):
         # groups share coefficients but differ in the covariate law: the
