@@ -186,7 +186,7 @@ def ensemble_apply(ensembles: dict[int, BootstrapEnsemble], fn,
         )
         raise InferenceError(
             f"{len(ids)} bootstrap replicates are valid in every group, need at "
-            f"least {MIN_DRAWS_FOR_INFERENCE} ({lost})"
+            f"least {MIN_DRAWS_FOR_INFERENCE}" + (f" ({lost})" if lost else "")
         )
     values = _fork_map(lambda rep: fn({g: ens.draws[rep] for g, ens in ensembles.items()}),
                        ids, workers)

@@ -18,7 +18,7 @@ from .data import Sample, increasing, nearest_body_index
 from .dependence import BdrFit
 from .exceptions import ConfigError, EstimationError
 from .marginals import _normalize_weights
-from .normal import BLOCK_ROWS, _ndtr, bvn_cdf, link_rho
+from .normal import BLOCK_ROWS, _CorrelationPlan, _ndtr, bvn_cdf, link_rho
 
 __all__ = [
     "DecompositionReport",
@@ -78,8 +78,15 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
     distinct (y key, w key, cell) triple is evaluated once and scattered
     back to the grid. Before any evaluation, the first grid pair whose cell
     failed raises an EstimationError naming it and the reason its fit
-    recorded in dep_fit.failures, if any. The distinct triples go to
-    bvn_cdf in blocks of about BLOCK_ROWS rows, with their keys' marginals.
+    recorded in dep_fit.failures, if any.
+
+    The cells are walked one at a time, in row blocks of at most BLOCK_ROWS
+    covariate rows: each block's correlations become one _CorrelationPlan,
+    the only one alive, and each triple of the cell is one bvn_cdf call on
+    it, with its keys' marginals, averaged by a dot product with the
+    block's weights. A dot per triple, not one matrix product per cell,
+    because a matrix product's rows can round differently by position, and
+    equal rows (a cut at 1e200 and one at inf) must average to equal bits.
     """
     x, wts = _x_average(x, weights)
     y_values = np.asarray(y_fit.grid.y_grid if y_values is None else y_values, dtype=float)
@@ -111,17 +118,16 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
     triples, inverse = np.unique(pairs, axis=0, return_inverse=True)
     cells, cell_of = np.unique(triples[:, 2:], axis=0, return_inverse=True)
     x_dep = x[:, dep_fit.dep_cols]
-    cell_rho = [link_rho(x_dep @ dep_fit.dep_coef[jy, jw])[0] for jy, jw in cells]
-    n_rows = x.shape[0]
-    step = max(1, BLOCK_ROWS // n_rows)
-    values = np.empty(len(triples))
-    for lo in range(0, len(triples), step):
-        hi = min(lo + step, len(triples))
-        ya, wb = triples[lo:hi, 0], triples[lo:hi, 1]
-        rho = np.concatenate([cell_rho[c] for c in cell_of.ravel()[lo:hi]])
-        p = bvn_cdf(a_rows[ya].ravel(), b_rows[wb].ravel(), rho,
-                    pa=pa_rows[ya].ravel(), pb=pb_rows[wb].ravel())
-        values[lo:hi] = p.reshape(hi - lo, n_rows) @ wts
+    values = np.zeros(len(triples))
+    for c, (jy, jw) in enumerate(cells):
+        group = np.flatnonzero(cell_of.ravel() == c)
+        rho = link_rho(x_dep @ dep_fit.dep_coef[jy, jw])[0]
+        for lo in range(0, x.shape[0], BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            plan = _CorrelationPlan(rho[rows])
+            for t, (ya, wb) in zip(group, triples[group, :2]):
+                values[t] += bvn_cdf(a_rows[ya, rows], b_rows[wb, rows], plan,
+                                     pa=pa_rows[ya, rows], pb=pb_rows[wb, rows]) @ wts[rows]
     values = values[inverse.ravel()].reshape(y_values.size, w_values.size)
     return JointCdfSurface(values, y_values, w_values)
 

@@ -13,7 +13,10 @@ no scipy.
 FixedThresholdBvn is the one evaluator of the bivariate CDF and density: it
 holds a set of threshold pairs and evaluates at any correlation. The
 dependence fits keep one per grid pair; bvn_cdf builds one for a single
-call.
+call. A _CorrelationPlan is the mirror image: it holds the part of the CDF
+that depends on the correlations alone, so that many threshold sets at the
+same correlations (the threshold pairs of one dependence cell of a surface)
+share it; bvn_cdf takes one in place of rho.
 
 The bivariate CDF follows the Drezner-Wesolowsky/Genz construction: Gauss-
 Legendre quadrature along the correlation path for moderate correlation, and
@@ -24,7 +27,16 @@ branch, which always uses 20 nodes. Each rule keeps the absolute error a few
 ulps from zero over the range it serves, well beyond what the likelihood
 optimizers can see. The bands run in blocks of at most BLOCK_ROWS rows, so
 their (rows, nodes) temporaries stay a fixed size however many rows a call
-brings; only the per-row arrays of a call are not blocked.
+brings; only the per-row arrays of a call (and a shared plan, whose caller
+bounds its rows) are not blocked.
+
+A path rule is two parts: the correlation-only state (_path_state: asin rho,
+the sines at the rule's nodes and 1 - sin^2), and the threshold sum
+(_path_sum: (sin hk - hs) / (1 - sin^2), exp, and the node weights). A plain
+rho computes the state block by block as it is used; a shared plan computes
+it once and every threshold set reuses it, which makes a surface's pair
+a quarter to a third of the cost of a full evaluation. Both give the same
+bits.
 
 Thresholds at or beyond +/-40, +/-inf included, make a saturated row: its
 CDF is the exact marginal limit and its density zero, with no quadrature.
@@ -183,20 +195,82 @@ def link_rho(u):
     return rho, 1.0 - rho * rho
 
 
-def _correction_block(hk, hs, r, nodes1, weights):
-    # The correlation-path integral over theta in [0, asin(r)] with one rule,
-    # in place in one (rows, nodes) buffer and its denominator.
-    asr = np.arcsin(r)
-    sn = np.multiply.outer(0.5 * asr, nodes1)
+def _path_state(r, nodes1):
+    # The rho-only part of one path rule at correlations r: half of asin(r),
+    # and the sines at the rule's nodes along [0, asin(r)] with their
+    # 1 - sin^2, each (rows, nodes).
+    half = 0.5 * np.arcsin(r)
+    sn = np.multiply.outer(half, nodes1)
     np.sin(sn, out=sn)
     den = np.multiply(sn, sn)
     np.subtract(1.0, den, out=den)
-    sn *= hk[:, None]
-    sn -= hs[:, None]
-    sn /= den
+    return half, sn, den
+
+
+def _path_sum(hk, hs, state, weights, scratch=None):
+    # The correlation-path integral over theta in [0, asin(r)] at thresholds
+    # with products hk and half square sums hs, on one rule's _path_state,
+    # in place in one (rows, nodes) buffer: scratch, which may be the
+    # state's own sines when the state is used once, or a new one for None.
+    half, sn, den = state
+    terms = np.multiply(sn, hk[:, None], out=scratch)
+    terms -= hs[:, None]
+    terms /= den
     with np.errstate(over="ignore"):
-        terms = np.exp(sn, out=sn)
-    return 0.5 * asr * (terms @ weights) / (2.0 * np.pi)
+        np.exp(terms, out=terms)
+    return half * (terms @ weights) / (2.0 * np.pi)
+
+
+class _CorrelationPlan:
+    """The rho-only part of Phi2 at one correlation per row: the clamped
+    correlations, each row's band (bands[k] lists the rows of band k: the
+    k-th path rule for k < 3, the high-correlation branch for 3) and, when
+    shared, each path band's _path_state over its rows.
+
+    A shared plan serves any number of threshold sets at the same
+    correlations, as every threshold pair of one dependence cell of a
+    surface; it holds rows x nodes sines, so its caller bounds its rows. An
+    unshared plan (one evaluation, as a dependence fit's) computes each
+    block's state as the block is reached. np.asarray(plan) gives the
+    clamped correlations, so a plan stands in for rho wherever only their
+    values are read.
+    """
+
+    def __init__(self, rho, shared=True):
+        self.rho = r = np.asarray(clamp_rho(rho), dtype=float).ravel()
+        absr = np.abs(r)
+        band = (absr >= _RULE_EDGES[0]).astype(np.int8)
+        band += absr >= _RULE_EDGES[1]
+        band += absr > _RULE_EDGES[2]
+        self.bands = [np.flatnonzero(band == k) for k in range(4)]
+        self.shared = shared
+        self._states = [_path_state(r[rows], nodes1)
+                        for rows, (nodes1, _) in zip(self.bands, _MODERATE_RULES)] if shared else None
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.rho, dtype=dtype, copy=copy)
+
+    def blocks(self, live=None):
+        """(k, rows, state) for each block of at most BLOCK_ROWS rows of band
+        k, among the rows where the mask live is true (all rows for None):
+        the rows a path block evaluates and its rule's state on them; state
+        is None in band 3. Blocks are those of the live rows alone, so a row
+        meets the same block, and gives the same bits, shared or not."""
+        for k, rows in enumerate(self.bands):
+            state = self._states[k] if self.shared and k < 3 else None
+            if live is not None:
+                keep = live[rows]
+                rows = rows[keep]
+                if state is not None:
+                    state = tuple(s[keep] for s in state)
+            for lo in range(0, rows.size, BLOCK_ROWS):
+                sel = rows[lo:lo + BLOCK_ROWS]
+                if k == 3:
+                    yield k, sel, None
+                elif state is None:
+                    yield k, sel, _path_state(self.rho[sel], _MODERATE_RULES[k][0])
+                else:
+                    yield k, sel, tuple(s[lo:lo + BLOCK_ROWS] for s in state)
 
 
 def _bvnu_high(a, b, pa, pb, r):
@@ -263,7 +337,9 @@ class FixedThresholdBvn:
     pa and pb are the marginals Phi(a) and Phi(b), computed here when not
     given. A caller that already holds them passes them in, so that Phi is
     computed once per threshold, not once per threshold pair; since Phi is
-    elementwise, the results are the same bits either way.
+    elementwise, the results are the same bits either way. Likewise a
+    caller that evaluates many threshold sets at the same correlations
+    passes one _CorrelationPlan to each, with the same bits as a plain rho.
     """
 
     def __init__(self, a, b, pa=None, pb=None):
@@ -279,46 +355,42 @@ class FixedThresholdBvn:
         if self.pa.shape != a.shape or self.pb.shape != b.shape:
             raise ValueError("marginals must match the thresholds in length")
         saturated = (np.abs(a) >= _SATURATED) | (np.abs(b) >= _SATURATED)
-        low = (a <= -_SATURATED) | (b <= -_SATURATED)
-        limit = np.where(low, 0.0, np.where(a >= _SATURATED, self.pb, self.pa))
-        self._saturated = np.flatnonzero(saturated)
-        self._limit = limit[self._saturated]
-        self._a = a = np.where(saturated, 0.0, a)
-        self._b = b = np.where(saturated, 0.0, b)
+        self._saturated = sat = np.flatnonzero(saturated)
+        self._live = ~saturated if sat.size else None
+        sa, sb = a[sat], b[sat]
+        self._limit = np.where((sa <= -_SATURATED) | (sb <= -_SATURATED), 0.0,
+                               np.where(sa >= _SATURATED, self.pb[sat], self.pa[sat]))
+        a, b = a.copy(), b.copy()
+        a[sat] = b[sat] = 0.0
+        self._a, self._b = a, b
         self._hk = a * b
         self._hs = 0.5 * (a * a + b * b)
         self._prod = self.pa * self.pb
 
-    def _rows(self, rho):
-        # The clamped correlation of every row.
-        return np.broadcast_to(np.asarray(clamp_rho(rho), dtype=float), (self.n,))
-
     def _cdf(self, rho):
-        """Phi2 at the stored thresholds; rho scalar or per-row array.
+        """Phi2 at the stored thresholds; rho a scalar, one correlation per
+        row, or a _CorrelationPlan of one per row.
 
-        Each row falls in one band: k < 3 for the k-th path rule, 3 for the
-        high-correlation branch (|rho| > 0.925; the edge itself is a path
-        row) and 4 for the saturated rows, which take their limit. Every
-        band runs in blocks of at most BLOCK_ROWS rows.
+        Every row takes the formula of its band (_CorrelationPlan.blocks),
+        block by block, and the saturated rows take their limit; with every
+        row saturated no quadrature runs. A plain rho gets an unshared plan,
+        so fits and surfaces go through this one dispatch.
         """
-        r = self._rows(rho)
-        absr = np.abs(r)
-        band = (absr >= _RULE_EDGES[0]).astype(np.int8)
-        band += absr >= _RULE_EDGES[1]
-        band += absr > _RULE_EDGES[2]
-        band[self._saturated] = 4
+        plan = rho if isinstance(rho, _CorrelationPlan) else _CorrelationPlan(
+            np.broadcast_to(rho, (self.n,)), shared=False)
+        if plan.rho.size != self.n:
+            raise ValueError("correlation plan must match the thresholds in length")
         out = np.empty(self.n)
         out[self._saturated] = self._limit
-        for k, rule in enumerate((*_MODERATE_RULES, None)):
-            rows = np.flatnonzero(band == k)
-            for lo in range(0, rows.size, BLOCK_ROWS):
-                sel = rows[lo:lo + BLOCK_ROWS]
-                if rule is None:
+        if self._saturated.size < self.n:
+            for k, sel, state in plan.blocks(self._live):
+                if k == 3:
                     out[sel] = _bvnu_high(self._a[sel], self._b[sel], self.pa[sel],
-                                          self.pb[sel], r[sel])
+                                          self.pb[sel], plan.rho[sel])
                 else:
-                    out[sel] = self._prod[sel] + _correction_block(
-                        self._hk[sel], self._hs[sel], r[sel], *rule)
+                    out[sel] = self._prod[sel] + _path_sum(
+                        self._hk[sel], self._hs[sel], state, _MODERATE_RULES[k][1],
+                        None if plan.shared else state[1])
         return np.clip(out, 0.0, 1.0, out=out)
 
     # bvn_cdf calls _cdf, so that a wrapper put on cdf (perfbench's spans)
@@ -332,7 +404,7 @@ class FixedThresholdBvn:
             d phi2 / d rho = phi2 * [rho / (1 - rho^2)
                                      + (ab (1 + rho^2) - rho (a^2 + b^2)) / (1 - rho^2)^2]
         """
-        r = self._rows(rho)
+        r = np.broadcast_to(np.asarray(clamp_rho(rho), dtype=float), (self.n,))
         a, b = self._a, self._b
         det = 1.0 - r * r
         q = (a * a - 2.0 * r * a * b + b * b) / det
@@ -351,7 +423,13 @@ def bvn_cdf(a, b, rho, *, pa=None, pb=None):
     rho is clamped via :func:`clamp_rho`. pa and pb, if given, are Phi(a)
     and Phi(b) at the broadcast shape of a, b and rho, passed on to
     FixedThresholdBvn in place of computing them.
+
+    rho may also be a _CorrelationPlan, whose state the call reuses: then a
+    and b are 1-D with one entry per plan row, and the result is too, with
+    the bits of the call on the plan's correlations.
     """
+    if isinstance(rho, _CorrelationPlan):
+        return FixedThresholdBvn(a, b, pa, pb)._cdf(rho)
     a, b, rho = np.broadcast_arrays(a, b, rho)
     out = FixedThresholdBvn(a, b, pa, pb)._cdf(rho.ravel()).reshape(a.shape)
     return float(out) if out.ndim == 0 else out

@@ -33,11 +33,21 @@ Not collected by pytest. Run from the repository root:
     PYTHONPATH=src python tests/oracles/cli_digest.py OUT > digest.txt
 
 and compare two versions with `diff`. It takes about a minute on 2 CPUs.
+Where the hashes differ by rounding, the drift report
+
+    PYTHONPATH=src python tests/oracles/cli_digest.py --compare OUT_A OUT_B
+
+reads the two trees that two such runs left and prints, for each file and
+column that differ, the largest |difference| between them (a manifest's
+columns are its JSON leaves, list entries gathered under `key[]`); a
+non-numeric difference, or a file or column in one tree only, reads inf.
 """
 
 import argparse
 import csv
 import hashlib
+import json
+import math
 import os
 from pathlib import Path
 
@@ -135,7 +145,82 @@ def run_all(out: Path):
             print(line, flush=True)
 
 
+def _leaves(node, key=""):
+    """(path, value) of each scalar of a JSON document."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _leaves(v, f"{key}[]")
+    else:
+        yield key, node
+
+
+def columns(path: Path) -> dict[str, list]:
+    """A CSV's columns by header name, or a manifest's leaves by path."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    out = {}
+    for key, value in _leaves(json.loads(path.read_text())):
+        out.setdefault(key, []).append(value)
+    return out
+
+
+def gap(u, v) -> float:
+    """|u - v| for entries that read as numbers (0 where equal, NaN and inf
+    included), else 0 or inf as they are equal or not."""
+    try:
+        x, y = float(u), float(v)
+    except (TypeError, ValueError):
+        return 0.0 if u == v else math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    d = abs(x - y)
+    return d if d == d else math.inf
+
+
+def compare(a: Path, b: Path) -> list[str]:
+    """The drift report between the trees a and b: `max|d|  file  column`
+    for each file and column that differ, then the largest per file name
+    and column over all runs, then how many files are the same."""
+    def tables(root):
+        return {p.relative_to(root) for p in root.rglob("*") if p.suffix in (".csv", ".json")}
+
+    in_a, in_b = tables(a), tables(b)
+    lines = [f"inf  {rel}  (only in {a if rel in in_a else b})" for rel in sorted(in_a ^ in_b)]
+    largest, same = {}, 0
+    for rel in sorted(in_a & in_b):
+        ca, cb = columns(a / rel), columns(b / rel)
+        drift = {}
+        for name in [*ca, *(k for k in cb if k not in ca)]:
+            x, y = ca.get(name), cb.get(name)
+            if x is None or y is None or len(x) != len(y):
+                drift[name] = math.inf
+            else:
+                drift[name] = max(map(gap, x, y), default=0.0)
+        same += not any(drift.values())
+        for name, d in drift.items():
+            if d:
+                lines.append(f"{d:.3g}  {rel}  {name}")
+                key = (rel.name, name)
+                largest[key] = max(largest.get(key, 0.0), d)
+    lines += [f"largest {d:.3g}  {file}  {name}" for (file, name), d in sorted(largest.items())]
+    lines.append(f"{same} of {len(in_a & in_b)} files in both trees have no difference")
+    return lines
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path, help="folder for the inputs and the runs")
-    run_all(parser.parse_args().out.resolve())
+    parser.add_argument("out", type=Path, nargs="?", help="folder for the inputs and the runs")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OUT_A", "OUT_B"),
+                        help="print the drift report between two runs' folders instead")
+    args = parser.parse_args()
+    if args.compare:
+        print("\n".join(compare(*(p.resolve() for p in args.compare))))
+    elif args.out:
+        run_all(args.out.resolve())
+    else:
+        parser.error("give OUT, or --compare OUT_A OUT_B")

@@ -172,9 +172,13 @@ def test_ensemble_apply_names_replicates_lost_in_any_group():
     assert sorted(ensemble_apply({1: ensemble(5)}, lambda fits: 0.0)) == [
         rep for rep in range(11) if rep != 5
     ]
-    # No groups, no replicates valid in every group.
-    with pytest.raises(InferenceError, match="0 bootstrap replicates are valid"):
-        ensemble_apply({}, lambda fits: 0.0)
+    # No groups, or too few draws with none failed: no list of lost replicates.
+    few = BootstrapEnsemble(n_requested=5, draws=dict.fromkeys(range(5)))
+    for ensembles, valid in (({}, 0), ({0: few, 1: few}, 5)):
+        with pytest.raises(InferenceError) as info:
+            ensemble_apply(ensembles, lambda fits: 0.0)
+        assert str(info.value) == (
+            f"{valid} bootstrap replicates are valid in every group, need at least 10")
 
 
 def test_ensemble_apply_on_workers_runs_a_closure_over_local_state():

@@ -21,6 +21,7 @@ from bdreg.functionals import (
     transition_from_fits,
     transition_matrix,
 )
+from bdreg.normal import BLOCK_ROWS
 
 from conftest import bench_spec, joint_cdf_rows
 
@@ -123,6 +124,36 @@ class TestCounterfactualSurface:
         got = counterfactual_joint_cdf(fits, samples, "1010", ys, ws).values
         want = reference(lambda yv, wv: w0 @ joint_cdf_rows(fits[1], fits[0], fits[1], yv, wv, x0))
         assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_surface_beyond_one_block_of_rows_matches_pair_by_pair(self, small_fit):
+        # More covariate rows than BLOCK_ROWS: _surface evaluates them in row
+        # blocks, each with its own correlation plan, and still matches one
+        # bvn_cdf call per pair over all rows, saturated axis points included.
+        fit, grid = small_fit
+        big = generate(bench_spec(n=2 * BLOCK_ROWS + 300, seed=7))
+        wts = np.full(big.n, 1.0 / big.n)
+        ys, ws = self._mixed_axis(grid.y_body), self._mixed_axis(grid.w_body)
+        got = fitted_surface(fit, big, ys, ws).values
+        want = np.array([[wts @ joint_cdf_rows(fit, fit, fit, yv, wv, big.x) for wv in ws]
+                         for yv in ys])
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_every_kernel_call_reads_one_correlation_per_row(self, two_group_setup,
+                                                             monkeypatch):
+        # Each bvn_cdf call of a decomposition passes a rho (a correlation
+        # plan on the surfaces) whose np.asarray is 1-D with one entry per
+        # row of the call's result, as a tracer annotating the call reads it.
+        fits, samples, grids = two_group_setup
+        kernel, shapes = functionals.bvn_cdf, []
+
+        def traced(a, b, rho, **marginals):
+            out = kernel(a, b, rho, **marginals)
+            shapes.append((np.asarray(rho, dtype=float).shape, np.shape(out)))
+            return out
+
+        monkeypatch.setattr(functionals, "bvn_cdf", traced)
+        decompose_joint(fits, samples, grids[0].y_grid, grids[0].w_grid)
+        assert len(shapes) >= 5 and all(r == out and len(r) == 1 for r, out in shapes)
 
     def test_nan_threshold_raises(self, small_fit, small_sample):
         # A NaN threshold used to be served by the first body point.

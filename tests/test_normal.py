@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from bdreg import normal
 from bdreg.bootstrap import _NORMAL_IQR
 from bdreg.normal import (
     BLOCK_ROWS,
     EPS_RHO,
     FixedThresholdBvn,
+    _CorrelationPlan,
     _ndtr,
     bvn_cdf,
     clamp_rho,
@@ -196,6 +198,52 @@ class TestBivariateCdf:
         want = np.array([bvn_cdf(a[i], b[i], rho[i]) for i in range(n)])
         np.testing.assert_array_equal(got[band >= 3], want[band >= 3])
         assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_shared_plan_gives_the_bits_of_a_plain_call(self, monkeypatch):
+        # One _CorrelationPlan serves several threshold sets at the same
+        # correlations, as a surface's pairs in one dependence cell share it.
+        # Over every band and its edges (0.3, 0.75, 0.925, both signs), with
+        # more than BLOCK_ROWS rows in one band and saturated thresholds
+        # (+/-40, +/-inf, +/-1e200) interleaved, each row gets the bits of a
+        # plain call on the same thresholds and correlations.
+        rng = np.random.default_rng(23)
+        n = 2 * BLOCK_ROWS + 700
+        rho = rng.choice([0.1, 0.5, 0.8, 0.97], size=n, p=[0.55, 0.2, 0.15, 0.1])
+        rho *= rng.uniform(0.9, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        edges = np.array([0.3, 0.75, 0.925])
+        at = rng.permutation(n)[:120]
+        rho[at] = rng.choice(np.r_[edges, -edges, np.nextafter(edges, 1.0)], at.size)
+        plan = _CorrelationPlan(rho)
+        np.testing.assert_array_equal(np.asarray(plan), clamp_rho(rho))
+        assert [rows.size > 0 for rows in plan.bands] == [True] * 4
+        assert max(rows.size for rows in plan.bands) > BLOCK_ROWS
+
+        limits = np.array([40.0, -40.0, np.inf, -np.inf, 1e200, -1e200])
+        a, b = rng.normal(scale=1.5, size=(2, n))
+        a_sat, b_sat = a.copy(), b.copy()
+        a_sat[::37] = rng.choice(limits, a_sat[::37].size)
+        b_sat[11::53] = rng.choice(limits, b_sat[11::53].size)
+        for ta, tb in ((a, b), (a_sat, b_sat), (b_sat, a), (a, np.full(n, 1e200))):
+            want = bvn_cdf(ta, tb, rho)
+            np.testing.assert_array_equal(bvn_cdf(ta, tb, plan), want)
+            np.testing.assert_array_equal(
+                bvn_cdf(ta, tb, plan, pa=_ndtr(ta), pb=_ndtr(tb)), want)
+
+        # A fully saturated set takes its limits and runs no quadrature.
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran on saturated rows")
+
+        full = {"inf": np.full(n, np.inf), "-40": np.full(n, -40.0), "1e200": np.full(n, 1e200)}
+        want = {name: bvn_cdf(t, b, rho) for name, t in full.items()}
+        monkeypatch.setattr(normal, "_path_sum", no_quadrature)
+        monkeypatch.setattr(normal, "_bvnu_high", no_quadrature)
+        for name, t in full.items():
+            np.testing.assert_array_equal(bvn_cdf(t, b, plan), want[name])
+            np.testing.assert_array_equal(bvn_cdf(b, t, plan), want[name])
+        np.testing.assert_array_equal(want["-40"], 0.0)
+        np.testing.assert_array_equal(want["inf"], _ndtr(b))
+        with pytest.raises(ValueError, match="plan"):
+            bvn_cdf(a[:-1], b[:-1], plan)
 
     def test_high_band_runs_in_blocks(self):
         # The high-correlation branch's (rows, nodes) temporaries are blocked
