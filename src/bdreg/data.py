@@ -68,17 +68,23 @@ def validate(sample: Sample) -> Sample:
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise DataError(f"non-finite value in outcome {name} at row {bad[0]}")
-    bad_rows, bad_cols = np.nonzero(~np.isfinite(x))
-    if bad_rows.size:
-        raise DataError(
-            f"non-finite covariate at row {bad_rows[0]}, column {bad_cols[0]}"
-        )
+    _finite_covariates(x)
 
     if not np.all(x[:, 0] == 1.0):
         raise DataError("first design column must be identically 1 (intercept)")
     if np.linalg.matrix_rank(x) < d_x:
         raise DataError("design matrix is rank deficient (collinear columns)")
     return sample
+
+
+def _finite_covariates(x: np.ndarray) -> np.ndarray:
+    """x, else a DataError naming its first non-finite covariate."""
+    bad_rows, bad_cols = np.nonzero(~np.isfinite(x))
+    if bad_rows.size:
+        raise DataError(
+            f"non-finite covariate at row {bad_rows[0]}, column {bad_cols[0]}"
+        )
+    return x
 
 
 def increasing(values, what: str, min_size: int) -> np.ndarray:

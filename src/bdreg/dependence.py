@@ -25,7 +25,7 @@ from .marginals import (
     fit_marginal,
 )
 from .normal import bvn_cdf  # noqa: F401  (perfbench/spans.py traces it at this name)
-from .normal import EPS_RHO, FixedThresholdBvn, link_rho
+from .normal import EPS_RHO, FixedThresholdBvn, _Thresholds, link_rho
 
 __all__ = [
     "BdrFit",
@@ -56,14 +56,18 @@ class _CellKernel:
     information: evaluate returns the exact derivatives of the floored
     likelihood it reports. The Fisher fallback is the expected information,
     in which every floored cell counts at its floor value.
+
+    The thresholds a and b are arrays (broadcast to the rows) or the
+    _Thresholds that _cells prepares once per body threshold, so that Phi of
+    a threshold is computed once per fit, not once per cell.
     """
 
     def __init__(self, x_dep, a, b, below_y, below_w, weights=None):
         self.x_dep = np.asarray(x_dep, dtype=float)
         self.n = self.x_dep.shape[0]
-        a = np.broadcast_to(np.asarray(a, dtype=float), (self.n,))
-        b = np.broadcast_to(np.asarray(b, dtype=float), (self.n,))
-        self.bvn = FixedThresholdBvn(a, b)
+        self.bvn = FixedThresholdBvn(*(
+            t if isinstance(t, _Thresholds) else _Thresholds(np.broadcast_to(t, (self.n,)))
+            for t in (a, b)))
         self.pa = self.bvn.pa
         self.pb = self.bvn.pb
         iy = np.asarray(below_y, dtype=float)
@@ -200,11 +204,13 @@ class BdrFit:
 
 def _cells(sample: Sample, x, grid: GridSpec, y_marg: MarginalFit, w_marg: MarginalFit):
     """Each body grid pair (iy, iw), in grid order, with its dependence
-    problem: the marginal indices at the pair and the indicators
-    1(y <= y_body[iy]) and 1(w <= w_body[iw]), each computed once per fit."""
-    w_axis = [(w_marg.index(wv, x), (sample.w <= wv).astype(float)) for wv in grid.w_body]
+    problem: the marginal indices at the pair, as _Thresholds (with their
+    Phi), and the indicators 1(y <= y_body[iy]) and 1(w <= w_body[iw]), each
+    computed once per fit."""
+    w_axis = [(_Thresholds(w_marg.index(wv, x)), (sample.w <= wv).astype(float))
+              for wv in grid.w_body]
     for iy, yv in enumerate(grid.y_body):
-        a = y_marg.index(yv, x)
+        a = _Thresholds(y_marg.index(yv, x))
         below_y = (sample.y <= yv).astype(float)
         for iw, (b, below_w) in enumerate(w_axis):
             yield (iy, iw), (a, b, below_y, below_w)

@@ -14,11 +14,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Sample, increasing, nearest_body_index
+from .data import Sample, _finite_covariates, increasing, nearest_body_index
 from .dependence import BdrFit
-from .exceptions import ConfigError, EstimationError
+from .exceptions import ConfigError, DataError, EstimationError
 from .marginals import _normalize_weights
-from .normal import BLOCK_ROWS, _CorrelationPlan, _ndtr, bvn_cdf, link_rho
+from .normal import BLOCK_ROWS, _CorrelationPlan, _Thresholds, _band_order, bvn_cdf, link_rho
 
 __all__ = [
     "DecompositionReport",
@@ -57,51 +57,97 @@ class JointCdfSurface:
 
 
 def _x_average(x, weights):
-    """The covariate rows and their averaging weights, which sum to one."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """The covariate rows and their averaging weights, which sum to one;
+    DataError with no rows to average or a non-finite covariate."""
+    x = _finite_covariates(np.atleast_2d(np.asarray(x, dtype=float)))
+    if x.shape[0] == 0:
+        raise DataError("no covariate rows to average over")
     return x, _normalize_weights(weights, x.shape[0]) / x.shape[0]
 
 
-def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
-             y_values=None, w_values=None) -> JointCdfSurface:
-    """Average Phi2(index_y, index_w; rho) over covariate rows x, weighted by
-    weights (None for equal weights), on a grid.
+def _axis_values(values, name):
+    """values as a 1-D float array of thresholds, else a DataError naming
+    the axis."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise DataError(f"{name} values must be a 1-D array of thresholds, "
+                        f"got shape {values.shape}")
+    return values
 
-    The grid defaults to y_fit's y grid and w_fit's w grid. dep_fit None
-    means the zero-dependence counterfactual, whose value is the covariate
-    average of the product of the marginal CDFs.
 
-    Thresholds with equal copy-rule keys (MarginalFit.key) have identical
-    indices, so each key's index rows and their marginal CDFs are computed
-    once; pairs in the same dependence cell (nearest_body_index, per axis
-    value) have identical correlations, computed once per cell. Each
-    distinct (y key, w key, cell) triple is evaluated once and scattered
-    back to the grid. Before any evaluation, the first grid pair whose cell
-    failed raises an EstimationError naming it and the reason its fit
-    recorded in dep_fit.failures, if any.
+def _key_thresholds(marginal, values, x):
+    """Each value's position among the copy-rule keys of one marginal fit
+    (MarginalFit.key), and the keys' index rows on the covariate rows x as
+    one _Thresholds, one row per key: thresholds with equal keys have
+    identical indices, so each key is prepared once."""
+    keys, pos = np.unique([marginal.key(v) for v in values], return_inverse=True)
+    return pos.ravel(), _Thresholds(np.array([marginal.index(k, x) for k in keys]))
 
-    The cells are walked one at a time, in row blocks of at most BLOCK_ROWS
-    covariate rows: each block's correlations become one _CorrelationPlan,
-    the only one alive, and each triple of the cell is one bvn_cdf call on
-    it, with its keys' marginals, averaged by a dot product with the
-    block's weights. A dot per triple, not one matrix product per cell,
-    because a matrix product's rows can round differently by position, and
-    equal rows (a cut at 1e200 and one at inf) must average to equal bits.
+
+def _block_averages(triples, rho, wts, order):
+    """For each (y side, y key, w side, w key) of one dependence cell, the
+    average of Phi2 over the covariate rows order (one row block, sorted by
+    band) at correlations rho, weighted by wts: one bvn_cdf call per
+    triple on one shared _CorrelationPlan, with each key's rows gathered
+    once. The plan and the gathered rows die with the call, before the next
+    block builds its own."""
+    plan, taken = _CorrelationPlan(rho), {}
+
+    def gathered(side, key):
+        if (id(side), key) not in taken:
+            taken[id(side), key] = side.take(key, order)
+        return taken[id(side), key]
+
+    return np.array([bvn_cdf(gathered(ys, ya), gathered(ws, wb), plan) @ wts
+                     for ys, ya, ws, wb in triples])
+
+
+def _surfaces(margins, dep_fit: BdrFit | None, x, weights, y_values, w_values,
+              sides=None) -> list[np.ndarray]:
+    """The (n_y, n_w) values, on the grid y_values x w_values (1-D arrays),
+    of one surface per (y_fit, w_fit) in margins: the average of
+    Phi2(index_y, index_w; rho) over covariate rows x, weighted by weights
+    (None for equal weights), with y_fit's y marginal, w_fit's w marginal
+    and dep_fit's correlations. dep_fit None means the zero-dependence
+    counterfactual, whose value is the covariate average of the product of
+    the marginal CDFs.
+
+    Each marginal's thresholds are prepared once per key (_key_thresholds)
+    and kept in sides, keyed by id(marginal), for a next call on the same
+    covariate rows and grid to reuse. Pairs in the same dependence cell
+    (nearest_body_index, per axis value) have identical correlations; each
+    distinct (surface, y key, w key, cell) triple is evaluated once and
+    scattered back to its grid. Before any evaluation, the first grid pair
+    whose cell failed raises an EstimationError naming it and the reason
+    its fit recorded in dep_fit.failures, if any.
+
+    The cells are walked once for all surfaces, one at a time, in row
+    blocks of at most BLOCK_ROWS covariate rows: each block's correlations,
+    sorted by band (_band_order), become one _CorrelationPlan, the only one
+    alive, and each key's side is gathered once into that order. Each
+    triple of the cell is then one bvn_cdf call on the plan and its two
+    keys' sides, whose bands are contiguous slices, averaged by a dot
+    product with the block's weights in the same order. A dot per triple,
+    not one matrix product per cell, because a matrix product's rows can
+    round differently by position, and equal rows (a cut at 1e200 and one
+    at inf) must average to equal bits.
     """
     x, wts = _x_average(x, weights)
-    y_values = np.asarray(y_fit.grid.y_grid if y_values is None else y_values, dtype=float)
-    w_values = np.asarray(w_fit.grid.w_grid if w_values is None else w_values, dtype=float)
+    shape = (y_values.size, w_values.size)
     if y_values.size == 0 or w_values.size == 0:
-        return JointCdfSurface(np.empty((y_values.size, w_values.size)), y_values, w_values)
-    y_keys, y_pos = np.unique([y_fit.y_marginal.key(v) for v in y_values], return_inverse=True)
-    w_keys, w_pos = np.unique([w_fit.w_marginal.key(v) for v in w_values], return_inverse=True)
-    a_rows = np.array([y_fit.y_marginal.index(k, x) for k in y_keys])
-    b_rows = np.array([w_fit.w_marginal.index(k, x) for k in w_keys])
-    pa_rows, pb_rows = _ndtr(a_rows), _ndtr(b_rows)
+        return [np.empty(shape) for _ in margins]
+    sides = {} if sides is None else sides
 
+    def prepared(marginal, values):
+        if id(marginal) not in sides:
+            sides[id(marginal)] = _key_thresholds(marginal, values, x)
+        return sides[id(marginal)]
+
+    y_sides = [prepared(y_fit.y_marginal, y_values) for y_fit, _ in margins]
+    w_sides = [prepared(w_fit.w_marginal, w_values) for _, w_fit in margins]
     if dep_fit is None:
-        values = (pa_rows * wts) @ pb_rows.T
-        return JointCdfSurface(values[np.ix_(y_pos, w_pos)], y_values, w_values)
+        return [((ys.p * wts) @ ws.p.T)[np.ix_(y_pos, w_pos)]
+                for (y_pos, ys), (w_pos, ws) in zip(y_sides, w_sides)]
 
     y_cells = [nearest_body_index(dep_fit.grid.y_body, y) for y in y_values]
     w_cells = [nearest_body_index(dep_fit.grid.w_body, w) for w in w_values]
@@ -114,21 +160,33 @@ def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
             f"no dependence estimate at grid pair ({pair[0]:.6g}, {pair[1]:.6g}): "
             f"its fit failed{why}"
         )
-    pairs = [(iy, iw, jy, jw) for iy, jy in zip(y_pos, y_cells) for iw, jw in zip(w_pos, w_cells)]
+    pairs = [(m, ya, wb, jy, jw)
+             for m, ((y_pos, _), (w_pos, _)) in enumerate(zip(y_sides, w_sides))
+             for ya, jy in zip(y_pos, y_cells) for wb, jw in zip(w_pos, w_cells)]
     triples, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    cells, cell_of = np.unique(triples[:, 2:], axis=0, return_inverse=True)
+    cells, cell_of = np.unique(triples[:, 3:], axis=0, return_inverse=True)
+    cell_of = cell_of.ravel()
     x_dep = x[:, dep_fit.dep_cols]
     values = np.zeros(len(triples))
     for c, (jy, jw) in enumerate(cells):
-        group = np.flatnonzero(cell_of.ravel() == c)
+        in_cell = np.flatnonzero(cell_of == c)
         rho = link_rho(x_dep @ dep_fit.dep_coef[jy, jw])[0]
         for lo in range(0, x.shape[0], BLOCK_ROWS):
-            rows = slice(lo, lo + BLOCK_ROWS)
-            plan = _CorrelationPlan(rho[rows])
-            for t, (ya, wb) in zip(group, triples[group, :2]):
-                values[t] += bvn_cdf(a_rows[ya, rows], b_rows[wb, rows], plan,
-                                     pa=pa_rows[ya, rows], pb=pb_rows[wb, rows]) @ wts[rows]
-    values = values[inverse.ravel()].reshape(y_values.size, w_values.size)
+            order = lo + _band_order(rho[lo:lo + BLOCK_ROWS])
+            values[in_cell] += _block_averages(
+                [(y_sides[m][1], ya, w_sides[m][1], wb) for m, ya, wb in triples[in_cell, :3]],
+                rho[order], wts[order], order)
+    values = values[inverse.ravel()].reshape(len(margins), *shape)
+    return list(values)
+
+
+def _surface(y_fit: BdrFit, w_fit: BdrFit, dep_fit: BdrFit | None, x, weights,
+             y_values=None, w_values=None) -> JointCdfSurface:
+    """One surface of _surfaces, on a grid that defaults to y_fit's y grid
+    and w_fit's w grid."""
+    y_values = _axis_values(y_fit.grid.y_grid if y_values is None else y_values, "y")
+    w_values = _axis_values(w_fit.grid.w_grid if w_values is None else w_values, "w")
+    values, = _surfaces([(y_fit, w_fit)], dep_fit, x, weights, y_values, w_values)
     return JointCdfSurface(values, y_values, w_values)
 
 
@@ -200,11 +258,27 @@ def _decomposition_from_values(values: dict[str, np.ndarray]) -> DecompositionRe
 
 
 def _path_values(fits, samples, y_values, w_values) -> dict[str, np.ndarray]:
-    """Values of the five _PATH surfaces at common thresholds, by index."""
-    return {
-        code: _surface(*_ingredients(fits, samples, code), y_values, w_values).values
-        for code in _PATH
-    }
+    """Values of the five _PATH surfaces at common thresholds, by index.
+
+    Codes that share the dependence fit and the covariate rows with their
+    weights (1100, 1000 and 0000 share group 0's) are evaluated together,
+    in one walk over that fit's cells, so a decomposition builds 3 sets of
+    correlation plans, not 5. Each marginal's thresholds are prepared once
+    per covariate group: the prepared sides are kept while consecutive
+    groups share covariate rows (1110 and the last three share group 0's).
+    """
+    y_values, w_values = _axis_values(y_values, "y"), _axis_values(w_values, "w")
+    groups = {}
+    for code in _PATH:
+        y_fit, w_fit, *shared = _ingredients(fits, samples, code)
+        groups.setdefault(tuple(map(id, shared)), (shared, {}))[1][code] = (y_fit, w_fit)
+    values, sides, rows = {}, {}, None
+    for (dep_fit, x, weights), margins in groups.values():
+        if x is not rows:
+            sides, rows = {}, x
+        values.update(zip(margins, _surfaces(list(margins.values()), dep_fit, x, weights,
+                                             y_values, w_values, sides)))
+    return values
 
 
 def decompose_joint(fits, samples, y_values, w_values) -> DecompositionReport:

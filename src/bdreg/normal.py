@@ -13,10 +13,14 @@ no scipy.
 FixedThresholdBvn is the one evaluator of the bivariate CDF and density: it
 holds a set of threshold pairs and evaluates at any correlation. The
 dependence fits keep one per grid pair; bvn_cdf builds one for a single
-call. A _CorrelationPlan is the mirror image: it holds the part of the CDF
-that depends on the correlations alone, so that many threshold sets at the
-same correlations (the threshold pairs of one dependence cell of a surface)
-share it; bvn_cdf takes one in place of rho.
+call. It pairs two sides (_Thresholds): each side's Phi, saturation mask
+and zeroed thresholds depend on that side alone, so a caller
+whose thresholds recur in many pairs (a surface's copy-rule keys, a fit's
+body thresholds) prepares each side once, and a pair costs a handful of
+elementwise operations. A _CorrelationPlan is the mirror image: it holds
+the part of the CDF that depends on the correlations alone, so that many
+threshold sets at the same correlations (the threshold pairs of one
+dependence cell of a surface) share it; bvn_cdf takes one in place of rho.
 
 The bivariate CDF follows the Drezner-Wesolowsky/Genz construction: Gauss-
 Legendre quadrature along the correlation path for moderate correlation, and
@@ -32,11 +36,16 @@ bounds its rows) are not blocked.
 
 A path rule is two parts: the correlation-only state (_path_state: asin rho,
 the sines at the rule's nodes and 1 - sin^2), and the threshold sum
-(_path_sum: (sin hk - hs) / (1 - sin^2), exp, and the node weights). A plain
-rho computes the state block by block as it is used; a shared plan computes
-it once and every threshold set reuses it, which makes a surface's pair
-a quarter to a third of the cost of a full evaluation. Both give the same
-bits.
+(_path_sum: (sin hk - hs) / (1 - sin^2), exp, and the node weights). Both
+are node-major, (nodes, rows) arrays, so every elementwise pass runs over
+contiguous rows and the weights reduce the nodes by one matrix-vector
+product. A plain rho computes the state block by block as it is used; a
+shared plan computes it once, block by block in the same way, and every
+threshold set reuses it, which makes a surface's pair, built from prepared
+sides, about a fifth (20 nodes) to a third (6 nodes) of the cost of a full
+evaluation (tests/oracles/kernel_ns.py measures both). Both give the same bits. A
+plan on rows sorted by band (_band_order) holds each band contiguously, so
+that a pair's blocks are slices: no row is gathered or scattered.
 
 Thresholds at or beyond +/-40, +/-inf included, make a saturated row: its
 CDF is the exact marginal limit and its density zero, with no quadrature.
@@ -76,6 +85,8 @@ _MODERATE_RULES = tuple((nodes + 1.0, weights) for nodes, weights in _GL_RULES.v
 BLOCK_ROWS = 4096
 # From this |threshold| on, Phi is exactly 0 or 1 in double: Phi2 is its limit.
 _SATURATED = 40.0
+# The saturated rows of a pair with none (read only).
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 # Cephes's rationals, highest power first: erf(z) = z T(z^2) / U(z^2) for
@@ -195,12 +206,29 @@ def link_rho(u):
     return rho, 1.0 - rho * rho
 
 
+def _band_codes(r):
+    # Each row's band: k for the k-th path rule (k < 3), 3 for the high-
+    # correlation branch.
+    absr = np.abs(r)
+    band = (absr >= _RULE_EDGES[0]).astype(np.int8)
+    band += absr >= _RULE_EDGES[1]
+    band += absr > _RULE_EDGES[2]
+    return band
+
+
+def _band_order(rho):
+    """The rows of rho sorted by band, stably: a plan built on rho[order]
+    holds each band as one contiguous run of rows."""
+    return np.argsort(_band_codes(np.asarray(rho, dtype=float)), kind="stable")
+
+
 def _path_state(r, nodes1):
-    # The rho-only part of one path rule at correlations r: half of asin(r),
-    # and the sines at the rule's nodes along [0, asin(r)] with their
-    # 1 - sin^2, each (rows, nodes).
+    # The rho-only part of one path rule at correlations r, node-major: half
+    # of asin(r), and the sines at the rule's nodes along [0, asin(r)] with
+    # their 1 - sin^2, each (nodes, rows), so that every elementwise pass of
+    # _path_sum runs over contiguous rows.
     half = 0.5 * np.arcsin(r)
-    sn = np.multiply.outer(half, nodes1)
+    sn = np.multiply.outer(nodes1, half)
     np.sin(sn, out=sn)
     den = np.multiply(sn, sn)
     np.subtract(1.0, den, out=den)
@@ -210,22 +238,23 @@ def _path_state(r, nodes1):
 def _path_sum(hk, hs, state, weights, scratch=None):
     # The correlation-path integral over theta in [0, asin(r)] at thresholds
     # with products hk and half square sums hs, on one rule's _path_state,
-    # in place in one (rows, nodes) buffer: scratch, which may be the
+    # in place in one (nodes, rows) buffer: scratch, which may be the
     # state's own sines when the state is used once, or a new one for None.
     half, sn, den = state
-    terms = np.multiply(sn, hk[:, None], out=scratch)
-    terms -= hs[:, None]
+    terms = np.multiply(sn, hk, out=scratch)
+    terms -= hs
     terms /= den
     with np.errstate(over="ignore"):
         np.exp(terms, out=terms)
-    return half * (terms @ weights) / (2.0 * np.pi)
+    return half * (weights @ terms) / (2.0 * np.pi)
 
 
 class _CorrelationPlan:
     """The rho-only part of Phi2 at one correlation per row: the clamped
     correlations, each row's band (bands[k] lists the rows of band k: the
     k-th path rule for k < 3, the high-correlation branch for 3) and, when
-    shared, each path band's _path_state over its rows.
+    shared, each path band's _path_state over its rows, computed block by
+    block as an unshared plan computes it.
 
     A shared plan serves any number of threshold sets at the same
     correlations, as every threshold pair of one dependence cell of a
@@ -233,44 +262,65 @@ class _CorrelationPlan:
     unshared plan (one evaluation, as a dependence fit's) computes each
     block's state as the block is reached. np.asarray(plan) gives the
     clamped correlations, so a plan stands in for rho wherever only their
-    values are read.
+    values are read. A plan on rows in _band_order keeps each band
+    contiguous, and its blocks are slices.
     """
 
     def __init__(self, rho, shared=True):
         self.rho = r = np.asarray(clamp_rho(rho), dtype=float).ravel()
-        absr = np.abs(r)
-        band = (absr >= _RULE_EDGES[0]).astype(np.int8)
-        band += absr >= _RULE_EDGES[1]
-        band += absr > _RULE_EDGES[2]
+        band = _band_codes(r)
         self.bands = [np.flatnonzero(band == k) for k in range(4)]
         self.shared = shared
-        self._states = [_path_state(r[rows], nodes1)
-                        for rows, (nodes1, _) in zip(self.bands, _MODERATE_RULES)] if shared else None
+        self._blocks = [_blocks_of(rows) for rows in self.bands]
+        self._states = None if not shared else [
+            [_path_state(r[sel], nodes1) for sel in sels]
+            for sels, (nodes1, _) in zip(self._blocks, _MODERATE_RULES)]
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.rho, dtype=dtype, copy=copy)
 
     def blocks(self, live=None):
-        """(k, rows, state) for each block of at most BLOCK_ROWS rows of band
+        """(k, sel, state) for each block of at most BLOCK_ROWS rows of band
         k, among the rows where the mask live is true (all rows for None):
-        the rows a path block evaluates and its rule's state on them; state
-        is None in band 3. Blocks are those of the live rows alone, so a row
-        meets the same block, and gives the same bits, shared or not."""
-        for k, rows in enumerate(self.bands):
-            state = self._states[k] if self.shared and k < 3 else None
+        the rows a path block evaluates (a slice where they are contiguous)
+        and its rule's state on them; state is None in band 3. Blocks are
+        those of the live rows alone, so a row meets the same block, and
+        gives the same bits, shared or not."""
+        for k, (rows, sels) in enumerate(zip(self.bands, self._blocks)):
+            states = self._states[k] if self.shared and k < 3 else None
             if live is not None:
                 keep = live[rows]
-                rows = rows[keep]
-                if state is not None:
-                    state = tuple(s[keep] for s in state)
-            for lo in range(0, rows.size, BLOCK_ROWS):
-                sel = rows[lo:lo + BLOCK_ROWS]
+                if not keep.all():
+                    sels = _blocks_of(rows[keep])
+                    if states is not None:
+                        states = _take_state(states, keep)
+            for b, sel in enumerate(sels):
                 if k == 3:
                     yield k, sel, None
-                elif state is None:
+                elif states is None:
                     yield k, sel, _path_state(self.rho[sel], _MODERATE_RULES[k][0])
                 else:
-                    yield k, sel, tuple(s[lo:lo + BLOCK_ROWS] for s in state)
+                    yield k, sel, states[b]
+
+
+def _blocks_of(rows):
+    # rows (ascending) in runs of at most BLOCK_ROWS, each a slice where its
+    # rows are contiguous, else an index array.
+    runs = (rows[lo:lo + BLOCK_ROWS] for lo in range(0, rows.size, BLOCK_ROWS))
+    return [slice(sel[0], sel[-1] + 1) if sel[-1] - sel[0] + 1 == sel.size else sel
+            for sel in runs]
+
+
+def _take_state(states, keep):
+    # The block states of one band, restricted to the rows where keep is
+    # true and cut again into blocks of at most BLOCK_ROWS of those rows.
+    # compress keeps the (nodes, rows) arrays C-ordered: _path_sum's matrix
+    # product then rounds as on a state computed for those rows alone.
+    half = np.concatenate([s[0] for s in states])[keep]
+    sn, den = (np.concatenate([s[i] for s in states], axis=1).compress(keep, axis=1)
+               for i in (1, 2))
+    return [(half[sel], sn[:, sel], den[:, sel])
+            for sel in _blocks_of(np.arange(half.size))]
 
 
 def _bvnu_high(a, b, pa, pb, r):
@@ -323,6 +373,44 @@ def _bvnu_high(a, b, pa, pb, r):
     return np.where(neg, neg_part, pos_part)
 
 
+class _Thresholds:
+    """One side of a set of threshold pairs, with everything about it that
+    does not depend on its partner: Phi at each threshold, which thresholds
+    are saturated (at or beyond +/-_SATURATED, +/-inf included) and the
+    thresholds with the saturated ones stored as 0 (so that the per-row
+    arithmetic stays finite). The squares are left to the pair: stored here
+    they would add half again to every side a surface keeps.
+
+    Its arrays may have any shape; FixedThresholdBvn pairs two 1-D sides. A
+    caller whose thresholds recur in many pairs prepares them once: a
+    surface its keys' index rows (one row per key), gathering each cell's
+    rows with take; a dependence fit each body threshold's.
+    """
+
+    def __init__(self, t, p=None):
+        t = np.asarray(t, dtype=float)
+        if np.any(np.isnan(t)):
+            raise ValueError("thresholds must not be NaN")
+        self.p = _ndtr(t) if p is None else np.asarray(p, dtype=float)
+        if self.p.shape != t.shape:
+            raise ValueError("marginals must match the thresholds in length")
+        self.sat = np.abs(t) >= _SATURATED
+        self.any_sat = bool(self.sat.any())
+        self.t = np.where(self.sat, 0.0, t)
+
+    def take(self, key, rows):
+        """Row key of a 2-D side at the columns rows, as a 1-D side, with no
+        recomputation."""
+        out = object.__new__(_Thresholds)
+        out.p, out.sat, out.t = (v[key].take(rows) for v in (self.p, self.sat, self.t))
+        out.any_sat = bool(out.sat.any())
+        return out
+
+
+def _ravel(p):
+    return None if p is None else np.ravel(p)
+
+
 class FixedThresholdBvn:
     """The bivariate normal CDF and density at fixed threshold pairs.
 
@@ -331,41 +419,41 @@ class FixedThresholdBvn:
     new correlation each iteration, so everything that does not depend on rho
     is computed once here; bvn_cdf is a one-shot use. A row with a threshold
     at or beyond +/-40 (_SATURATED), +/-inf included, is saturated: constant
-    in rho, its CDF is exactly the marginal limit and its density zero. Its
-    thresholds are stored as 0, so that the per-row arithmetic stays finite.
+    in rho, its CDF is exactly the marginal limit and its density zero.
 
-    pa and pb are the marginals Phi(a) and Phi(b), computed here when not
-    given. A caller that already holds them passes them in, so that Phi is
-    computed once per threshold, not once per threshold pair; since Phi is
-    elementwise, the results are the same bits either way. Likewise a
-    caller that evaluates many threshold sets at the same correlations
-    passes one _CorrelationPlan to each, with the same bits as a plain rho.
+    a and b are the two sides, each a _Thresholds or an array of thresholds
+    with, optionally, its marginals pa or pb (Phi(a), Phi(b)). A pair is
+    built from its two sides by a handful of elementwise operations (the
+    saturation mask, a b, (a^2 + b^2) / 2 and Phi(a) Phi(b)), so a caller
+    that holds prepared sides (each threshold's Phi and saturation mask
+    computed once, not once per pair) passes them in; since every side's
+    arrays are elementwise, the results are the same bits either way.
+    Likewise a caller that evaluates many threshold sets at the same
+    correlations passes one _CorrelationPlan to each, with the same bits as
+    a plain rho.
     """
 
     def __init__(self, a, b, pa=None, pb=None):
-        a = np.asarray(a, dtype=float).ravel()
-        b = np.asarray(b, dtype=float).ravel()
-        if a.shape != b.shape:
+        sa = a if isinstance(a, _Thresholds) else _Thresholds(np.ravel(a), _ravel(pa))
+        sb = b if isinstance(b, _Thresholds) else _Thresholds(np.ravel(b), _ravel(pb))
+        if sa.t.ndim != 1 or sa.t.shape != sb.t.shape:
             raise ValueError("threshold arrays must have equal length")
-        if np.any(np.isnan(a)) or np.any(np.isnan(b)):
-            raise ValueError("thresholds must not be NaN")
-        self.n = a.size
-        self.pa = _ndtr(a) if pa is None else np.asarray(pa, dtype=float).ravel()
-        self.pb = _ndtr(b) if pb is None else np.asarray(pb, dtype=float).ravel()
-        if self.pa.shape != a.shape or self.pb.shape != b.shape:
-            raise ValueError("marginals must match the thresholds in length")
-        saturated = (np.abs(a) >= _SATURATED) | (np.abs(b) >= _SATURATED)
-        self._saturated = sat = np.flatnonzero(saturated)
-        self._live = ~saturated if sat.size else None
-        sa, sb = a[sat], b[sat]
-        self._limit = np.where((sa <= -_SATURATED) | (sb <= -_SATURATED), 0.0,
-                               np.where(sa >= _SATURATED, self.pb[sat], self.pa[sat]))
-        a, b = a.copy(), b.copy()
-        a[sat] = b[sat] = 0.0
-        self._a, self._b = a, b
-        self._hk = a * b
-        self._hs = 0.5 * (a * a + b * b)
-        self._prod = self.pa * self.pb
+        self.n = sa.t.size
+        self.pa, self.pb = sa.p, sb.p
+        self._a, self._b = sa.t, sb.t
+        # Saturated rows, the rest (None when every row is live) and the
+        # saturated rows' limits; a side with no saturated row skips this.
+        self._saturated, self._live, self._limit = _NO_ROWS, None, np.empty(0)
+        if sa.any_sat or sb.any_sat:
+            saturated = sa.sat | sb.sat
+            self._saturated = sat = np.flatnonzero(saturated)
+            self._live = ~saturated
+            # Phi is exactly 0 or 1 at a saturated threshold, so the limit,
+            # 0 below or the other side's marginal above, is min(pa, pb).
+            self._limit = np.minimum(sa.p[sat], sb.p[sat])
+        self._hk = sa.t * sb.t
+        self._hs = 0.5 * (sa.t * sa.t + sb.t * sb.t)
+        self._prod = sa.p * sb.p
 
     def _cdf(self, rho):
         """Phi2 at the stored thresholds; rho a scalar, one correlation per
@@ -374,7 +462,9 @@ class FixedThresholdBvn:
         Every row takes the formula of its band (_CorrelationPlan.blocks),
         block by block, and the saturated rows take their limit; with every
         row saturated no quadrature runs. A plain rho gets an unshared plan,
-        so fits and surfaces go through this one dispatch.
+        so fits and surfaces go through this one dispatch. On a plan in
+        _band_order with no saturated row, every block is a slice: no row is
+        gathered or scattered.
         """
         plan = rho if isinstance(rho, _CorrelationPlan) else _CorrelationPlan(
             np.broadcast_to(rho, (self.n,)), shared=False)
@@ -425,8 +515,9 @@ def bvn_cdf(a, b, rho, *, pa=None, pb=None):
     FixedThresholdBvn in place of computing them.
 
     rho may also be a _CorrelationPlan, whose state the call reuses: then a
-    and b are 1-D with one entry per plan row, and the result is too, with
-    the bits of the call on the plan's correlations.
+    and b are 1-D with one entry per plan row (arrays, or sides prepared
+    once as _Thresholds, with no pa or pb), and the result is too, with the
+    bits of the call on the plan's correlations.
     """
     if isinstance(rho, _CorrelationPlan):
         return FixedThresholdBvn(a, b, pa, pb)._cdf(rho)

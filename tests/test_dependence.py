@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdreg import dependence
+from bdreg import dependence, normal
 from bdreg.bootstrap import WeightScheme, _run_replicate, draw_weights
 from bdreg.data import Sample, build_grid, grid_from_values
 from bdreg.dependence import (
@@ -339,6 +339,26 @@ class TestFitBdr:
         np.testing.assert_array_equal(corner, fit.dep_coef[-1, -1])
         low = dep_coef_at(fit, -np.inf, -np.inf)
         np.testing.assert_array_equal(low, fit.dep_coef[0, 0])
+
+    def test_phi_is_computed_once_per_body_threshold(self, monkeypatch):
+        # The dependence cells share each body threshold's index rows and
+        # their Phi: one _ndtr call of n elements per body threshold, 4 + 4
+        # here, not two per cell (32). The fitted dependence stays below
+        # 0.925 (checked), so no row takes the high-correlation branch, whose
+        # own Phi depends on rho.
+        s = generate(bench_spec(1000, 17))
+        grid = build_grid(s, n_points=6)
+        sizes, ndtr = [], normal._ndtr
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return ndtr(x)
+
+        monkeypatch.setattr(normal, "_ndtr", counted)
+        fit = fit_bdr(s, grid)
+        assert fit.dep_coef.shape[:2] == (4, 4) and fit.n_failed == 0
+        assert np.max(np.abs(np.tanh(fit.dep_coef @ s.x.T))) < 0.925
+        assert sizes == [s.n] * (grid.y_body.size + grid.w_body.size)
 
     def test_failed_cell_raises_before_evaluation(self, small_fit, small_sample):
         fit, grid = small_fit

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import types
 
 import numpy as np
@@ -33,6 +34,18 @@ def two_group_setup():
     spec1 = bench_spec(1500, 202, dep_coef=[0.6, 0.0, 0.0])
     samples = {0: generate(spec0), 1: generate(spec1)}
     grids = {g: build_grid(s, n_points=6) for g, s in samples.items()}
+    fits = {g: fit_bdr(samples[g], grids[g]) for g in samples}
+    return fits, samples, grids
+
+
+@pytest.fixture(scope="module")
+def big_two_groups():
+    # Two groups of more than two blocks of covariate rows each (the last
+    # block partial), with a 5-point grid (3 x 3 body cells).
+    samples = {g: generate(bench_spec(2 * BLOCK_ROWS + 300, 210 + g,
+                                      dep_coef=[0.2 + 0.3 * g, 0.4, -0.2]))
+               for g in (0, 1)}
+    grids = {g: build_grid(s, n_points=5) for g, s in samples.items()}
     fits = {g: fit_bdr(samples[g], grids[g]) for g in samples}
     return fits, samples, grids
 
@@ -154,6 +167,38 @@ class TestCounterfactualSurface:
         monkeypatch.setattr(functionals, "bvn_cdf", traced)
         decompose_joint(fits, samples, grids[0].y_grid, grids[0].w_grid)
         assert len(shapes) >= 5 and all(r == out and len(r) == 1 for r, out in shapes)
+
+    @pytest.mark.parametrize("bad", ["empty", "nan", "inf"])
+    def test_bad_covariate_rows_raise(self, bad, small_fit, small_sample):
+        # An empty covariate sample used to average to a surface of exact
+        # zeros, and a NaN covariate to end in a bare ValueError from the
+        # kernel.
+        fit, _ = small_fit
+        s = small_sample
+        x = s.x[:0] if bad == "empty" else s.x.copy()
+        if bad != "empty":
+            x[5, 1] = np.nan if bad == "nan" else np.inf
+        message = ("no covariate rows" if bad == "empty"
+                   else "non-finite covariate at row 5, column 1")
+        rows = type(s)(y=s.y[:len(x)], w=s.w[:len(x)], x=x)
+        for build in (fitted_surface, independence_counterfactual):
+            with pytest.raises(DataError, match=message):
+                build(fit, rows)
+
+    @pytest.mark.parametrize("axis", ["y", "w"])
+    @pytest.mark.parametrize("bad", [0.3, [[0.1, 0.2], [0.3, 0.4]]], ids=["scalar", "2-D"])
+    def test_axis_values_must_be_one_dimensional(self, axis, bad, small_fit, small_sample):
+        # A scalar used to raise a bare TypeError (iteration over a 0-d
+        # array), and a 2-D array a ValueError.
+        fit, grid = small_fit
+        axes = {"y_values": grid.y_grid, "w_values": grid.w_grid, f"{axis}_values": bad}
+        message = f"{axis} values must be a 1-D array of thresholds"
+        for build in (fitted_surface, independence_counterfactual):
+            with pytest.raises(DataError, match=message):
+                build(fit, small_sample, **axes)
+        with pytest.raises(DataError, match=message):
+            decompose_joint({0: fit, 1: fit}, {0: small_sample, 1: small_sample},
+                            axes["y_values"], axes["w_values"])
 
     def test_nan_threshold_raises(self, small_fit, small_sample):
         # A NaN threshold used to be served by the first body point.
@@ -327,6 +372,70 @@ class TestDecomposition:
                                  grid.y_grid, grid.w_grid)
         for name, comp in report.components().items():
             assert np.max(np.abs(comp)) <= 1e-12, name
+
+    def test_path_surfaces_are_the_counterfactual_surfaces(self, two_group_setup,
+                                                         big_two_groups):
+        # 1100, 1000 and 0000 share group 0's dependence fit and covariates
+        # and are evaluated in one walk over its cells; each of the five path
+        # surfaces still gives the bits of counterfactual_joint_cdf for its
+        # code, also beyond BLOCK_ROWS covariate rows.
+        for fits, samples, grids in (two_group_setup, big_two_groups):
+            ys, ws = grids[0].y_grid, grids[1].w_grid
+            values = functionals._path_values(fits, samples, ys, ws)
+            assert list(values) == list(functionals._PATH)
+            for code, got in values.items():
+                want = counterfactual_joint_cdf(fits, samples, code, ys, ws).values
+                np.testing.assert_array_equal(got, want, err_msg=code)
+
+    def test_one_plan_per_cell_and_shared_walk(self, two_group_setup, big_two_groups,
+                                               monkeypatch):
+        # A decomposition walks group 1's cells twice (1111 and 1110: two
+        # covariate groups) and group 0's once for 1100, 1000 and 0000,
+        # building one correlation plan per cell reached and row block: not
+        # five walks.
+        built, plan = [], functionals._CorrelationPlan
+
+        def counted(rho):
+            built.append(np.size(rho))
+            return plan(rho)
+
+        monkeypatch.setattr(functionals, "_CorrelationPlan", counted)
+        for fits, samples, grids in (two_group_setup, big_two_groups):
+            ys, ws = grids[0].y_grid, grids[0].w_grid
+            reached = [len({(nearest_body_index(f.grid.y_body, y),
+                             nearest_body_index(f.grid.w_body, w)) for y in ys for w in ws})
+                       for f in (fits[0], fits[1])]
+            blocks = -(-samples[0].n // BLOCK_ROWS)
+            built.clear()
+            decompose_joint(fits, samples, ys, ws)
+            assert len(built) == (reached[0] + 2 * reached[1]) * blocks
+            assert max(built) <= BLOCK_ROWS
+
+    def test_shared_walk_holds_one_plan_at_a_time(self, big_two_groups):
+        # The traced peak of a decomposition stays within 10% of one
+        # surface's, beyond the prepared thresholds of the two marginals
+        # that only the shared walk of 1100, 1000 and 0000 holds at once
+        # (group 0's; one surface holds two), each gathered at most once
+        # more into a cell's row block: no plan outlives its cell and row
+        # block. Holding every plan would take several times the peak.
+        fits, samples, grids = big_two_groups
+        ys, ws = grids[0].y_grid, grids[0].w_grid
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: counterfactual_joint_cdf(fits, samples, "1100", ys, ws))
+        both = peak(lambda: decompose_joint(fits, samples, ys, ws))
+        sides = [functionals._key_thresholds(marginal, values, samples[0].x)[1]
+                 for marginal, values in ((fits[0].y_marginal, ys), (fits[0].w_marginal, ws))]
+        extra = sum(v.nbytes for side in sides for v in vars(side).values()
+                    if isinstance(v, np.ndarray))
+        assert both <= 1.1 * one + extra * (1.0 + BLOCK_ROWS / samples[0].n)
 
     def test_telescoping_identity(self, two_group_setup):
         fits, samples, grids = two_group_setup

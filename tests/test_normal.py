@@ -245,6 +245,25 @@ class TestBivariateCdf:
         with pytest.raises(ValueError, match="plan"):
             bvn_cdf(a[:-1], b[:-1], plan)
 
+    def test_path_rule_matches_a_64_node_rule_on_every_band(self):
+        # The node-major 6-, 12- and 20-node path rules against a 64-node
+        # Gauss-Legendre evaluation of the same integral, Phi(a) Phi(b) +
+        # int_0^asin(rho) exp(-(a^2 + b^2 - 2 ab sin t) / (2 cos^2 t)) dt
+        # / (2 pi), at each band edge (0.3, 0.75, 0.925) and on both sides
+        # of it, with both signs, in one call mixing every band.
+        rng = np.random.default_rng(29)
+        edges = np.array([0.3, 0.75, 0.925])
+        near = np.r_[edges, np.nextafter(edges, 0.0), edges - 0.01, [0.0, 0.1, 0.5, 0.85]]
+        rho = np.repeat(np.r_[near, -near], 60)
+        a, b = rng.normal(scale=1.5, size=(2, rho.size))
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        top = np.arcsin(rho)[:, None]
+        sn = np.sin(0.5 * top * (nodes + 1.0))
+        terms = np.exp((sn * (a * b)[:, None] - 0.5 * (a * a + b * b)[:, None]) / (1.0 - sn * sn))
+        want = ndtr(a) * ndtr(b) + 0.5 * top[:, 0] * (terms @ weights) / (2.0 * np.pi)
+        assert np.max(np.abs(bvn_cdf(a, b, rho) - want)) <= 1e-15
+        np.testing.assert_array_equal(bvn_cdf(a, b, _CorrelationPlan(rho)), bvn_cdf(a, b, rho))
+
     def test_high_band_runs_in_blocks(self):
         # The high-correlation branch's (rows, nodes) temporaries are blocked
         # like the path rules', so a long call's traced peak stays a few
