@@ -424,8 +424,9 @@ def _cmd_decompose(args, config: RunConfig, writer: OutputWriter) -> dict:
 
 def _parse_cuts(arg: str | None, levels_arg: str | None, values, name: str):
     """The cuts, -inf and inf outermost, from explicit interior numbers or
-    quantile levels. A repeated number is a ConfigError; levels that meet at
-    one data point make a repeated cut, a DataError."""
+    quantile levels (quintiles by default). A repeated number is a
+    ConfigError; two levels that meet at one data point make a repeated cut,
+    a DataError that names both levels and the value."""
     if arg and levels_arg:
         raise ConfigError(f"give either --{name}-cuts or --{name}-cut-levels, not both")
     if arg:
@@ -434,14 +435,21 @@ def _parse_cuts(arg: str | None, levels_arg: str | None, values, name: str):
             raise ConfigError(
                 f"--{name}-cuts must be finite (the outer -inf and inf cuts are implied)"
             )
-    elif levels_arg:
-        levels = _numbers(levels_arg, f"{name}-cut-levels", distinct=True)
-        if any(not 0.0 < lv < 1.0 for lv in levels):
-            raise ConfigError("cut levels must lie in (0, 1)")
-        vals = list(empirical_quantile(values, levels))
     else:
-        # quintiles by default
-        vals = list(empirical_quantile(values, [0.2, 0.4, 0.6, 0.8]))
+        levels, source = [0.2, 0.4, 0.6, 0.8], " (the default quintiles)"
+        if levels_arg:
+            levels, source = _numbers(levels_arg, f"{name}-cut-levels", distinct=True), ""
+            if any(not 0.0 < lv < 1.0 for lv in levels):
+                raise ConfigError("cut levels must lie in (0, 1)")
+        levels = sorted(levels)
+        vals = list(empirical_quantile(values, levels))
+        tied = np.flatnonzero(np.diff(vals) == 0.0)
+        if tied.size:
+            i = tied[0]
+            raise DataError(
+                f"{name} cut levels {levels[i]:g} and {levels[i + 1]:g}{source} both fall at "
+                f"{name} = {vals[i]:.15g}; give distinct cuts with --{name}-cuts or "
+                f"--{name}-cut-levels")
     return increasing([-np.inf, *sorted(vals), np.inf], f"{name} cuts", 2)
 
 

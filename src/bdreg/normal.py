@@ -36,16 +36,16 @@ bounds its rows) are not blocked.
 
 A path rule is two parts: the correlation-only state (_path_state: asin rho,
 the sines at the rule's nodes and 1 - sin^2), and the threshold sum
-(_path_sum: (sin hk - hs) / (1 - sin^2), exp, and the node weights). Both
-are node-major, (nodes, rows) arrays, so every elementwise pass runs over
-contiguous rows and the weights reduce the nodes by one matrix-vector
-product. A plain rho computes the state block by block as it is used; a
-shared plan computes it once, block by block in the same way, and every
-threshold set reuses it, which makes a surface's pair, built from prepared
-sides, about a fifth (20 nodes) to a third (6 nodes) of the cost of a full
-evaluation (tests/oracles/kernel_ns.py measures both). Both give the same bits. A
-plan on rows sorted by band (_band_order) holds each band contiguously, so
-that a pair's blocks are slices: no row is gathered or scattered.
+(_path_sum: (sin hk - hs) / (1 - sin^2), exp, and the node weights). Both are
+node-major, (nodes, rows) arrays, so every elementwise pass runs over
+contiguous rows and the weights reduce the nodes by one matrix-vector product.
+A block's state is computed when the block is reached (a plain rho, or a band
+with saturated rows), or stored by a shared plan for every threshold set to
+reuse, which makes a surface's pair, built from prepared sides, about a fifth
+(20 nodes) to a third (6 nodes) of the cost of a full evaluation
+(tests/oracles/kernel_ns.py measures both). Both give the same bits. A plan on
+rows sorted by band (_band_order) holds each band contiguously, so a pair's
+blocks are slices: no row is gathered or scattered.
 
 Thresholds at or beyond +/-40, +/-inf included, make a saturated row: its
 CDF is the exact marginal limit and its density zero, with no quadrature.
@@ -285,15 +285,12 @@ class _CorrelationPlan:
         the rows a path block evaluates (a slice where they are contiguous)
         and its rule's state on them; state is None in band 3. Blocks are
         those of the live rows alone, so a row meets the same block, and
-        gives the same bits, shared or not."""
+        gives the same bits, shared or not; a band with rows that are not
+        live computes its blocks' state, as an unshared plan does."""
         for k, (rows, sels) in enumerate(zip(self.bands, self._blocks)):
             states = self._states[k] if self.shared and k < 3 else None
-            if live is not None:
-                keep = live[rows]
-                if not keep.all():
-                    sels = _blocks_of(rows[keep])
-                    if states is not None:
-                        states = _take_state(states, keep)
+            if live is not None and not (keep := live[rows]).all():
+                sels, states = _blocks_of(rows[keep]), None
             for b, sel in enumerate(sels):
                 if k == 3:
                     yield k, sel, None
@@ -309,18 +306,6 @@ def _blocks_of(rows):
     runs = (rows[lo:lo + BLOCK_ROWS] for lo in range(0, rows.size, BLOCK_ROWS))
     return [slice(sel[0], sel[-1] + 1) if sel[-1] - sel[0] + 1 == sel.size else sel
             for sel in runs]
-
-
-def _take_state(states, keep):
-    # The block states of one band, restricted to the rows where keep is
-    # true and cut again into blocks of at most BLOCK_ROWS of those rows.
-    # compress keeps the (nodes, rows) arrays C-ordered: _path_sum's matrix
-    # product then rounds as on a state computed for those rows alone.
-    half = np.concatenate([s[0] for s in states])[keep]
-    sn, den = (np.concatenate([s[i] for s in states], axis=1).compress(keep, axis=1)
-               for i in (1, 2))
-    return [(half[sel], sn[:, sel], den[:, sel])
-            for sel in _blocks_of(np.arange(half.size))]
 
 
 def _bvnu_high(a, b, pa, pb, r):
@@ -387,13 +372,11 @@ class _Thresholds:
     rows with take; a dependence fit each body threshold's.
     """
 
-    def __init__(self, t, p=None):
+    def __init__(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(np.isnan(t)):
             raise ValueError("thresholds must not be NaN")
-        self.p = _ndtr(t) if p is None else np.asarray(p, dtype=float)
-        if self.p.shape != t.shape:
-            raise ValueError("marginals must match the thresholds in length")
+        self.p = _ndtr(t)
         self.sat = np.abs(t) >= _SATURATED
         self.any_sat = bool(self.sat.any())
         self.t = np.where(self.sat, 0.0, t)
@@ -407,10 +390,6 @@ class _Thresholds:
         return out
 
 
-def _ravel(p):
-    return None if p is None else np.ravel(p)
-
-
 class FixedThresholdBvn:
     """The bivariate normal CDF and density at fixed threshold pairs.
 
@@ -421,21 +400,19 @@ class FixedThresholdBvn:
     at or beyond +/-40 (_SATURATED), +/-inf included, is saturated: constant
     in rho, its CDF is exactly the marginal limit and its density zero.
 
-    a and b are the two sides, each a _Thresholds or an array of thresholds
-    with, optionally, its marginals pa or pb (Phi(a), Phi(b)). A pair is
-    built from its two sides by a handful of elementwise operations (the
-    saturation mask, a b, (a^2 + b^2) / 2 and Phi(a) Phi(b)), so a caller
-    that holds prepared sides (each threshold's Phi and saturation mask
-    computed once, not once per pair) passes them in; since every side's
-    arrays are elementwise, the results are the same bits either way.
+    a and b are the two sides, each a _Thresholds or an array of
+    thresholds. A pair is built from its two sides by a handful of
+    elementwise operations (the saturation mask, a b, (a^2 + b^2) / 2 and
+    Phi(a) Phi(b)), so a caller whose thresholds recur in many pairs
+    prepares each side once and passes it in, with the bits of the arrays.
     Likewise a caller that evaluates many threshold sets at the same
     correlations passes one _CorrelationPlan to each, with the same bits as
     a plain rho.
     """
 
-    def __init__(self, a, b, pa=None, pb=None):
-        sa = a if isinstance(a, _Thresholds) else _Thresholds(np.ravel(a), _ravel(pa))
-        sb = b if isinstance(b, _Thresholds) else _Thresholds(np.ravel(b), _ravel(pb))
+    def __init__(self, a, b):
+        sa = a if isinstance(a, _Thresholds) else _Thresholds(np.ravel(a))
+        sb = b if isinstance(b, _Thresholds) else _Thresholds(np.ravel(b))
         if sa.t.ndim != 1 or sa.t.shape != sb.t.shape:
             raise ValueError("threshold arrays must have equal length")
         self.n = sa.t.size
@@ -505,22 +482,19 @@ class FixedThresholdBvn:
         return dens, slope
 
 
-def bvn_cdf(a, b, rho, *, pa=None, pb=None):
+def bvn_cdf(a, b, rho):
     """Standard bivariate normal CDF P(X <= a, Y <= b) with correlation rho.
 
     a and b may be +/-inf; those and all beyond +/-40 resolve exactly to the
-    marginal limits.
-    rho is clamped via :func:`clamp_rho`. pa and pb, if given, are Phi(a)
-    and Phi(b) at the broadcast shape of a, b and rho, passed on to
-    FixedThresholdBvn in place of computing them.
+    marginal limits. rho is clamped via :func:`clamp_rho`.
 
     rho may also be a _CorrelationPlan, whose state the call reuses: then a
     and b are 1-D with one entry per plan row (arrays, or sides prepared
-    once as _Thresholds, with no pa or pb), and the result is too, with the
-    bits of the call on the plan's correlations.
+    once as _Thresholds), and the result is too, with the bits of the call
+    on the plan's correlations.
     """
     if isinstance(rho, _CorrelationPlan):
-        return FixedThresholdBvn(a, b, pa, pb)._cdf(rho)
+        return FixedThresholdBvn(a, b)._cdf(rho)
     a, b, rho = np.broadcast_arrays(a, b, rho)
-    out = FixedThresholdBvn(a, b, pa, pb)._cdf(rho.ravel()).reshape(a.shape)
+    out = FixedThresholdBvn(a, b)._cdf(rho.ravel()).reshape(a.shape)
     return float(out) if out.ndim == 0 else out

@@ -12,6 +12,9 @@ script under each and diffing its output. The matrix, all at grid 6:
 - two transitions with cuts beyond the grid: --y-cuts=-1e200,0 --w-cuts 1e3
   --decompose on the two-group n = 600 file, and one-group
   --y-cuts=-1,1e3 --w-cuts 50 --replicates 10;
+- one-group transition --y-cuts 53 --w-cuts 0, whose y index at 53 spans
+  the kernel's saturation edge 40 across covariate rows (39.6 to 40.5): some
+  rows of a threshold pair are saturated and the rest are not;
 - estimate, decompose --replicates 12 --workers 2 and transition
   --decompose on a strong-dependence `simulate --two-groups --seed 3
   --dep-coef 1.05,0.6,0` file of n = 2,000, where a third or more of the
@@ -112,6 +115,8 @@ def matrix() -> dict[str, list[str]]:
     runs["one_2000/transition_far_cuts"] = [
         "transition", "--input", data, "--y-cuts=-1,1e3", "--w-cuts", "50",
         "--replicates", "10"]
+    runs["one_2000/transition_straddling_cut"] = [
+        "transition", "--input", data, "--y-cuts", "53", "--w-cuts", "0"]
     data = simulate("strong_2000", 2000, "--two-groups", "--dep-coef", "1.05,0.6,0")
     strong = ["--input", data, "--group-col", "group"]
     runs["strong_2000/estimate"] = ["estimate", *strong]

@@ -297,22 +297,46 @@ def test_multinomial_bootstrap_round_trip(sample_csv, tmp_path):
 
 
 @pytest.mark.parametrize("bad,code", [
-    (["--y-cuts", "0,0"], 2),
-    (["--w-cuts=-0.5,0.5,-0.5"], 2),
-    (["--y-cut-levels", "0.5,0.5"], 2),
-    (["--w-cut-levels", "0.2,0.8,0.2"], 2),
+    ((["--y-cuts", "0,0"], "--y-cuts repeats a value"), 2),
+    ((["--w-cuts=-0.5,0.5,-0.5"], "--w-cuts repeats a value"), 2),
+    ((["--y-cut-levels", "0.5,0.5"], "--y-cut-levels repeats a value"), 2),
+    ((["--w-cut-levels", "0.2,0.8,0.2"], "--w-cut-levels repeats a value"), 2),
     # Both levels pick the 600th of the 1200 pooled y values.
-    (["--y-cut-levels", "0.4998,0.5"], 3),
+    ((["--y-cut-levels", "0.5,0.4998"], "y cut levels 0.4998 and 0.5 both fall at y = "), 3),
 ])
 def test_bad_transition_cuts_fail_before_any_fit(bad, code, sample_csv, tmp_path,
-                                                 monkeypatch):
+                                                 monkeypatch, capsys):
     # A repeated cut or level is a configuration error; distinct levels at
-    # one empirical quantile are a data error. Both used to surface only
-    # after every group was fitted.
+    # one empirical quantile are a data error, which names both levels. Both
+    # used to surface only after every group was fitted.
+    argv, message = bad
     monkeypatch.setattr(cli, "fit_bdr", no_fit)
     out = tmp_path / "out"
-    assert run("transition", sample_csv, out, *bad) == code
+    assert run("transition", sample_csv, out, *argv) == code
     assert list(out.glob("*")) == []
+    assert message in capsys.readouterr().err
+
+
+def test_default_quintiles_at_one_value_name_their_levels(sample_csv, tmp_path, monkeypatch,
+                                                          capsys):
+    # With y and w rounded to integers, the default y quintiles 0.4 and 0.6
+    # both fall at y = 0. No cut was given, yet this used to read only "y
+    # cuts must be sorted and distinct".
+    rows = list(csv.reader(sample_csv.open(newline="")))
+    cols = [rows[0].index("y"), rows[0].index("w")]
+    for row in rows[1:]:
+        for c in cols:
+            row[c] = str(round(float(row[c])))
+    rounded = tmp_path / "rounded.csv"
+    with rounded.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    out = tmp_path / "out"
+    assert run("transition", rounded, out, "--decompose") == 3
+    assert list(out.glob("*")) == []
+    err = capsys.readouterr().err
+    assert ("y cut levels 0.4 and 0.6 (the default quintiles) both fall at y = 0; "
+            "give distinct cuts with --y-cuts or --y-cut-levels") in err
 
 
 def test_bad_workers_variable_is_config_error(sample_csv, tmp_path, monkeypatch, capsys):

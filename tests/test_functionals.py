@@ -111,12 +111,20 @@ class TestCounterfactualSurface:
                          mid, body[1], 0.5 * (body[1] + mid), body[-1],
                          body[-1] + 0.7, np.inf, body[-1] + 0.7])
 
+    @staticmethod
+    def _straddling(marginal, x):
+        # The point beyond the body where the index reaches the saturation
+        # edge 40 at the median row: about half the rows saturate there and
+        # the rest do not, so its pairs are partly saturated.
+        return marginal.anchor_hi + (40.0 - np.median(x @ marginal.coef[-1])) / marginal.alpha_hi
+
     def test_batched_surfaces_match_point_by_point(self, small_fit, small_sample,
                                                    two_group_setup):
         fit, grid = small_fit
         x = small_sample.x
         wts = np.full(x.shape[0], 1.0 / x.shape[0])
         ys, ws = self._mixed_axis(grid.y_body), self._mixed_axis(grid.w_body)
+        ys = np.append(ys, self._straddling(fit.y_marginal, x))
 
         def reference(cell):
             return np.array([[cell(yv, wv) for wv in ws] for yv in ys])
@@ -141,11 +149,13 @@ class TestCounterfactualSurface:
     def test_surface_beyond_one_block_of_rows_matches_pair_by_pair(self, small_fit):
         # More covariate rows than BLOCK_ROWS: _surface evaluates them in row
         # blocks, each with its own correlation plan, and still matches one
-        # bvn_cdf call per pair over all rows, saturated axis points included.
+        # bvn_cdf call per pair over all rows, saturated and partly saturated
+        # axis points included.
         fit, grid = small_fit
         big = generate(bench_spec(n=2 * BLOCK_ROWS + 300, seed=7))
         wts = np.full(big.n, 1.0 / big.n)
         ys, ws = self._mixed_axis(grid.y_body), self._mixed_axis(grid.w_body)
+        ys = np.append(ys, self._straddling(fit.y_marginal, big.x))
         got = fitted_surface(fit, big, ys, ws).values
         want = np.array([[wts @ joint_cdf_rows(fit, fit, fit, yv, wv, big.x) for wv in ws]
                          for yv in ys])
@@ -159,8 +169,8 @@ class TestCounterfactualSurface:
         fits, samples, grids = two_group_setup
         kernel, shapes = functionals.bvn_cdf, []
 
-        def traced(a, b, rho, **marginals):
-            out = kernel(a, b, rho, **marginals)
+        def traced(a, b, rho):
+            out = kernel(a, b, rho)
             shapes.append((np.asarray(rho, dtype=float).shape, np.shape(out)))
             return out
 
