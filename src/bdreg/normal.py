@@ -34,18 +34,28 @@ their (rows, nodes) temporaries stay a fixed size however many rows a call
 brings; only the per-row arrays of a call (and a shared plan, whose caller
 bounds its rows) are not blocked.
 
-A path rule is two parts: the correlation-only state (_path_state: asin rho,
-the sines at the rule's nodes and 1 - sin^2), and the threshold sum
-(_path_sum: (sin hk - hs) / (1 - sin^2), exp, and the node weights). Both are
-node-major, (nodes, rows) arrays, so every elementwise pass runs over
-contiguous rows and the weights reduce the nodes by one matrix-vector product.
-A block's state is computed when the block is reached (a plain rho, or a band
-with saturated rows), or stored by a shared plan for every threshold set to
-reuse, which makes a surface's pair, built from prepared sides, about a fifth
-(20 nodes) to a third (6 nodes) of the cost of a full evaluation
-(tests/oracles/kernel_ns.py measures both). Both give the same bits. A plan on
-rows sorted by band (_band_order) holds each band contiguously, so a pair's
-blocks are slices: no row is gathered or scattered.
+A path rule is two parts: the correlation-only state (_path_state) and the
+threshold sum (_path_sum). The state is h = asin(rho) / 2, the sines
+sin(c h) at the rule's nodes c, and 1 / (1 - sin^2). The nodes share one
+basis, the odd powers of h, so the sines are one small matrix product of the
+rule's Taylor coefficients (_sine_coefs: 6, 9 and 10 terms) with those
+powers: a pass over the rows per term, in place of a sine per node and row
+(np.sin costs several times np.exp per element). They are within 2, 3
+and 4 ulps of np.sin in the 6-, 12- and 20-node bands. The sum is
+exp((sin hk - hs) / (1 - sin^2)), with the stored reciprocal multiplied in,
+and the node weights. Both are node-major, (nodes, rows) arrays, so every
+elementwise pass runs over contiguous rows and the weights reduce the nodes
+by one matrix-vector product. A block's state is computed when the block is
+reached (a plain rho, or a band with saturated rows), or stored by a shared
+plan for every threshold set to reuse, which makes a surface's pair, built
+from prepared sides, about a quarter (12 and 20 nodes on full blocks) to a
+half (6 nodes) of the cost of a full evaluation (tests/oracles/kernel_ns.py
+measures both). A
+matrix product may round a row by its position in the block, so only the
+same blocks promise the same bits: a shared plan and a plain call build the
+same blocks and give the same bits. A plan on rows sorted by band
+(_band_order) holds each band contiguously, so a pair's blocks are slices:
+no row is gathered or scattered.
 
 Thresholds at or beyond +/-40, +/-inf included, make a saturated row: its
 CDF is the exact marginal limit and its density zero, with no quadrature.
@@ -76,11 +86,29 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # rule at a fraction of the work for small correlations. _RULE_EDGES bound
 # the |rho| bands of the 6-, 12- and 20-node rules (the last edge included)
 # and of the high-correlation branch beyond; _MODERATE_RULES holds each path
-# rule's nodes plus one, and its weights, in that order.
+# rule's sine coefficients (_sine_coefs) and its weights, in that order.
 _GL_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (6, 12, 20)}
 _GL_NODES, _GL_WEIGHTS = _GL_RULES[20]
 _RULE_EDGES = (0.3, 0.75, 0.925)
-_MODERATE_RULES = tuple((nodes + 1.0, weights) for nodes, weights in _GL_RULES.values())
+
+
+def _sine_coefs(nodes1, edge):
+    # sin(c h) = sum_j (-1)^j c^(2j+1) / (2j+1)! h^(2j+1): the coefficients,
+    # (nodes, terms), of a rule's nodes c along the odd powers of h, with the
+    # fewest terms whose first omitted one stays below half an ulp of the
+    # band's largest sine, at its largest |c h| (h = asin(edge) / 2: 0.29,
+    # 0.84 and 1.18 in the three bands, so 6, 9 and 10 terms, each no more
+    # than the rule's nodes).
+    top = nodes1.max() * 0.5 * math.asin(edge)
+    half_ulp = 0.5 * math.ulp(math.sin(top))
+    terms = next(j for j in range(1, 30)
+                 if top ** (2 * j + 1) / math.factorial(2 * j + 1) < half_ulp)
+    return np.array([[(-1) ** j * c ** (2 * j + 1) / math.factorial(2 * j + 1)
+                      for j in range(terms)] for c in nodes1])
+
+
+_MODERATE_RULES = tuple((_sine_coefs(nodes + 1.0, edge), weights)
+                        for (nodes, weights), edge in zip(_GL_RULES.values(), _RULE_EDGES))
 # Rows per quadrature block: bounds the (rows, nodes) temporaries.
 BLOCK_ROWS = 4096
 # From this |threshold| on, Phi is exactly 0 or 1 in double: Phi2 is its limit.
@@ -193,16 +221,21 @@ def clamp_rho(rho):
     indicate a bug upstream, not link saturation.
     """
     rho = np.asarray(rho, dtype=float)
-    if np.any(np.isnan(rho)) or np.any(np.abs(rho) > 1.0):
+    if not (np.abs(rho) <= 1.0).all():  # NaN fails the comparison too
         raise ValueError("correlation must lie in [-1, 1]")
-    out = np.clip(rho, -1.0 + EPS_RHO, 1.0 - EPS_RHO)
+    out = _clamp(rho)
     return float(out) if out.ndim == 0 else out
+
+
+def _clamp(rho):
+    # rho into [-(1 - EPS_RHO), 1 - EPS_RHO], as np.clip gives it, without
+    # its wrapper's cost.
+    return np.minimum(np.maximum(rho, -1.0 + EPS_RHO), 1.0 - EPS_RHO)
 
 
 def link_rho(u):
     """Vectorized tanh link: returns (clamped rho, d rho / d u)."""
-    u = np.asarray(u, dtype=float)
-    rho = np.clip(np.tanh(u), -1.0 + EPS_RHO, 1.0 - EPS_RHO)
+    rho = _clamp(np.tanh(np.asarray(u, dtype=float)))
     return rho, 1.0 - rho * rho
 
 
@@ -222,17 +255,25 @@ def _band_order(rho):
     return np.argsort(_band_codes(np.asarray(rho, dtype=float)), kind="stable")
 
 
-def _path_state(r, nodes1):
-    # The rho-only part of one path rule at correlations r, node-major: half
-    # of asin(r), and the sines at the rule's nodes along [0, asin(r)] with
-    # their 1 - sin^2, each (nodes, rows), so that every elementwise pass of
-    # _path_sum runs over contiguous rows.
+def _path_state(r, coefs):
+    # The rho-only part of one path rule at correlations r, node-major: h =
+    # asin(r) / 2, and at the rule's nodes c the sines sin(c h), coefs @ the
+    # odd powers of h (_sine_coefs), with their 1 / (1 - sin^2), each (nodes,
+    # rows), so that every elementwise pass of _path_sum runs over contiguous
+    # rows. The powers take the first rows of the reciprocal's buffer (a rule
+    # has no more terms than nodes), so they need no buffer of their own.
     half = 0.5 * np.arcsin(r)
-    sn = np.multiply.outer(nodes1, half)
-    np.sin(sn, out=sn)
-    den = np.multiply(sn, sn)
-    np.subtract(1.0, den, out=den)
-    return half, sn, den
+    inv = np.empty((len(coefs), half.size))
+    powers = inv[:coefs.shape[1]]
+    powers[0] = half
+    sq = half * half
+    for j in range(1, len(powers)):
+        np.multiply(powers[j - 1], sq, out=powers[j])
+    sn = coefs @ powers
+    np.multiply(sn, sn, out=inv)
+    np.subtract(1.0, inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    return half, sn, inv
 
 
 def _path_sum(hk, hs, state, weights, scratch=None):
@@ -240,12 +281,13 @@ def _path_sum(hk, hs, state, weights, scratch=None):
     # with products hk and half square sums hs, on one rule's _path_state,
     # in place in one (nodes, rows) buffer: scratch, which may be the
     # state's own sines when the state is used once, or a new one for None.
-    half, sn, den = state
+    # The exponent (sin hk - hs) / (1 - sin^2) is never positive, since
+    # hs = (a^2 + b^2) / 2 >= |ab| >= sin ab, so exp cannot overflow.
+    half, sn, inv = state
     terms = np.multiply(sn, hk, out=scratch)
     terms -= hs
-    terms /= den
-    with np.errstate(over="ignore"):
-        np.exp(terms, out=terms)
+    terms *= inv
+    np.exp(terms, out=terms)
     return half * (weights @ terms) / (2.0 * np.pi)
 
 
@@ -273,8 +315,8 @@ class _CorrelationPlan:
         self.shared = shared
         self._blocks = [_blocks_of(rows) for rows in self.bands]
         self._states = None if not shared else [
-            [_path_state(r[sel], nodes1) for sel in sels]
-            for sels, (nodes1, _) in zip(self._blocks, _MODERATE_RULES)]
+            [_path_state(r[sel], coefs) for sel in sels]
+            for sels, (coefs, _) in zip(self._blocks, _MODERATE_RULES)]
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.rho, dtype=dtype, copy=copy)
@@ -458,7 +500,8 @@ class FixedThresholdBvn:
                     out[sel] = self._prod[sel] + _path_sum(
                         self._hk[sel], self._hs[sel], state, _MODERATE_RULES[k][1],
                         None if plan.shared else state[1])
-        return np.clip(out, 0.0, 1.0, out=out)
+        np.maximum(out, 0.0, out=out)
+        return np.minimum(out, 1.0, out=out)
 
     # bvn_cdf calls _cdf, so that a wrapper put on cdf (perfbench's spans)
     # sees only the repeated evaluations of the dependence fits.

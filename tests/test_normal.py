@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -19,9 +19,12 @@ from bdreg.bootstrap import _NORMAL_IQR
 from bdreg.normal import (
     BLOCK_ROWS,
     EPS_RHO,
+    _MODERATE_RULES,
+    _RULE_EDGES,
     FixedThresholdBvn,
     _CorrelationPlan,
     _ndtr,
+    _path_state,
     bvn_cdf,
     clamp_rho,
     link_rho,
@@ -53,6 +56,9 @@ def phi2(a, b, rho):
 # normal (not subnormal) results, where both carry full precision.
 NDTR_ABS = 2.3e-16
 NDTR_REL = 1e-15
+# The path rules' sines against np.sin, in ulps, in the 6-, 12- and 20-node
+# bands.
+SINE_ULPS = (2, 3, 4)
 # Cephes's ndtr switches at |x| = 1 (erf to erfc), |x| = sqrt 2 (erfc's own
 # erf branch to its P/Q rational), |x| = 8 sqrt 2 (P/Q to R/S) and where
 # exp(-x^2 / 2) underflows.
@@ -266,6 +272,64 @@ class TestBivariateCdf:
         want = ndtr(a) * ndtr(b) + 0.5 * top[:, 0] * (terms @ weights) / (2.0 * np.pi)
         assert np.max(np.abs(bvn_cdf(a, b, rho) - want)) <= 1e-15
         np.testing.assert_array_equal(bvn_cdf(a, b, _CorrelationPlan(rho)), bvn_cdf(a, b, rho))
+
+    @pytest.mark.parametrize("n", [0, 1, 2000, BLOCK_ROWS + 300])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_path_state_sines_match_np_sin(self, k, n):
+        # The sines of the k-th path rule, a matrix product on the odd powers
+        # of half asin(rho), against np.sin at the same nodes, on |rho| drawn
+        # across the band with both signs, its edges and their neighbours,
+        # and 0. The bounds are those measured: 2, 3 and 4 ulps.
+        rng = np.random.default_rng(31 + k)
+        lo, hi = (0.0, *_RULE_EDGES)[k:k + 2]
+        rho = rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
+        ends = np.array([0.0, lo, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0), hi])
+        rho[:10] = np.r_[ends, -ends][:n]
+        half, sn, inv = _path_state(rho, _MODERATE_RULES[k][0])
+        np.testing.assert_array_equal(half, 0.5 * np.arcsin(rho))
+        nodes = np.polynomial.legendre.leggauss(sn.shape[0])[0] + 1.0
+        want = np.sin(np.multiply.outer(nodes, half))
+        assert sn.shape == inv.shape == (nodes.size, n)
+        assert np.all(np.abs(sn - want) <= SINE_ULPS[k] * np.spacing(np.abs(want)))
+        np.testing.assert_array_equal(inv, 1.0 / (1.0 - sn * sn))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_shared_plan_gives_the_bits_of_a_plain_call_beyond_a_block(self, k):
+        # A path band with more than BLOCK_ROWS rows runs in two blocks, and
+        # a plan shared by several threshold sets gives each the bits of a
+        # plain call, with a set whose saturated rows make the plan compute
+        # its live blocks' state again.
+        rng = np.random.default_rng(37 + k)
+        n = BLOCK_ROWS + 300
+        lo, hi = (0.0, *_RULE_EDGES)[k:k + 2]
+        rho = rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
+        plan = _CorrelationPlan(rho)
+        assert plan.bands[k].size == n
+        a, b = rng.normal(scale=1.5, size=(2, n))
+        a_sat = a.copy()
+        a_sat[::29] = np.inf
+        for ta, tb in ((a, b), (b, a), (a_sat, b), (a, b)):
+            np.testing.assert_array_equal(bvn_cdf(ta, tb, plan), bvn_cdf(ta, tb, rho))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-39.99, 39.99, allow_nan=False),
+        st.floats(-39.99, 39.99, allow_nan=False),
+        st.floats(-0.925, 0.925, allow_nan=False),
+    )
+    @example(39.99, 39.99, 0.925)
+    @example(-39.99, -39.99, 0.925)
+    @example(39.99, -39.99, -0.925)
+    @example(-39.99, 39.99, -0.925)
+    def test_path_rule_raises_no_floating_point_warning(self, a, b, rho):
+        # The path rule's exponent (sin ab - (a^2 + b^2) / 2) / (1 - sin^2)
+        # is never positive, so exp runs with no errstate: no overflow (or
+        # any other RuntimeWarning) at finite thresholds below the
+        # saturation edge, on every path band.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = bvn_cdf(a, b, rho)
+        assert 0.0 <= p <= 1.0
 
     def test_high_band_runs_in_blocks(self):
         # The high-correlation branch's (rows, nodes) temporaries are blocked
