@@ -56,7 +56,6 @@ from .marginals import (
 from .normal import (
     EPS_RHO,
     bvn_cdf,
-    std_normal_pdf,
 )
 
 __all__ = [
@@ -96,7 +95,6 @@ __all__ = [
     "grid_from_values",
     "independence_counterfactual",
     "robust_se_map",
-    "std_normal_pdf",
     "transition_from_fits",
     "transition_matrix",
     "true_joint_cdf",

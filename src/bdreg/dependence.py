@@ -25,7 +25,7 @@ from .marginals import (
     fit_marginal,
 )
 from .normal import bvn_cdf  # noqa: F401  (perfbench/spans.py traces it at this name)
-from .normal import EPS_RHO, FixedThresholdBvn, _Thresholds, link_rho
+from .normal import EPS_RHO, FixedThresholdBvn, _CorrelationPlan, _Thresholds, link_rho
 
 __all__ = [
     "BdrFit",
@@ -88,17 +88,19 @@ class _CellKernel:
         at dep (the row's contributions to the log-likelihood, score and
         observed information, before the design rows x and x x'), and its
         Fisher curvature, all from one quadrature pass. The score factor
-        carries the kernel's weights; the curvatures do not."""
+        carries the kernel's weights; the curvatures do not. Phi2 and phi2
+        read one plan of the correlations."""
         u = self.x_dep @ np.asarray(dep, dtype=float)
         rho, gprime = link_rho(u)
-        p11 = self.bvn.cdf(rho)
+        plan = _CorrelationPlan(rho, shared=False)
+        p11 = self.bvn.cdf(plan)
         cell = self.offset + self.sign * p11
         free = cell > CELL_FLOOR
         cell = np.maximum(cell, CELL_FLOOR)
         # d log(cell) / dP, zero where the cell is floored.
         inv = np.where(free, 1.0 / cell, 0.0)
         ratio = self.sign * inv
-        dens, ddens = self.bvn.pdf_drho(rho)
+        dens, ddens = self.bvn.pdf_drho(plan)
         score = self.w * ratio * dens * gprime
         # -d2/du2 of log(cell) with dP/du = dens g' and, as g'' = -2 rho g',
         # d2P/du2 = ddens g'^2 - 2 rho g' dens.

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import GridSpec, nearest_body_index, nearest_body_value
 from .exceptions import DataError, EstimationError, TailError
-from .normal import _ndtr, std_normal_pdf
+from .normal import _SQRT_2PI, _ndtr
 
 __all__ = [
     "MarginalFit",
@@ -70,7 +70,7 @@ def _probit_evaluate(x, below, w, offset, coef):
         idx = idx + offset
     p = _clip_prob(_ndtr(idx))
     ll = float(np.mean(w * (below * np.log(p) + (1.0 - below) * np.log1p(-p))))
-    phi = std_normal_pdf(idx)
+    phi = np.exp(-0.5 * idx * idx) / _SQRT_2PI
     denom = p * (1.0 - p)
     grad = x.T @ (w * phi / denom * (below - p)) / n
     fisher = w * phi * phi / denom

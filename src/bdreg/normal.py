@@ -21,6 +21,9 @@ elementwise operations. A _CorrelationPlan is the mirror image: it holds
 the part of the CDF that depends on the correlations alone, so that many
 threshold sets at the same correlations (the threshold pairs of one
 dependence cell of a surface) share it; bvn_cdf takes one in place of rho.
+It is the kernel's one way in for correlations, where they are checked and
+clamped: a plain rho becomes an unshared plan, and a fit evaluation builds
+one plan for both the CDF and the density.
 
 The bivariate CDF follows the Drezner-Wesolowsky/Genz construction: Gauss-
 Legendre quadrature along the correlation path for moderate correlation, and
@@ -71,9 +74,7 @@ __all__ = [
     "EPS_RHO",
     "FixedThresholdBvn",
     "bvn_cdf",
-    "clamp_rho",
     "link_rho",
-    "std_normal_pdf",
 ]
 
 # Correlations are clamped to |rho| <= 1 - EPS_RHO so that sqrt(1 - rho^2)
@@ -208,25 +209,6 @@ def _ndtr(x):
     return out.reshape(t.shape)
 
 
-def std_normal_pdf(z):
-    z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * z * z) / _SQRT_2PI
-    return float(out) if out.ndim == 0 else out
-
-
-def clamp_rho(rho):
-    """Clamp correlations into [-(1 - EPS_RHO), 1 - EPS_RHO].
-
-    Values with |rho| > 1 (or NaN) are rejected rather than clamped: they
-    indicate a bug upstream, not link saturation.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if not (np.abs(rho) <= 1.0).all():  # NaN fails the comparison too
-        raise ValueError("correlation must lie in [-1, 1]")
-    out = _clamp(rho)
-    return float(out) if out.ndim == 0 else out
-
-
 def _clamp(rho):
     # rho into [-(1 - EPS_RHO), 1 - EPS_RHO], as np.clip gives it, without
     # its wrapper's cost.
@@ -292,11 +274,14 @@ def _path_sum(hk, hs, state, weights, scratch=None):
 
 
 class _CorrelationPlan:
-    """The rho-only part of Phi2 at one correlation per row: the clamped
-    correlations, each row's band (bands[k] lists the rows of band k: the
-    k-th path rule for k < 3, the high-correlation branch for 3) and, when
-    shared, each path band's _path_state over its rows, computed block by
-    block as an unshared plan computes it.
+    """The rho-only part of Phi2 at one correlation per row: the checked and
+    clamped correlations, each row's band (bands[k] lists the rows of band
+    k: the k-th path rule for k < 3, the high-correlation branch for 3) and,
+    when shared, each path band's _path_state over its rows, computed block
+    by block as an unshared plan computes it.
+
+    Building a plan checks and clamps the correlations: |rho| > 1 or NaN (a
+    bug upstream, not link saturation) raises ValueError.
 
     A shared plan serves any number of threshold sets at the same
     correlations, as every threshold pair of one dependence cell of a
@@ -309,7 +294,10 @@ class _CorrelationPlan:
     """
 
     def __init__(self, rho, shared=True):
-        self.rho = r = np.asarray(clamp_rho(rho), dtype=float).ravel()
+        r = np.asarray(rho, dtype=float).ravel()
+        if not (np.abs(r) <= 1.0).all():  # NaN fails the comparison too
+            raise ValueError("correlation must lie in [-1, 1]")
+        self.rho = r = _clamp(r)
         band = _band_codes(r)
         self.bands = [np.flatnonzero(band == k) for k in range(4)]
         self.shared = shared
@@ -480,15 +468,12 @@ class FixedThresholdBvn:
 
         Every row takes the formula of its band (_CorrelationPlan.blocks),
         block by block, and the saturated rows take their limit; with every
-        row saturated no quadrature runs. A plain rho gets an unshared plan,
-        so fits and surfaces go through this one dispatch. On a plan in
+        row saturated no quadrature runs. A plain rho gets an unshared plan
+        (_plan), so every caller goes through this one dispatch. On a plan in
         _band_order with no saturated row, every block is a slice: no row is
         gathered or scattered.
         """
-        plan = rho if isinstance(rho, _CorrelationPlan) else _CorrelationPlan(
-            np.broadcast_to(rho, (self.n,)), shared=False)
-        if plan.rho.size != self.n:
-            raise ValueError("correlation plan must match the thresholds in length")
+        plan = self._plan(rho)
         out = np.empty(self.n)
         out[self._saturated] = self._limit
         if self._saturated.size < self.n:
@@ -507,14 +492,23 @@ class FixedThresholdBvn:
     # sees only the repeated evaluations of the dependence fits.
     cdf = _cdf
 
+    def _plan(self, rho):
+        # rho as is if a plan, else an unshared plan of rho broadcast to the rows.
+        plan = rho if isinstance(rho, _CorrelationPlan) else _CorrelationPlan(
+            np.broadcast_to(rho, (self.n,)), shared=False)
+        if plan.rho.size != self.n:
+            raise ValueError("correlation plan must match the thresholds in length")
+        return plan
+
     def pdf_drho(self, rho):
         """phi2 and its derivative in rho at the stored thresholds, both zero
-        where a threshold is saturated:
+        where a threshold is saturated; rho as for _cdf, checked and clamped
+        by its plan, whose correlations it reads:
 
             d phi2 / d rho = phi2 * [rho / (1 - rho^2)
                                      + (ab (1 + rho^2) - rho (a^2 + b^2)) / (1 - rho^2)^2]
         """
-        r = np.broadcast_to(np.asarray(clamp_rho(rho), dtype=float), (self.n,))
+        r = self._plan(rho).rho
         a, b = self._a, self._b
         det = 1.0 - r * r
         q = (a * a - 2.0 * r * a * b + b * b) / det
@@ -529,7 +523,7 @@ def bvn_cdf(a, b, rho):
     """Standard bivariate normal CDF P(X <= a, Y <= b) with correlation rho.
 
     a and b may be +/-inf; those and all beyond +/-40 resolve exactly to the
-    marginal limits. rho is clamped via :func:`clamp_rho`.
+    marginal limits. rho is checked and clamped by its _CorrelationPlan.
 
     rho may also be a _CorrelationPlan, whose state the call reuses: then a
     and b are 1-D with one entry per plan row (arrays, or sides prepared

@@ -14,8 +14,10 @@ the median time per row of:
   an evaluator built once), the threshold sum alone;
 - pair: bvn_cdf on the shared plan and two prepared sides (_Thresholds),
   what a surface pays per (y key, w key, cell) triple before its dot;
-- full: FixedThresholdBvn.cdf with a plain rho, the whole rule as the
-  dependence fits run it (unshared plan, state computed block by block).
+- full: FixedThresholdBvn.cdf with a plain rho, the whole rule on an
+  unshared plan (state computed block by block);
+- fit: FixedThresholdBvn.cdf and .pdf_drho on one unshared plan built per
+  call, what one Newton evaluation of a dependence fit pays in the kernel.
 
 The high-correlation branch keeps no shared state, so its state column
 reads nan, its plan column is the banding alone and its shared column is
@@ -53,6 +55,11 @@ def ns_per_row(fn, rows, repeat, calls=20):
     return 1e9 * float(np.median(times)) / rows
 
 
+def fit_terms(fixed, rho):
+    plan = _CorrelationPlan(rho, shared=False)
+    return fixed.cdf(plan), fixed.pdf_drho(plan)
+
+
 def band_row(k, lo, hi, n, repeat, rng):
     rho = rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
     a, b = rng.normal(size=(2, n))
@@ -65,7 +72,8 @@ def band_row(k, lo, hi, n, repeat, rng):
             ns_per_row(lambda: _CorrelationPlan(rho), n, repeat),
             ns_per_row(lambda: fixed._cdf(plan), n, repeat),
             ns_per_row(lambda: bvn_cdf(*sides, plan), n, repeat),
-            ns_per_row(lambda: fixed.cdf(rho), n, repeat)]
+            ns_per_row(lambda: fixed.cdf(rho), n, repeat),
+            ns_per_row(lambda: fit_terms(fixed, rho), n, repeat)]
 
 
 if __name__ == "__main__":
@@ -75,7 +83,8 @@ if __name__ == "__main__":
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
     print(f"ns per row, median of {args.repeat} rounds")
-    print(f"{'band':<10}{'rows':>6}{'state':>8}{'plan':>8}{'shared':>8}{'pair':>8}{'full':>8}")
+    print(f"{'band':<10}{'rows':>6}"
+          + "".join(f"{c:>8}" for c in ("state", "plan", "shared", "pair", "full", "fit")))
     for k, (name, lo, hi) in enumerate(BANDS):
         for n in (2000, BLOCK_ROWS):
             cells = band_row(k, lo, hi, n, args.repeat, rng)

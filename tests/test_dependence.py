@@ -242,6 +242,32 @@ class TestCellKernel:
         own = _CellKernel(x, a, b, iy, jw).evaluate(res.coef)[2]
         np.testing.assert_allclose(info * (n + 1), own * n, rtol=1e-12)
 
+    def test_one_plan_serves_cdf_and_density(self, monkeypatch):
+        # One evaluation checks its correlations once: Phi2 and phi2 read the
+        # same _CorrelationPlan, and the only clamps are the link's own and
+        # the plan's.
+        x, a, b, dep, iy, jw = coherent_cell(8)
+        kernel = _CellKernel(x, a, b, iy, jw)
+        seen, clamps, clamp = [], [], normal._clamp
+
+        def recorded(method):
+            def call(rho):
+                seen.append(rho)
+                return method(rho)
+            return call
+
+        def counted(rho):
+            clamps.append(np.size(rho))
+            return clamp(rho)
+
+        monkeypatch.setattr(kernel.bvn, "cdf", recorded(kernel.bvn.cdf))
+        monkeypatch.setattr(kernel.bvn, "pdf_drho", recorded(kernel.bvn.pdf_drho))
+        monkeypatch.setattr(normal, "_clamp", counted)
+        kernel.evaluate(dep)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert isinstance(seen[0], normal._CorrelationPlan) and not seen[0].shared
+        assert clamps == [x.shape[0]] * 2
+
     def test_indicators_must_be_binary(self):
         x, a, b, iy, jw = balanced_quadrants(3, 3, 3, 3)
         iy[0] = 0.5

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
+from scipy.stats import norm
 
 from bdreg import normal
 from bdreg.bootstrap import _NORMAL_IQR
@@ -26,9 +27,7 @@ from bdreg.normal import (
     _ndtr,
     _path_state,
     bvn_cdf,
-    clamp_rho,
     link_rho,
-    std_normal_pdf,
 )
 
 from conftest import bvn_density
@@ -220,7 +219,7 @@ class TestBivariateCdf:
         at = rng.permutation(n)[:120]
         rho[at] = rng.choice(np.r_[edges, -edges, np.nextafter(edges, 1.0)], at.size)
         plan = _CorrelationPlan(rho)
-        np.testing.assert_array_equal(np.asarray(plan), clamp_rho(rho))
+        np.testing.assert_array_equal(np.asarray(plan), np.clip(rho, -1 + EPS_RHO, 1 - EPS_RHO))
         assert [rows.size > 0 for rows in plan.bands] == [True] * 4
         assert max(rows.size for rows in plan.bands) > BLOCK_ROWS
 
@@ -375,7 +374,7 @@ class TestDensityAndPartials:
         assert abs(phi2(0.0, 0.0, 0.0) - 1.0 / (2.0 * np.pi)) <= 1e-16
 
     def test_density_independence_factorization(self):
-        want = std_normal_pdf(1.0) * std_normal_pdf(2.0)
+        want = norm.pdf(1.0) * norm.pdf(2.0)
         assert abs(phi2(1.0, 2.0, 0.0) - want) <= 1e-16
 
     def test_density_symmetry(self):
@@ -402,8 +401,8 @@ class TestDensityAndPartials:
             rho = rng.uniform(-0.99, 0.99)
             s = np.sqrt(1.0 - rho * rho)
             parts = (
-                std_normal_pdf(a) * ndtr((b - rho * a) / s),
-                std_normal_pdf(b) * ndtr((a - rho * b) / s),
+                norm.pdf(a) * ndtr((b - rho * a) / s),
+                norm.pdf(b) * ndtr((a - rho * b) / s),
                 phi2(a, b, rho),
             )
             fds = (
@@ -480,7 +479,21 @@ class TestLink:
         if abs(u) < 8.0:
             assert link_rho(u + eps)[0] > rho
 
-    def test_clamp_rho_rejects(self):
-        with pytest.raises(ValueError):
-            clamp_rho(1.2)
-        assert clamp_rho(1.0) == 1.0 - EPS_RHO
+    def test_plan_checks_and_clamps_rho(self):
+        # A correlation is checked and clamped where its plan is built, so
+        # every way into the kernel rejects |rho| > 1 and NaN (an upstream
+        # bug, not link saturation), and takes +/-1 as +/-(1 - EPS_RHO).
+        ev = FixedThresholdBvn([0.3], [-0.2])
+        ways = (lambda r: bvn_cdf(0.3, -0.2, r),
+                lambda r: bvn_cdf([0.3, 0.1], [-0.2, 0.4], [0.5, r]),
+                ev.cdf, ev.pdf_drho, _CorrelationPlan,
+                lambda r: _CorrelationPlan([0.5, r], shared=False))
+        for bad in (1.2, -1.0000001, np.nan):
+            for way in ways:
+                with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\]"):
+                    way(bad)
+        for edge in (1.0, -1.0):
+            want = np.copysign(1.0 - EPS_RHO, edge)
+            assert _CorrelationPlan(edge).rho.tolist() == [want]
+            assert bvn_cdf(0.3, -0.2, edge) == bvn_cdf(0.3, -0.2, want)
+            np.testing.assert_array_equal(ev.pdf_drho(edge), ev.pdf_drho(want))
