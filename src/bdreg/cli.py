@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -147,8 +148,9 @@ def ingest(path: str, config: RunConfig):
     mark (Excel's "CSV UTF-8") is skipped.
 
     Rows with a missing value in any used column are dropped (counted in the
-    manifest); unparseable cells, a used column named twice in the header,
-    and a group column holding anything but 0 and 1, raise a DataError.
+    manifest); unparseable or non-finite cells (such as inf), a used column
+    named twice in the header, and a group column holding anything but 0
+    and 1, raise a DataError.
     """
     used = [config.y_col, config.w_col] + list(config.covariates)
     if config.group_col:
@@ -182,11 +184,13 @@ def ingest(path: str, config: RunConfig):
                         n_dropped += 1
                         break
                     try:
-                        vals.append(float(raw))
+                        val = float(raw)
                     except ValueError:
-                        raise DataError(
-                            f"unparseable value {raw!r} at line {line_no}, column {col!r}"
-                        ) from None
+                        val = None
+                    if val is None or not math.isfinite(val):
+                        bad = "unparseable" if val is None else "non-finite"
+                        raise DataError(f"{bad} value {raw!r} at line {line_no}, column {col!r}")
+                    vals.append(val)
                 else:
                     kept.append(vals)
     except UnicodeDecodeError as err:

@@ -1,6 +1,6 @@
 """Data model shared by the estimators: one group's sample, evaluation
-grids, and the nearest-body-point rule used to extend coefficients beyond
-the body grid. Group membership is the key of a dict of samples, never a
+grids, and the copy rule (body_lookup) by which a fit reads a threshold off
+its body grid. Group membership is the key of a dict of samples, never a
 column of one.
 """
 
@@ -15,11 +15,11 @@ from .exceptions import ConfigError, DataError
 __all__ = [
     "GridSpec",
     "Sample",
+    "body_lookup",
     "build_grid",
     "empirical_quantile",
     "grid_from_values",
     "increasing",
-    "nearest_body_index",
     "nearest_body_value",
     "validate",
 ]
@@ -178,17 +178,19 @@ def grid_from_values(y_values, w_values, tail_min_obs: int = DEFAULT_TAIL_MIN_OB
     )
 
 
-def nearest_body_index(body: np.ndarray, r: float) -> int:
-    """Position of the body point closest to r clamped into the body range
-    (the copy rule), so +/-inf and every value beyond the body take its
-    endpoints; ties break toward the smaller grid value. NaN raises
-    DataError.
-    """
-    if np.isnan(r):
+def body_lookup(body: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+    """The copy rule, its one owner: for each of values (scalar or array),
+    the position of the body point it reads (the nearest to the value
+    clamped into the increasing body, ties to the smaller point), and how
+    far it lies beyond the body (0 inside, the value minus the nearest
+    endpoint outside, +/-inf at +/-inf). A NaN value raises DataError."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
         raise DataError("threshold is NaN: no nearest body point")
-    return int(np.argmin(np.abs(body - np.clip(r, body[0], body[-1]))))
+    clamped = np.clip(values, body[0], body[-1])
+    return np.argmin(np.abs(body - clamped[..., None]), axis=-1), values - clamped
 
 
 def nearest_body_value(body: np.ndarray, r: float) -> float:
-    """Body point closest to r, by nearest_body_index."""
-    return float(body[nearest_body_index(body, r)])
+    """Body point that r reads by the copy rule (body_lookup)."""
+    return float(body[body_lookup(body, r)[0]])

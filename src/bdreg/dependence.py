@@ -1,9 +1,9 @@
 """Dependence estimation: for each body grid pair, maximize the four-quadrant
 bivariate probit likelihood in the dependence coefficients, holding the
 marginal indices fixed (the second step of the two-step estimator). The fitted
-surface is extended off the body by nearest-body-point copying. A bootstrap
-replicate does not refit the cells: it takes one Newton step from each base
-estimate under its weights (_ReplicateBase).
+surface is extended off the body by the copy rule (data.body_lookup). A
+bootstrap replicate does not refit the cells: it takes one Newton step from
+each base estimate under its weights (_ReplicateBase).
 """
 
 from __future__ import annotations

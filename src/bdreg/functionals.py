@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Sample, _finite_covariates, increasing, nearest_body_index
+from .data import Sample, _finite_covariates, body_lookup, increasing
 from .dependence import BdrFit
 from .exceptions import ConfigError, DataError, EstimationError
 from .marginals import _normalize_weights
@@ -76,12 +76,14 @@ def _axis_values(values, name):
 
 
 def _key_thresholds(marginal, values, x):
-    """Each value's position among the copy-rule keys of one marginal fit
-    (MarginalFit.key), and the keys' index rows on the covariate rows x as
-    one _Thresholds, one row per key: thresholds with equal keys have
-    identical indices, so each key is prepared once."""
-    keys, pos = np.unique([marginal.key(v) for v in values], return_inverse=True)
-    return pos.ravel(), _Thresholds(np.array([marginal.index(k, x) for k in keys]))
+    """Each value's position among the keys of one marginal fit, a key
+    being a (body position, distance beyond the body) pair of body_lookup,
+    and the keys' index rows on the covariate rows x as one _Thresholds,
+    one row per key, in key order: values with equal keys have identical
+    indices, so each key is prepared once, from its first value."""
+    pairs = np.column_stack(body_lookup(marginal.body, values))
+    _, first, pos = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    return pos.ravel(), _Thresholds(np.array([marginal.index(values[i], x) for i in first]))
 
 
 def _block_averages(triples, rho, wts, order):
@@ -115,11 +117,11 @@ def _surfaces(margins, dep_fit: BdrFit | None, x, weights, y_values, w_values,
     Each marginal's thresholds are prepared once per key (_key_thresholds)
     and kept in sides, keyed by id(marginal), for a next call on the same
     covariate rows and grid to reuse. Pairs in the same dependence cell
-    (nearest_body_index, per axis value) have identical correlations; each
-    distinct (surface, y key, w key, cell) triple is evaluated once and
-    scattered back to its grid. Before any evaluation, the first grid pair
-    whose cell failed raises an EstimationError naming it and the reason
-    its fit recorded in dep_fit.failures, if any.
+    (the body positions that one body_lookup per axis gives) have identical
+    correlations; each distinct (surface, y key, w key, cell) triple is
+    evaluated once and scattered back to its grid. Before any evaluation,
+    the first grid pair whose cell failed raises an EstimationError naming
+    it and the reason its fit recorded in dep_fit.failures, if any.
 
     The cells are walked once for all surfaces, one at a time, in row
     blocks of at most BLOCK_ROWS covariate rows: each block's correlations,
@@ -149,8 +151,8 @@ def _surfaces(margins, dep_fit: BdrFit | None, x, weights, y_values, w_values,
         return [((ys.p * wts) @ ws.p.T)[np.ix_(y_pos, w_pos)]
                 for (y_pos, ys), (w_pos, ws) in zip(y_sides, w_sides)]
 
-    y_cells = [nearest_body_index(dep_fit.grid.y_body, y) for y in y_values]
-    w_cells = [nearest_body_index(dep_fit.grid.w_body, w) for w in w_values]
+    y_cells = body_lookup(dep_fit.grid.y_body, y_values)[0]
+    w_cells = body_lookup(dep_fit.grid.w_body, w_values)[0]
     failed = ~np.isfinite(dep_fit.dep_coef).all(axis=-1)[np.ix_(y_cells, w_cells)]
     if failed.any():
         iy, iw = np.unravel_index(np.argmax(failed), failed.shape)

@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import GridSpec, nearest_body_index, nearest_body_value
+from .data import GridSpec, body_lookup
 from .exceptions import DataError, EstimationError, TailError
 from .normal import _SQRT_2PI, _ndtr
 
@@ -268,28 +268,16 @@ class MarginalFit:
     def anchor_hi(self) -> float:
         return float(self.body[-1])
 
-    def key(self, r: float) -> float:
-        """The threshold index(r) is evaluated at (the copy rule): the nearest
-        body point inside the body range, r itself beyond it. Thresholds with
-        equal keys have identical indices."""
-        if self.anchor_lo <= r <= self.anchor_hi:
-            return nearest_body_value(self.body, r)
-        return float(r)
-
     def index(self, r: float, x: np.ndarray) -> np.ndarray:
-        """Linear index x'coef at threshold r, extrapolated beyond the body.
-
-        Inside the body range the nearest fitted threshold is used; beyond it
-        the index is affine in r with the fitted tail scale, so it is
-        continuous at the anchors. As both tail scales are positive,
-        +/-inf thresholds give +/-inf indices.
-        """
+        """Linear index x'coef at threshold r by the copy rule (body_lookup):
+        the coefficients of the body point r reads plus, beyond the body, the
+        distance beyond times that side's tail scale. So the index is affine
+        beyond the body, continuous at the anchors and +/-inf at +/-inf (both
+        tail scales are positive); thresholds with one (position, beyond)
+        pair have identical indices."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if r > self.anchor_hi:
-            return x @ self.coef[-1] + (r - self.anchor_hi) * self.alpha_hi
-        if r < self.anchor_lo:
-            return x @ self.coef[0] + (r - self.anchor_lo) * self.alpha_lo
-        return x @ self.coef[nearest_body_index(self.body, r)]
+        pos, beyond = body_lookup(self.body, r)
+        return x @ self.coef[pos] + beyond * (self.alpha_hi if beyond > 0 else self.alpha_lo)
 
 
 def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None) -> MarginalFit:
@@ -297,7 +285,8 @@ def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None) -> Margi
 
     outcome selects "y" or "w" in the grid. Fits sweep the body in ascending
     order with warm starts from the previous threshold; warm starting only
-    changes the iteration count, not the solution.
+    changes the iteration count, not the solution. The error of a failed
+    body point or tail fit is raised with the outcome named in its message.
     """
     body = grid.y_body if outcome == "y" else grid.w_body
     values = np.asarray(values, dtype=float)
@@ -311,18 +300,20 @@ def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None) -> Margi
         try:
             res = fit_probit_dr(x, below, weights=weights, warm_start=warm)
         except EstimationError as err:
-            raise EstimationError(
-                f"marginal {outcome} fit failed at grid point {r:.6g}: {err}",
-                diagnostics=err.diagnostics,
-            ) from err
+            err.args = (f"marginal {outcome} fit failed at grid point {r:.6g}: {err}",)
+            raise
         coefs[i] = res.coef
         iters.append(res.iterations)
         warm = res.coef
 
-    lo = fit_tail_scale(values, x, coefs[0], float(body[0]), "lower",
-                        grid.tail_min_obs, weights=weights)
-    hi = fit_tail_scale(values, x, coefs[-1], float(body[-1]), "upper",
-                        grid.tail_min_obs, weights=weights)
+    try:
+        lo = fit_tail_scale(values, x, coefs[0], float(body[0]), "lower",
+                            grid.tail_min_obs, weights=weights)
+        hi = fit_tail_scale(values, x, coefs[-1], float(body[-1]), "upper",
+                            grid.tail_min_obs, weights=weights)
+    except (DataError, EstimationError) as err:
+        err.args = (f"marginal {outcome} tail fit failed: {err}",)
+        raise
     return MarginalFit(
         body=body,
         coef=coefs,

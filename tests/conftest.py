@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bdreg.data import build_grid, nearest_body_index
+from bdreg.data import body_lookup, build_grid
 from bdreg.dependence import _CellKernel, fit_bdr
 from bdreg.dgp import DgpSpec, generate
 from bdreg.marginals import _damped_newton
@@ -39,8 +39,8 @@ def small_fit(small_sample):
 def dep_coef_at(fit, y, w):
     """The dependence coefficients that serve (y, w): those of the nearest
     body point on each axis (the copy rule)."""
-    return fit.dep_coef[nearest_body_index(fit.grid.y_body, y),
-                        nearest_body_index(fit.grid.w_body, w)]
+    return fit.dep_coef[body_lookup(fit.grid.y_body, y)[0],
+                        body_lookup(fit.grid.w_body, w)[0]]
 
 
 def refit_cell(args, start):

@@ -91,6 +91,22 @@ def no_fit(*args, **kwargs):
     raise AssertionError("fit_bdr must not run")
 
 
+def with_cells(csv_path, cells):
+    """The lines of csv_path with each (line, column, token) of cells put in
+    place, lines counted from 1 at the header."""
+    lines = csv_path.read_text().splitlines()
+    header = lines[0].split(",")
+    for line_no, column, token in cells:
+        fields = lines[line_no - 1].split(",")
+        fields[header.index(column)] = token
+        lines[line_no - 1] = ",".join(fields)
+    return lines
+
+
+def write_lines(path, lines):
+    path.write_text("".join(f"{line}\n" for line in lines))
+
+
 def check_round_trip(case, out, tables=None, groups=("0", "1")):
     """The case's command wrote exactly its tables (by default its ROUND_TRIPS
     entry) and a manifest, each table with its header and row count, every se
@@ -382,7 +398,9 @@ def test_transition_takes_negative_cut_lists(sample_csv, tmp_path):
 
 def test_unmeetable_tail_min_obs_is_data_error(sample_csv, tmp_path, capsys):
     assert run("estimate", sample_csv, tmp_path / "out", "--tail-min-obs", "100000") == 3
-    assert "reduce tail_min_obs=100000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "reduce tail_min_obs=100000" in err
+    assert "group 0: marginal y tail fit failed: no admissible lower-tail point" in err
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -428,13 +446,76 @@ def test_column_names_are_stripped_like_the_header(sample_csv, tmp_path):
 
 
 def test_unparseable_cell_is_data_error(sample_csv, tmp_path):
-    lines = sample_csv.read_text().splitlines()
-    fields = lines[5].split(",")
-    fields[0] = "abc"
-    lines[5] = ",".join(fields)
     bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    write_lines(bad, with_cells(sample_csv, [(6, "y", "abc")]))
     assert decompose(bad, tmp_path / "out") == 3
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e400"])
+def test_non_finite_cell_is_data_error_at_its_line(token, sample_csv, tmp_path, monkeypatch,
+                                                   capsys):
+    # ingest used to pass a non-finite cell on to validate, which counts the
+    # rows kept after dropping: with line 4 dropped, line 9 was "row 6".
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    bad = tmp_path / "bad.csv"
+    write_lines(bad, with_cells(sample_csv, [(4, "y", "NA"), (9, "y", token)]))
+    out = tmp_path / "out"
+    assert run("estimate", bad, out) == 3
+    assert list(out.glob("*")) == []
+    assert f"non-finite value {token!r} at line 9, column 'y'" in capsys.readouterr().err
+
+
+def test_rows_with_a_missing_cell_are_dropped_and_counted(sample_csv, tmp_path):
+    # Each missing token drops its row and a blank line is skipped: the run
+    # writes what a file without those rows writes.
+    lines = with_cells(sample_csv, [(3, "y", "NA"), (6, "w", "."), (10, "x1", "")])
+    write_lines(tmp_path / "holed.csv", lines[:11] + [""] + lines[11:])
+    write_lines(tmp_path / "clean.csv",
+                [line for i, line in enumerate(lines, start=1) if i not in (3, 6, 10)])
+    for name in ("holed", "clean"):
+        assert run("estimate", tmp_path / f"{name}.csv", tmp_path / name) == 0
+    dropped = [json.loads((tmp_path / name / "manifest.json").read_text())["rows_dropped_missing"]
+               for name in ("holed", "clean")]
+    assert dropped == [3, 0]
+    tables = sorted(p.name for p in (tmp_path / "clean").glob("*.csv"))
+    assert tables == sorted(p.name for p in (tmp_path / "holed").glob("*.csv"))
+    for name in tables:
+        assert (tmp_path / "holed" / name).read_bytes() == \
+            (tmp_path / "clean" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot open input"),
+    ("", "is empty"),
+    ("y,w,x1,x2,group\nNA,1,0.5,1,0\n1,.,0.5,1,1\n", "no usable rows after dropping missing values"),
+])
+def test_unusable_input_is_data_error(content, message, tmp_path, capsys):
+    path = tmp_path / "input.csv"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+    assert run("estimate", path, out) == 3
+    assert list(out.glob("*")) == []
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,argv,message", [
+    ("estimate", ["--covariates", "x1", "--dep-covariates", "x2"],
+     "dep covariates ['x2'] not in covariate list"),
+    ("transition", ["--covariates", "x1,x2", "--y-cuts", "0", "--y-cut-levels", "0.5"],
+     "give either --y-cuts or --y-cut-levels, not both"),
+    ("transition", ["--covariates", "x1,x2", "--y-cut-levels", "0,0.5"],
+     "cut levels must lie in (0, 1)"),
+    ("estimate", ["--covariates", "x1,x2", "--trim", "0.1"], "--trim must be lower,upper"),
+])
+def test_bad_option_is_config_error_before_any_fit(command, argv, message, sample_csv, tmp_path,
+                                                   monkeypatch, capsys):
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", str(sample_csv), "--group-col", "group",
+                     "--out", str(out), *argv]) == 2
+    assert list(out.glob("*")) == []
+    assert message in capsys.readouterr().err
 
 
 def test_used_column_twice_in_header_is_data_error(sample_csv, tmp_path, monkeypatch, capsys):

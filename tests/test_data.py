@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from bdreg.data import (
     GridSpec,
     Sample,
+    body_lookup,
     build_grid,
     grid_from_values,
-    nearest_body_index,
     nearest_body_value,
     validate,
 )
@@ -117,31 +117,57 @@ class TestNearestBody:
     body = np.array([1.0, 2.0, 4.0])
 
     def test_inside_returns_itself(self):
+        pos, beyond = body_lookup(self.body, self.body)
+        np.testing.assert_array_equal(pos, [0, 1, 2])
+        np.testing.assert_array_equal(beyond, 0.0)
         assert nearest_body_value(self.body, 2.0) == 2.0
 
     def test_clamps_beyond_range(self):
-        assert nearest_body_value(self.body, 9.0) == 4.0
-        assert nearest_body_value(self.body, -5.0) == 1.0
+        pos, beyond = body_lookup(self.body, [9.0, -5.0, np.inf, -np.inf])
+        np.testing.assert_array_equal(pos, [2, 0, 2, 0])
+        np.testing.assert_array_equal(beyond, [5.0, -6.0, np.inf, -np.inf])
         assert nearest_body_value(self.body, np.inf) == 4.0
-        assert nearest_body_value(self.body, -np.inf) == 1.0
 
     def test_tie_breaks_to_smaller(self):
-        assert nearest_body_value(self.body, 1.5) == 1.0
-        assert nearest_body_value(self.body, 3.0) == 2.0
+        np.testing.assert_array_equal(body_lookup(self.body, [1.5, 3.0])[0], [0, 1])
+
+    def test_scalar_gives_scalars(self):
+        pos, beyond = body_lookup(self.body, 9.0)
+        assert pos.shape == beyond.shape == ()
+        assert (pos, beyond) == (2, 5.0)
 
     def test_pairwise(self):
         # The dependence cell is the nearest body point in each coordinate.
         grid = grid_from_values([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
-        iy, iw = nearest_body_index(grid.y_body, -10.0), nearest_body_index(grid.w_body, 10.0)
+        (iy,), _ = body_lookup(grid.y_body, [-10.0])
+        (iw,), _ = body_lookup(grid.w_body, [10.0])
         assert (grid.y_body[iy], grid.w_body[iw]) == (1.0, 2.0)
 
     def test_nan_raises(self):
-        for lookup in (nearest_body_index, nearest_body_value):
+        for values in (np.nan, [1.0, np.nan, 3.0]):
             with pytest.raises(DataError, match="NaN"):
-                lookup(self.body, np.nan)
+                body_lookup(self.body, values)
+        with pytest.raises(DataError, match="NaN"):
+            nearest_body_value(self.body, np.nan)
 
     @given(st.floats(-20, 20, allow_nan=False))
     def test_idempotent_and_monotone(self, r):
         v = nearest_body_value(self.body, r)
         assert nearest_body_value(self.body, v) == v
         assert nearest_body_value(self.body, r + 0.7) >= v
+
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True),
+           st.lists(st.floats(-30, 30, allow_nan=False), max_size=8))
+    def test_matches_per_value_reference(self, points, extra):
+        # Quarter steps make every midpoint between body points an exact tie.
+        body = np.sort(np.array(points, dtype=float)) / 4.0
+        values = np.concatenate([
+            body, 0.5 * (body[1:] + body[:-1]), [body[0] - 1.5, body[-1] + 2.25],
+            [np.inf, -np.inf], extra,
+        ])
+        pos, beyond = body_lookup(body, values)
+        assert pos.shape == beyond.shape == values.shape
+        for v, p, b in zip(values, pos, beyond):
+            clamped = np.clip(v, body[0], body[-1])
+            assert p == np.argmin(np.abs(body - clamped))
+            assert b == v - clamped

@@ -8,7 +8,7 @@ from scipy.special import ndtr
 
 from bdreg import functionals
 from bdreg.bootstrap import WeightScheme, draw_weights
-from bdreg.data import build_grid, grid_from_values, nearest_body_index
+from bdreg.data import body_lookup, build_grid, grid_from_values
 from bdreg.dependence import fit_bdr
 from bdreg.dgp import DgpSpec, generate, true_joint_cdf
 from bdreg.exceptions import ConfigError, DataError, EstimationError
@@ -254,17 +254,19 @@ class TestCounterfactualSurface:
             assert np.max(np.abs(got.values - reference(dep_fit))) <= 1e-13
 
     def test_copy_rule_keys_give_identical_indices(self, small_fit, small_sample):
+        # _key_thresholds prepares one index row per (position, beyond) pair
+        # of body_lookup, so every value of a pair must give that row's bits.
         fit, grid = small_fit
         x = small_sample.x
         marginal = fit.y_marginal
-        for v in self._mixed_axis(grid.y_body):
-            key = marginal.key(v)
-            if grid.y_body[0] <= v <= grid.y_body[-1]:
-                assert key in grid.y_body
-            else:
-                assert key == v
-            np.testing.assert_array_equal(marginal.index(v, x), marginal.index(key, x))
-            assert nearest_body_index(grid.y_body, v) == nearest_body_index(grid.y_body, key)
+        values = self._mixed_axis(grid.y_body)
+        pairs = list(zip(*body_lookup(grid.y_body, values)))
+        # Points between body points share a pair with one of them.
+        assert len(set(pairs)) < len(set(values.tolist()))
+        for v, pair in zip(values, pairs):
+            for u, other in zip(values, pairs):
+                if pair == other:
+                    np.testing.assert_array_equal(marginal.index(v, x), marginal.index(u, x))
 
     def test_first_failed_cell_in_grid_order_raises(self, small_fit, small_sample):
         fit, grid = small_fit
@@ -412,8 +414,8 @@ class TestDecomposition:
         monkeypatch.setattr(functionals, "_CorrelationPlan", counted)
         for fits, samples, grids in (two_group_setup, big_two_groups):
             ys, ws = grids[0].y_grid, grids[0].w_grid
-            reached = [len({(nearest_body_index(f.grid.y_body, y),
-                             nearest_body_index(f.grid.w_body, w)) for y in ys for w in ws})
+            reached = [np.unique(body_lookup(f.grid.y_body, ys)[0]).size
+                       * np.unique(body_lookup(f.grid.w_body, ws)[0]).size
                        for f in (fits[0], fits[1])]
             blocks = -(-samples[0].n // BLOCK_ROWS)
             built.clear()

@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -6,9 +7,11 @@ from scipy.special import ndtr, ndtri
 
 from bdreg.data import Sample, build_grid, grid_from_values
 from bdreg.dgp import DgpSpec, generate
-from bdreg.exceptions import DataError, EstimationError
+from bdreg import marginals
+from bdreg.exceptions import DataError, EstimationError, TailError
 from bdreg.marginals import (
     _damped_newton,
+    _newton_step,
     _probit_evaluate,
     fit_marginal,
     fit_probit_dr,
@@ -209,6 +212,59 @@ class TestMarginalFit:
         np.testing.assert_array_equal(fit.coef, unit.coef)
         for alpha, want in ((fit.alpha_lo, unit.alpha_lo), (fit.alpha_hi, unit.alpha_hi)):
             assert abs(alpha * scale - want) <= 1e-12 * want
+
+    def test_failed_body_point_names_its_outcome_and_point(self):
+        # The first body point lies below every observation, so its
+        # indicator is one-sided; the probit's diagnostics come along.
+        rng = np.random.default_rng(61)
+        y = rng.standard_normal(500)
+        x = np.ones((500, 1))
+        low = y.min() - 1.0
+        grid = grid_from_values([low - 1.0, low, 0.0, y.max()], [-1.0, 0.0, 1.0])
+        with pytest.raises(EstimationError, match=re.escape(
+                f"marginal y fit failed at grid point {low:.6g}: indicator is one-sided")) as info:
+            fit_marginal(y, x, grid, "y")
+        assert type(info.value) is EstimationError
+        assert info.value.diagnostics == {"mass_below": 0.0, "mass_above": 500.0}
+
+    def test_tail_error_keeps_its_type_and_names_its_outcome(self, monkeypatch):
+        # Anchor coefficients raised by 10 put every row below the anchor at
+        # zero shift, so the upper tail fits a negative scale at every
+        # admissible point (the lower one still fits a positive scale).
+        rng = np.random.default_rng(62)
+        y = rng.standard_normal(2000)
+        x = np.ones((2000, 1))
+        grid = build_grid(Sample(y=y, w=y, x=x), n_points=6)
+
+        def raised_anchor(values, x, coef_anchor, *args, **kwargs):
+            return fit_tail_scale(values, x, coef_anchor + 10.0, *args, **kwargs)
+
+        monkeypatch.setattr(marginals, "fit_tail_scale", raised_anchor)
+        with pytest.raises(TailError, match="^marginal w tail fit failed: tail scale "
+                                            "non-positive at every admissible upper-tail"):
+            fit_marginal(y, x, grid, "w")
+
+
+class TestNewtonStep:
+    def test_singular_system_takes_the_gradient(self):
+        grad = np.array([1.0, -2.0])
+        np.testing.assert_array_equal(_newton_step(np.zeros((2, 2)), grad), grad)
+
+    def test_singular_system_in_a_stack_takes_its_gradient(self):
+        # The stack's solve fails as a whole; the other systems still solve.
+        info = np.stack([2.0 * np.eye(2), np.zeros((2, 2)), np.diag([4.0, 0.5])])
+        grad = np.array([[2.0, 4.0], [1.0, -1.0], [2.0, 1.0]])
+        np.testing.assert_array_equal(_newton_step(info, grad),
+                                      [[1.0, 2.0], [1.0, -1.0], [0.5, 2.0]])
+
+    def test_non_finite_solution_takes_the_gradient(self):
+        # A pivot of 1e-308 is not singular to the solver, but the step
+        # overflows to inf.
+        tiny = np.diag([1e-308, 1.0])
+        grad = np.array([1e10, 3.0])
+        np.testing.assert_array_equal(_newton_step(tiny, grad), grad)
+        solved = _newton_step(np.stack([2.0 * np.eye(2), tiny]), np.stack([grad, grad]))
+        np.testing.assert_array_equal(solved, [grad / 2.0, grad])
 
 
 class TestMarginalIndex:
