@@ -2,21 +2,25 @@
 the full model, ensemble application to functionals, and the IQR-based robust
 standard error, cellwise over a stack of draws.
 
-One weight vector drives every sub-estimation of a replicate: the marginal
-fits (refitted by the base fit's own code) and the dependence cells. A
-dependence cell holds the base marginal indices fixed and takes one Newton
-step from the base estimate of the same cell (the one-step bootstrap, first-
-order equivalent to refitting it), all cells of all replicates from one
-kernel pass per cell (dependence._ReplicateBase). So a replicate can fail
-only in its marginal fits. The replicate fit keeps its weight vector as its
-`weights`, and every functional computed from the fit averages its covariate
-rows with it, so a replicate is one self-contained record.
+One weight vector drives every sub-estimation of a replicate, and a
+replicate takes one step from the base fit: each marginal a Fisher-scoring
+step, and each dependence cell, holding the base marginal indices fixed, a
+Newton step from the base estimate of the same cell (the one-step
+bootstrap, first-order equivalent to refitting). All steps of all
+replicates read row terms computed once per ensemble at the base estimate
+(dependence._ReplicateBase), so a replicate fit is a few weighted sums over
+those rows, and the replicates run serially. A replicate can fail only in
+its marginals: a body threshold its weights leave one-sided, or a tail whose
+step leaves a non-positive scale and whose refit fails. The replicate fit
+keeps its weight vector as its `weights`, and every functional computed from
+the fit averages its covariate rows with it, so a replicate is one
+self-contained record.
 
-Replicate fits and their functionals run on one pool helper, _fork_map. Its
-workers are forked and get the task through the pool initializer, so only
-item ids and results cross the pipe: a task is never pickled, and may be a
-closure over local state (the CLI's functionals are) holding every fit.
-Where the platform cannot fork (Windows), the helper runs serially.
+The replicate functionals run on one pool helper, _fork_map. Its workers are
+forked and get the task through the pool initializer, so only item ids and
+results cross the pipe: a task is never pickled, and may be a closure over
+local state (the CLI's functionals are) holding every fit. Where the
+platform cannot fork (Windows), the helper runs serially.
 """
 
 from __future__ import annotations
@@ -125,31 +129,27 @@ def _run_replicate(sample, scheme, base, group, rep):
 
 
 def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
-                  scheme: WeightScheme = WeightScheme(), group: int = 0,
-                  workers: int = 1) -> BootstrapEnsemble:
-    """Draw n_draws weighted replicate fits of the base fit's model.
+                  scheme: WeightScheme = WeightScheme(), group: int = 0) -> BootstrapEnsemble:
+    """Draw n_draws weighted replicate fits of the base fit's model, serially
+    in this process.
 
-    Each replicate is fitted on base.grid with base.dep_cols: its marginals
-    are refitted as the base fit's were, and each dependence cell takes one
-    Newton step from the base estimate of the same cell, at the base
-    marginal indices (fit_bdr with a _ReplicateBase, made once here). A cell
-    whose base fit failed stays NaN in every replicate, so a functional that
-    reads it raises the base fit's EstimationError. A replicate whose
-    marginal fits fail is dropped, with its reason kept in `failed`. The run
-    fails when more than MAX_FAILURE_SHARE of the draws fail, or when fewer
-    than min(n_draws, MIN_DRAWS_FOR_INFERENCE) survive; its InferenceError
-    names each failed replicate and why it failed.
-
-    Replicates are seeded by replicate id, so results do not depend on
-    workers (the number of processes _fork_map fits them on).
+    Each replicate is fitted on base.grid with base.dep_cols by one step from
+    the base fit under its weights (fit_bdr with a _ReplicateBase, made once
+    here): each marginal a Fisher-scoring step, each dependence cell a Newton
+    step at the base marginal indices. A cell whose base fit failed stays NaN
+    in every replicate, so a functional that reads it raises the base fit's
+    EstimationError. A replicate whose marginals fail is dropped, with its
+    reason kept in `failed`. The run fails when more than MAX_FAILURE_SHARE
+    of the draws fail, or when fewer than min(n_draws,
+    MIN_DRAWS_FOR_INFERENCE) survive; its InferenceError names each failed
+    replicate and why it failed.
     """
     if n_draws < 1:
         raise InferenceError("n_draws must be at least 1")
     ens = BootstrapEnsemble(n_requested=n_draws)
     ready = _ReplicateBase(sample, base)
-    results = _fork_map(lambda rep: _run_replicate(sample, scheme, ready, group, rep),
-                        range(n_draws), workers)
-    for rep, fit, err in results:
+    for rep in range(n_draws):
+        _, fit, err = _run_replicate(sample, scheme, ready, group, rep)
         if err is not None:
             ens.failed[rep] = err
         else:

@@ -3,10 +3,11 @@ delimited outputs with a JSON run manifest.
 
 Subcommands: estimate, counterfactual, decompose, transition, simulate.
 Given --replicates N (0 for none, else at least 10), a fitting command adds
-weighted-bootstrap standard errors to its tables: each replicate refits the
-marginals under its weights and takes one Newton step from the base estimate
-in every dependence cell (bootstrap.bootstrap_fit). Exit codes: 0 success,
-2 configuration error, 3 data error, 4 estimation/inference error.
+weighted-bootstrap standard errors to its tables: each replicate takes one
+step from the base fit under its weights, a Fisher-scoring step in every
+marginal and a Newton step in every dependence cell (bootstrap.bootstrap_fit).
+Exit codes: 0 success, 2 configuration error, 3 data error, 4
+estimation/inference error.
 
 Every table has one row per cell of a product of axes (_long): the cell's
 axis labels, then its values, then se only with replicates.
@@ -20,7 +21,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -49,7 +50,14 @@ from .data import (
 )
 from .dependence import BdrFit, fit_bdr
 from .dgp import DEFAULT_COVARIATES, DgpSpec, generate
-from .exceptions import BdrError, ConfigError, DataError, EstimationError
+from .exceptions import (
+    BdrError,
+    ConfigError,
+    DataError,
+    EstimationError,
+    InferenceError,
+    _prefixed,
+)
 from .functionals import (
     _check_index,
     counterfactual_joint_cdf,
@@ -147,10 +155,12 @@ def ingest(path: str, config: RunConfig):
     column as a 0/1 array (None without --group-col). A leading byte-order
     mark (Excel's "CSV UTF-8") is skipped.
 
-    Rows with a missing value in any used column are dropped (counted in the
-    manifest); unparseable or non-finite cells (such as inf), a used column
-    named twice in the header, and a group column holding anything but 0
-    and 1, raise a DataError.
+    Every used cell of a row is read before the row is judged: an
+    unparseable or non-finite cell (such as inf) raises a DataError naming
+    the row's first such cell, also in a row that holds a missing token;
+    otherwise a row with a missing token in any used column is dropped
+    (counted in the manifest). A used column named twice in the header, and
+    a group column holding anything but 0 and 1, raise a DataError.
     """
     used = [config.y_col, config.w_col] + list(config.covariates)
     if config.group_col:
@@ -177,12 +187,12 @@ def ingest(path: str, config: RunConfig):
             for line_no, row in enumerate(reader, start=2):
                 if not row or all(not c.strip() for c in row):
                     continue
-                vals = []
+                vals, missing = [], False
                 for col, at in zip(used, pos):
                     raw = row[at].strip() if at < len(row) else ""
                     if raw.lower() in MISSING_TOKENS:
-                        n_dropped += 1
-                        break
+                        missing = True
+                        continue
                     try:
                         val = float(raw)
                     except ValueError:
@@ -191,6 +201,8 @@ def ingest(path: str, config: RunConfig):
                         bad = "unparseable" if val is None else "non-finite"
                         raise DataError(f"{bad} value {raw!r} at line {line_no}, column {col!r}")
                     vals.append(val)
+                if missing:
+                    n_dropped += 1
                 else:
                     kept.append(vals)
     except UnicodeDecodeError as err:
@@ -268,7 +280,8 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
     it, and merging it would pull the grid's old extreme into the body.
     Cuts that coincide (distinct levels at one empirical quantile) raise
     DataError before any fit. With --group-col, a DataError or
-    EstimationError from gridding or fitting a group names the group."""
+    EstimationError from gridding or fitting a group, and an InferenceError
+    from bootstrapping it, names the group."""
     if config.replicates and config.replicates < MIN_DRAWS_FOR_INFERENCE:
         raise ConfigError(
             f"--replicates must be 0 (no standard errors) or >= {MIN_DRAWS_FOR_INFERENCE}"
@@ -287,9 +300,13 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
         y_cuts = _parse_cuts(cut_args.y_cuts, cut_args.y_cut_levels, sample.y, "y")
         w_cuts = _parse_cuts(cut_args.w_cuts, cut_args.w_cut_levels, sample.w, "w")
     dep_cols = _dep_cols(config)
+
+    def naming(g, *types):
+        return _prefixed(f"group {g}", *types) if labels is not None else nullcontext()
+
     fits = {}
     for g, s in samples.items():
-        try:
+        with naming(g, DataError, EstimationError):
             grid = build_grid(s, config.grid_points, config.trim, config.tail_min_obs)
             if cut_args is not None:
                 grid = grid_from_values(*(
@@ -297,10 +314,6 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
                     for values, cuts in ((grid.y_grid, y_cuts), (grid.w_grid, w_cuts))
                 ), config.tail_min_obs)
             fits[g] = fit_bdr(s, grid, dep_cols)
-        except (DataError, EstimationError) as err:
-            if labels is not None:
-                err.args = (f"group {g}: {err}",)
-            raise
     manifest = {
         "command": command,
         "config": asdict(config),
@@ -311,11 +324,11 @@ def _prologue(command: str, config: RunConfig, two_groups=False, cut_args=None) 
     ensembles = None
     if config.replicates:
         scheme = WeightScheme(kind=config.scheme, seed=config.seed)
-        ensembles = {
-            g: bootstrap_fit(samples[g], fits[g], config.replicates, scheme,
-                             group=g, workers=config.workers)
-            for g in sorted(samples)
-        }
+        ensembles = {}
+        for g in sorted(samples):
+            with naming(g, InferenceError):
+                ensembles[g] = bootstrap_fit(samples[g], fits[g], config.replicates, scheme,
+                                             group=g)
         manifest["bootstrap_failures"] = {str(g): len(e.failed) for g, e in ensembles.items()}
     return _Run(samples, fits, ensembles, manifest, y_cuts, w_cuts, config.workers)
 
@@ -546,13 +559,13 @@ def _add_common(p: argparse.ArgumentParser):
                    help="subset of covariates driving the dependence (default: all)")
     p.add_argument("--replicates", type=int, default=d.replicates,
                    help="bootstrap replicates for standard errors: 0 for none, else at least "
-                        f"{MIN_DRAWS_FOR_INFERENCE}; each refits the marginals and takes one "
-                        "Newton step per dependence cell")
+                        f"{MIN_DRAWS_FOR_INFERENCE}; each takes one step from the base fit in "
+                        "every marginal and dependence cell")
     p.add_argument("--scheme", choices=["exponential", "multinomial"], default=d.scheme)
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--out", default="bdreg-out")
     p.add_argument("--workers", type=int, default=None,
-                   help="processes for the bootstrap replicate fits and their functionals "
+                   help="processes for the functionals of the bootstrap replicates "
                         f"(default: ${WORKERS_ENV}, else {d.workers})")
 
 

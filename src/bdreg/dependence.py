@@ -2,8 +2,8 @@
 bivariate probit likelihood in the dependence coefficients, holding the
 marginal indices fixed (the second step of the two-step estimator). The fitted
 surface is extended off the body by the copy rule (data.body_lookup). A
-bootstrap replicate does not refit the cells: it takes one Newton step from
-each base estimate under its weights (_ReplicateBase).
+bootstrap replicate takes one step from the base fit's marginals and cells
+under its weights (_ReplicateBase).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .marginals import (
     POLISH_GRAD,
     MarginalFit,
     NewtonResult,
+    _MarginalRows,
     _damped_newton,
     _newton_step,
     _normalize_weights,
@@ -218,18 +219,27 @@ def _cells(sample: Sample, x, grid: GridSpec, y_marg: MarginalFit, w_marg: Margi
             yield (iy, iw), (a, b, below_y, below_w)
 
 
-class _ReplicateBase:
-    """A base fit readied for its bootstrap replicates (one-step dependence).
+def _outer_rows(x):
+    """Each row's x x', flattened to one (d * d) row per observation."""
+    n, d = x.shape
+    return (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
 
-    A replicate holds the base marginal indices fixed in the dependence step
-    and takes one full Newton step from each cell's base estimate under its
-    own weights: the k-step bootstrap with k = 1 (Davidson & MacKinnon 1999;
-    Andrews 2002), first-order equivalent to refitting the cell. At the base
-    estimate and indices, each row's score factor, observed curvature and
-    Fisher curvature are the same in every replicate; only the weights
-    change. So one kernel pass per cell, made here, serves every replicate,
-    and step() forms a replicate's scores and informations for all cells as
-    weighted sums of these rows.
+
+class _ReplicateBase:
+    """A base fit readied for its bootstrap replicates (one-step replicates).
+
+    A replicate takes one step from the base estimate under its own
+    weights, the k-step bootstrap with k = 1 (Davidson & MacKinnon 1999;
+    Andrews 2002), first-order equivalent to refitting. Each marginal takes
+    one Fisher-scoring step (marginals._MarginalRows), and
+    each dependence cell holds the base marginal indices fixed and takes one
+    full Newton step from its base estimate. At the base estimate, each
+    row's score factor and curvatures are the same in every replicate; only
+    the weights change. So one pass over the rows per body threshold, tail
+    and cell, made here, serves every replicate, and step_marginals() and
+    step() form a replicate's scores and informations as weighted sums of
+    these rows. The marginals share the cells' x x' rows where the
+    dependence uses every design column.
 
     A cell whose base fit failed (NaN) keeps NaN, and a cell clamped at the
     link saturation bound (a perfectly concordant or discordant pattern,
@@ -241,8 +251,13 @@ class _ReplicateBase:
         self.fit = fit
         x = np.asarray(sample.x, dtype=float)
         self.x_dep = x[:, fit.dep_cols]
-        n, d = self.x_dep.shape
-        self.xx = (self.x_dep[:, :, None] * self.x_dep[:, None, :]).reshape(n, d * d)
+        n = x.shape[0]
+        self.xx = _outer_rows(self.x_dep)
+        xx = self.xx if fit.dep_cols == tuple(range(x.shape[1])) else _outer_rows(x)
+        self.marginals = [
+            _MarginalRows(values, x, xx, marg, outcome, fit.grid.tail_min_obs)
+            for values, marg, outcome in ((sample.y, fit.y_marginal, "y"),
+                                          (sample.w, fit.w_marginal, "w"))]
         # Cells that step; the rows below are theirs, in grid order.
         self.live = np.all(np.isfinite(fit.dep_coef), axis=2)
         rows = []
@@ -257,6 +272,12 @@ class _ReplicateBase:
             rows.append((score, observed, fisher()))
         self.score, self.observed, self.fisher = (
             np.array([r[k] for r in rows]).reshape(-1, n) for k in range(3))
+
+    def step_marginals(self, weights) -> tuple[MarginalFit, MarginalFit]:
+        """The replicate's y and w marginal fits under `weights`
+        (_MarginalRows.step, which raises where a marginal fails)."""
+        w = _normalize_weights(weights, self.x_dep.shape[0])
+        return tuple(rows.step(w) for rows in self.marginals)
 
     def step(self, weights) -> np.ndarray:
         """The replicate's dependence coefficients under `weights`. In each
@@ -292,10 +313,13 @@ def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
 
     With `base` (a `_ReplicateBase`, which `bootstrap_fit` builds once per
     ensemble) the fit is a bootstrap replicate of base.fit under `weights`:
-    the marginals are refitted as in a base fit, and each dependence cell
-    takes one Newton step from its base estimate at the base marginal
-    indices (`_ReplicateBase.step`, the only replicate-specific code). A
-    replicate's cells cannot fail; only its marginal fits can, by raising.
+    each marginal takes one Fisher-scoring step from the base fit, and each
+    dependence cell one Newton step from its base estimate at the base
+    marginal indices (`_ReplicateBase.step_marginals` and `step`, the only
+    replicate-specific code). A replicate's cells
+    cannot fail; its marginals fail, by raising, only where the weights
+    leave a body threshold one-sided or a tail stepped to a non-positive
+    scale cannot be refitted.
     """
     validate(sample)
     dep_cols = tuple(range(sample.d_x)) if dep_cols is None else tuple(dep_cols)
@@ -304,12 +328,13 @@ def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
                           f"0..{sample.d_x - 1}")
     x = np.asarray(sample.x, dtype=float)
 
-    y_marg = fit_marginal(sample.y, x, grid, "y", weights=weights)
-    w_marg = fit_marginal(sample.w, x, grid, "w", weights=weights)
     if base is not None:
+        y_marg, w_marg = base.step_marginals(weights)
         return BdrFit(grid=grid, y_marginal=y_marg, w_marginal=w_marg,
                       dep_coef=base.step(weights), dep_cols=dep_cols, weights=weights)
 
+    y_marg = fit_marginal(sample.y, x, grid, "y", weights=weights)
+    w_marg = fit_marginal(sample.w, x, grid, "w", weights=weights)
     x_dep = x[:, dep_cols]
     dep = np.full((grid.y_body.size, grid.w_body.size, len(dep_cols)), np.nan)
     failures = []

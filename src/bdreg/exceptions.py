@@ -4,6 +4,8 @@ The CLI maps these onto exit codes, so estimation-time failures must stay
 distinguishable from bad input data and bad configuration.
 """
 
+from contextlib import contextmanager
+
 __all__ = [
     "BdrError",
     "ConfigError",
@@ -40,3 +42,15 @@ class TailError(EstimationError):
 
 class InferenceError(BdrError):
     """Bootstrap or interval construction failed (too few valid draws)."""
+
+
+@contextmanager
+def _prefixed(context, *types):
+    """Prefix "context: " to the message of an error of one of types raised
+    in the block, keeping its type and diagnostics (a fit names the outcome,
+    grid point or group it failed at)."""
+    try:
+        yield
+    except types as err:
+        err.args = (f"{context}: {err}",)
+        raise

@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 
 from .data import GridSpec, body_lookup
-from .exceptions import DataError, EstimationError, TailError
+from .exceptions import DataError, EstimationError, TailError, _prefixed
 from .normal import _SQRT_2PI, _ndtr
 
 __all__ = [
@@ -60,6 +60,18 @@ def _clip_prob(p):
     return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
+def _probit_rows(idx, below, w):
+    """Each row's probability p (clipped), weighted score factor
+    w phi (below - p) / (p (1 - p)) and weighted Fisher curvature
+    w phi^2 / (p (1 - p)) at linear index idx: the row adds these times x to
+    the score and times x x' to the expected information. Read by the fits
+    (_probit_evaluate) and the one-step replicates (_MarginalRows, w = 1)."""
+    p = _clip_prob(_ndtr(idx))
+    phi = np.exp(-0.5 * idx * idx) / _SQRT_2PI
+    denom = p * (1.0 - p)
+    return p, w * phi / denom * (below - p), w * phi * phi / denom
+
+
 def _probit_evaluate(x, below, w, offset, coef):
     """Average probit log-likelihood, its score and the expected information
     at coef, with mean-one weights w and an optional fixed offset added to
@@ -68,13 +80,9 @@ def _probit_evaluate(x, below, w, offset, coef):
     idx = x @ coef
     if offset is not None:
         idx = idx + offset
-    p = _clip_prob(_ndtr(idx))
+    p, score, fisher = _probit_rows(idx, below, w)
     ll = float(np.mean(w * (below * np.log(p) + (1.0 - below) * np.log1p(-p))))
-    phi = np.exp(-0.5 * idx * idx) / _SQRT_2PI
-    denom = p * (1.0 - p)
-    grad = x.T @ (w * phi / denom * (below - p)) / n
-    fisher = w * phi * phi / denom
-    return ll, grad, (x * fisher[:, None]).T @ x / n
+    return ll, x.T @ score / n, (x * fisher[:, None]).T @ x / n
 
 
 @dataclass
@@ -164,6 +172,16 @@ def _damped_newton(evaluate, coef, name) -> NewtonResult:
     return NewtonResult(coef=coef, iterations=it, grad_norm=grad_norm, loglik=ll)
 
 
+def _require_both_sides(mass_below, mass_above):
+    """Raise the EstimationError of a threshold whose weights leave no mass
+    below it or none above it: the probit likelihood has no maximizer."""
+    if mass_below <= 0 or mass_above <= 0:
+        raise EstimationError(
+            "indicator is one-sided at this threshold (no mass on one side)",
+            diagnostics={"mass_below": mass_below, "mass_above": mass_above},
+        )
+
+
 def fit_probit_dr(x, below, weights=None, warm_start=None,
                   offset=None) -> NewtonResult:
     """Maximize the (weighted) probit log-likelihood with `_damped_newton`.
@@ -177,14 +195,7 @@ def fit_probit_dr(x, below, weights=None, warm_start=None,
     n, d = x.shape
     w = _normalize_weights(weights, n)
 
-    mass_below = np.sum(w * below)
-    mass_above = np.sum(w * (1.0 - below))
-    if mass_below <= 0 or mass_above <= 0:
-        raise EstimationError(
-            "indicator is one-sided at this threshold (no mass on one side)",
-            diagnostics={"mass_below": mass_below, "mass_above": mass_above},
-        )
-
+    _require_both_sides(np.sum(w * below), np.sum(w * (1.0 - below)))
     start = np.zeros(d) if warm_start is None else warm_start
     return _damped_newton(partial(_probit_evaluate, x, below, w, offset), start, "probit fit")
 
@@ -280,6 +291,14 @@ class MarginalFit:
         return x @ self.coef[pos] + beyond * (self.alpha_hi if beyond > 0 else self.alpha_lo)
 
 
+def _at_body_point(outcome, r):
+    return _prefixed(f"marginal {outcome} fit failed at grid point {r:.6g}", EstimationError)
+
+
+def _in_tail(outcome):
+    return _prefixed(f"marginal {outcome} tail fit failed", DataError, EstimationError)
+
+
 def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None) -> MarginalFit:
     """Run the probit fits over one outcome's body grid, then both tail fits.
 
@@ -297,23 +316,17 @@ def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None) -> Margi
     warm = None
     for i, r in enumerate(body):
         below = (values <= r).astype(float)
-        try:
+        with _at_body_point(outcome, r):
             res = fit_probit_dr(x, below, weights=weights, warm_start=warm)
-        except EstimationError as err:
-            err.args = (f"marginal {outcome} fit failed at grid point {r:.6g}: {err}",)
-            raise
         coefs[i] = res.coef
         iters.append(res.iterations)
         warm = res.coef
 
-    try:
+    with _in_tail(outcome):
         lo = fit_tail_scale(values, x, coefs[0], float(body[0]), "lower",
                             grid.tail_min_obs, weights=weights)
         hi = fit_tail_scale(values, x, coefs[-1], float(body[-1]), "upper",
                             grid.tail_min_obs, weights=weights)
-    except (DataError, EstimationError) as err:
-        err.args = (f"marginal {outcome} tail fit failed: {err}",)
-        raise
     return MarginalFit(
         body=body,
         coef=coefs,
@@ -323,3 +336,73 @@ def fit_marginal(values, x, grid: GridSpec, outcome: str, weights=None) -> Margi
         r0_hi=hi.r0,
         iterations=iters,
     )
+
+
+class _MarginalRows:
+    """A base marginal fit readied for its bootstrap replicates, which take
+    one Fisher-scoring step from it under their weights (first-order
+    equivalent to a refit; dependence._ReplicateBase). Each row's score
+    factor and Fisher curvature at the base estimate (_probit_rows with unit
+    weight) are the same in every replicate, so they are computed once here
+    for every body threshold and both tails; xx holds the rows' flattened
+    x x'.
+
+    A tail keeps the base fit's auxiliary point r0, and its rows are taken
+    at the base tail index x'beta_a + gamma, gamma = alpha * (r0 - anchor).
+    Its step is joint in (beta_a, gamma): the anchor's step moves the
+    offset, and so gamma. Without that term the tail SEs fall short of the
+    refit's.
+    """
+
+    def __init__(self, values, x, xx, fit: MarginalFit, outcome: str, min_obs: int):
+        self.values = np.asarray(values, dtype=float)
+        self.x, self.xx = x, xx
+        self.fit, self.outcome, self.min_obs = fit, outcome, min_obs
+        # (n_body, n) rows, one threshold per row of the stack.
+        self.below = (self.values <= fit.body[:, None]).astype(float)
+        _, self.score, self.fisher = _probit_rows(fit.coef @ x.T, self.below, 1.0)
+        self.tails = []
+        for side, at, alpha, r0 in (("lower", 0, fit.alpha_lo, fit.r0_lo),
+                                    ("upper", -1, fit.alpha_hi, fit.r0_hi)):
+            anchor = float(fit.body[at])
+            gamma = alpha * (r0 - anchor)
+            _, score, fisher = _probit_rows(x @ fit.coef[at] + gamma,
+                                            (self.values <= r0).astype(float), 1.0)
+            self.tails.append((side, at, anchor, r0, gamma, score, fisher))
+
+    def step(self, w) -> MarginalFit:
+        """The replicate's marginal fit under mean-one weights w.
+
+        Body threshold k: beta_k + solve(I_k, g_k), g_k and I_k the weighted
+        score and expected information at the base estimate, with no step
+        where the max-norm of g_k is at most POLISH_GRAD. A threshold the
+        weights leave one-sided raises fit_marginal's error for it. Tail:
+        gamma* = gamma + (sum w s - (sum w c x)'(beta*_a - beta_a)) / sum w c
+        and alpha* = gamma* / (r0 - anchor); where alpha* is not positive,
+        fit_tail_scale refits the tail under w at the stepped anchor.
+        """
+        n, d = self.x.shape
+        for r, mass_below, mass_above in zip(self.fit.body, self.below @ w,
+                                             (1.0 - self.below) @ w):
+            with _at_body_point(self.outcome, r):
+                _require_both_sides(mass_below, mass_above)
+        grad = (self.score * w) @ self.x / n
+        info = (self.fisher * w) @ self.xx / n
+        step = _newton_step(info.reshape(-1, d, d), grad)
+        step[np.max(np.abs(grad), axis=1) <= POLISH_GRAD] = 0.0
+        coef = self.fit.coef + step
+
+        tails = []
+        for side, at, anchor, r0, gamma, score, fisher in self.tails:
+            wc = w * fisher
+            gamma = gamma + (w @ score - (wc @ self.x) @ step[at]) / wc.sum()
+            alpha = gamma / (r0 - anchor)
+            if not alpha > 0:
+                with _in_tail(self.outcome):
+                    refit = fit_tail_scale(self.values, self.x, coef[at], anchor, side,
+                                           self.min_obs, weights=w)
+                alpha, r0 = refit.alpha, refit.r0
+            tails.append((float(alpha), r0))
+        (alpha_lo, r0_lo), (alpha_hi, r0_hi) = tails
+        return MarginalFit(body=self.fit.body, coef=coef, alpha_lo=alpha_lo,
+                           alpha_hi=alpha_hi, r0_lo=r0_lo, r0_hi=r0_hi)

@@ -1,3 +1,5 @@
+import inspect
+import multiprocessing
 import os
 import pickle
 from statistics import NormalDist
@@ -5,7 +7,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from bdreg import dependence
+from bdreg import bootstrap, marginals
 from bdreg.bootstrap import (
     MIN_DRAWS_FOR_INFERENCE,
     BootstrapEnsemble,
@@ -20,7 +22,7 @@ from bdreg.data import build_grid, empirical_quantile, grid_from_values
 from bdreg.dependence import _CellKernel, _ReplicateBase, fit_bdr
 from bdreg.dgp import DgpSpec, generate
 from bdreg.exceptions import EstimationError, InferenceError, TailError
-from bdreg.marginals import fit_marginal
+from bdreg.marginals import _probit_evaluate, fit_marginal
 
 from conftest import bench_spec, refit_cell
 
@@ -33,16 +35,62 @@ def robust_se(draws) -> float:
     return float((q75 - q25) / (2.0 * NormalDist().inv_cdf(0.75)))
 
 
-def test_results_do_not_depend_on_workers():
-    s = generate(bench_spec(400, 31))
-    base = fit_bdr(s, build_grid(s, n_points=4))
-    serial = bootstrap_fit(s, base, n_draws=3, workers=1)
-    pooled = bootstrap_fit(s, base, n_draws=3, workers=2)
-    assert sorted(serial.draws) == sorted(pooled.draws) == [0, 1, 2]
-    assert serial.failed == pooled.failed == {}
-    for rep in serial.draws:
-        np.testing.assert_array_equal(serial.draws[rep].weights, pooled.draws[rep].weights)
-        np.testing.assert_array_equal(serial.draws[rep].dep_coef, pooled.draws[rep].dep_coef)
+def test_bootstrap_fit_starts_no_process(small_sample, small_fit, monkeypatch):
+    # Replicate fits are one step each from shared row terms, so they run
+    # serially in the calling process; there is no worker count to set.
+    assert "workers" not in inspect.signature(bootstrap_fit).parameters
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("bootstrap_fit must start no process")
+
+    monkeypatch.setattr(multiprocessing.Process, "start", no_process)
+    monkeypatch.setattr(bootstrap, "_fork_map", no_process)
+    ens = bootstrap_fit(small_sample, small_fit[0], n_draws=3)
+    assert sorted(ens.draws) == [0, 1, 2] and ens.failed == {}
+
+
+def repro_group_1():
+    """Group 1 of `bdreg simulate --n 2000 --seed 1` with the perfbench
+    decompose-boot coefficients, fitted on the grid of `decompose
+    --grid-points 3 --tail-min-obs 5`. Its multinomial replicate 9 steps
+    the upper w tail to a non-positive scale."""
+    s = generate(DgpSpec(y_coef=np.array([0.4, 0.6, -0.2]), w_coef=np.array([0.1, 0.7, 0.3]),
+                         dep_coef=np.array([0.2, 0.3, -0.1]), n=2000, seed=2))
+    return s, fit_bdr(s, build_grid(s, 3, tail_min_obs=5))
+
+
+def tail_refits(monkeypatch, fail_for=None, reason=""):
+    """Record each tail refit made under weights (the replicates' fallback)
+    as (direction, weights); raise TailError(reason) for weights fail_for."""
+    calls, real = [], marginals.fit_tail_scale
+
+    def recorded(values, x, coef_anchor, anchor, direction, min_obs, weights=None):
+        if weights is not None:
+            calls.append((direction, weights))
+            if fail_for is not None and np.array_equal(weights, fail_for):
+                raise TailError(reason)
+        return real(values, x, coef_anchor, anchor, direction, min_obs, weights=weights)
+
+    monkeypatch.setattr(marginals, "fit_tail_scale", recorded)
+    return calls
+
+
+def test_tail_with_a_non_positive_step_is_refitted(monkeypatch):
+    # One step from the base fit leaves replicate 9's upper w tail scale at
+    # or below zero; that tail alone is refitted under the replicate's
+    # weights at its stepped anchor, and the replicate survives.
+    s, base = repro_group_1()
+    scheme = WeightScheme("multinomial")
+    calls = tail_refits(monkeypatch)
+    ens = bootstrap_fit(s, base, n_draws=10, scheme=scheme, group=1)
+    assert sorted(ens.draws) == list(range(10)) and ens.failed == {}
+    assert [d for d, _ in calls] == ["upper"]
+    np.testing.assert_array_equal(calls[0][1], draw_weights(s.n, scheme, 9, 1))
+    refit = marginals.fit_tail_scale(s.w, s.x, ens.draws[9].w_marginal.coef[-1],
+                                     float(base.grid.w_body[-1]), "upper", 5,
+                                     weights=ens.draws[9].weights)
+    assert ens.draws[9].w_marginal.alpha_hi == refit.alpha > 0
+    assert ens.draws[9].w_marginal.r0_hi == refit.r0
 
 
 def test_multinomial_weights_are_resampling_counts():
@@ -74,30 +122,40 @@ def test_bootstrap_fit_rejects_fewer_than_one_draw(n_draws, small_sample, small_
         bootstrap_fit(small_sample, small_fit[0], n_draws=n_draws)
 
 
-def test_one_failed_replicate_of_ten_is_named_with_its_cause(small_sample, small_fit,
-                                                             monkeypatch):
-    # A replicate fails only in its marginal refits, here replicate 9's upper
-    # w tail. Nine survivors are too few for robust_se_map, so the run fails
+def test_one_failed_replicate_of_ten_is_named_with_its_cause(monkeypatch):
+    # A replicate fails only in its marginals, here replicate 9's upper w
+    # tail: its one step leaves a non-positive scale, and its refit fails
+    # too. Nine survivors are too few for robust_se_map, so the run fails
     # here, naming the replicate and why it failed.
-    base = small_fit[0]
-    failing = draw_weights(small_sample.n, WeightScheme(), 9)
+    s, base = repro_group_1()
+    scheme = WeightScheme("multinomial")
     reason = ("tail scale non-positive at every admissible upper-tail point "
               "(last alpha=-0.1 at r0=2)")
-    real_fit_marginal = dependence.fit_marginal
-
-    def fit_marginal_failing_replicate_9(values, x, grid, outcome, weights=None):
-        if outcome == "w" and np.array_equal(weights, failing):
-            raise TailError(reason)
-        return real_fit_marginal(values, x, grid, outcome, weights=weights)
-
-    monkeypatch.setattr(dependence, "fit_marginal", fit_marginal_failing_replicate_9)
+    tail_refits(monkeypatch, fail_for=draw_weights(s.n, scheme, 9, 1), reason=reason)
+    why = f"marginal w tail fit failed: {reason}"
     with pytest.raises(InferenceError) as info:
-        bootstrap_fit(small_sample, base, n_draws=10)
-    assert str(info.value) == f"1 of 10 bootstrap replicates failed, leaving 9 (replicate 9: {reason})"
+        bootstrap_fit(s, base, n_draws=10, scheme=scheme, group=1)
+    assert str(info.value) == f"1 of 10 bootstrap replicates failed, leaving 9 (replicate 9: {why})"
     # With twelve draws eleven survive, which is enough.
-    ens = bootstrap_fit(small_sample, base, n_draws=12)
-    assert ens.failed == {9: reason}
+    ens = bootstrap_fit(s, base, n_draws=12, scheme=scheme, group=1)
+    assert ens.failed == {9: why}
     assert sorted(ens.draws) == [r for r in range(12) if r != 9]
+
+
+def test_replicate_with_a_one_sided_body_threshold_fails_as_a_refit_does(small_sample,
+                                                                        small_fit):
+    # Weights that leave no mass below the lowest body threshold fail the
+    # replicate with fit_marginal's reason for that threshold.
+    base = small_fit[0]
+    weights = np.where(small_sample.y <= base.grid.y_body[0], 0.0, 1.0)
+    with pytest.raises(EstimationError) as refit:
+        fit_marginal(small_sample.y, small_sample.x, base.grid, "y", weights=weights)
+    with pytest.raises(EstimationError) as step:
+        fit_bdr(small_sample, base.grid, weights=weights,
+                base=_ReplicateBase(small_sample, base))
+    assert str(step.value) == str(refit.value) == (
+        f"marginal y fit failed at grid point {base.grid.y_body[0]:.6g}: "
+        "indicator is one-sided at this threshold (no mass on one side)")
 
 
 def test_replicate_cell_steps_from_its_base_estimate():
@@ -136,23 +194,49 @@ def test_replicate_cell_steps_from_its_base_estimate():
 
 
 @pytest.mark.parametrize("kind", ["exponential", "multinomial"])
-def test_replicate_marginals_are_the_base_fits_code_under_its_weights(kind):
-    # A replicate refits its marginals by the base fit's own call, so each
-    # equals fit_marginal under the replicate's weights bit for bit. On the
-    # bench design every tail keeps the base fit's auxiliary point.
+def test_replicate_marginals_agree_with_refits_under_their_weights(kind):
+    # A replicate's marginals take one Fisher-scoring step from the base
+    # fit, first-order equivalent to refitting them by fit_marginal under the
+    # replicate's weights. Over 30 draws, the one-step and refit estimates of
+    # every coefficient and tail scale differ by at most 0.15 of the refit's
+    # SD over the draws (rms), and every tail keeps the base fit's auxiliary
+    # point, as every refit here does.
     s = generate(bench_spec(1000, 13))
     grid = build_grid(s, n_points=8)
     base = fit_bdr(s, grid)
-    ens = bootstrap_fit(s, base, n_draws=10, scheme=WeightScheme(kind))
-    assert sorted(ens.draws) == list(range(10))
+    ens = bootstrap_fit(s, base, n_draws=30, scheme=WeightScheme(kind))
+    assert sorted(ens.draws) == list(range(30))
+    one, refit = [], []
     for fit in ens.draws.values():
         for outcome, values in (("y", s.y), ("w", s.w)):
             got = getattr(fit, f"{outcome}_marginal")
             want = fit_marginal(values, s.x, grid, outcome, weights=fit.weights)
-            np.testing.assert_array_equal(got.coef, want.coef)
-            assert (got.alpha_lo, got.alpha_hi) == (want.alpha_lo, want.alpha_hi)
+            one.append(np.r_[got.coef.ravel(), got.alpha_lo, got.alpha_hi])
+            refit.append(np.r_[want.coef.ravel(), want.alpha_lo, want.alpha_hi])
             own = getattr(base, f"{outcome}_marginal")
             assert (got.r0_lo, got.r0_hi) == (want.r0_lo, want.r0_hi) == (own.r0_lo, own.r0_hi)
+    one, refit = np.array(one), np.array(refit)
+    rms = np.sqrt(np.mean((one - refit) ** 2, axis=0))
+    assert np.all(rms <= 0.15 * refit.std(axis=0, ddof=1))
+
+
+def test_replicate_body_threshold_takes_the_first_fisher_step(small_sample, small_fit):
+    # At each body threshold, a replicate's coefficients are the base
+    # coefficients plus one Fisher-scoring step under its weights: the point
+    # fit_probit_dr's Newton loop tries first from the base estimate.
+    base = small_fit[0]
+    ready = _ReplicateBase(small_sample, base)
+    for kind, rep in (("exponential", 0), ("multinomial", 1)):
+        w = draw_weights(small_sample.n, WeightScheme(kind), rep)
+        fits = dict(zip(("y", "w"), ready.step_marginals(w)))
+        for outcome, values in (("y", small_sample.y), ("w", small_sample.w)):
+            own = getattr(base, f"{outcome}_marginal")
+            for k, r in enumerate(own.body):
+                below = (values <= r).astype(float)
+                _, grad, info = _probit_evaluate(small_sample.x, below, w, None, own.coef[k])
+                np.testing.assert_allclose(fits[outcome].coef[k],
+                                           own.coef[k] + np.linalg.solve(info, grad),
+                                           rtol=0, atol=1e-12)
 
 
 def test_ensemble_apply_names_replicates_lost_in_any_group():

@@ -7,9 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from bdreg import cli
-from bdreg.bootstrap import MIN_DRAWS_FOR_INFERENCE
-from bdreg.exceptions import EstimationError
+from bdreg import bootstrap, cli, marginals
+from bdreg.bootstrap import MIN_DRAWS_FOR_INFERENCE, WeightScheme, draw_weights
+from bdreg.exceptions import EstimationError, TailError
 
 GRID = 4
 BODY = GRID - 2  # body grid points per outcome
@@ -451,6 +451,25 @@ def test_unparseable_cell_is_data_error(sample_csv, tmp_path):
     assert decompose(bad, tmp_path / "out") == 3
 
 
+@pytest.mark.parametrize("cells,named", [
+    ([("y", "abc"), ("w", "NA")], "unparseable value 'abc' at line 5, column 'y'"),
+    ([("y", "NA"), ("w", "abc")], "unparseable value 'abc' at line 5, column 'w'"),
+    ([("y", "NA"), ("w", "inf"), ("x1", "abc")], "non-finite value 'inf' at line 5, column 'w'"),
+])
+def test_bad_cell_is_data_error_wherever_a_missing_token_sits(cells, named, sample_csv,
+                                                              tmp_path, monkeypatch, capsys):
+    # A row's used cells are all read before it is judged, so a missing
+    # token before a bad cell does not drop the row; the first bad cell is
+    # named.
+    monkeypatch.setattr(cli, "fit_bdr", no_fit)
+    bad = tmp_path / "bad.csv"
+    write_lines(bad, with_cells(sample_csv, [(5, column, token) for column, token in cells]))
+    out = tmp_path / "out"
+    assert run("estimate", bad, out) == 3
+    assert list(out.glob("*")) == []
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e400"])
 def test_non_finite_cell_is_data_error_at_its_line(token, sample_csv, tmp_path, monkeypatch,
                                                    capsys):
@@ -555,6 +574,52 @@ def test_group_fit_error_names_the_group(sample_csv, tmp_path, monkeypatch, caps
     monkeypatch.setattr(cli, "fit_bdr", second_fit_fails)
     assert run("estimate", sample_csv, tmp_path / "fit") == 4
     assert "estimation error: group 1: dependence fit did not converge" in capsys.readouterr().err
+
+
+def test_group_bootstrap_error_names_the_group(sample_csv, tmp_path, monkeypatch, capsys):
+    # Group 1's replicate 9 fails (each group has 600 rows), which leaves
+    # nine replicates, too few: the InferenceError names the group, as a
+    # failed fit's error does, and the run exits 4.
+    reason = "tail scale non-positive at every admissible upper-tail point"
+    failing = draw_weights(600, WeightScheme(), 9, group=1)
+    real_fit = bootstrap.fit_bdr
+
+    def replicate_9_of_group_1_fails(sample, grid, dep_cols=None, weights=None, base=None):
+        if base is not None and np.array_equal(weights, failing):
+            raise TailError(reason)
+        return real_fit(sample, grid, dep_cols, weights=weights, base=base)
+
+    monkeypatch.setattr(bootstrap, "fit_bdr", replicate_9_of_group_1_fails)
+    out = tmp_path / "out"
+    assert decompose(sample_csv, out, "--replicates", "10") == 4
+    assert list(out.glob("*")) == []
+    assert ("estimation error: group 1: 1 of 10 bootstrap replicates failed, leaving 9 "
+            f"(replicate 9: {reason})") in capsys.readouterr().err
+
+
+def test_replicate_tail_stepped_to_a_non_positive_scale_is_refitted(tmp_path, monkeypatch):
+    # On this file, one step from the base fit leaves group 1's multinomial
+    # replicate 9 with a non-positive upper w tail scale. That tail alone
+    # is refitted under the replicate's weights, and the run succeeds.
+    assert cli.main(["simulate", "--n", "2000", "--seed", "1", "--y-coef=0.2,0.5,-0.3",
+                     "--w-coef=-0.1,0.8,0.2", "--dep-coef=0.3,0.4,-0.2", "--two-groups",
+                     "--y-coef-1=0.4,0.6,-0.2", "--w-coef-1=0.1,0.7,0.3",
+                     "--dep-coef-1=0.2,0.3,-0.1", "--out", str(tmp_path)]) == 0
+    refits, real = [], marginals.fit_tail_scale
+
+    def recorded(*args, weights=None):
+        if weights is not None:
+            refits.append(args[4])
+        return real(*args, weights=weights)
+
+    monkeypatch.setattr(marginals, "fit_tail_scale", recorded)
+    out = tmp_path / "out"
+    assert cli.main(["decompose", "--input", str(tmp_path / "sample.csv"), "--covariates",
+                     "x1,x2", "--group-col", "group", "--replicates", "10", "--grid-points", "3",
+                     "--scheme", "multinomial", "--tail-min-obs", "5", "--out", str(out)]) == 0
+    assert refits == ["upper"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["bootstrap_failures"] == {"0": 0, "1": 0}
 
 
 @pytest.mark.parametrize("labels,message", [
