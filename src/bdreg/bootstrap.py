@@ -7,12 +7,13 @@ replicate takes one step from the base fit: each marginal a Fisher-scoring
 step, and each dependence cell, holding the base marginal indices fixed, a
 Newton step from the base estimate of the same cell (the one-step
 bootstrap, first-order equivalent to refitting). All steps of all
-replicates read row terms computed once per ensemble at the base estimate
-(dependence._ReplicateBase), so a replicate fit is a few weighted sums over
-those rows, and the replicates run serially. A replicate can fail only in
-its marginals: a body threshold its weights leave one-sided, or a tail whose
-step leaves a non-positive scale and whose refit fails. The replicate fit
-keeps its weight vector as its `weights`, and every functional computed from
+replicates read row terms computed once per ensemble at the base estimate,
+and dependence._ReplicateBase.replicate(weights) alone makes a replicate, a
+few weighted sums over those rows, so the replicates run serially. A
+replicate can fail only in its marginals: a body threshold its weights leave
+one-sided, or a tail whose step leaves a non-positive scale and whose refit
+fails. The replicate fit keeps its weight vector (its draw, times the base
+fit's own weights if it has any) as its `weights`, and every functional of
 the fit averages its covariate rows with it, so a replicate is one
 self-contained record.
 
@@ -33,7 +34,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Sample
-from .dependence import BdrFit, _ReplicateBase, fit_bdr
+from .dependence import BdrFit, _ReplicateBase
+from .dependence import fit_bdr  # noqa: F401  (perfbench/spans.py traces it at this name)
 from .exceptions import EstimationError, InferenceError
 
 __all__ = [
@@ -120,40 +122,32 @@ def _fork_map(task, items, workers):
         return list(pool.map(_call_task, items, chunksize=-(-len(items) // workers)))
 
 
-def _run_replicate(sample, scheme, base, group, rep):
-    w = draw_weights(sample.n, scheme, rep, group)
-    try:
-        return rep, fit_bdr(sample, base.fit.grid, base.fit.dep_cols, weights=w, base=base), None
-    except EstimationError as err:
-        return rep, None, str(err)
-
-
 def bootstrap_fit(sample: Sample, base: BdrFit, n_draws: int = DEFAULT_DRAWS,
                   scheme: WeightScheme = WeightScheme(), group: int = 0) -> BootstrapEnsemble:
     """Draw n_draws weighted replicate fits of the base fit's model, serially
     in this process.
 
-    Each replicate is fitted on base.grid with base.dep_cols by one step from
-    the base fit under its weights (fit_bdr with a _ReplicateBase, made once
-    here): each marginal a Fisher-scoring step, each dependence cell a Newton
-    step at the base marginal indices. A cell whose base fit failed stays NaN
-    in every replicate, so a functional that reads it raises the base fit's
-    EstimationError. A replicate whose marginals fail is dropped, with its
-    reason kept in `failed`. The run fails when more than MAX_FAILURE_SHARE
-    of the draws fail, or when fewer than min(n_draws,
-    MIN_DRAWS_FOR_INFERENCE) survive; its InferenceError names each failed
-    replicate and why it failed.
+    A _ReplicateBase is made once here, and each replicate is its
+    replicate(weights) under that replicate's draw: on base.grid with
+    base.dep_cols, each marginal a Fisher-scoring step, each dependence cell
+    a Newton step at the base marginal indices. A cell whose base fit failed
+    stays NaN in every replicate, which keeps the base fit's `failures`, so
+    a functional that reads it raises the base fit's EstimationError and
+    reason. A replicate whose marginals fail is dropped, with its reason
+    kept in `failed`. The run fails when more than MAX_FAILURE_SHARE of the
+    draws fail, or when fewer than min(n_draws, MIN_DRAWS_FOR_INFERENCE)
+    survive; its InferenceError names each failed replicate and why it
+    failed.
     """
     if n_draws < 1:
         raise InferenceError("n_draws must be at least 1")
     ens = BootstrapEnsemble(n_requested=n_draws)
     ready = _ReplicateBase(sample, base)
     for rep in range(n_draws):
-        _, fit, err = _run_replicate(sample, scheme, ready, group, rep)
-        if err is not None:
-            ens.failed[rep] = err
-        else:
-            ens.draws[rep] = fit
+        try:
+            ens.draws[rep] = ready.replicate(draw_weights(sample.n, scheme, rep, group))
+        except EstimationError as err:
+            ens.failed[rep] = str(err)
     if (len(ens.failed) > MAX_FAILURE_SHARE * n_draws
             or len(ens.draws) < min(n_draws, MIN_DRAWS_FOR_INFERENCE)):
         reasons = "; ".join(f"replicate {rep}: {why}" for rep, why in sorted(ens.failed.items()))

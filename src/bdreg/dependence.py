@@ -3,20 +3,19 @@ bivariate probit likelihood in the dependence coefficients, holding the
 marginal indices fixed (the second step of the two-step estimator). The fitted
 surface is extended off the body by the copy rule (data.body_lookup). A
 bootstrap replicate takes one step from the base fit's marginals and cells
-under its weights (_ReplicateBase).
+under its weights (_ReplicateBase.replicate, the one code that makes one).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import GridSpec, Sample, validate
 from .exceptions import ConfigError, DataError, EstimationError
 from .marginals import (
-    POLISH_GRAD,
     MarginalFit,
     NewtonResult,
     _MarginalRows,
@@ -236,10 +235,11 @@ class _ReplicateBase:
     full Newton step from its base estimate. At the base estimate, each
     row's score factor and curvatures are the same in every replicate; only
     the weights change. So one pass over the rows per body threshold, tail
-    and cell, made here, serves every replicate, and step_marginals() and
-    step() form a replicate's scores and informations as weighted sums of
-    these rows. The marginals share the cells' x x' rows where the
-    dependence uses every design column.
+    and cell, made here, serves every replicate, and replicate() forms a
+    replicate's scores and informations as weighted sums of these rows. The
+    marginals share the cells' x x' rows where the dependence uses every
+    design column. The rows carry no weight: a base fit's own weights enter
+    each replicate's sums with its draw.
 
     A cell whose base fit failed (NaN) keeps NaN, and a cell clamped at the
     link saturation bound (a perfectly concordant or discordant pattern,
@@ -273,35 +273,32 @@ class _ReplicateBase:
         self.score, self.observed, self.fisher = (
             np.array([r[k] for r in rows]).reshape(-1, n) for k in range(3))
 
-    def step_marginals(self, weights) -> tuple[MarginalFit, MarginalFit]:
-        """The replicate's y and w marginal fits under `weights`
-        (_MarginalRows.step, which raises where a marginal fails)."""
-        w = _normalize_weights(weights, self.x_dep.shape[0])
-        return tuple(rows.step(w) for rows in self.marginals)
-
-    def step(self, weights) -> np.ndarray:
-        """The replicate's dependence coefficients under `weights`. In each
-        live cell: the base estimate plus solve(I, g), where g and I are the
-        replicate-weighted score and observed information at the base
-        estimate, with Fisher's information where the observed one has no
-        Cholesky factor. This is the first point `_damped_newton` tries from
-        the base estimate under these weights, and like it a cell takes no
-        step where the max-norm of g is already at most POLISH_GRAD."""
+    def replicate(self, weights) -> BdrFit:
+        """The bootstrap replicate of the base fit under the draw `weights`,
+        which a weighted base fit's own weights multiply, in the steps and as
+        the replicate's `weights`. Both marginals step (_MarginalRows.step,
+        which raises where one fails), and each live cell steps to the base
+        estimate plus _newton_step(I, g), g and I the replicate-weighted
+        score and observed information at the base estimate (Fisher's where
+        the observed one has no Cholesky factor): the first point
+        `_damped_newton` tries from there under these weights. All else,
+        `failures` included, is the base fit's."""
+        if self.fit.weights is not None:
+            weights = self.fit.weights * weights
         n, d = self.x_dep.shape
         w = _normalize_weights(weights, n)
+        y_marg, w_marg = (rows.step(w) for rows in self.marginals)
         grad = (self.score * w) @ self.x_dep / n
         info = (self.observed * w) @ self.xx / n
         pd = _positive_definite(info.reshape(-1, d, d))
         info[~pd] = (self.fisher[~pd] * w) @ self.xx / n
-        step = _newton_step(info.reshape(-1, d, d), grad)
-        step[np.max(np.abs(grad), axis=1) <= POLISH_GRAD] = 0.0
         dep = self.fit.dep_coef.copy()
-        dep[self.live] += step
-        return dep
+        dep[self.live] += _newton_step(info.reshape(-1, d, d), grad)
+        return replace(self.fit, y_marginal=y_marg, w_marginal=w_marg, dep_coef=dep,
+                       weights=weights)
 
 
-def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
-            base: _ReplicateBase | None = None) -> BdrFit:
+def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None) -> BdrFit:
     """Run the full two-step estimator over the grid.
 
     dep_cols are the design columns that drive the dependence, at least one
@@ -309,17 +306,8 @@ def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
     pair is fitted alone from zero, so no cell depends on another or on loop
     order. A dependence fit that fails at a grid pair does not stop the
     others: the pair is recorded in `failures` with its reason and its cell
-    carries NaN coefficients.
-
-    With `base` (a `_ReplicateBase`, which `bootstrap_fit` builds once per
-    ensemble) the fit is a bootstrap replicate of base.fit under `weights`:
-    each marginal takes one Fisher-scoring step from the base fit, and each
-    dependence cell one Newton step from its base estimate at the base
-    marginal indices (`_ReplicateBase.step_marginals` and `step`, the only
-    replicate-specific code). A replicate's cells
-    cannot fail; its marginals fail, by raising, only where the weights
-    leave a body threshold one-sided or a tail stepped to a non-positive
-    scale cannot be refitted.
+    carries NaN coefficients. _ReplicateBase.replicate makes the fit's
+    bootstrap replicates.
     """
     validate(sample)
     dep_cols = tuple(range(sample.d_x)) if dep_cols is None else tuple(dep_cols)
@@ -327,12 +315,6 @@ def fit_bdr(sample: Sample, grid: GridSpec, dep_cols=None, weights=None,
         raise ConfigError(f"dep_cols {dep_cols} must be distinct design columns in "
                           f"0..{sample.d_x - 1}")
     x = np.asarray(sample.x, dtype=float)
-
-    if base is not None:
-        y_marg, w_marg = base.step_marginals(weights)
-        return BdrFit(grid=grid, y_marginal=y_marg, w_marginal=w_marg,
-                      dep_coef=base.step(weights), dep_cols=dep_cols, weights=weights)
-
     y_marg = fit_marginal(sample.y, x, grid, "y", weights=weights)
     w_marg = fit_marginal(sample.w, x, grid, "w", weights=weights)
     x_dep = x[:, dep_cols]

@@ -102,15 +102,16 @@ def _newton_step(info, grad):
     """The full Newton step solve(info, grad), for one system (info (d, d),
     grad (d,)) or a stack of them (info (k, d, d), grad (k, d)). A system
     that is singular or gives a non-finite step takes the plain ascent
-    direction, step = grad, instead."""
+    direction, step = grad, instead, and one whose max-norm gradient is at
+    most POLISH_GRAD, where a fit stops polishing, takes no step."""
     try:
         step = np.linalg.solve(info, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        if grad.ndim == 1:
-            return grad
-        step = np.stack([_newton_step(i, g) for i, g in zip(info, grad)])
+        step = (grad if grad.ndim == 1
+                else np.stack([_newton_step(i, g) for i, g in zip(info, grad)]))
     finite = np.all(np.isfinite(step), axis=-1, keepdims=True)
-    return np.where(finite, step, grad)
+    polished = np.max(np.abs(grad), axis=-1, keepdims=True) <= POLISH_GRAD
+    return np.where(polished, 0.0, np.where(finite, step, grad))
 
 
 def _damped_newton(evaluate, coef, name) -> NewtonResult:
@@ -373,10 +374,10 @@ class _MarginalRows:
     def step(self, w) -> MarginalFit:
         """The replicate's marginal fit under mean-one weights w.
 
-        Body threshold k: beta_k + solve(I_k, g_k), g_k and I_k the weighted
-        score and expected information at the base estimate, with no step
-        where the max-norm of g_k is at most POLISH_GRAD. A threshold the
-        weights leave one-sided raises fit_marginal's error for it. Tail:
+        Body threshold k: beta_k + _newton_step(I_k, g_k), g_k and I_k the
+        weighted score and expected information at the base estimate. A
+        threshold the weights leave one-sided raises fit_marginal's error for
+        it. Tail:
         gamma* = gamma + (sum w s - (sum w c x)'(beta*_a - beta_a)) / sum w c
         and alpha* = gamma* / (r0 - anchor); where alpha* is not positive,
         fit_tail_scale refits the tail under w at the stepped anchor.
@@ -389,7 +390,6 @@ class _MarginalRows:
         grad = (self.score * w) @ self.x / n
         info = (self.fisher * w) @ self.xx / n
         step = _newton_step(info.reshape(-1, d, d), grad)
-        step[np.max(np.abs(grad), axis=1) <= POLISH_GRAD] = 0.0
         coef = self.fit.coef + step
 
         tails = []

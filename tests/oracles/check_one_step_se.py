@@ -2,11 +2,11 @@
 
 A bootstrap replicate refits nothing: each marginal takes one Fisher-scoring
 step from the base fit, and each dependence cell one Newton step from its
-base estimate (dependence._ReplicateBase). Under the same weight draw this
-script also fits two references: "refit marginals" refits the marginals by
-fit_marginal and keeps the one-step cells, and "refit" also refits each cell
-to convergence from its base estimate at the base marginal indices
-(refit_cell). It reruns the gates that justify the one-step rule and prints
+base estimate (dependence._ReplicateBase.replicate). Under the same weight
+draw this script also fits two references: "refit marginals" refits the
+marginals by fit_marginal and keeps the one-step cells, and "refit" also
+refits each cell to convergence from its base estimate at the base marginal
+indices (refit_cell). It reruns the gates that justify the one-step rule and prints
 the tables:
 
 1. SE gate: on four two-group designs, the decomposition (decompose_joint at
@@ -92,7 +92,7 @@ COMPARISONS = (("one-step", "refit marginals"), ("refit marginals", "refit"),
 def replicate_modes(sample, ready, weights):
     """The replicate of each of MODES under the same weights."""
     base = ready.fit
-    one = fit_bdr(sample, base.grid, base.dep_cols, weights=weights, base=ready)
+    one = ready.replicate(weights)
     y_marg, w_marg = (fit_marginal(values, sample.x, base.grid, outcome, weights=weights)
                       for values, outcome in ((sample.y, "y"), (sample.w, "w")))
     refit_marginals = dataclasses.replace(one, y_marginal=y_marg, w_marginal=w_marg)

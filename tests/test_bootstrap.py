@@ -7,12 +7,11 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from bdreg import bootstrap, marginals
+from bdreg import bootstrap, dependence, marginals
 from bdreg.bootstrap import (
     MIN_DRAWS_FOR_INFERENCE,
     BootstrapEnsemble,
     WeightScheme,
-    _run_replicate,
     bootstrap_fit,
     draw_weights,
     ensemble_apply,
@@ -47,6 +46,46 @@ def test_bootstrap_fit_starts_no_process(small_sample, small_fit, monkeypatch):
     monkeypatch.setattr(bootstrap, "_fork_map", no_process)
     ens = bootstrap_fit(small_sample, small_fit[0], n_draws=3)
     assert sorted(ens.draws) == [0, 1, 2] and ens.failed == {}
+
+
+def test_bootstrap_fit_validates_and_fits_nothing(small_sample, small_fit, monkeypatch):
+    # The sample is the base fit's, validated when the base was fitted, and
+    # a replicate steps from the base fit: no replicate validates its sample
+    # again or fits a marginal or a cell.
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for module, name in ((dependence, "validate"), (dependence, "fit_marginal"),
+                         (dependence, "fit_dependence"), (marginals, "fit_marginal")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    ens = bootstrap_fit(small_sample, small_fit[0], n_draws=10)
+    assert len(ens.draws) == 10 and calls == []
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_unit_draw_replicates_the_base_fit(weighted):
+    # The replicate under a draw of ones is the base fit's own estimator, so
+    # it reproduces the base coefficients, cells and tail scales; a weighted
+    # base fit's replicates carry its weights times their draw.
+    s = generate(bench_spec(2000, 3))
+    sw = np.where(s.x[:, 1] > 0.5, 3.0, 1.0) if weighted else None
+    base = fit_bdr(s, build_grid(s, 5), weights=sw)
+    ready = _ReplicateBase(s, base)
+    fit = ready.replicate(np.ones(s.n))
+    for outcome in ("y", "w"):
+        got, own = getattr(fit, f"{outcome}_marginal"), getattr(base, f"{outcome}_marginal")
+        np.testing.assert_allclose(got.coef, own.coef, rtol=0, atol=1e-9)
+        np.testing.assert_allclose([got.alpha_lo, got.alpha_hi], [own.alpha_lo, own.alpha_hi],
+                                   rtol=0, atol=1e-9)
+    np.testing.assert_allclose(fit.dep_coef, base.dep_coef, rtol=0, atol=1e-9)
+    draw = draw_weights(s.n, WeightScheme(), 0)
+    want = draw if sw is None else sw * draw
+    np.testing.assert_array_equal(ready.replicate(draw).weights, want)
 
 
 def repro_group_1():
@@ -151,8 +190,7 @@ def test_replicate_with_a_one_sided_body_threshold_fails_as_a_refit_does(small_s
     with pytest.raises(EstimationError) as refit:
         fit_marginal(small_sample.y, small_sample.x, base.grid, "y", weights=weights)
     with pytest.raises(EstimationError) as step:
-        fit_bdr(small_sample, base.grid, weights=weights,
-                base=_ReplicateBase(small_sample, base))
+        _ReplicateBase(small_sample, base).replicate(weights)
     assert str(step.value) == str(refit.value) == (
         f"marginal y fit failed at grid point {base.grid.y_body[0]:.6g}: "
         "indicator is one-sided at this threshold (no mass on one side)")
@@ -180,8 +218,7 @@ def test_replicate_cell_steps_from_its_base_estimate():
     )
     base = fit_bdr(s, grid)
     assert base.n_failed == 0
-    rep, fit, reason = _run_replicate(s, WeightScheme(), _ReplicateBase(s, base), 0, 9)
-    assert (rep, reason) == (9, None)
+    fit = _ReplicateBase(s, base).replicate(draw_weights(s.n, WeightScheme(), 9))
     assert np.all(np.isfinite(fit.dep_coef))
 
     cell = (np.flatnonzero(np.round(grid.y_body, 5) == 1.37125)[0],
@@ -228,13 +265,13 @@ def test_replicate_body_threshold_takes_the_first_fisher_step(small_sample, smal
     ready = _ReplicateBase(small_sample, base)
     for kind, rep in (("exponential", 0), ("multinomial", 1)):
         w = draw_weights(small_sample.n, WeightScheme(kind), rep)
-        fits = dict(zip(("y", "w"), ready.step_marginals(w)))
+        fit = ready.replicate(w)
         for outcome, values in (("y", small_sample.y), ("w", small_sample.w)):
             own = getattr(base, f"{outcome}_marginal")
             for k, r in enumerate(own.body):
                 below = (values <= r).astype(float)
                 _, grad, info = _probit_evaluate(small_sample.x, below, w, None, own.coef[k])
-                np.testing.assert_allclose(fits[outcome].coef[k],
+                np.testing.assert_allclose(getattr(fit, f"{outcome}_marginal").coef[k],
                                            own.coef[k] + np.linalg.solve(info, grad),
                                            rtol=0, atol=1e-12)
 

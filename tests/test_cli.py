@@ -7,8 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from bdreg import bootstrap, cli, marginals
+from bdreg import cli, marginals
 from bdreg.bootstrap import MIN_DRAWS_FOR_INFERENCE, WeightScheme, draw_weights
+from bdreg.dependence import _ReplicateBase
 from bdreg.exceptions import EstimationError, TailError
 
 GRID = 4
@@ -582,14 +583,14 @@ def test_group_bootstrap_error_names_the_group(sample_csv, tmp_path, monkeypatch
     # failed fit's error does, and the run exits 4.
     reason = "tail scale non-positive at every admissible upper-tail point"
     failing = draw_weights(600, WeightScheme(), 9, group=1)
-    real_fit = bootstrap.fit_bdr
+    real_replicate = _ReplicateBase.replicate
 
-    def replicate_9_of_group_1_fails(sample, grid, dep_cols=None, weights=None, base=None):
-        if base is not None and np.array_equal(weights, failing):
+    def replicate_9_of_group_1_fails(ready, weights):
+        if np.array_equal(weights, failing):
             raise TailError(reason)
-        return real_fit(sample, grid, dep_cols, weights=weights, base=base)
+        return real_replicate(ready, weights)
 
-    monkeypatch.setattr(bootstrap, "fit_bdr", replicate_9_of_group_1_fails)
+    monkeypatch.setattr(_ReplicateBase, "replicate", replicate_9_of_group_1_fails)
     out = tmp_path / "out"
     assert decompose(sample_csv, out, "--replicates", "10") == 4
     assert list(out.glob("*")) == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bdreg import dependence, normal
-from bdreg.bootstrap import WeightScheme, _run_replicate, draw_weights
+from bdreg.bootstrap import WeightScheme, draw_weights
 from bdreg.data import Sample, build_grid, grid_from_values
 from bdreg.dependence import (
     CELL_FLOOR,
@@ -350,8 +350,7 @@ class TestFitDependence:
         assert np.max(np.abs(warm.coef - cold.coef)) <= 1e-9
         ready = _ReplicateBase(s, base)
         for rep in (9, 10):
-            fit = fit_bdr(s, grid,
-                          weights=draw_weights(1000, WeightScheme(), rep, 0), base=ready)
+            fit = ready.replicate(draw_weights(1000, WeightScheme(), rep, 0))
             assert fit.n_failed == 0
             assert np.all(np.isfinite(fit.dep_coef))
 
@@ -464,8 +463,7 @@ class TestFitBdr:
         # leaves (at most 5.6e-4 per observation here, 2e-6 in most cells).
         s = generate(bench_spec(800, 5))
         base = fit_bdr(s, build_grid(s, n_points=10))
-        _, fit, reason = _run_replicate(s, WeightScheme(), _ReplicateBase(s, base), 0, 0)
-        assert reason is None
+        fit = _ReplicateBase(s, base).replicate(draw_weights(s.n, WeightScheme(), 0))
         for cell, args in cell_problems(s, base, fit.weights):
             kernel = _CellKernel(*args)
             got = kernel.evaluate(fit.dep_coef[cell])[0]
@@ -528,11 +526,11 @@ class TestFitBdr:
         others[1, 1] = False
         np.testing.assert_array_equal(fit.dep_coef[others], clean.dep_coef[others])
 
-        # A replicate cannot step from a failed cell: it keeps NaN there, its
-        # other cells step, and the replicate itself does not fail.
-        rep, rep_fit, reason = _run_replicate(s, WeightScheme(), _ReplicateBase(s, fit), 0, 3)
-        assert (rep, reason) == (3, None)
-        assert rep_fit.n_failed == 0
+        # A replicate cannot step from a failed cell: it keeps NaN there and
+        # the base fit's record of why, its other cells step, and the
+        # replicate itself does not fail.
+        rep_fit = _ReplicateBase(s, fit).replicate(draw_weights(s.n, WeightScheme(), 3))
+        assert rep_fit.failures == fit.failures
         assert np.all(np.isnan(rep_fit.dep_coef[1, 1]))
         assert np.all(np.isfinite(rep_fit.dep_coef[others]))
         assert not np.array_equal(rep_fit.dep_coef[others], clean.dep_coef[others])
@@ -565,7 +563,7 @@ class TestOneStepReplicates:
         """Every cell of the one-step replicate against `_damped_newton`'s
         first trial; returns the cells whose observed information had no
         Cholesky factor (the Fisher fallback)."""
-        got = _ReplicateBase(sample, base).step(weights)
+        got = _ReplicateBase(sample, base).replicate(weights).dep_coef
         fisher = []
         for cell, args in cell_problems(sample, base, weights):
             kernel = _CellKernel(*args)
@@ -607,7 +605,7 @@ class TestOneStepReplicates:
         s = generate(bench_spec(300, 1, dep_coef=[1.05, 0.6, 0.0]))
         base = fit_bdr(s, build_grid(s, n_points=6))
         w = draw_weights(s.n, WeightScheme(), 0)
-        got = _ReplicateBase(s, base).step(w)
+        got = _ReplicateBase(s, base).replicate(w).dep_coef
         polished = []
         for cell, args in cell_problems(s, base, w):
             refit = refit_cell(args, base.dep_coef[cell])
@@ -634,7 +632,7 @@ class TestOneStepReplicates:
         ready = _ReplicateBase(clamped, base)
         for scheme in (WeightScheme(), WeightScheme("multinomial")):
             weights = draw_weights(clamped.n, scheme, 1)
-            got = ready.step(weights)
+            got = ready.replicate(weights).dep_coef
             np.testing.assert_array_equal(got[0, 0], base.dep_coef[0, 0])
             assert np.all(np.isfinite(got))
             args = next(cell_problems(clamped, base, weights))[1]

@@ -10,6 +10,7 @@ from bdreg.dgp import DgpSpec, generate
 from bdreg import marginals
 from bdreg.exceptions import DataError, EstimationError, TailError
 from bdreg.marginals import (
+    POLISH_GRAD,
     _damped_newton,
     _newton_step,
     _probit_evaluate,
@@ -265,6 +266,17 @@ class TestNewtonStep:
         np.testing.assert_array_equal(_newton_step(tiny, grad), grad)
         solved = _newton_step(np.stack([2.0 * np.eye(2), tiny]), np.stack([grad, grad]))
         np.testing.assert_array_equal(solved, [grad / 2.0, grad])
+
+    def test_system_with_a_polished_gradient_takes_no_step(self):
+        # A max-norm gradient at POLISH_GRAD is where a fit stops polishing,
+        # so that system takes no step, singular or not; a gradient just
+        # above it still solves.
+        info = np.stack([2.0 * np.eye(2), 0.5 * np.eye(2), np.zeros((2, 2))])
+        grad = np.array([[POLISH_GRAD, -POLISH_GRAD / 2.0], [2.0 * POLISH_GRAD, 0.0],
+                         [0.0, -POLISH_GRAD]])
+        np.testing.assert_array_equal(
+            _newton_step(info, grad), [[0.0, 0.0], [4.0 * POLISH_GRAD, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(_newton_step(info[0], grad[0]), [0.0, 0.0])
 
 
 class TestMarginalIndex:
